@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json vet-strict kerncheck test race bench-smoke bench-parallel bench-trace bench-kio bench-net bench-net-quick bench-swap bench-all bench-fuzz fuzz-smoke panic-storm check
+.PHONY: all build vet lint lint-json vet-strict kerncheck test race bench-smoke bench-parallel bench-trace bench-kio bench-net bench-net-quick bench-swap bench-fuzz fuzz-smoke panic-storm check
 
 all: check
 
@@ -55,9 +55,10 @@ bench-parallel:
 bench-trace:
 	$(GO) run ./cmd/ktrace bench -out BENCH_trace.json -gate
 
-# Async I/O engine: sync vs async at QD 1/8/32, copy accounting, and
-# the tracepoint gate share (see DESIGN.md "Async I/O" and
-# BENCH_kio.json; single-core hosts — read the caveat field).
+# I/O engine: sync vs kio at QD 1/8/32 (wall clock and simulated
+# device time), the QD-1 kio/sync ratio, copy accounting, and the
+# tracepoint gate share (see DESIGN.md "Async I/O (kio)" and
+# BENCH_kio.json).
 bench-kio:
 	$(GO) run ./cmd/kiobench -out BENCH_kio.json
 
@@ -83,12 +84,6 @@ bench-net-quick:
 # any in-flight operation is dropped or fails across a swap.
 bench-swap:
 	$(GO) run ./cmd/swapbench -out BENCH_swap.json
-
-# Regenerate every benchmark artifact, then fold them into
-# BENCH_all.json — one machine-readable snapshot of the whole
-# performance surface, keyed by benchmark name.
-bench-all: bench-trace bench-kio bench-net bench-swap
-	$(GO) run ./cmd/benchall -out BENCH_all.json
 
 # Bounded deterministic differential-fuzzing gate (~seconds): replays
 # the committed regression corpus plus a fixed-seed generative budget

@@ -1,19 +1,20 @@
-// Command kiobench measures the async I/O engine (kio) against the
+// Command kiobench measures the I/O engine (kio) against the
 // synchronous block path and writes BENCH_kio.json — the evidence
-// behind the overlapped-commit and zero-copy claims:
+// behind the batched-commit and zero-copy claims:
 //
-//   - sync vs async ns per durable write at queue depth 1/8/32 on an
+//   - sync vs kio ns per durable write at queue depth 1/8/32 on an
 //     fsync-heavy group-commit workload (every batch ends in a flush
 //     barrier, so QD amortizes the flush the way jbd2's group commit
-//     amortizes the commit record);
+//     amortizes the commit record), plus the QD-1 kio/sync ratio;
 //   - copies per write on the memcpy path (Batch.Write) vs the
 //     ownership move path (Batch.WriteOwned), verified from the
 //     engine's BytesCopied/CopiesPerformed/CopiesAvoided counters,
 //     not inferred from timing;
-//   - the disabled-tracepoint gate share of the async path, read
+//   - the disabled-tracepoint gate share of the kio path, read
 //     against the same ≤5% line as BENCH_trace.json.
 //
-// Runs at GOMAXPROCS 1, 4, and 8, mirroring `-cpu 1,4,8`.
+// The engine executes every batch on the submitting goroutine, so the
+// numbers do not depend on GOMAXPROCS.
 package main
 
 import (
@@ -37,14 +38,6 @@ const (
 	benchBlockSize = 512
 )
 
-// PerCPU holds one configuration's ns-per-durable-write at each
-// GOMAXPROCS setting.
-type PerCPU struct {
-	CPU1 float64 `json:"cpu1"`
-	CPU4 float64 `json:"cpu4"`
-	CPU8 float64 `json:"cpu8"`
-}
-
 // CopyStats is the counter-verified copy accounting for one path.
 type CopyStats struct {
 	Writes          uint64  `json:"writes"`
@@ -61,7 +54,7 @@ type Result struct {
 	Command    string               `json:"command"`
 	Host       map[string]any       `json:"host"`
 	Caveat     string               `json:"caveat"`
-	NsPerWrite map[string]PerCPU    `json:"results_ns_per_durable_write"`
+	NsPerWrite map[string]float64   `json:"results_ns_per_durable_write"`
 	DeviceTime map[string]float64   `json:"simulated_device_jiffies_per_durable_write"`
 	Derived    map[string]string    `json:"derived"`
 	Copies     map[string]CopyStats `json:"copies_per_write"`
@@ -93,13 +86,13 @@ func benchSync() float64 {
 	return nsPerOp(res)
 }
 
-// benchAsync issues qd writes and one barrier per batch through the
+// benchKio issues qd writes and one barrier per batch through the
 // engine; reported per durable write, so the barrier cost is
 // amortized across the queue depth exactly as group commit amortizes
 // the commit flush.
-func benchAsync(qd int) float64 {
+func benchKio(qd int) float64 {
 	dev := newDevice()
-	e := kio.New(dev, kio.Config{Workers: 4})
+	e := kio.New(dev)
 	defer e.Close()
 	buf := make([]byte, benchBlockSize)
 	res := testing.Benchmark(func(b *testing.B) {
@@ -153,7 +146,7 @@ func measureDeviceTime(qd int) float64 {
 			}
 		}
 	} else {
-		e := kio.New(dev, kio.Config{Workers: 4})
+		e := kio.New(dev)
 		defer e.Close()
 		batch := e.NewBatch()
 		for i := 0; i < writes; i++ {
@@ -187,31 +180,11 @@ func nsPerOp(res testing.BenchmarkResult) float64 {
 	return float64(res.T.Nanoseconds()) / float64(res.N)
 }
 
-// atCPUs runs f at GOMAXPROCS 1, 4, and 8.
-func atCPUs(f func() float64) PerCPU {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	var out PerCPU
-	for _, n := range []int{1, 4, 8} {
-		runtime.GOMAXPROCS(n)
-		v := f()
-		switch n {
-		case 1:
-			out.CPU1 = v
-		case 4:
-			out.CPU4 = v
-		case 8:
-			out.CPU8 = v
-		}
-	}
-	return out
-}
-
 // measureCopies drives writes writes through one path and reads the
 // engine's copy counters back.
 func measureCopies(writes int, owned bool) (CopyStats, error) {
 	dev := newDevice()
-	e := kio.New(dev, kio.Config{Workers: 4})
+	e := kio.New(dev)
 	defer e.Close()
 	batch := e.NewBatch()
 	for i := 0; i < writes; i++ {
@@ -248,9 +221,9 @@ func measureCopies(writes int, owned bool) (CopyStats, error) {
 	return cs, nil
 }
 
-// measureGate estimates the disabled-tracepoint share of the async
+// measureGate estimates the disabled-tracepoint share of the kio
 // path: gate cost per emit times emits per durable write.
-func measureGate(asyncNs float64) map[string]float64 {
+func measureGate(kioNs float64) map[string]float64 {
 	gate := ktrace.New("kiobench:gate")
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -260,10 +233,10 @@ func measureGate(asyncNs float64) map[string]float64 {
 	gateNs := nsPerOp(res)
 
 	// Count emits per durable write with tracing enabled on a short
-	// async run (submit + complete per write, plus per-batch barrier
-	// and reap events).
+	// kio run (submit + complete per write, plus the per-batch barrier
+	// events).
 	dev := newDevice()
-	e := kio.New(dev, kio.Config{Workers: 4})
+	e := kio.New(dev)
 	defer e.Close()
 	ktrace.EnableAll()
 	defer ktrace.DisableAll()
@@ -284,8 +257,8 @@ func measureGate(asyncNs float64) map[string]float64 {
 	emits := float64(ktrace.Buffer().Emitted()-before) / float64(writes)
 
 	pct := 0.0
-	if asyncNs > 0 {
-		pct = 100 * gateNs * emits / asyncNs
+	if kioNs > 0 {
+		pct = 100 * gateNs * emits / kioNs
 	}
 	return map[string]float64{
 		"gate_ns_per_emit":             gateNs,
@@ -315,11 +288,11 @@ func hostInfo() map[string]any {
 	}
 }
 
-func pctFaster(sync, async float64) string {
-	if sync == 0 {
+func pctFaster(base, v float64) string {
+	if base == 0 {
 		return "n/a"
 	}
-	return fmt.Sprintf("%+.0f%% (%.1f -> %.1f per write)", 100*(async-sync)/sync, sync, async)
+	return fmt.Sprintf("%+.0f%% (%.1f -> %.1f per write)", 100*(v-base)/base, base, v)
 }
 
 func run(date string) (*Result, error) {
@@ -327,50 +300,45 @@ func run(date string) (*Result, error) {
 	defer kbase.SetLockValidation(prevLV)
 
 	res := &Result{
-		Experiment: "kio async submission/completion vs sync block path; zero-copy ownership accounting",
+		Experiment: "kio batched submission vs sync block path; zero-copy ownership accounting",
 		Date:       date,
 		Command:    "make bench-kio",
 		Host:       hostInfo(),
-		Caveat: "The benchmark host exposes a single CPU, so GOMAXPROCS>1 only multiplexes " +
-			"goroutines on one core and async completion cannot overlap with submission in " +
-			"wall-clock time; on top of that the simulated device is in-memory, so a flush — " +
-			"the thing queue depth amortizes — costs near-zero wall-clock and the engine's " +
-			"scheduling overhead dominates raw ns/op. Two honest single-core signals remain: " +
-			"(1) batching gain, ns/write falling as QD grows (each barrier and channel round " +
-			"trip amortized over more writes), and (2) simulated device time, where write and " +
-			"flush carry realistic relative costs on the device clock and the QD-n batch pays " +
-			"one flush per n writes exactly as jbd2 group commit pays one commit flush per " +
-			"round — that axis shows the >=30% fsync-heavy improvement directly. On an N-core " +
-			"host with a latency-bearing device the wall-clock numbers follow the device-time " +
-			"curve; re-run `make bench-kio` there and record both alongside these.",
-		NsPerWrite: map[string]PerCPU{},
+		Caveat: "The simulated device is in-memory, so a flush — the thing queue depth " +
+			"amortizes — costs near-zero wall-clock and the engine's per-batch bookkeeping " +
+			"dominates raw ns/op. The engine executes each batch on the submitting goroutine, " +
+			"so wall-clock numbers do not depend on core count. Simulated device time is the " +
+			"portable axis: write and flush carry realistic relative costs on the device clock " +
+			"and the QD-n batch pays one flush per n writes exactly as jbd2 group commit pays " +
+			"one commit flush per round.",
+		NsPerWrite: map[string]float64{},
 		Derived:    map[string]string{},
 		Copies:     map[string]CopyStats{},
 	}
 
-	res.NsPerWrite["sync_write_flush"] = atCPUs(benchSync)
+	res.NsPerWrite["sync_write_flush"] = benchSync()
 	for _, qd := range []int{1, 8, 32} {
-		qd := qd
-		res.NsPerWrite[fmt.Sprintf("async_qd%d", qd)] = atCPUs(func() float64 { return benchAsync(qd) })
+		res.NsPerWrite[fmt.Sprintf("kio_qd%d", qd)] = benchKio(qd)
 	}
 
 	syncNs := res.NsPerWrite["sync_write_flush"]
-	res.Derived["wallclock_async_qd1_vs_sync_cpu1"] = pctFaster(syncNs.CPU1, res.NsPerWrite["async_qd1"].CPU1)
-	res.Derived["wallclock_async_qd8_vs_sync_cpu1"] = pctFaster(syncNs.CPU1, res.NsPerWrite["async_qd8"].CPU1)
-	res.Derived["wallclock_async_qd32_vs_sync_cpu1"] = pctFaster(syncNs.CPU1, res.NsPerWrite["async_qd32"].CPU1)
-	res.Derived["wallclock_batching_qd8_vs_qd1_cpu1"] = pctFaster(res.NsPerWrite["async_qd1"].CPU1, res.NsPerWrite["async_qd8"].CPU1)
-	res.Derived["wallclock_batching_qd32_vs_qd1_cpu1"] = pctFaster(res.NsPerWrite["async_qd1"].CPU1, res.NsPerWrite["async_qd32"].CPU1)
+	res.Derived["kio_qd1_over_sync_ratio"] = fmt.Sprintf("%.2f", res.NsPerWrite["kio_qd1"]/syncNs)
+	res.Derived["wallclock_kio_qd1_vs_sync"] = pctFaster(syncNs, res.NsPerWrite["kio_qd1"])
+	res.Derived["wallclock_kio_qd8_vs_sync"] = pctFaster(syncNs, res.NsPerWrite["kio_qd8"])
+	res.Derived["wallclock_kio_qd32_vs_sync"] = pctFaster(syncNs, res.NsPerWrite["kio_qd32"])
+	res.Derived["wallclock_batching_qd8_vs_qd1"] = pctFaster(res.NsPerWrite["kio_qd1"], res.NsPerWrite["kio_qd8"])
+	res.Derived["wallclock_batching_qd32_vs_qd1"] = pctFaster(res.NsPerWrite["kio_qd1"], res.NsPerWrite["kio_qd32"])
 
 	res.DeviceTime = map[string]float64{
 		"sync_write_flush": measureDeviceTime(0),
-		"async_qd1":        measureDeviceTime(1),
-		"async_qd8":        measureDeviceTime(8),
-		"async_qd32":       measureDeviceTime(32),
+		"kio_qd1":          measureDeviceTime(1),
+		"kio_qd8":          measureDeviceTime(8),
+		"kio_qd32":         measureDeviceTime(32),
 	}
-	res.Derived["devicetime_async_qd8_vs_sync"] = pctFaster(
-		res.DeviceTime["sync_write_flush"], res.DeviceTime["async_qd8"])
-	res.Derived["devicetime_async_qd32_vs_sync"] = pctFaster(
-		res.DeviceTime["sync_write_flush"], res.DeviceTime["async_qd32"])
+	res.Derived["devicetime_kio_qd8_vs_sync"] = pctFaster(
+		res.DeviceTime["sync_write_flush"], res.DeviceTime["kio_qd8"])
+	res.Derived["devicetime_kio_qd32_vs_sync"] = pctFaster(
+		res.DeviceTime["sync_write_flush"], res.DeviceTime["kio_qd32"])
 
 	const copyWrites = 8192
 	cs, err := measureCopies(copyWrites, false)
@@ -384,7 +352,7 @@ func run(date string) (*Result, error) {
 	}
 	res.Copies["ownership_path"] = cs
 
-	res.Gate = measureGate(res.NsPerWrite["async_qd8"].CPU1)
+	res.Gate = measureGate(res.NsPerWrite["kio_qd8"])
 	return res, nil
 }
 

@@ -8,8 +8,8 @@ import (
 // sleeperSeeds is the curated cross-package list of functions that can
 // sleep (block the calling goroutine), keyed by types.Func.FullName.
 // It covers the kernel tree's blocking primitives: the sleeping lock
-// acquisitions in kbase, the journal's commit/checkpoint gates, the
-// kio completion waiters, and the standard library's blocking
+// acquisitions in kbase, the journal's commit/checkpoint gates, kio
+// batch submission, and the standard library's blocking
 // synchronization. Channel operations are handled structurally by the
 // call-graph builder, not listed here.
 var sleeperSeeds = map[string]bool{
@@ -23,9 +23,10 @@ var sleeperSeeds = map[string]bool{
 	"(*safelinux/internal/linuxlike/journal.Journal).Begin":      true,
 	"(*safelinux/internal/linuxlike/journal.Journal).Commit":     true,
 	"(*safelinux/internal/linuxlike/journal.Journal).Checkpoint": true,
-	// kio completion waiters.
-	"(*safelinux/internal/linuxlike/kio.Ticket).Wait": true,
-	"(*safelinux/internal/linuxlike/kio.Engine).Reap": true,
+	// kio submission executes the batch on the caller: it takes the
+	// engine's drain lock and the device's locks. Ticket.Wait never
+	// blocks (Submit has completed every SQE), so it is not a seed.
+	"(*safelinux/internal/linuxlike/kio.Batch).Submit": true,
 	// Standard library blocking synchronization.
 	"(*sync.Mutex).Lock":     true,
 	"(*sync.RWMutex).Lock":   true,

@@ -161,21 +161,3 @@ func DirForImport(root, importPath string) string {
 	}
 	return filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(importPath, ModulePath+"/")))
 }
-
-// LoadModule loads every package of the module rooted at root.
-func LoadModule(root string) ([]*Package, error) {
-	paths, err := ListPackages(root)
-	if err != nil {
-		return nil, err
-	}
-	l := NewLoader()
-	var pkgs []*Package
-	for _, p := range paths {
-		pkg, err := l.LoadDir(DirForImport(root, p), p)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}

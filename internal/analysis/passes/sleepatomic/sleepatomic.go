@@ -2,11 +2,11 @@
 // the simulated kernel's own primitives: no path may sleep while a
 // kbase.SpinLock is held. Sleeping means acquiring a sleeping lock
 // (KMutex.Lock/LockNested, RWSem.DownRead/DownWrite), waiting on a
-// journal gate (Begin/Commit/Checkpoint), waiting for kio completions
-// (Ticket.Wait, Engine.Reap), any channel operation, or the standard
-// library's blocking synchronization — transitively, through the
-// per-package call graph, with dynamic dispatch (interface methods,
-// function values) treated as conservative may-sleep.
+// journal gate (Begin/Commit/Checkpoint), submitting a kio batch
+// (Batch.Submit runs the I/O on the caller), any channel operation,
+// or the standard library's blocking synchronization — transitively,
+// through the per-package call graph, with dynamic dispatch (interface
+// methods, function values) treated as conservative may-sleep.
 //
 // Lock tracking is intraprocedural over the shared CFG: a spinlock is
 // held from its Lock call to its Unlock call on the same receiver
@@ -30,7 +30,7 @@ const spinLockType = "safelinux/internal/linuxlike/kbase.SpinLock"
 // Analyzer flags possible sleeps under a held spinlock.
 var Analyzer = &analysis.Analyzer{
 	Name: "sleepatomic",
-	Doc: "flags paths that can sleep (sleeping locks, journal gates, kio waits, " +
+	Doc: "flags paths that can sleep (sleeping locks, journal gates, kio submission, " +
 		"channel ops) while a kbase.SpinLock is held — the might_sleep discipline: " +
 		"spinlock sections must be short and non-blocking",
 	Run: run,

@@ -10,6 +10,8 @@ import (
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/kio"
 	"safelinux/internal/linuxlike/ktrace"
+	"safelinux/internal/safety/compartment"
+	"safelinux/internal/safety/own"
 )
 
 // asyncJournalRig assembles a journaled device with the async I/O
@@ -23,7 +25,7 @@ func asyncJournalRig(t *testing.T) (*blockdev.Device, *bufcache.Cache, *journal.
 	if err := j.Format(); err != kbase.EOK {
 		t.Fatalf("Format: %v", err)
 	}
-	e := kio.New(dev, kio.Config{Workers: 4})
+	e := kio.New(dev)
 	t.Cleanup(e.Close)
 	j.SetEngine(e)
 	return dev, cache, j, e
@@ -49,7 +51,7 @@ func journalWrite(t *testing.T, cache *bufcache.Cache, j *journal.Journal, block
 }
 
 // TestAsyncCommitTornSubmissionRecovery injects a write fault into the
-// middle of an overlapped journal commit: one log-block submission of
+// middle of a kio journal commit: one log-block submission of
 // the async batch fails while its siblings complete (a partial unplug).
 // The commit must surface the error and write no commit record; after
 // a crash, recovery replays only the earlier intact transaction and the
@@ -209,5 +211,67 @@ func TestAsyncCrashMidUnplugSubset(t *testing.T) {
 		if got != 0xE1 {
 			t.Fatalf("block 50 byte %d = %#x after replay, want E1", i, got)
 		}
+	}
+}
+
+// panickyDisk is a block device whose flush panics, standing in for a
+// driver bug hit in the middle of a batch.
+type panickyDisk struct{ *blockdev.Device }
+
+func (panickyDisk) Flush() kbase.Errno { panic("injected flush fault") }
+
+// TestKioPanicMidBatchCompletesEachSQEOnce drives a batch whose device
+// panics part-way through, under the kio compartment. The writes ahead
+// of the faulting flush complete normally; the flush and everything
+// behind it complete with EFAULT. Every SQE completes exactly once (no
+// moved page is freed twice), Wait returns at once, and the
+// supervisor brings the compartment back to healthy.
+func TestKioPanicMidBatchCompletesEachSQEOnce(t *testing.T) {
+	dev := blockdev.New(blockdev.Config{Blocks: 64, BlockSize: 128, Rng: kbase.NewRng(7)})
+	e := kio.New(panickyDisk{dev})
+	defer e.Close()
+	plane := compartment.NewPlane()
+	c := plane.Add("kio", compartment.Options{
+		Restart: func(*kbase.Task) kbase.Errno { return kbase.EOK },
+	})
+	e.SetBoundary(c)
+	ck := own.NewChecker(own.PolicyRecord)
+
+	b := e.NewBatch()
+	page := func() own.Owned[[]byte] { return own.New(ck, "kio:test", make([]byte, 128)) }
+	b.WriteOwned(1, page(), 1)
+	b.Write(2, make([]byte, 128), 2)
+	b.Barrier(3) // panics
+	b.WriteOwned(4, page(), 4)
+	b.Read(5, make([]byte, 128), 5)
+	cqes := b.Submit().Wait()
+
+	want := []kbase.Errno{kbase.EOK, kbase.EOK, kbase.EFAULT, kbase.EFAULT, kbase.EFAULT}
+	if len(cqes) != len(want) {
+		t.Fatalf("%d CQEs, want %d", len(cqes), len(want))
+	}
+	for i, cqe := range cqes {
+		if cqe.User != uint64(i+1) || cqe.Err != want[i] {
+			t.Errorf("CQE %d = {user %d, %v}, want {user %d, %v}", i, cqe.User, cqe.Err, i+1, want[i])
+		}
+	}
+	if st := e.Stats(); st.Completed != st.Submitted || st.Completed != 5 {
+		t.Fatalf("completed %d of %d submitted SQEs, want each of 5 once", st.Completed, st.Submitted)
+	}
+	if n := ck.Count(); n != 0 {
+		t.Fatalf("ownership violations: %v", ck.Violations())
+	}
+	if leaks := ck.CheckLeaks(); len(leaks) != 0 {
+		t.Fatalf("moved pages leaked: %v", leaks)
+	}
+	plane.Settle()
+	if !plane.AllHealthy() {
+		t.Fatal("kio compartment did not return to healthy")
+	}
+	// The restarted compartment serves the engine again.
+	b2 := e.NewBatch()
+	b2.Write(6, make([]byte, 128), 6)
+	if err := b2.Submit().Err(); err != kbase.EOK {
+		t.Fatalf("post-restart batch: %v", err)
 	}
 }

@@ -135,16 +135,3 @@ func LoadCorpusDir(dir string) ([]NamedProg, error) {
 	}
 	return out, nil
 }
-
-// WriteProg writes p to path in canonical wire form with a leading
-// comment.
-func WriteProg(path, comment string, p *Prog) error {
-	var b strings.Builder
-	for _, line := range strings.Split(strings.TrimRight(comment, "\n"), "\n") {
-		if line != "" {
-			fmt.Fprintf(&b, "# %s\n", line)
-		}
-	}
-	b.WriteString(p.String())
-	return os.WriteFile(path, []byte(b.String()), 0o644)
-}

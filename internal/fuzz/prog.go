@@ -30,14 +30,14 @@ type OpKind uint8
 // canonical.
 const (
 	// File ops (fd slots).
-	OpOpen  OpKind = iota // fd[Slot] = Open(Path, Flags)
-	OpClose               // Close(fd[Slot])
-	OpRead                // Read(fd[Slot], Len) — cursor read
-	OpWrite               // Write(fd[Slot], Len bytes from Seed) — cursor write
-	OpPread               // Pread(fd[Slot], Len, Off)
-	OpPwrite              // Pwrite(fd[Slot], Len bytes from Seed, Off)
-	OpLseek               // Lseek(fd[Slot], Off, whence=Arg)
-	OpFsync               // Fsync(fd[Slot])
+	OpOpen   OpKind = iota // fd[Slot] = Open(Path, Flags)
+	OpClose                // Close(fd[Slot])
+	OpRead                 // Read(fd[Slot], Len) — cursor read
+	OpWrite                // Write(fd[Slot], Len bytes from Seed) — cursor write
+	OpPread                // Pread(fd[Slot], Len, Off)
+	OpPwrite               // Pwrite(fd[Slot], Len bytes from Seed, Off)
+	OpLseek                // Lseek(fd[Slot], Off, whence=Arg)
+	OpFsync                // Fsync(fd[Slot])
 
 	// Namespace ops (paths only).
 	OpMkdir    // Mkdir(Path)
@@ -110,34 +110,34 @@ type opTraits struct {
 }
 
 var opInfo = [opKindCount]opTraits{
-	OpOpen:      {name: "open", defFD: true, path: true},
-	OpClose:     {name: "close", useFD: true, killFD: true},
-	OpRead:      {name: "read", useFD: true},
-	OpWrite:     {name: "write", useFD: true},
-	OpPread:     {name: "pread", useFD: true},
-	OpPwrite:    {name: "pwrite", useFD: true},
-	OpLseek:     {name: "lseek", useFD: true},
-	OpFsync:     {name: "fsync", useFD: true},
-	OpMkdir:     {name: "mkdir", path: true},
-	OpRmdir:     {name: "rmdir", path: true},
-	OpUnlink:    {name: "unlink", path: true},
-	OpRename:    {name: "rename", path: true, path2: true},
-	OpTruncate:  {name: "truncate", path: true},
-	OpReadDir:   {name: "readdir", path: true},
-	OpStat:      {name: "stat", path: true},
-	OpSyncAll:   {name: "syncall"},
-	OpListen:    {name: "listen", defLst: true},
-	OpCloseLst:  {name: "lclose", killLst: true},
-	OpConnect:   {name: "connect", defConn: true, useLst: true},
-	OpAccept:    {name: "accept", defConn: true, useLst: true},
-	OpSend:      {name: "send", useConn: true},
-	OpRecv:      {name: "recv", useConn: true},
-	OpCloseConn: {name: "cclose", useConn: true, killCon: true},
-	OpStepNet:   {name: "step"},
-	OpPartition: {name: "partition"},
-	OpHeal:      {name: "heal"},
-	OpKioBatch:  {name: "kio"},
-	OpHotSwapFS: {name: "swapfs", modal: true},
+	OpOpen:       {name: "open", defFD: true, path: true},
+	OpClose:      {name: "close", useFD: true, killFD: true},
+	OpRead:       {name: "read", useFD: true},
+	OpWrite:      {name: "write", useFD: true},
+	OpPread:      {name: "pread", useFD: true},
+	OpPwrite:     {name: "pwrite", useFD: true},
+	OpLseek:      {name: "lseek", useFD: true},
+	OpFsync:      {name: "fsync", useFD: true},
+	OpMkdir:      {name: "mkdir", path: true},
+	OpRmdir:      {name: "rmdir", path: true},
+	OpUnlink:     {name: "unlink", path: true},
+	OpRename:     {name: "rename", path: true, path2: true},
+	OpTruncate:   {name: "truncate", path: true},
+	OpReadDir:    {name: "readdir", path: true},
+	OpStat:       {name: "stat", path: true},
+	OpSyncAll:    {name: "syncall"},
+	OpListen:     {name: "listen", defLst: true},
+	OpCloseLst:   {name: "lclose", killLst: true},
+	OpConnect:    {name: "connect", defConn: true, useLst: true},
+	OpAccept:     {name: "accept", defConn: true, useLst: true},
+	OpSend:       {name: "send", useConn: true},
+	OpRecv:       {name: "recv", useConn: true},
+	OpCloseConn:  {name: "cclose", useConn: true, killCon: true},
+	OpStepNet:    {name: "step"},
+	OpPartition:  {name: "partition"},
+	OpHeal:       {name: "heal"},
+	OpKioBatch:   {name: "kio"},
+	OpHotSwapFS:  {name: "swapfs", modal: true},
 	OpHotSwapNet: {name: "swapnet", modal: true},
 }
 
@@ -183,25 +183,18 @@ var Paths = []string{
 	"/d2", "/d2/f6",
 }
 
-// PathIsDir reports whether a Paths entry is a directory name by the
-// fixed convention (last element starts with 'd').
-func PathIsDir(p string) bool {
-	i := strings.LastIndexByte(p, '/')
-	return i+1 < len(p) && p[i+1] == 'd'
-}
-
 // OpenFlagSets are the open-flag combinations generation draws from.
 var OpenFlagSets = []int{
-	0x0,                 // ORdOnly
-	0x1,                 // OWrOnly
-	0x2,                 // ORdWr
-	0x1 | 0x40,          // OWrOnly|OCreate
-	0x1 | 0x40 | 0x80,   // OWrOnly|OCreate|OExcl
-	0x1 | 0x40 | 0x200,  // OWrOnly|OCreate|OTrunc
-	0x2 | 0x40,          // ORdWr|OCreate
-	0x1 | 0x400,         // OWrOnly|OAppend
-	0x1 | 0x40 | 0x400,  // OWrOnly|OCreate|OAppend
-	0x0 | 0x200,         // ORdOnly|OTrunc — a classic corner
+	0x0,                // ORdOnly
+	0x1,                // OWrOnly
+	0x2,                // ORdWr
+	0x1 | 0x40,         // OWrOnly|OCreate
+	0x1 | 0x40 | 0x80,  // OWrOnly|OCreate|OExcl
+	0x1 | 0x40 | 0x200, // OWrOnly|OCreate|OTrunc
+	0x2 | 0x40,         // ORdWr|OCreate
+	0x1 | 0x400,        // OWrOnly|OAppend
+	0x1 | 0x40 | 0x400, // OWrOnly|OCreate|OAppend
+	0x0 | 0x200,        // ORdOnly|OTrunc — a classic corner
 }
 
 // live tracks static resource liveness while walking a program.

@@ -10,7 +10,7 @@ import (
 func asyncCache(t *testing.T) (*Cache, *kio.Engine) {
 	t.Helper()
 	c := testCache(t, 0)
-	e := kio.New(c.Device(), kio.Config{Workers: 4})
+	e := kio.New(c.Device())
 	t.Cleanup(e.Close)
 	c.SetEngine(e)
 	return c, e
@@ -87,7 +87,7 @@ func TestSyncDirtyAsyncMatchesSync(t *testing.T) {
 	image := func(async bool) []byte {
 		c := testCache(t, 0)
 		if async {
-			e := kio.New(c.Device(), kio.Config{Workers: 4})
+			e := kio.New(c.Device())
 			defer e.Close()
 			c.SetEngine(e)
 		}

@@ -122,14 +122,6 @@ func (bh *BufferHead) SetJournalSeq(seq uint64) {
 	bh.mu.Unlock()
 }
 
-// JournalSeq returns the transaction sequence recorded on bh, or 0 if
-// the buffer is not part of a running transaction.
-func (bh *BufferHead) JournalSeq() uint64 {
-	bh.mu.Lock()
-	defer bh.mu.Unlock()
-	return bh.journalSeq
-}
-
 // ClearJournalSeq removes the transaction breadcrumb (commit time).
 func (bh *BufferHead) ClearJournalSeq() {
 	bh.mu.Lock()
@@ -190,9 +182,6 @@ func (bh *BufferHead) MarkDirty() {
 	bh.SetFlag(BHDirty)
 	bh.cache.noteDirty(bh)
 }
-
-// MarkUptodate marks the buffer's contents valid.
-func (bh *BufferHead) MarkUptodate() { bh.SetFlag(BHUptodate) }
 
 // Uptodate reports BHUptodate.
 func (bh *BufferHead) Uptodate() bool { return bh.TestFlag(BHUptodate) }
@@ -307,9 +296,8 @@ type Cache struct {
 	size         atomic.Int64  // total buffers across shards
 	overReleases atomic.Uint64 // Put calls rejected with OverReleaseError
 
-	// engine, when set, switches SyncDirty to async writeback: every
-	// dirty buffer is submitted before the first completion is waited
-	// on, with one barrier closing the batch.
+	// engine, when set, routes SyncDirty through the kio engine: every
+	// dirty buffer goes into one batch closed by a barrier.
 	engine atomic.Pointer[kio.Engine]
 
 	// boundary, when installed, wraps the public cache operations in a
@@ -597,9 +585,8 @@ func (c *Cache) doSyncDirtyCtx(task *kbase.Task) kbase.Errno {
 }
 
 // syncDirtyAsync is SyncDirty's engine path: every dirty buffer is
-// submitted (incrementally, so the workers start writing while later
-// buffers are still being flag-checked) before any completion is
-// reaped, and one barrier SQE replaces the trailing device flush.
+// enqueued on one batch, a barrier SQE replaces the trailing device
+// flush, and a single Submit executes the whole batch.
 func (c *Cache) syncDirtyAsync(task *kbase.Task, e *kio.Engine, toWrite []*BufferHead) kbase.Errno {
 	bt := kio.OpBatch.Begin(task)
 	defer bt.End()
@@ -622,7 +609,6 @@ func (c *Cache) syncDirtyAsync(task *kbase.Task, e *kio.Engine, toWrite []*Buffe
 			continue
 		}
 		queued = append(queued, bh)
-		b.Submit()
 	}
 	b.Barrier(0)
 	for _, cqe := range b.Submit().Wait() {

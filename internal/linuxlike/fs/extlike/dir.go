@@ -80,6 +80,27 @@ func (inst *fsInstance) journalDirData(task *kbase.Task, h *journal.Handle, ei *
 	return kbase.EOK
 }
 
+// txSlack bounds the buffers a namespace operation joins to its
+// journal transaction besides directory data: inode-table blocks, the
+// inode and block bitmaps, and an indirect block.
+const txSlack = 8
+
+// dirsFit returns ENOSPC when rewriting directories of the given
+// encoded sizes would join more buffers to one transaction than the
+// journal can log. Callers check before opening the journal handle, so
+// a refused operation has modified nothing.
+func (inst *fsInstance) dirsFit(sizes ...int) kbase.Errno {
+	bs := int(inst.geo.SB.BlockSize)
+	need := txSlack
+	for _, n := range sizes {
+		need += (n + bs - 1) / bs
+	}
+	if need > inst.jnl.TxCapacity() {
+		return kbase.ENOSPC
+	}
+	return kbase.EOK
+}
+
 // dirFind returns the index of name in ents, or -1.
 func dirFind(ents []dirent, name string) int {
 	for i, e := range ents {

@@ -209,6 +209,9 @@ func (o *inodeOps) CreateTyped(task *kbase.Task, dir *vfs.Inode, name string, mo
 	if dirFind(ents, name) >= 0 {
 		return typedapi.Err[*vfs.Inode](kbase.EEXIST)
 	}
+	if err := inst.dirsFit(direntsSize(ents) + direntHeader + len(name)); err != kbase.EOK {
+		return typedapi.Err[*vfs.Inode](err)
+	}
 	h := inst.begin()
 	defer h.Stop()
 	ino, err := inst.allocIno(task, h)
@@ -320,31 +323,44 @@ func (inst *fsInstance) removeEntry(task *kbase.Task, dir *vfs.Inode, name strin
 	childVi.Nlink = uint32(cei.di.Nlink)
 	childVi.ILock.Unlock(task)
 	if cei.di.Nlink == 0 {
-		if childVi.OpenCount() > 0 {
-			// POSIX orphan file: live descriptors must keep reading
-			// and writing until the last close, so storage reclaim
-			// is deferred to Release. The dirent is gone either way.
-			cei.orphan = true
-		} else {
-			if !inst.fs.LeakOnUnlink {
-				if err := inst.freeAllBlocks(task, h, cei); err != kbase.EOK {
-					return err
-				}
-			}
-			// else: injected leak — blocks stay allocated forever.
-			if err := inst.freeIno(task, h, target.Ino); err != kbase.EOK {
+		// POSIX orphan file: live descriptors must keep reading and
+		// writing until the last close, so storage reclaim is deferred
+		// to Release. The dirent is gone either way. LeakOnUnlink is the
+		// injected leak: the blocks stay allocated forever.
+		cei.orphan = childVi.OpenCount() > 0
+		if !cei.orphan && !inst.fs.LeakOnUnlink {
+			if err := inst.freeAllBlocks(task, h, cei); err != kbase.EOK {
 				return err
 			}
 		}
-		inst.imu.Lock()
-		delete(inst.inodes, target.Ino)
-		inst.imu.Unlock()
 	}
-	if err := inst.writeDiskInode(task, h, target.Ino, &cei.di); err != kbase.EOK {
+	if err := inst.releaseInode(task, h, target.Ino, cei); err != kbase.EOK {
 		return err
 	}
 	h.Stop()
 	return inst.commit(task)
+}
+
+// releaseInode writes ei's disk inode and, once its last link is gone,
+// uncaches it and — unless it is an orphan still open — returns its
+// number to the bitmap. The number is freed last: a concurrent create
+// in another directory may take it the moment freeIno returns, and
+// must then find neither this inode's nlink=0 write landing on its
+// fresh disk inode nor the dead vfs.Inode in the cache.
+func (inst *fsInstance) releaseInode(task *kbase.Task, h *journal.Handle, ino uint64, ei *einode) kbase.Errno {
+	if err := inst.writeDiskInode(task, h, ino, &ei.di); err != kbase.EOK {
+		return err
+	}
+	if ei.di.Nlink != 0 {
+		return kbase.EOK
+	}
+	inst.imu.Lock()
+	delete(inst.inodes, ino)
+	inst.imu.Unlock()
+	if ei.orphan {
+		return kbase.EOK
+	}
+	return inst.freeIno(task, h, ino)
 }
 
 func (o *inodeOps) Rename(task *kbase.Task, oldDir *vfs.Inode, oldName string, newDir *vfs.Inode, newName string) kbase.Errno {
@@ -388,6 +404,15 @@ func (o *inodeOps) Rename(task *kbase.Task, oldDir *vfs.Inode, oldName string, n
 		if err != kbase.EOK {
 			return err
 		}
+	}
+	grown := direntsSize(newEnts) + direntHeader + len(newName)
+	if sameDir {
+		err = inst.dirsFit(grown)
+	} else {
+		err = inst.dirsFit(direntsSize(oldEnts), grown)
+	}
+	if err != kbase.EOK {
+		return err
 	}
 
 	// Resolve and lock a replaced target BEFORE opening the journal
@@ -456,25 +481,16 @@ func (o *inodeOps) Rename(task *kbase.Task, oldDir *vfs.Inode, oldName string, n
 			xei.di.Nlink--
 		}
 		if xei.di.Nlink == 0 {
-			if exVi.OpenCount() > 0 {
-				// Replaced-while-open target: orphan it like unlink
-				// does; Release reclaims at the last close.
-				xei.orphan = true
-			} else {
-				if !inst.fs.LeakOnUnlink {
-					if err := inst.freeAllBlocks(task, h, xei); err != kbase.EOK {
-						return err
-					}
-				}
-				if err := inst.freeIno(task, h, existing.Ino); err != kbase.EOK {
+			// Replaced-while-open target: orphan it like unlink does;
+			// Release reclaims at the last close.
+			xei.orphan = exVi.OpenCount() > 0
+			if !xei.orphan && !inst.fs.LeakOnUnlink {
+				if err := inst.freeAllBlocks(task, h, xei); err != kbase.EOK {
 					return err
 				}
 			}
-			inst.imu.Lock()
-			delete(inst.inodes, existing.Ino)
-			inst.imu.Unlock()
 		}
-		if err := inst.writeDiskInode(task, h, existing.Ino, &xei.di); err != kbase.EOK {
+		if err := inst.releaseInode(task, h, existing.Ino, xei); err != kbase.EOK {
 			return err
 		}
 		newEnts = append(newEnts[:ni], newEnts[ni+1:]...)
@@ -661,11 +677,10 @@ func (fo *fileOps) Fsync(task *kbase.Task, ino *vfs.Inode) kbase.Errno {
 	// fully landed before we commit and write back.
 	ei.lock.Lock(task)
 	defer ei.lock.Unlock(task)
-	if err := inst.commit(task); err != kbase.EOK {
-		return err
-	}
-	// Data writeback: make file data durable too.
-	return inst.cache.SyncDirtyCtx(task)
+	// Commit, then write back through a checkpoint: its gate holds off
+	// every journal handle while the dirty buffers are copied out, so
+	// the writeback never reads a buffer another task is modifying.
+	return inst.SyncFS(task)
 }
 
 // Release implements vfs.ReleaseOps: the last descriptor on the
@@ -692,10 +707,12 @@ func (fo *fileOps) Release(task *kbase.Task, ino *vfs.Inode) {
 			return
 		}
 	}
-	if err := inst.freeIno(task, h, ei.ino); err != kbase.EOK {
+	// The inode left the cache at unlink; write it before the number
+	// goes back to the bitmap (see releaseInode).
+	if err := inst.writeDiskInode(task, h, ei.ino, &ei.di); err != kbase.EOK {
 		return
 	}
-	if err := inst.writeDiskInode(task, h, ei.ino, &ei.di); err != kbase.EOK {
+	if err := inst.freeIno(task, h, ei.ino); err != kbase.EOK {
 		return
 	}
 	h.Stop()

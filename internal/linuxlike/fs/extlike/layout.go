@@ -129,12 +129,17 @@ type dirent struct {
 
 const direntHeader = 12
 
-func encodeDirents(ents []dirent) []byte {
+// direntsSize returns the encoded length of ents.
+func direntsSize(ents []dirent) int {
 	n := 0
 	for _, e := range ents {
 		n += direntHeader + len(e.Name)
 	}
-	buf := make([]byte, n)
+	return n
+}
+
+func encodeDirents(ents []dirent) []byte {
+	buf := make([]byte, direntsSize(ents))
 	off := 0
 	le := binary.LittleEndian
 	for _, e := range ents {

@@ -15,14 +15,14 @@ import (
 func asyncSetup(t *testing.T) (*blockdev.Device, *bufcache.Cache, *Journal, *kio.Engine) {
 	t.Helper()
 	dev, cache, j := testSetup(t)
-	e := kio.New(dev, kio.Config{Workers: 4})
+	e := kio.New(dev)
 	t.Cleanup(e.Close)
 	j.SetEngine(e)
 	return dev, cache, j, e
 }
 
 // TestAsyncCommitEquivalentToSync runs the same transaction sequence
-// through the synchronous and overlapped commit paths and asserts the
+// through the synchronous and kio commit paths and asserts the
 // durable on-disk images — journal region included — are identical
 // after a worst-case crash plus recovery on each.
 func TestAsyncCommitEquivalentToSync(t *testing.T) {
@@ -30,7 +30,7 @@ func TestAsyncCommitEquivalentToSync(t *testing.T) {
 		dev, cache, j := testSetup(t)
 		var e *kio.Engine
 		if async {
-			e = kio.New(dev, kio.Config{Workers: 4})
+			e = kio.New(dev)
 			defer e.Close()
 			j.SetEngine(e)
 		}
@@ -78,7 +78,7 @@ func TestAsyncCommitEquivalentToSync(t *testing.T) {
 }
 
 // TestAsyncCommitRecoversAfterCrash is the basic durability contract
-// on the overlapped path: committed-but-not-checkpointed updates
+// on the kio path: committed-but-not-checkpointed updates
 // survive a crash via replay.
 func TestAsyncCommitRecoversAfterCrash(t *testing.T) {
 	dev, cache, j, _ := asyncSetup(t)

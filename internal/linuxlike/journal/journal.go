@@ -25,7 +25,6 @@ package journal
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"sync"
 
@@ -53,12 +52,13 @@ var (
 
 // Block kinds within the journal area.
 const (
-	magic       = 0x6A424432 // "jBD2"
-	kindSuper   = 1
-	kindDesc    = 2
-	kindCommit  = 3
-	kindRevoke  = 4
-	headerBytes = 16 // magic(4) kind(4) seq(8)
+	magic        = 0x6A424432 // "jBD2"
+	kindSuper    = 1
+	kindDesc     = 2
+	kindCommit   = 3
+	kindRevoke   = 4
+	headerBytes  = 16              // magic(4) kind(4) seq(8)
+	recordHeader = headerBytes + 4 // header, then count (or commit checksum)
 )
 
 // Journal manages a contiguous journal region of the block device
@@ -158,17 +158,32 @@ func (j *Journal) CollectMetrics(emit func(name string, value uint64)) {
 	emit("revokes", st.Revokes)
 }
 
-// SetEngine switches Commit to the overlapped async path: log-block
-// writes are submitted to the kio engine incrementally while the
-// descriptor and checksum are still being built, and Commit blocks
-// only on the two barriers the jbd2 protocol requires (body before
-// commit record, commit record before returning). The engine must
-// drive the same device the journal's cache does. Pass nil to restore
-// the synchronous path.
+// SetEngine switches Commit to the kio path: the log body goes out as
+// one engine batch closed by a barrier, then the commit record with
+// its own barrier — the two orderings the jbd2 protocol requires (body
+// before commit record, commit record before returning). The engine
+// must drive the same device the journal's cache does. Pass nil to
+// restore the synchronous path.
 func (j *Journal) SetEngine(e *kio.Engine) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.engine = e
+}
+
+// tagsPerBlock is how many home-block numbers one descriptor or
+// revoke block holds.
+func (j *Journal) tagsPerBlock() int {
+	return (j.cache.Device().BlockSize() - recordHeader) / 8
+}
+
+// TxCapacity returns how many buffers one transaction can log: no more
+// than the descriptor block has tags for, and few enough that
+// descriptor, data, revoke and commit blocks fit in the region after
+// the superblock. GetWriteAccess refuses a buffer past it with ENOSPC,
+// so an operation that must not fail halfway checks its footprint
+// against TxCapacity before it modifies anything.
+func (j *Journal) TxCapacity() int {
+	return min(j.tagsPerBlock(), int(j.size)-4)
 }
 
 // Format initializes the journal superblock on disk.
@@ -180,15 +195,37 @@ func (j *Journal) Format() kbase.Errno {
 }
 
 func (j *Journal) writeSuperLocked() kbase.Errno {
-	bs := j.cache.Device().BlockSize()
-	buf := make([]byte, bs)
-	binary.LittleEndian.PutUint32(buf[0:], magic)
-	binary.LittleEndian.PutUint32(buf[4:], kindSuper)
-	binary.LittleEndian.PutUint64(buf[8:], j.tailSeq)
+	buf := recordBlock(j.cache.Device().BlockSize(), kindSuper, j.tailSeq, 0, nil)
 	if err := j.cache.Device().Write(j.start, buf); err != kbase.EOK {
 		return err
 	}
 	return j.cache.Device().Flush()
+}
+
+// recordBlock encodes one journal control block: the header, then
+// word (the entry count of a descriptor or revoke block, the body
+// checksum of a commit block), then one tag per home block.
+// GetWriteAccess and Revoke keep a transaction within tagsPerBlock, so
+// the tags always fit.
+func recordBlock(bs int, kind uint32, seq uint64, word uint32, homes []uint64) []byte {
+	buf := make([]byte, bs)
+	binary.LittleEndian.PutUint32(buf[0:], magic)
+	binary.LittleEndian.PutUint32(buf[4:], kind)
+	binary.LittleEndian.PutUint64(buf[8:], seq)
+	binary.LittleEndian.PutUint32(buf[headerBytes:], word)
+	for i, home := range homes {
+		binary.LittleEndian.PutUint64(buf[recordHeader+8*i:], home)
+	}
+	return buf
+}
+
+// descriptor encodes tx's descriptor block.
+func (tx *Tx) descriptor(bs int) []byte {
+	homes := make([]uint64, len(tx.buffers))
+	for i, bh := range tx.buffers {
+		homes[i] = bh.Block
+	}
+	return recordBlock(bs, kindDesc, tx.seq, uint32(len(homes)), homes)
 }
 
 // Begin opens a handle on the running transaction, creating one if
@@ -215,7 +252,9 @@ func (j *Journal) Begin() *Handle {
 // under this handle (jbd2_journal_get_write_access). The buffer joins
 // the transaction. Taking a bufcache.MetaRef instead of the raw
 // *BufferHead keeps the shared struct from crossing the package
-// boundary: only the cache can mint the capability.
+// boundary: only the cache can mint the capability. A transaction
+// already at TxCapacity refuses a new buffer with ENOSPC, before the
+// caller has modified it.
 func (h *Handle) GetWriteAccess(ref bufcache.MetaRef) kbase.Errno {
 	if h.done {
 		kbase.Oops(kbase.OopsUseAfterFree, "journal", "write access on closed handle")
@@ -233,6 +272,9 @@ func (h *Handle) GetWriteAccess(ref bufcache.MetaRef) kbase.Errno {
 		return kbase.EBUSY
 	}
 	if !tx.inTx[bh.Block] {
+		if len(tx.buffers) >= tx.j.TxCapacity() {
+			return kbase.ENOSPC
+		}
 		tx.inTx[bh.Block] = true
 		tx.buffers = append(tx.buffers, bh)
 		bh.SetJournalSeq(tx.seq) // typed b_private-style breadcrumb
@@ -266,13 +308,17 @@ func (h *Handle) DirtyMetadata(ref bufcache.MetaRef) kbase.Errno {
 
 // Revoke records that home block must not be replayed by any earlier
 // transaction's log entries (jbd2_journal_revoke) — used when a
-// metadata block is freed and may be reused for data.
+// metadata block is freed and may be reused for data. A transaction
+// whose revoke block is full refuses with ENOSPC.
 func (h *Handle) Revoke(home uint64) kbase.Errno {
 	tx := h.tx
 	tx.j.mu.Lock()
 	defer tx.j.mu.Unlock()
 	if tx.closed {
 		return kbase.EBUSY
+	}
+	if len(tx.revokes) >= tx.j.tagsPerBlock() {
+		return kbase.ENOSPC
 	}
 	tx.revokes = append(tx.revokes, home)
 	tx.j.stats.Revokes++
@@ -386,15 +432,7 @@ func (j *Journal) commitGatedLocked(task *kbase.Task, tx *Tx) kbase.Errno {
 	crc := crc32.NewIEEE()
 
 	// Descriptor.
-	desc := make([]byte, bs)
-	binary.LittleEndian.PutUint32(desc[0:], magic)
-	binary.LittleEndian.PutUint32(desc[4:], kindDesc)
-	binary.LittleEndian.PutUint64(desc[8:], tx.seq)
-	binary.LittleEndian.PutUint32(desc[16:], uint32(len(tx.buffers)))
-	for i, bh := range tx.buffers {
-		binary.LittleEndian.PutUint64(desc[20+8*i:], bh.Block)
-	}
-	if err := dev.Write(pos, desc); err != kbase.EOK {
+	if err := dev.Write(pos, tx.descriptor(bs)); err != kbase.EOK {
 		return finish(err)
 	}
 	pos++
@@ -409,14 +447,7 @@ func (j *Journal) commitGatedLocked(task *kbase.Task, tx *Tx) kbase.Errno {
 	}
 	// Revoke block.
 	if len(tx.revokes) > 0 {
-		rev := make([]byte, bs)
-		binary.LittleEndian.PutUint32(rev[0:], magic)
-		binary.LittleEndian.PutUint32(rev[4:], kindRevoke)
-		binary.LittleEndian.PutUint64(rev[8:], tx.seq)
-		binary.LittleEndian.PutUint32(rev[16:], uint32(len(tx.revokes)))
-		for i, home := range tx.revokes {
-			binary.LittleEndian.PutUint64(rev[20+8*i:], home)
-		}
+		rev := recordBlock(bs, kindRevoke, tx.seq, uint32(len(tx.revokes)), tx.revokes)
 		if err := dev.Write(pos, rev); err != kbase.EOK {
 			return finish(err)
 		}
@@ -427,12 +458,7 @@ func (j *Journal) commitGatedLocked(task *kbase.Task, tx *Tx) kbase.Errno {
 		return finish(err)
 	}
 	// Commit record.
-	com := make([]byte, bs)
-	binary.LittleEndian.PutUint32(com[0:], magic)
-	binary.LittleEndian.PutUint32(com[4:], kindCommit)
-	binary.LittleEndian.PutUint64(com[8:], tx.seq)
-	binary.LittleEndian.PutUint32(com[16:], crc.Sum32())
-	if err := dev.Write(pos, com); err != kbase.EOK {
+	if err := dev.Write(pos, recordBlock(bs, kindCommit, tx.seq, crc.Sum32(), nil)); err != kbase.EOK {
 		return finish(err)
 	}
 	pos++
@@ -470,110 +496,64 @@ func (j *Journal) finishCommitLocked(tx *Tx, finish func(kbase.Errno) kbase.Errn
 	return finish(homeErr)
 }
 
-// commitAsyncLocked is the overlapped commit path (engine set): the
-// transaction's data blocks are submitted to the kio engine one by one
-// — the engine's workers write them out while this goroutine is still
-// checksumming the next buffer and building the descriptor — then a
-// single barrier SQE stands in for the body flush. Only the commit
-// record keeps a strict dependency: it is submitted after the body
-// barrier completes and followed by its own barrier, preserving
-// exactly the jbd2 ordering (body durable before commit record, commit
-// record durable before Commit returns). Caller holds j.mu and the
-// gate; the gate is what lets the engine read bh.Data without a copy
-// racing anything — no handle can mutate a committing buffer.
+// commitAsyncLocked is the kio commit path (engine set): the data,
+// descriptor and revoke blocks go out as one batch closed by a barrier
+// SQE that stands in for the body flush, and the commit record follows
+// in a second batch with its own barrier — exactly the jbd2 ordering
+// (body durable before the commit record, commit record durable before
+// Commit returns). Caller holds j.mu and the gate; the gate is what
+// lets the engine read bh.Data without a copy racing anything — no
+// handle can mutate a committing buffer.
 func (j *Journal) commitAsyncLocked(task *kbase.Task, tx *Tx, finish func(kbase.Errno) kbase.Errno, pos uint64) kbase.Errno {
 	bt := kio.OpBatch.Begin(task)
 	defer bt.End()
 	bs := j.cache.Device().BlockSize()
 	crc := crc32.NewIEEE()
 
-	// drain joins a batch and returns its first error, freeing the
-	// replacement pages ownership-move completions hand back (the
-	// ticket holder owns them; the journal has no use for the blanks).
-	drain := func(b *kio.Batch) kbase.Errno {
-		first := kbase.EOK
-		for _, cqe := range b.Submit().Wait() {
-			if cqe.Page.Valid() {
-				cqe.Page.Free()
-			}
-			if cqe.Err != kbase.EOK && first == kbase.EOK {
-				first = cqe.Err
-			}
-		}
-		return first
-	}
-
 	body := j.engine.NewBatch()
-	dataPos := pos + 1
-	for i, bh := range tx.buffers {
-		if err := body.Write(dataPos+uint64(i), bh.Data, uint64(i)); err != kbase.EOK {
-			body.Barrier(0)
-			drain(body)
-			return finish(err)
+	next := pos + 1
+	var err kbase.Errno = kbase.EOK
+	for _, bh := range tx.buffers {
+		if err = body.Write(next, bh.Data, 0); err != kbase.EOK {
+			break
 		}
-		// Incremental dispatch: the engine starts on this block while
-		// the loop checksums it and moves to the next.
-		body.Submit()
 		crc.Write(bh.Data)
 		j.stats.BlocksLogged++
+		next++
 	}
-	next := dataPos + uint64(len(tx.buffers))
-
 	// Descriptor and revoke blocks are journal-owned buffers never
 	// touched again after submit: move them into the engine (§4.3
 	// zero-copy submission) instead of copying.
-	desc := make([]byte, bs)
-	binary.LittleEndian.PutUint32(desc[0:], magic)
-	binary.LittleEndian.PutUint32(desc[4:], kindDesc)
-	binary.LittleEndian.PutUint64(desc[8:], tx.seq)
-	binary.LittleEndian.PutUint32(desc[16:], uint32(len(tx.buffers)))
-	for i, bh := range tx.buffers {
-		binary.LittleEndian.PutUint64(desc[20+8*i:], bh.Block)
+	if err == kbase.EOK {
+		err = body.WriteOwned(pos, own.New(nil, "journal:desc", tx.descriptor(bs)), 0)
 	}
-	if err := body.WriteOwned(pos, own.New(nil, "journal:desc", desc), 0); err != kbase.EOK {
-		body.Barrier(0)
-		drain(body)
-		return finish(err)
-	}
-	if len(tx.revokes) > 0 {
-		rev := make([]byte, bs)
-		binary.LittleEndian.PutUint32(rev[0:], magic)
-		binary.LittleEndian.PutUint32(rev[4:], kindRevoke)
-		binary.LittleEndian.PutUint64(rev[8:], tx.seq)
-		binary.LittleEndian.PutUint32(rev[16:], uint32(len(tx.revokes)))
-		for i, home := range tx.revokes {
-			binary.LittleEndian.PutUint64(rev[20+8*i:], home)
-		}
-		if err := body.WriteOwned(next, own.New(nil, "journal:revoke", rev), 0); err != kbase.EOK {
-			body.Barrier(0)
-			drain(body)
-			return finish(err)
-		}
+	if err == kbase.EOK && len(tx.revokes) > 0 {
+		rev := recordBlock(bs, kindRevoke, tx.seq, uint32(len(tx.revokes)), tx.revokes)
+		err = body.WriteOwned(next, own.New(nil, "journal:revoke", rev), 0)
 		next++
 	}
-	// Barrier: journal body durable before the commit record. drain
-	// reports the first failed submission in submit order.
+	// Barrier: journal body durable before the commit record. After an
+	// enqueue failure the batch still runs what it holds, so every moved
+	// page is freed, but no commit record follows.
 	body.Barrier(0)
-	if err := drain(body); err != kbase.EOK {
+	if e := body.Submit().Err(); err == kbase.EOK {
+		err = e
+	}
+	if err != kbase.EOK {
 		return finish(err)
 	}
 
 	// Commit record, with its own completion dependency.
-	com := make([]byte, bs)
-	binary.LittleEndian.PutUint32(com[0:], magic)
-	binary.LittleEndian.PutUint32(com[4:], kindCommit)
-	binary.LittleEndian.PutUint64(com[8:], tx.seq)
-	binary.LittleEndian.PutUint32(com[16:], crc.Sum32())
+	com := recordBlock(bs, kindCommit, tx.seq, crc.Sum32(), nil)
 	record := j.engine.NewBatch()
 	if err := record.WriteOwned(next, own.New(nil, "journal:commit", com), 0); err != kbase.EOK {
 		return finish(err)
 	}
-	next++
 	record.Barrier(0)
-	if err := drain(record); err != kbase.EOK {
+	if err := record.Submit().Err(); err != kbase.EOK {
 		return finish(err)
 	}
-	return j.finishCommitLocked(tx, finish, next)
+	return j.finishCommitLocked(tx, finish, next+1)
 }
 
 // Checkpoint makes all home locations durable and resets the journal
@@ -634,6 +614,7 @@ func (j *Journal) Recover() (int, kbase.Errno) {
 	dev := j.cache.Device()
 	bs := dev.BlockSize()
 	buf := make([]byte, bs)
+	maxTags := uint32(j.tagsPerBlock())
 
 	// Read superblock for the tail sequence.
 	if err := dev.Read(j.start, buf); err != kbase.EOK {
@@ -668,13 +649,13 @@ func (j *Journal) Recover() (int, kbase.Errno) {
 		if seq < expectSeq {
 			break
 		}
-		count := binary.LittleEndian.Uint32(buf[16:])
-		if uint64(count) > j.size {
+		count := binary.LittleEndian.Uint32(buf[headerBytes:])
+		if uint64(count) > j.size || count > maxTags {
 			break // corrupt descriptor
 		}
 		rec := txRecord{seq: seq}
 		for i := uint32(0); i < count; i++ {
-			rec.homes = append(rec.homes, binary.LittleEndian.Uint64(buf[20+8*i:]))
+			rec.homes = append(rec.homes, binary.LittleEndian.Uint64(buf[recordHeader+8*i:]))
 		}
 		pos++
 		crc := crc32.NewIEEE()
@@ -701,9 +682,12 @@ func (j *Journal) Recover() (int, kbase.Errno) {
 			if binary.LittleEndian.Uint32(buf[0:]) == magic &&
 				binary.LittleEndian.Uint32(buf[4:]) == kindRevoke &&
 				binary.LittleEndian.Uint64(buf[8:]) == seq {
-				n := binary.LittleEndian.Uint32(buf[16:])
+				n := binary.LittleEndian.Uint32(buf[headerBytes:])
+				if n > maxTags {
+					break // corrupt revoke block
+				}
 				for i := uint32(0); i < n; i++ {
-					txRevokes = append(txRevokes, binary.LittleEndian.Uint64(buf[20+8*i:]))
+					txRevokes = append(txRevokes, binary.LittleEndian.Uint64(buf[recordHeader+8*i:]))
 				}
 				pos++
 			}
@@ -718,7 +702,7 @@ func (j *Journal) Recover() (int, kbase.Errno) {
 		if binary.LittleEndian.Uint32(buf[0:]) != magic ||
 			binary.LittleEndian.Uint32(buf[4:]) != kindCommit ||
 			binary.LittleEndian.Uint64(buf[8:]) != seq ||
-			binary.LittleEndian.Uint32(buf[16:]) != crc.Sum32() {
+			binary.LittleEndian.Uint32(buf[headerBytes:]) != crc.Sum32() {
 			break // uncommitted or torn: stop replay here
 		}
 		pos++
@@ -761,13 +745,4 @@ func (j *Journal) Recover() (int, kbase.Errno) {
 		return replayed, err
 	}
 	return replayed, kbase.EOK
-}
-
-// DescribeFormat returns a human-readable summary of the journal
-// layout for documentation and fsck-style tooling.
-func (j *Journal) DescribeFormat() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return fmt.Sprintf("journal @%d+%d seq=%d tail=%d writePos=%d",
-		j.start, j.size, j.seq, j.tailSeq, j.writePos)
 }

@@ -29,9 +29,6 @@ func SetLockStat(on bool) bool {
 	return lockStatEnabled.Swap(on)
 }
 
-// LockStatOn reports whether lockstat accounting is enabled.
-func LockStatOn() bool { return lockStatEnabled.Load() }
-
 // LockHistBuckets is the bucket count of the per-class log2 wait/hold
 // histograms: bucket i counts samples with bits.Len64(ns) == i, i.e.
 // ns in [2^(i-1), 2^i) (bucket 0 is exactly ns == 0). Coarser than

@@ -51,9 +51,6 @@ type WheelTimer[T any] struct {
 // Armed reports whether the timer currently sits in a wheel slot.
 func (t *WheelTimer[T]) Armed() bool { return t.head != nil }
 
-// Expiry returns the armed deadline (meaningful only while Armed).
-func (t *WheelTimer[T]) Expiry() uint64 { return t.expiry }
-
 // wheelSlot is one bucket: a doubly-linked list of timers.
 type wheelSlot[T any] struct {
 	list *WheelTimer[T] // insertion-ordered: list is the oldest

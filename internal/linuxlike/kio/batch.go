@@ -1,25 +1,22 @@
 package kio
 
 import (
-	"sync"
-
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/ktrace"
 	"safelinux/internal/safety/own"
 )
 
 // Batch is a submission queue under construction: enqueue SQEs, then
-// Submit to dispatch them. A Batch is single-goroutine state; Submit
-// may be called repeatedly (each call dispatches the SQEs enqueued
-// since the last one) and every call returns the same Ticket, so a
-// producer can overlap enqueueing with in-flight I/O.
+// Submit to execute them. A Batch is single-goroutine state; Submit
+// may be called repeatedly (each call executes the SQEs enqueued since
+// the last one) and every call returns the same Ticket.
 type Batch struct {
 	e       *Engine
 	pending []*sqe
-	t       *Ticket
-	// lastWrite maps block -> index in t's submit order of the most
-	// recent un-superseded write, for duplicate-block merge. A read
-	// of the block or a barrier pins earlier writes (clears the
+	t       Ticket
+	// lastWrite maps block -> the most recent un-superseded pending
+	// write, for duplicate-block merge (allocated on the first write).
+	// A read of the block or a barrier pins earlier writes (clears the
 	// entry): the read must observe the earlier write through the
 	// device cache, and a barrier promises its durability.
 	lastWrite map[uint64]*sqe
@@ -27,7 +24,7 @@ type Batch struct {
 
 // NewBatch starts an empty batch.
 func (e *Engine) NewBatch() *Batch {
-	return &Batch{e: e, t: newTicket(), lastWrite: make(map[uint64]*sqe)}
+	return &Batch{e: e}
 }
 
 // Read enqueues a read of block into buf, which must be exactly one
@@ -67,7 +64,7 @@ func (b *Batch) Write(block uint64, data []byte, user uint64) kbase.Errno {
 // WriteOwned enqueues a write of an owned page on the zero-copy path:
 // ownership moves into the engine (the caller's handles go stale at
 // this call, per sharing model 1), the payload slice travels to the
-// device without a copy, and the completion CQE returns a fresh page.
+// device without a copy, and the engine frees the page at completion.
 // The page must hold exactly one block.
 func (b *Batch) WriteOwned(block uint64, page own.Owned[[]byte], user uint64) kbase.Errno {
 	if block >= b.e.backend.Blocks() {
@@ -90,10 +87,10 @@ func (b *Batch) WriteOwned(block uint64, page own.Owned[[]byte], user uint64) kb
 	return kbase.EOK
 }
 
-// Barrier enqueues a flush SQE with a completion dependency on every
-// SQE dispatched before it (IO_DRAIN semantics): the dispatcher
-// drains all in-flight work, then flushes the device, making every
-// earlier write durable before anything after the barrier starts.
+// Barrier enqueues a flush SQE with IO_DRAIN semantics: it waits for
+// every run started before it, on any goroutine, then flushes the
+// device, making every earlier write durable before anything after
+// the barrier starts.
 func (b *Batch) Barrier(user uint64) {
 	clear(b.lastWrite)
 	b.enqueue(&sqe{op: OpFlush, user: user})
@@ -115,13 +112,17 @@ func (b *Batch) enqueueWrite(s *sqe) {
 			}
 		}
 	}
+	if b.lastWrite == nil {
+		b.lastWrite = make(map[uint64]*sqe)
+	}
 	b.lastWrite[s.block] = s
 	b.enqueue(s)
 }
 
 func (b *Batch) enqueue(s *sqe) {
-	s.t = b.t
-	s.idx = b.t.addSlot()
+	s.t = &b.t
+	s.idx = len(b.t.results)
+	b.t.results = append(b.t.results, CQE{})
 	if ktrace.TimingSample() {
 		s.tNs = ktrace.NowNs()
 	}
@@ -132,90 +133,57 @@ func (b *Batch) enqueue(s *sqe) {
 	}
 }
 
-// Submit dispatches every SQE enqueued since the last Submit and
-// returns the batch's Ticket. Submitting on a closed engine completes
-// the SQEs immediately with ENODEV; a containment boundary that
-// rejects the dispatch (contained fault, quarantined engine) likewise
-// completes every SQE with its typed errno through the normal CQE
-// path, so no submitter is left blocked in Wait.
+// Submit executes every SQE enqueued since the last Submit, in order,
+// on the calling goroutine, and returns the batch's Ticket with all of
+// them completed. On a closed engine they complete with ENODEV. With
+// a containment boundary installed the execution runs inside it; when
+// the boundary rejects it (contained fault, quarantined engine), every
+// SQE the execution did not complete completes with the boundary's
+// typed errno — each SQE completes exactly once.
 func (b *Batch) Submit() *Ticket {
-	if len(b.pending) == 0 {
-		return b.t
-	}
 	batch := b.pending
 	b.pending = nil
 	clear(b.lastWrite)
-	if box := b.e.boundary.Load(); box != nil {
-		if err := box.b.Run("submit", func() kbase.Errno {
-			b.e.batches.Add(1)
-			b.e.send(batch)
-			return kbase.EOK
-		}); err != kbase.EOK {
-			for _, s := range batch {
-				b.e.complete(s, err)
+	b.t.submitted = len(b.t.results)
+	if len(batch) == 0 {
+		return &b.t
+	}
+	e := b.e
+	box := e.boundary.Load()
+	if box == nil {
+		e.batches.Add(1)
+		e.execute(batch)
+		return &b.t
+	}
+	if err := box.b.Run("submit", func() kbase.Errno {
+		e.batches.Add(1)
+		e.execute(batch)
+		return kbase.EOK
+	}); err != kbase.EOK {
+		for _, s := range batch {
+			if !s.done {
+				e.complete(s, err)
 			}
 		}
-		return b.t
 	}
-	b.e.batches.Add(1)
-	b.e.send(batch)
-	return b.t
+	return &b.t
 }
 
-// Ticket joins a batch's completions: Wait blocks until every SQE
-// submitted through the batch so far has completed and returns the
-// CQEs in submit order.
+// Ticket joins a batch's completions. Submit completes every SQE
+// before it returns, so a Ticket needs no synchronization: it belongs
+// to the goroutine that owns the batch.
 type Ticket struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	results []CQE
-	done    int
+	results   []CQE
+	submitted int // slots covered by a Submit so far
 }
 
-func newTicket() *Ticket {
-	t := &Ticket{}
-	t.cond = sync.NewCond(&t.mu)
-	return t
-}
-
-func (t *Ticket) addSlot() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.results = append(t.results, CQE{})
-	return len(t.results) - 1
-}
-
-func (t *Ticket) deliver(idx int, cqe CQE) {
-	t.mu.Lock()
-	t.results[idx] = cqe
-	t.done++
-	if t.done == len(t.results) {
-		t.cond.Broadcast()
-	}
-	t.mu.Unlock()
-}
-
-// Done reports whether every submitted SQE has completed (polling).
-func (t *Ticket) Done() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.done == len(t.results)
-}
-
-// Wait blocks until all SQEs submitted so far complete, then returns
-// their CQEs in submit order. The slice is shared across Wait calls;
+// Wait returns the CQEs of every SQE submitted so far, in submit
+// order. It never blocks. The slice is shared across Wait calls;
 // callers must not mutate it.
-func (t *Ticket) Wait() []CQE {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for t.done != len(t.results) {
-		t.cond.Wait()
-	}
-	return t.results
-}
+func (t *Ticket) Wait() []CQE { return t.results[:t.submitted] }
 
-// Err waits for completion and returns the first non-EOK result in
-// submit order (EOK when everything succeeded).
+// Err returns the first non-EOK result in submit order (EOK when
+// everything succeeded).
 func (t *Ticket) Err() kbase.Errno {
 	for _, cqe := range t.Wait() {
 		if cqe.Err != kbase.EOK {

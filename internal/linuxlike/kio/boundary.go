@@ -4,15 +4,15 @@ import (
 	"safelinux/internal/linuxlike/kbase"
 )
 
-// Crash containment for the async I/O engine: Submit — the boundary
-// every caller crosses to reach the engine — routes through an
-// installable containment hook. A fault contained there (or a
-// quarantined engine compartment) must not strand submitters blocked
-// in Ticket.Wait, so the rejected SQEs are completed immediately with
-// the boundary's typed errno through the normal CQE path: Ticket
-// slots, polling ring, and callback all observe the failure exactly
-// like a device error. Satisfied by *compartment.Compartment via its
-// Run method.
+// Crash containment for the I/O engine: Submit — the boundary every
+// caller crosses to reach the engine — executes the batch inside an
+// installable containment hook, so device I/O runs inside the
+// compartment. A fault contained there (or a quarantined engine
+// compartment) must not leave SQEs without a completion, so Submit
+// completes every SQE the execution had not yet completed with the
+// boundary's typed errno through the normal CQE path, exactly like a
+// device error. Satisfied by *compartment.Compartment via its Run
+// method.
 type Boundary interface {
 	Run(op string, fn func() kbase.Errno) kbase.Errno
 }
@@ -20,7 +20,7 @@ type Boundary interface {
 type boundaryBox struct{ b Boundary }
 
 // SetBoundary installs (or, with nil, removes) the containment
-// boundary around batch submission.
+// boundary around batch execution.
 func (e *Engine) SetBoundary(b Boundary) {
 	if b == nil {
 		e.boundary.Store(nil)

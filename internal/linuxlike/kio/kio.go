@@ -1,12 +1,9 @@
-// Package kio is an io_uring-style asynchronous block I/O engine over
-// the simulated device stack: callers enqueue read/write/flush
-// submission-queue entries (SQEs) on a Batch, Submit hands them to a
-// dispatcher that fans work out to a configurable worker pool
-// (per-shard ordering preserved, write runs submitted through the
-// device plug so each shard lock is taken once per group), and every
-// completion is published as a CQE — into a lock-free completion ring
-// reaped by polling (Reap), through an optional callback
-// (Config.OnComplete), and into the submitter's Ticket for
+// Package kio is an io_uring-style block I/O engine over the
+// simulated device stack: callers enqueue read/write/flush
+// submission-queue entries (SQEs) on a Batch, and Submit executes them
+// in order on the calling goroutine — each run of reads and writes
+// through the device plug, so a shard lock is taken once per run — and
+// publishes every completion (CQE) into the batch's Ticket for
 // Wait/Err-style joins.
 //
 // The engine exists to turn the paper's §4.3 performance claim into a
@@ -15,18 +12,16 @@
 // submit path (Batch.Write) defensively copies the payload exactly
 // once, like every synchronous blockdev.Write does; the ownership
 // path (Batch.WriteOwned) instead *moves* an own.Owned page into the
-// engine — the caller's handles go stale at the move, the engine
-// fulfils the model-1 free obligation at completion and hands back a
-// fresh page in the CQE — and the payload reaches the device's
-// durable image with zero copies. Stats().BytesCopied and
-// CopiesAvoided count both paths, so the claim is counter-verified
-// rather than asserted.
+// engine — the caller's handles go stale at the move and the engine
+// fulfils the model-1 free obligation at completion — and the payload
+// reaches the device's durable image with zero copies.
+// Stats().BytesCopied and CopiesAvoided count both paths, so the claim
+// is counter-verified rather than asserted.
 //
-// Barrier SQEs (Batch.Barrier) are the io_uring IO_DRAIN analogue:
-// the dispatcher stalls the barrier until every previously dispatched
-// SQE has completed, executes the device flush itself, and only then
-// dispatches what follows. The journal's overlapped commit hangs its
-// commit-record ordering off exactly this.
+// Barrier SQEs (Batch.Barrier) are the io_uring IO_DRAIN analogue: a
+// flush waits for every run that started earlier on any goroutine,
+// flushes the device, and holds back runs that start after it. The
+// journal's commit hangs its commit-record ordering off exactly this.
 package kio
 
 import (
@@ -43,13 +38,12 @@ import (
 var (
 	tpSubmit   = ktrace.New("kio:submit")   // a0=block, a1=op
 	tpComplete = ktrace.New("kio:complete") // a0=block, a1=errno
-	tpReap     = ktrace.New("kio:reap")     // a0=CQEs reaped
-	tpBarrier  = ktrace.New("kio:barrier")  // a0=SQEs drained ahead of the barrier
+	tpBarrier  = ktrace.New("kio:barrier")  // a0=SQEs ahead of the barrier in its batch
 )
 
 // OpBatch is the latency-plane op for one submit→wait batch (exported
-// so the journal's overlapped commit and the buffer cache's async
-// sync can span their batches as children of the caller's trace).
+// so the journal's commit and the buffer cache's sync can span their
+// batches as children of the caller's trace).
 var OpBatch = ktrace.NewOp("kio:batch")
 
 // Op is the SQE operation code.
@@ -100,37 +94,6 @@ type plugger interface {
 	Plug() *blockdev.Plug
 }
 
-// Config tunes an Engine.
-type Config struct {
-	// Workers is the completion worker pool size (default 4). Blocks
-	// hash to workers by device shard, so per-block ordering is
-	// preserved regardless of pool size.
-	Workers int
-	// CQSlots is the completion-ring capacity, rounded up to a power
-	// of two (default 1024). When completions outrun reaping the
-	// oldest unreaped CQEs are overwritten and counted as overflows —
-	// Ticket joins and callbacks never lose completions, only the
-	// polling ring does.
-	CQSlots int
-	// OnComplete, when set, is invoked on the completing worker for
-	// every CQE (callback mode). CQEs are still published to the
-	// polling ring.
-	OnComplete func(CQE)
-	// Checker, when set, supplies the ownership checker used to mint
-	// the fresh pages WriteOwned completions return. When nil, owned
-	// completions return no page (CQE.Page is the zero handle).
-	Checker *own.Checker
-}
-
-func (c *Config) fill() {
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.CQSlots <= 0 {
-		c.CQSlots = 1024
-	}
-}
-
 // Stats counts engine activity. BytesCopied/CopiesPerformed cover the
 // legacy copying submit path; CopiesAvoided counts ownership-move
 // submits that would each have copied one block on that path — the
@@ -139,14 +102,12 @@ func (c *Config) fill() {
 type Stats struct {
 	Submitted       uint64 // SQEs accepted
 	Completed       uint64 // CQEs published
-	Reaped          uint64 // CQEs consumed via Reap
 	Merged          uint64 // duplicate-block writes merged at submit
-	Batches         uint64 // Submit calls that dispatched at least one SQE
+	Batches         uint64 // Submit calls that executed at least one SQE
 	Barriers        uint64 // flush SQEs executed
 	BytesCopied     uint64 // payload bytes copied by Batch.Write
 	CopiesPerformed uint64 // Batch.Write submissions (one copy each)
 	CopiesAvoided   uint64 // Batch.WriteOwned submissions (zero copies)
-	CQOverflows     uint64 // CQEs overwritten before being reaped
 }
 
 // CQE is one completion-queue entry.
@@ -155,12 +116,6 @@ type CQE struct {
 	Block uint64
 	User  uint64 // the submitter's tag, returned verbatim
 	Err   kbase.Errno
-	// Page is a fresh owned page handed back on ownership-move write
-	// completions (when the engine has a Checker): the submitter gave
-	// up its page at WriteOwned, the engine freed the moved cell at
-	// completion, and this replaces it — the recycling half of the
-	// message-passing protocol. The zero handle otherwise.
-	Page own.Owned[[]byte]
 	// Merged marks a write completed by being superseded: a later
 	// write to the same block in the same batch absorbed it before it
 	// reached the device (write-cache semantics — only a barrier
@@ -179,34 +134,29 @@ type sqe struct {
 	t     *Ticket
 	idx   int   // slot in t.results
 	tNs   int64 // submit timestamp for the sqe latency histogram (0 = unsampled)
+	done  bool  // completed; a failed execution completes only the rest
 }
 
-// Engine is the async I/O engine. All methods are safe for concurrent
-// use; individual Batches are single-goroutine state.
+// Engine is the I/O engine. All methods are safe for concurrent use;
+// individual Batches are single-goroutine state.
 type Engine struct {
-	cfg     Config
 	backend Backend
 	ow      ownedWriter // nil when backend lacks the zero-copy path
 	pl      plugger     // nil when backend lacks the plug path
 
-	submitCh chan []*sqe
-	workerCh []chan []*sqe
-	inflight sync.WaitGroup // dispatched worker groups; Add/Wait on dispatcher only
-	done     chan struct{}  // closed when the dispatcher has drained
-
-	cq *cq
-
-	// smu serializes Submit sends against Close closing submitCh.
-	smu    sync.RWMutex
+	// drain orders execution across submitters (IO_DRAIN): a run of
+	// reads and writes holds it shared, a flush holds it exclusive, so
+	// a flush waits for every run already started and runs that start
+	// later wait for the flush. closed is guarded by it.
+	drain  sync.RWMutex
 	closed bool
 
-	// boundary, when installed, wraps batch submission in a
+	// boundary, when installed, wraps batch execution in a
 	// crash-containment compartment (see boundary.go).
 	boundary atomic.Pointer[boundaryBox]
 
 	submitted atomic.Uint64
 	completed atomic.Uint64
-	reaped    atomic.Uint64
 	merged    atomic.Uint64
 	batches   atomic.Uint64
 	barriers  atomic.Uint64
@@ -220,63 +170,24 @@ type Engine struct {
 	sqeHist *ktrace.Histogram
 }
 
-// New starts an engine over backend. Close must be called to stop the
-// dispatcher and worker goroutines.
-func New(backend Backend, cfg Config) *Engine {
-	cfg.fill()
-	e := &Engine{
-		cfg:      cfg,
-		backend:  backend,
-		submitCh: make(chan []*sqe, 64),
-		workerCh: make([]chan []*sqe, cfg.Workers),
-		done:     make(chan struct{}),
-		cq:       newCQ(cfg.CQSlots),
-		sqeHist:  ktrace.NewHistogram(),
-	}
-	if ow, ok := backend.(ownedWriter); ok {
-		e.ow = ow
-	}
-	if pl, ok := backend.(plugger); ok {
-		e.pl = pl
-	}
-	for i := range e.workerCh {
-		e.workerCh[i] = make(chan []*sqe, 8)
-		go e.worker(e.workerCh[i])
-	}
-	go e.dispatch()
+// New returns an engine over backend. It starts no goroutine: every
+// batch executes on the goroutine that submits it.
+func New(backend Backend) *Engine {
+	e := &Engine{backend: backend, sqeHist: ktrace.NewHistogram()}
+	e.ow, _ = backend.(ownedWriter)
+	e.pl, _ = backend.(plugger)
 	return e
 }
 
 // BlockSize returns the backend's block size.
 func (e *Engine) BlockSize() int { return e.backend.BlockSize() }
 
-// Close drains every queued submission, stops the dispatcher and
-// workers, and waits for them. Submissions after Close complete
-// immediately with ENODEV.
+// Close waits for executions in progress and stops the engine:
+// submissions after Close complete with ENODEV. Close is idempotent.
 func (e *Engine) Close() {
-	e.smu.Lock()
-	already := e.closed
+	e.drain.Lock()
 	e.closed = true
-	if !already {
-		close(e.submitCh)
-	}
-	e.smu.Unlock()
-	<-e.done
-}
-
-// send hands a batch to the dispatcher, or fails it with ENODEV when
-// the engine is closed.
-func (e *Engine) send(batch []*sqe) {
-	e.smu.RLock()
-	if e.closed {
-		e.smu.RUnlock()
-		for _, s := range batch {
-			e.complete(s, kbase.ENODEV)
-		}
-		return
-	}
-	e.submitCh <- batch
-	e.smu.RUnlock()
+	e.drain.Unlock()
 }
 
 // Stats returns a snapshot of the engine counters.
@@ -284,14 +195,12 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Submitted:       e.submitted.Load(),
 		Completed:       e.completed.Load(),
-		Reaped:          e.reaped.Load(),
 		Merged:          e.merged.Load(),
 		Batches:         e.batches.Load(),
 		Barriers:        e.barriers.Load(),
 		BytesCopied:     e.copied.Load(),
 		CopiesPerformed: e.copies.Load(),
 		CopiesAvoided:   e.avoided.Load(),
-		CQOverflows:     e.cq.overflows.Load(),
 	}
 }
 
@@ -301,83 +210,64 @@ func (e *Engine) CollectMetrics(emit func(name string, value uint64)) {
 	s := e.Stats()
 	emit("submitted", s.Submitted)
 	emit("completed", s.Completed)
-	emit("reaped", s.Reaped)
 	emit("merged", s.Merged)
 	emit("batches", s.Batches)
 	emit("barriers", s.Barriers)
 	emit("bytes_copied", s.BytesCopied)
 	emit("copies_performed", s.CopiesPerformed)
 	emit("copies_avoided", s.CopiesAvoided)
-	emit("cq_overflows", s.CQOverflows)
 }
 
-// dispatch is the single dispatcher goroutine: it consumes submitted
-// batches in order, fans non-barrier runs out to the workers (grouped
-// by worker so per-block FIFO order is preserved), and executes
-// barriers itself after draining everything in flight.
-func (e *Engine) dispatch() {
-	defer func() {
-		for _, ch := range e.workerCh {
-			close(ch)
+// execute runs batch in submit order on the calling goroutine: each
+// maximal run of reads and writes as one group, each flush on its own.
+func (e *Engine) execute(batch []*sqe) {
+	for i := 0; i < len(batch); {
+		if batch[i].op == OpFlush {
+			e.flush(batch[i], i)
+			i++
+			continue
 		}
-		e.inflight.Wait()
-		close(e.done)
-	}()
-	for batch := range e.submitCh {
-		i := 0
-		for i < len(batch) {
-			if batch[i].op == OpFlush {
-				e.inflight.Wait()
-				tpBarrier.Emit(0, uint64(i), 0)
-				e.barriers.Add(1)
-				e.complete(batch[i], e.backend.Flush())
-				i++
-				continue
-			}
-			// A run of non-barrier SQEs: group by worker. Blocks hash
-			// to workers through their device shard, so two SQEs on
-			// one block always reach the same worker, in order.
-			groups := make([][]*sqe, e.cfg.Workers)
-			j := i
-			for j < len(batch) && batch[j].op != OpFlush {
-				w := e.workerFor(batch[j].block)
-				groups[w] = append(groups[w], batch[j])
-				j++
-			}
-			for w, g := range groups {
-				if len(g) == 0 {
-					continue
-				}
-				e.inflight.Add(1)
-				e.workerCh[w] <- g
-			}
-			i = j
+		j := i + 1
+		for j < len(batch) && batch[j].op != OpFlush {
+			j++
 		}
+		e.runGroup(batch[i:j])
+		i = j
 	}
 }
 
-func (e *Engine) workerFor(block uint64) int {
-	return int(block%blockdev.NumShards) % e.cfg.Workers
-}
-
-// worker executes dispatched groups. Reads run one at a time; write
-// runs are submitted through the device plug (one shard-lock
-// acquisition per shard per run) when the backend supports it.
-func (e *Engine) worker(ch chan []*sqe) {
-	for g := range ch {
-		e.runGroup(g)
-		e.inflight.Done()
+// flush executes one barrier SQE: it takes the drain lock exclusively,
+// so every run started earlier has finished and none starts until the
+// device flush returns.
+func (e *Engine) flush(s *sqe, ahead int) {
+	e.drain.Lock()
+	defer e.drain.Unlock()
+	if e.closed {
+		e.complete(s, kbase.ENODEV)
+		return
 	}
+	tpBarrier.Emit(0, uint64(ahead), 0)
+	e.barriers.Add(1)
+	e.complete(s, e.backend.Flush())
 }
 
-// runGroup executes one worker group in order, accumulating
+// runGroup executes one run of reads and writes in order, accumulating
 // consecutive writes into a plug and draining it before any read so a
 // read of a just-written block observes the write through the device
-// cache, exactly as the synchronous call sequence would.
+// cache, exactly as the synchronous call sequence would. A run of one
+// SQE has nothing to group and skips the plug.
 func (e *Engine) runGroup(g []*sqe) {
+	e.drain.RLock()
+	defer e.drain.RUnlock()
+	if e.closed {
+		for _, s := range g {
+			e.complete(s, kbase.ENODEV)
+		}
+		return
+	}
 	var plug *blockdev.Plug
 	var plugged []*sqe
-	drain := func() {
+	unplug := func() {
 		if len(plugged) == 0 {
 			return
 		}
@@ -390,10 +280,10 @@ func (e *Engine) runGroup(g []*sqe) {
 	for _, s := range g {
 		switch s.op {
 		case OpRead:
-			drain()
+			unplug()
 			e.complete(s, e.backend.Read(s.block, s.buf))
 		case OpWrite:
-			if e.pl != nil {
+			if e.pl != nil && len(g) > 1 {
 				if plug == nil {
 					plug = e.pl.Plug()
 				}
@@ -413,78 +303,34 @@ func (e *Engine) runGroup(g []*sqe) {
 			}
 		}
 	}
-	drain()
+	unplug()
 }
 
 // SQEHist returns the engine's submit-to-complete latency histogram.
 func (e *Engine) SQEHist() *ktrace.Histogram { return e.sqeHist }
 
-// noteLatency records a sampled SQE's submit-to-complete time.
-func (e *Engine) noteLatency(s *sqe) {
+// complete publishes one completion into its Ticket slot. Each SQE
+// completes exactly once.
+func (e *Engine) complete(s *sqe, err kbase.Errno) {
+	s.done = true
 	if s.tNs != 0 {
 		e.sqeHist.Record(uint64(ktrace.NowNs() - s.tNs))
 	}
-}
-
-// complete publishes one completion: Ticket slot, polling ring,
-// optional callback, tracepoint.
-func (e *Engine) complete(s *sqe, err kbase.Errno) {
-	e.noteLatency(s)
-	cqe := CQE{Op: s.op, Block: s.block, User: s.user, Err: err}
 	if s.owned {
 		// Model-1 obligation: the engine received ownership at submit
-		// and must free it; a fresh page goes back in the CQE so the
-		// submitter's pool stays whole.
+		// and must free it.
 		s.page.Free()
-		if e.cfg.Checker != nil {
-			cqe.Page = own.New(e.cfg.Checker, "kio:page", make([]byte, e.backend.BlockSize()))
-		}
 	}
 	e.completed.Add(1)
 	if tpComplete.Enabled() {
 		tpComplete.Emit(0, s.block, uint64(err))
 	}
-	s.t.deliver(s.idx, cqe)
-	e.cq.push(cqe)
-	if e.cfg.OnComplete != nil {
-		e.cfg.OnComplete(cqe)
-	}
+	s.t.results[s.idx] = CQE{Op: s.op, Block: s.block, User: s.user, Err: err}
 }
 
 // completeMerged publishes a merged-write completion (no device I/O).
 func (e *Engine) completeMerged(s *sqe) {
-	e.noteLatency(s)
-	cqe := CQE{Op: s.op, Block: s.block, User: s.user, Err: kbase.EOK, Merged: true}
-	if s.owned {
-		s.page.Free()
-		if e.cfg.Checker != nil {
-			cqe.Page = own.New(e.cfg.Checker, "kio:page", make([]byte, e.backend.BlockSize()))
-		}
-	}
 	e.merged.Add(1)
-	e.completed.Add(1)
-	if tpComplete.Enabled() {
-		tpComplete.Emit(0, s.block, 0)
-	}
-	s.t.deliver(s.idx, cqe)
-	e.cq.push(cqe)
-	if e.cfg.OnComplete != nil {
-		e.cfg.OnComplete(cqe)
-	}
-}
-
-// Reap consumes up to maxN completions from the polling ring in
-// completion order. It returns nil when the ring is empty. Reap is
-// the polling mode of the CQ; Ticket.Wait and OnComplete observe the
-// same completions independently, so a deployment picks whichever
-// mode fits and the others stay consistent.
-func (e *Engine) Reap(maxN int) []CQE {
-	out := e.cq.reap(maxN)
-	if n := len(out); n > 0 {
-		e.reaped.Add(uint64(n))
-		if tpReap.Enabled() {
-			tpReap.Emit(0, uint64(n), 0)
-		}
-	}
-	return out
+	e.complete(s, kbase.EOK)
+	s.t.results[s.idx].Merged = true
 }

@@ -2,6 +2,7 @@ package kio
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -10,10 +11,10 @@ import (
 	"safelinux/internal/safety/own"
 )
 
-func testEngine(t *testing.T, blocks uint64, cfg Config) (*Engine, *blockdev.Device) {
+func testEngine(t *testing.T, blocks uint64) (*Engine, *blockdev.Device) {
 	t.Helper()
 	dev := blockdev.New(blockdev.Config{Blocks: blocks, BlockSize: 64, Rng: kbase.NewRng(7)})
-	e := New(dev, cfg)
+	e := New(dev)
 	t.Cleanup(e.Close)
 	return e, dev
 }
@@ -27,7 +28,7 @@ func fill(n int, b byte) []byte {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	e, _ := testEngine(t, 32, Config{})
+	e, _ := testEngine(t, 32)
 	b := e.NewBatch()
 	want := fill(e.BlockSize(), 0xAB)
 	if err := b.Write(3, want, 1); err != kbase.EOK {
@@ -55,7 +56,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestBarrierMakesWritesDurable(t *testing.T) {
-	e, dev := testEngine(t, 32, Config{Workers: 4})
+	e, dev := testEngine(t, 32)
 	b := e.NewBatch()
 	payload := make(map[uint64][]byte)
 	for blk := uint64(0); blk < 20; blk++ {
@@ -87,7 +88,7 @@ func TestBarrierMakesWritesDurable(t *testing.T) {
 
 func TestZeroCopyOwnershipPath(t *testing.T) {
 	ck := own.NewChecker(own.PolicyRecord)
-	e, dev := testEngine(t, 32, Config{Checker: ck})
+	e, dev := testEngine(t, 32)
 
 	page := own.New(ck, "test:page", fill(e.BlockSize(), 0x5A))
 	b := e.NewBatch()
@@ -103,12 +104,6 @@ func TestZeroCopyOwnershipPath(t *testing.T) {
 	if cqes[0].Err != kbase.EOK {
 		t.Fatalf("write CQE: %v", cqes[0].Err)
 	}
-	// The completion returns a fresh page, which the submitter now owns
-	// (and is obliged to free).
-	if !cqes[0].Page.Valid() {
-		t.Fatal("owned completion carries no replacement page")
-	}
-	cqes[0].Page.Free()
 
 	st := e.Stats()
 	if st.CopiesAvoided != 1 {
@@ -126,13 +121,14 @@ func TestZeroCopyOwnershipPath(t *testing.T) {
 	if n := ck.Count(); n != 0 {
 		t.Fatalf("checker recorded %d violations: %v", n, ck.Violations())
 	}
+	// The engine fulfilled the free obligation at completion.
 	if leaks := ck.CheckLeaks(); len(leaks) != 0 {
 		t.Fatalf("ownership path leaked: %v", leaks)
 	}
 }
 
 func TestCopyPathCountsCopies(t *testing.T) {
-	e, _ := testEngine(t, 32, Config{})
+	e, _ := testEngine(t, 32)
 	b := e.NewBatch()
 	data := fill(e.BlockSize(), 0x11)
 	for blk := uint64(0); blk < 5; blk++ {
@@ -170,7 +166,7 @@ func TestCopyPathCountsCopies(t *testing.T) {
 
 func TestWriteOwnedWrongSizeFreesPage(t *testing.T) {
 	ck := own.NewChecker(own.PolicyRecord)
-	e, _ := testEngine(t, 32, Config{Checker: ck})
+	e, _ := testEngine(t, 32)
 	page := own.New(ck, "bad:page", make([]byte, 3))
 	b := e.NewBatch()
 	if err := b.WriteOwned(1, page, 0); err != kbase.EINVAL {
@@ -192,7 +188,7 @@ func TestWriteOwnedWrongSizeFreesPage(t *testing.T) {
 }
 
 func TestDuplicateWriteMerge(t *testing.T) {
-	e, dev := testEngine(t, 32, Config{})
+	e, dev := testEngine(t, 32)
 	b := e.NewBatch()
 	b.Write(5, fill(e.BlockSize(), 0x01), 1)
 	b.Write(5, fill(e.BlockSize(), 0x02), 2) // supersedes the first
@@ -242,83 +238,8 @@ func TestDuplicateWriteMerge(t *testing.T) {
 	}
 }
 
-func TestReapPollingMode(t *testing.T) {
-	e, _ := testEngine(t, 64, Config{})
-	b := e.NewBatch()
-	for blk := uint64(0); blk < 10; blk++ {
-		b.Write(blk, fill(e.BlockSize(), byte(blk)), blk)
-	}
-	b.Submit().Wait()
-	var got []CQE
-	for len(got) < 10 {
-		cqes := e.Reap(4)
-		if cqes == nil && len(got) < 10 {
-			continue
-		}
-		if len(cqes) > 4 {
-			t.Fatalf("Reap(4) returned %d", len(cqes))
-		}
-		got = append(got, cqes...)
-	}
-	if len(got) != 10 {
-		t.Fatalf("reaped %d CQEs, want 10", len(got))
-	}
-	seen := make(map[uint64]bool)
-	for _, cqe := range got {
-		seen[cqe.User] = true
-	}
-	if len(seen) != 10 {
-		t.Fatalf("reaped %d distinct completions, want 10", len(seen))
-	}
-	if e.Stats().Reaped != 10 {
-		t.Fatalf("Reaped = %d, want 10", e.Stats().Reaped)
-	}
-	if e.Reap(4) != nil {
-		t.Fatal("empty ring reaped non-nil")
-	}
-}
-
-func TestCQOverflowCounted(t *testing.T) {
-	e, _ := testEngine(t, 256, Config{CQSlots: 8})
-	b := e.NewBatch()
-	for blk := uint64(0); blk < 100; blk++ {
-		b.Write(blk, fill(e.BlockSize(), 1), blk)
-	}
-	b.Submit().Wait()
-	reaped := len(e.Reap(1000))
-	st := e.Stats()
-	if uint64(reaped)+st.CQOverflows != 100 {
-		t.Fatalf("reaped %d + overflows %d != 100", reaped, st.CQOverflows)
-	}
-	if st.CQOverflows == 0 {
-		t.Fatal("an 8-slot ring absorbed 100 completions without overflow")
-	}
-}
-
-func TestCallbackMode(t *testing.T) {
-	var mu sync.Mutex
-	var calls []CQE
-	cfg := Config{OnComplete: func(cqe CQE) {
-		mu.Lock()
-		calls = append(calls, cqe)
-		mu.Unlock()
-	}}
-	e, _ := testEngine(t, 32, cfg)
-	b := e.NewBatch()
-	for blk := uint64(0); blk < 8; blk++ {
-		b.Write(blk, fill(e.BlockSize(), 1), blk)
-	}
-	b.Barrier(100)
-	b.Submit().Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(calls) != 9 {
-		t.Fatalf("callback fired %d times, want 9", len(calls))
-	}
-}
-
 func TestErrorReporting(t *testing.T) {
-	e, dev := testEngine(t, 32, Config{})
+	e, dev := testEngine(t, 32)
 	dev.MarkBad(4)
 	b := e.NewBatch()
 	b.Write(3, fill(e.BlockSize(), 1), 1)
@@ -342,11 +263,15 @@ func TestErrorReporting(t *testing.T) {
 }
 
 func TestIncrementalSubmitSharedTicket(t *testing.T) {
-	e, _ := testEngine(t, 64, Config{})
+	e, _ := testEngine(t, 64)
 	b := e.NewBatch()
 	b.Write(1, fill(e.BlockSize(), 1), 1)
 	t1 := b.Submit()
 	b.Write(2, fill(e.BlockSize(), 2), 2)
+	// Enqueued but not yet submitted: not part of the join.
+	if n := len(t1.Wait()); n != 1 {
+		t.Fatalf("ticket joined %d CQEs before the second Submit, want 1", n)
+	}
 	t2 := b.Submit()
 	if t1 != t2 {
 		t.Fatal("Submit returned distinct tickets for one batch")
@@ -362,32 +287,57 @@ func TestIncrementalSubmitSharedTicket(t *testing.T) {
 
 func TestCloseDrainsAndRejects(t *testing.T) {
 	dev := blockdev.New(blockdev.Config{Blocks: 64, BlockSize: 64, Rng: kbase.NewRng(7)})
-	e := New(dev, Config{})
+	e := New(dev)
 	b := e.NewBatch()
 	for blk := uint64(0); blk < 32; blk++ {
 		b.Write(blk, fill(e.BlockSize(), byte(blk)), blk)
 	}
 	tk := b.Submit()
 	e.Close()
-	// Close drained the in-flight batch.
 	if err := tk.Err(); err != kbase.EOK {
 		t.Fatalf("pre-Close batch: %v", err)
 	}
 	// New submissions fail fast.
 	b2 := e.NewBatch()
 	b2.Write(1, fill(e.BlockSize(), 1), 0)
-	if err := b2.Submit().Err(); err != kbase.ENODEV {
-		t.Fatalf("post-Close submit: %v, want ENODEV", err)
+	b2.Barrier(1)
+	for _, cqe := range b2.Submit().Wait() {
+		if cqe.Err != kbase.ENODEV {
+			t.Fatalf("post-Close %v SQE: %v, want ENODEV", cqe.Op, cqe.Err)
+		}
 	}
 	e.Close() // idempotent
 }
 
+// TestNoGoroutines pins the inline design: the engine runs every batch
+// on its submitter, so New, Submit and Close start no goroutine.
+func TestNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	dev := blockdev.New(blockdev.Config{Blocks: 64, BlockSize: 64, Rng: kbase.NewRng(7)})
+	e := New(dev)
+	b := e.NewBatch()
+	for blk := uint64(0); blk < 16; blk++ {
+		b.Write(blk, fill(e.BlockSize(), byte(blk)), blk)
+	}
+	b.Barrier(0)
+	if err := b.Submit().Err(); err != kbase.EOK {
+		t.Fatalf("batch: %v", err)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("goroutines %d after New+Submit, want %d", n, before)
+	}
+	e.Close()
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("goroutines %d after Close, want %d", n, before)
+	}
+}
+
 // TestConcurrentBatches hammers the engine from many goroutines, each
 // with its own batch and disjoint block range — the -race target for
-// the dispatcher/worker/CQ machinery.
+// the shared counters, the drain lock and the device.
 func TestConcurrentBatches(t *testing.T) {
 	ck := own.NewChecker(own.PolicyRecord)
-	e, _ := testEngine(t, 1024, Config{Workers: 8, CQSlots: 4096, Checker: ck})
+	e, _ := testEngine(t, 1024)
 	const gor = 8
 	const perG = 16
 	var wg sync.WaitGroup
@@ -413,21 +363,15 @@ func TestConcurrentBatches(t *testing.T) {
 					}
 				}
 				b.Barrier(0)
-				cqes := b.Submit().Wait()
-				for _, cqe := range cqes {
+				for _, cqe := range b.Submit().Wait() {
 					if cqe.Err != kbase.EOK {
 						t.Errorf("CQE: %v", cqe.Err)
-					}
-					if cqe.Page.Valid() {
-						cqe.Page.Free()
 					}
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	for e.Reap(100) != nil {
-	}
 	if n := ck.Count(); n != 0 {
 		t.Fatalf("checker recorded %d violations: %v", n, ck.Violations()[:min(5, n)])
 	}
@@ -435,28 +379,23 @@ func TestConcurrentBatches(t *testing.T) {
 		t.Fatalf("%d pages leaked", len(leaks))
 	}
 	st := e.Stats()
-	if st.Completed < st.Submitted {
-		t.Fatalf("completed %d < submitted %d", st.Completed, st.Submitted)
+	if st.Completed != st.Submitted {
+		t.Fatalf("completed %d != submitted %d", st.Completed, st.Submitted)
 	}
 }
 
 // TestPerBlockOrderAcrossBatches verifies writes to one block from
-// successive batches apply in submit order (shard-affine workers).
+// successive batches apply in submit order.
 func TestPerBlockOrderAcrossBatches(t *testing.T) {
-	e, dev := testEngine(t, 16, Config{Workers: 4})
-	var last *Ticket
+	e, dev := testEngine(t, 16)
 	for i := 0; i < 50; i++ {
 		b := e.NewBatch()
 		b.Write(3, fill(e.BlockSize(), byte(i)), uint64(i))
-		last = b.Submit()
+		b.Submit()
 	}
-	last.Wait()
-	// Drain everything (earlier tickets may still be in flight only if
-	// ordering broke; the wait above is the ordering assertion's
-	// premise: batch 49 ran last on block 3's worker).
 	b := e.NewBatch()
 	b.Barrier(0)
-	b.Submit().Wait()
+	b.Submit()
 	buf := make([]byte, e.BlockSize())
 	dev.Read(3, buf)
 	if buf[0] != 49 {
@@ -468,7 +407,7 @@ func TestBackendWithoutFastPaths(t *testing.T) {
 	// A Backend that is only spec.DiskLike-shaped: no WriteOwned, no
 	// Plug. The engine must fall back to plain Write/Read.
 	dev := blockdev.New(blockdev.Config{Blocks: 32, BlockSize: 64, Rng: kbase.NewRng(7)})
-	e := New(plainBackend{dev}, Config{})
+	e := New(plainBackend{dev})
 	defer e.Close()
 	b := e.NewBatch()
 	want := fill(e.BlockSize(), 0x7E)

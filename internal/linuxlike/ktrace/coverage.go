@@ -97,9 +97,6 @@ func EnableCoverage() { coverOn.Store(true) }
 // DisableCoverage stops collection; the bitmap keeps its bits.
 func DisableCoverage() { coverOn.Store(false) }
 
-// CoverageOn reports whether collection is enabled.
-func CoverageOn() bool { return coverOn.Load() }
-
 // ResetCoverage clears the global bitmap.
 func ResetCoverage() {
 	for i := range coverWords {

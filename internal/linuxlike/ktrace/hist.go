@@ -157,14 +157,6 @@ func (s *HistSnapshot) Quantile(q float64) uint64 {
 	return s.Max
 }
 
-// Mean returns the arithmetic mean of the recorded samples.
-func (s *HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // HistView is the fixed percentile export of a histogram — the shape
 // the metrics registry renders and Quantile lookups read.
 type HistView struct {

@@ -185,12 +185,6 @@ func (tp *Tracepoint) Hits() uint64 { return tp.hits.Load() }
 // Filtered returns the number of events dropped by attached programs.
 func (tp *Tracepoint) Filtered() uint64 { return tp.filtered.Load() }
 
-// ResetCounts zeroes the hit/filter counters (tests and CLI runs).
-func (tp *Tracepoint) ResetCounts() {
-	tp.hits.Store(0)
-	tp.filtered.Store(0)
-}
-
 // Hash returns the FNV-1a hash of s. Events carry no strings beyond
 // the tracepoint name, so identifiers — lock class names, ownership
 // cell labels, module names — travel as this hash in an argument

@@ -18,10 +18,6 @@ import (
 // returns the previous setting.
 func EnableLockStat() bool { return kbase.SetLockStat(true) }
 
-// DisableLockStat turns accounting off and returns the previous
-// setting.
-func DisableLockStat() bool { return kbase.SetLockStat(false) }
-
 // RenderLockStat renders the lockstat table, lockstat(8)-style: one
 // row per lock class that saw traffic, sorted by name, with
 // contention counts, wait/hold-time totals and maxima, and hold-time

@@ -94,12 +94,6 @@ func TimingSample() bool {
 	return planeMode.Load()&planeHist != 0 && sampled()
 }
 
-// HistogramsOn reports whether the histogram plane is live.
-func HistogramsOn() bool { return planeMode.Load()&planeHist != 0 }
-
-// SpansOn reports whether the span plane is live.
-func SpansOn() bool { return planeMode.Load()&planeSpan != 0 }
-
 // SetHistograms turns op latency histograms on or off.
 func SetHistograms(on bool) {
 	planeMu.Lock()
@@ -153,9 +147,6 @@ func SetSampleShift(shift uint32) uint32 {
 
 // SampleShift returns the current root sampling shift.
 func SampleShift() uint32 { return sampleShift.Load() }
-
-// SpansStarted returns the total spans begun since boot.
-func SpansStarted() uint64 { return spansStarted.Load() }
 
 // SpansSlowCount returns how many times the slow-op watchdog fired.
 func SpansSlowCount() uint64 { return spansSlow.Load() }

@@ -119,9 +119,6 @@ func (s *Sim) Heal(a, b Addr) {
 	delete(s.cuts, [2]Addr{b, a})
 }
 
-// Partitioned reports whether the a→b direction is currently cut.
-func (s *Sim) Partitioned(a, b Addr) bool { return s.cuts[[2]Addr{a, b}] }
-
 // send schedules a packet from src to dst, applying the link model.
 func (s *Sim) send(src, dst Addr, pkt Packet) kbase.Errno {
 	dir := [2]Addr{src, dst}

@@ -38,6 +38,10 @@ type File struct {
 	// file's copy on the new file system (RemapDescriptors).
 	path string
 
+	// opener is the task that opened the descriptor; a close without
+	// task context releases on its behalf (see doClose).
+	opener *kbase.Task
+
 	mu  sync.Mutex
 	pos int64
 }
@@ -360,7 +364,7 @@ func (v *VFS) doOpen(task *kbase.Task, path string, flags int) (int, kbase.Errno
 	if ino.Mode.IsDir() && flags&accessMask != ORdOnly {
 		return -1, kbase.EISDIR
 	}
-	f := &File{Inode: ino, Flags: flags, path: CleanPath(path)}
+	f := &File{Inode: ino, Flags: flags, path: CleanPath(path), opener: task}
 	if flags&OTrunc != 0 && f.writable() && ino.Mode.IsRegular() {
 		if err := ino.FileOps.Truncate(task, ino, 0); err != kbase.EOK {
 			return -1, err
@@ -378,7 +382,11 @@ func (v *VFS) doOpen(task *kbase.Task, path string, flags int) (int, kbase.Errno
 // doClose closes a descriptor. When it was the inode's last open
 // descriptor, the owning file system's Release hook (if implemented)
 // runs outside the file-table lock — it may do journaled I/O to
-// reclaim an orphan's storage.
+// reclaim an orphan's storage. A close without task context releases
+// on behalf of the task that opened the descriptor: lockdep tracks
+// held locks per task and every task-less caller shares one identity,
+// so concurrent task-less closes would otherwise look like one task
+// taking two inode locks at once.
 func (v *VFS) doClose(task *kbase.Task, fd int) kbase.Errno {
 	v.mu.Lock()
 	f, ok := v.files[fd]
@@ -388,6 +396,9 @@ func (v *VFS) doClose(task *kbase.Task, fd int) kbase.Errno {
 	}
 	delete(v.files, fd)
 	v.mu.Unlock()
+	if task == nil {
+		task = f.opener
+	}
 	if f.Inode.openUnref() == 0 {
 		if r, ok := f.Inode.FileOps.(ReleaseOps); ok {
 			r.Release(task, f.Inode)

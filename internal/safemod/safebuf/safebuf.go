@@ -12,10 +12,8 @@ package safebuf
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"safelinux/internal/linuxlike/kbase"
-	"safelinux/internal/linuxlike/kio"
 	"safelinux/internal/linuxlike/ktrace"
 	"safelinux/internal/safety/module"
 	"safelinux/internal/safety/own"
@@ -177,17 +175,8 @@ type Cache struct {
 	disk    spec.DiskLike
 	checker *own.Checker
 
-	// engine, when set, switches Sync to async writeback: every dirty
-	// buffer is submitted before the first completion is waited on.
-	engine atomic.Pointer[kio.Engine]
-
 	shards [NumShards]cacheShard
 }
-
-// SetEngine routes Sync through the kio engine (nil restores the
-// synchronous write-then-wait loop). The engine must drive the same
-// disk this cache does.
-func (c *Cache) SetEngine(e *kio.Engine) { c.engine.Store(e) }
 
 // Stats counts cache activity.
 type Stats struct {
@@ -340,88 +329,12 @@ func (c *Cache) Sync() kbase.Errno {
 		}
 		s.mu.Unlock()
 	}
-	if e := c.engine.Load(); e != nil {
-		return c.syncAsync(e, toWrite)
-	}
 	for _, b := range toWrite {
 		if err := c.writeOne(b); err != kbase.EOK {
 			return err
 		}
 	}
 	return c.disk.Flush()
-}
-
-// syncAsync is Sync's engine path: each buffer steps Dirty→Writing and
-// its payload is enqueued under a shared borrow (the batch's one
-// defensive copy happens inside the borrow, so the capability rules
-// still bracket every byte access), all submissions go out before any
-// completion is reaped, and a single barrier SQE replaces the trailing
-// flush. Completions then drive Writing→Clean or Writing→Error exactly
-// as the synchronous loop would.
-func (c *Cache) syncAsync(e *kio.Engine, toWrite []*Buffer) kbase.Errno {
-	var firstErr kbase.Errno = kbase.EOK
-	batch := e.NewBatch()
-	queued := make([]*Buffer, 0, len(toWrite))
-	for _, b := range toWrite {
-		if err := b.transition(StateWriting); err != kbase.EOK {
-			if firstErr == kbase.EOK {
-				firstErr = err
-			}
-			continue
-		}
-		ref, ok := b.data.Borrow()
-		if !ok {
-			b.transition(StateError)
-			if firstErr == kbase.EOK {
-				firstErr = kbase.EBUSY
-			}
-			continue
-		}
-		var subErr kbase.Errno = kbase.EOK
-		ref.With(func(p *[]byte) {
-			subErr = batch.Write(b.Block, *p, uint64(len(queued)))
-		})
-		ref.Release()
-		if subErr != kbase.EOK {
-			b.transition(StateError)
-			if firstErr == kbase.EOK {
-				firstErr = subErr
-			}
-			continue
-		}
-		queued = append(queued, b)
-		batch.Submit()
-	}
-	batch.Barrier(0)
-	for _, cqe := range batch.Submit().Wait() {
-		if cqe.Op == kio.OpFlush {
-			if cqe.Err != kbase.EOK && firstErr == kbase.EOK {
-				firstErr = cqe.Err
-			}
-			continue
-		}
-		b := queued[cqe.User]
-		if cqe.Err != kbase.EOK {
-			b.transition(StateError)
-			if firstErr == kbase.EOK {
-				firstErr = cqe.Err
-			}
-			continue
-		}
-		if err := b.transition(StateClean); err != kbase.EOK {
-			if firstErr == kbase.EOK {
-				firstErr = err
-			}
-			continue
-		}
-		s := c.shard(b.Block)
-		s.mu.Lock()
-		delete(s.dirty, b.Block)
-		s.stats.Writeback++
-		s.mu.Unlock()
-		tpSafeWriteback.Emit(0, b.Block, 0)
-	}
-	return firstErr
 }
 
 func (c *Cache) writeOne(b *Buffer) kbase.Errno {

@@ -11,9 +11,9 @@ import (
 
 // TestKernelAsyncIO boots a kernel with the kio engine wired in and
 // drives file traffic through the full stack: VFS → extlike → journal
-// (overlapped commit) → bufcache (batched writeback) → kio → blockdev.
+// (batched commit) → bufcache (batched writeback) → kio → blockdev.
 func TestKernelAsyncIO(t *testing.T) {
-	k, err := New(Config{Seed: 11, CaptureOops: true, AsyncIO: true, IOWorkers: 4})
+	k, err := New(Config{Seed: 11, CaptureOops: true, AsyncIO: true})
 	if err != kbase.EOK {
 		t.Fatalf("New: %v", err)
 	}

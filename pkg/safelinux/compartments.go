@@ -9,7 +9,7 @@
 //	net   — both hosts' packet and timer dispatch (the protocol
 //	        machinery, legacy TCB or installed StreamProto)
 //	buf   — the root file system's buffer cache entry points
-//	kio   — async I/O batch submission (AsyncIO kernels only)
+//	kio   — I/O engine batch execution (AsyncIO kernels only)
 //	ebpf  — verified probe evaluation inside tracepoint emission
 //	        (quiet: its boundary must not emit tracepoints)
 //
@@ -168,24 +168,18 @@ func (k *Kernel) restartBuf(task *kbase.Task) kbase.Errno {
 	return kbase.EOK
 }
 
-// restartKio replaces the async I/O engine with a fresh one and
-// re-wires the journal and buffer cache onto it. The dead engine is
-// closed best-effort: its workers drain what they hold, and a panic
-// out of a poisoned engine must not escape the restart path.
+// restartKio replaces the I/O engine with a fresh one, re-wires the
+// journal and buffer cache onto it, and closes the dead engine: a
+// batch still built on it completes with ENODEV.
 func (k *Kernel) restartKio(task *kbase.Task) kbase.Errno {
 	old := k.ioEngine
-	k.ioEngine = kio.New(k.rootDev, kio.Config{
-		Workers: k.cfg.IOWorkers, Checker: k.Checker,
-	})
+	k.ioEngine = kio.New(k.rootDev)
 	if c := k.Plane.Get("kio"); c != nil {
 		k.ioEngine.SetBoundary(c)
 	}
 	k.wireRootFS(task)
 	if old != nil {
-		func() {
-			defer func() { _ = recover() }()
-			old.Close()
-		}()
+		old.Close()
 	}
 	return kbase.EOK
 }

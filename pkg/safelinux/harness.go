@@ -142,8 +142,7 @@ type FuzzExec struct {
 	conns  [FuzzConnSlots]fuzzConn
 	lsts   [FuzzLstSlots]fuzzListener
 
-	scratchDev *blockdev.Device
-	scratch    *kio.Engine
+	scratch *kio.Engine
 }
 
 // NewFuzzExec boots a harness kernel. The link is clean and
@@ -606,15 +605,13 @@ const scratchBlocks = 64
 // KioBatch submits a seeded batch of reads, writes and barriers to a
 // scratch kio engine (its own 64-block device — never the root
 // volume, whose layout is module-specific). The result hash folds the
-// per-SQE errnos in user order, so completion-order jitter is not
-// part of the comparison surface.
+// enqueue errnos, then the per-SQE errnos in submit order.
 func (x *FuzzExec) KioBatch(nOps int, seed uint32) FuzzResult {
 	if x.scratch == nil {
-		x.scratchDev = blockdev.New(blockdev.Config{
+		x.scratch = kio.New(blockdev.New(blockdev.Config{
 			Blocks: scratchBlocks, BlockSize: 512,
 			Rng: kbase.NewRng(7),
-		})
-		x.scratch = kio.New(x.scratchDev, kio.Config{Workers: 1, Checker: x.K.Checker})
+		}))
 	}
 	rng := kbase.NewRng(uint64(seed) + 2)
 	b := x.scratch.NewBatch()
@@ -634,7 +631,6 @@ func (x *FuzzExec) KioBatch(nOps int, seed uint32) FuzzResult {
 		}
 	}
 	cqes := b.Submit().Wait()
-	sort.Slice(cqes, func(i, j int) bool { return cqes[i].User < cqes[j].User })
 	h := uint64(14695981039346656037)
 	for _, e := range enq {
 		h = hashMix(h, uint64(e))
@@ -722,9 +718,6 @@ func (x *FuzzExec) Oopses() []string {
 	}
 	return out
 }
-
-// OopsEvents returns the full recorded events (for triage dumps).
-func (x *FuzzExec) OopsEvents() []kbase.OopsEvent { return x.K.Recorder.Events() }
 
 // Violations returns the ownership checker's recorded violation
 // count.

@@ -39,11 +39,11 @@ type Config struct {
 	// instead of panicking (default true).
 	CaptureOops bool
 	// AsyncIO boots the kernel with a kio engine on the root device:
-	// journal commits overlap log-block submission with checksumming,
-	// and buffer-cache writeback goes through batched async writes.
+	// journal commits and buffer-cache writeback go out as engine
+	// batches, executed on the submitting task inside the kio
+	// compartment (when Compartments is set) with the plug, merge and
+	// barrier semantics of the engine.
 	AsyncIO bool
-	// IOWorkers sizes the kio worker pool (default 4, AsyncIO only).
-	IOWorkers int
 	// Link is the fault model for the link between the kernel's two
 	// hosts. The zero value selects the historical default of a
 	// 1-jiffy, 1%-loss link.
@@ -145,13 +145,11 @@ func New(cfg Config) (*Kernel, kbase.Errno) {
 	}
 
 	// Async I/O: one kio engine over the root device, shared by the
-	// journal (overlapped commit) and the buffer cache (batched
+	// journal (batched commit) and the buffer cache (batched
 	// writeback). The mount recovered the journal synchronously above,
 	// so the engine only ever sees steady-state traffic.
 	if cfg.AsyncIO {
-		k.ioEngine = kio.New(k.rootDev, kio.Config{
-			Workers: cfg.IOWorkers, Checker: k.Checker,
-		})
+		k.ioEngine = kio.New(k.rootDev)
 		if root, err := k.VFS.Resolve(k.Task, "/"); err == kbase.EOK {
 			if inst, ok := extlike.InstanceOf(root.Sb); ok {
 				inst.Journal().SetEngine(k.ioEngine)
@@ -189,8 +187,8 @@ func New(cfg Config) (*Kernel, kbase.Errno) {
 	return k, kbase.EOK
 }
 
-// Close shuts down the async I/O engine (draining in-flight
-// submissions) and uninstalls the kernel's oops recorder.
+// Close shuts down the I/O engine (waiting for batches in progress)
+// and uninstalls the kernel's oops recorder.
 func (k *Kernel) Close() {
 	if k.Plane != nil {
 		k.Plane.Settle()

@@ -36,7 +36,7 @@ func armLatencyPlane(t *testing.T) {
 // buffer cache → kio), and every boundary op's latency is readable as
 // percentiles through the one metrics registry.
 func TestLatencyPlaneEndToEnd(t *testing.T) {
-	k, err := New(Config{Seed: 33, CaptureOops: true, AsyncIO: true, IOWorkers: 4})
+	k, err := New(Config{Seed: 33, CaptureOops: true, AsyncIO: true})
 	if err != kbase.EOK {
 		t.Fatalf("boot: %v", err)
 	}

@@ -55,10 +55,10 @@ bench-parallel:
 bench-trace:
 	$(GO) run ./cmd/ktrace bench -out BENCH_trace.json -gate
 
-# I/O engine: sync vs kio at QD 1/8/32 (wall clock and simulated
-# device time), the QD-1 kio/sync ratio, copy accounting, and the
-# tracepoint gate share (see DESIGN.md "Async I/O (kio)" and
-# BENCH_kio.json).
+# I/O engine: kio at QD 1/8/32 against a raw-device write+flush
+# baseline (wall clock and simulated device time), the QD-1 kio/raw
+# ratio, copy accounting, and the tracepoint gate share (see DESIGN.md
+# "Async I/O (kio)" and BENCH_kio.json).
 bench-kio:
 	$(GO) run ./cmd/kiobench -out BENCH_kio.json
 

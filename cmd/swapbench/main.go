@@ -167,7 +167,6 @@ func run(date string) (*Result, error) {
 
 	k, err := safelinux.New(safelinux.Config{
 		Seed:         1,
-		AsyncIO:      true,
 		Compartments: true,
 		Link:         net.LinkParams{Delay: 1},
 	})

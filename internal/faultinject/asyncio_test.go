@@ -14,9 +14,9 @@ import (
 	"safelinux/internal/safety/own"
 )
 
-// asyncJournalRig assembles a journaled device with the async I/O
-// engine wired in, mirroring how the kernel mounts extlike but small
-// enough to crash deterministically.
+// asyncJournalRig assembles a journaled device, mirroring how the
+// kernel mounts extlike but small enough to crash deterministically,
+// and returns the kio engine the journal commits through.
 func asyncJournalRig(t *testing.T) (*blockdev.Device, *bufcache.Cache, *journal.Journal, *kio.Engine) {
 	t.Helper()
 	dev := blockdev.New(blockdev.Config{Blocks: 64, BlockSize: 128, Rng: kbase.NewRng(7)})
@@ -25,10 +25,7 @@ func asyncJournalRig(t *testing.T) (*blockdev.Device, *bufcache.Cache, *journal.
 	if err := j.Format(); err != kbase.EOK {
 		t.Fatalf("Format: %v", err)
 	}
-	e := kio.New(dev)
-	t.Cleanup(e.Close)
-	j.SetEngine(e)
-	return dev, cache, j, e
+	return dev, cache, j, cache.Engine()
 }
 
 // journalWrite mutates one home block under a journal handle.
@@ -52,7 +49,7 @@ func journalWrite(t *testing.T, cache *bufcache.Cache, j *journal.Journal, block
 
 // TestAsyncCommitTornSubmissionRecovery injects a write fault into the
 // middle of a kio journal commit: one log-block submission of
-// the async batch fails while its siblings complete (a partial unplug).
+// the async batch fails while its siblings complete.
 // The commit must surface the error and write no commit record; after
 // a crash, recovery replays only the earlier intact transaction and the
 // recovered image matches the model of committed state. The flight
@@ -82,7 +79,7 @@ func TestAsyncCommitTornSubmissionRecovery(t *testing.T) {
 	model[40], model[41] = 0xC1, 0xC2
 
 	// Transaction 2 is torn: exactly one of its async log-block
-	// submissions fails at unplug while the rest complete.
+	// submissions fails while the rest complete.
 	journalWrite(t, cache, j, 42, 0xD1)
 	journalWrite(t, cache, j, 43, 0xD2)
 	dev.FailNextWrites(1)
@@ -149,12 +146,12 @@ func TestAsyncCommitTornSubmissionRecovery(t *testing.T) {
 	}
 }
 
-// TestAsyncCrashMidUnplugSubset drives the engine directly to model a
-// power cut in the middle of an unplug: a batch of log-region writes is
+// TestAsyncCrashMidBatchSubset drives the engine directly to model a
+// power cut in the middle of a batch: a batch of log-region writes is
 // submitted and flushed, then the device crash applies only a subset of
 // a later, never-flushed batch. Recovery must replay exactly the
 // transactions whose commit records are durable.
-func TestAsyncCrashMidUnplugSubset(t *testing.T) {
+func TestAsyncCrashMidBatchSubset(t *testing.T) {
 	dev, cache, j, e := asyncJournalRig(t)
 
 	// One intact transaction: its log blocks and commit record are
@@ -164,7 +161,7 @@ func TestAsyncCrashMidUnplugSubset(t *testing.T) {
 		t.Fatalf("Commit: %v", err)
 	}
 
-	// A second "transaction" is cut mid-unplug: its body blocks are
+	// A second "transaction" is cut mid-batch: its body blocks are
 	// submitted asynchronously with no barrier, so they sit in the
 	// device's pending queue when the power fails. Keep an arbitrary
 	// strict subset — torn, out of order, no commit record.

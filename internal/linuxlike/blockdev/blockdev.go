@@ -34,7 +34,7 @@ import (
 // and completion are one event on this synchronous device.
 var (
 	tpRead  = ktrace.New("blockdev:read")  // a0=block
-	tpWrite = ktrace.New("blockdev:write") // a0=block, a1=1 if plugged batch
+	tpWrite = ktrace.New("blockdev:write") // a0=block
 	tpFlush = ktrace.New("blockdev:flush") // a0=writes made durable
 	tpCrash = ktrace.New("blockdev:crash") // a0=writes dropped, a1=blocks torn
 )
@@ -85,8 +85,6 @@ type Stats struct {
 	TornBlocks uint64
 	// DroppedWrites counts cached writes lost to crashes.
 	DroppedWrites uint64
-	// Plugs counts Unplug submissions that batched at least one write.
-	Plugs uint64
 }
 
 // pendingWrite is one cached, not-yet-durable write. seq is the
@@ -120,7 +118,6 @@ type Device struct {
 	crashes atomic.Uint64
 	torn    atomic.Uint64
 	dropped atomic.Uint64
-	plugs   atomic.Uint64
 
 	// fault injection, guarded by ctl (never held together with a
 	// shard lock except ctl -> shard).
@@ -197,7 +194,6 @@ func (d *Device) Stats() Stats {
 		Crashes:       d.crashes.Load(),
 		TornBlocks:    d.torn.Load(),
 		DroppedWrites: d.dropped.Load(),
-		Plugs:         d.plugs.Load(),
 	}
 }
 
@@ -210,7 +206,6 @@ func (d *Device) CollectMetrics(emit func(name string, value uint64)) {
 	emit("crashes", d.crashes.Load())
 	emit("torn_blocks", d.torn.Load())
 	emit("dropped_writes", d.dropped.Load())
-	emit("plugs", d.plugs.Load())
 	emit("pending_writes", uint64(d.PendingWrites()))
 }
 
@@ -515,122 +510,3 @@ type Snapshot struct {
 
 // PendingCount returns the number of cached writes in the snapshot.
 func (s *Snapshot) PendingCount() int { return len(s.pending) }
-
-// Plug collects writes locally without touching any device lock, then
-// Unplug submits them grouped by shard — the analogue of Linux block
-// plugging, used by writeback (bufcache.SyncDirty) and the journal
-// commit path to amortize lock traffic for multi-block submissions.
-// A Plug is single-goroutine state; it is not safe for concurrent use.
-type Plug struct {
-	d      *Device
-	blocks []uint64
-	datas  [][]byte
-}
-
-// Plug starts a batched submission.
-func (d *Device) Plug() *Plug { return &Plug{d: d} }
-
-// Write queues one block write on the plug. Argument validation
-// happens immediately; the fault model and durability semantics apply
-// at Unplug time. The data is copied now, so the caller may reuse the
-// buffer.
-func (p *Plug) Write(block uint64, data []byte) kbase.Errno {
-	if len(data) != p.d.cfg.BlockSize {
-		return kbase.EINVAL
-	}
-	if block >= p.d.cfg.Blocks {
-		return kbase.EINVAL
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	p.blocks = append(p.blocks, block)
-	p.datas = append(p.datas, cp)
-	return kbase.EOK
-}
-
-// WriteOwned queues one block write on the plug WITHOUT copying: the
-// plug (and, after Unplug, the device) takes ownership of data, which
-// the caller must not touch again. The kio engine's ownership-move
-// submit path uses this so a moved page reaches the durable image with
-// zero copies.
-func (p *Plug) WriteOwned(block uint64, data []byte) kbase.Errno {
-	if len(data) != p.d.cfg.BlockSize {
-		return kbase.EINVAL
-	}
-	if block >= p.d.cfg.Blocks {
-		return kbase.EINVAL
-	}
-	p.blocks = append(p.blocks, block)
-	p.datas = append(p.datas, data)
-	return kbase.EOK
-}
-
-// Queued returns the number of writes waiting on the plug.
-func (p *Plug) Queued() int { return len(p.blocks) }
-
-// Unplug submits every queued write, grouped so each shard's lock is
-// taken at most once. It returns the per-write results (aligned with
-// the Write call order) and the first non-EOK result, and resets the
-// plug for reuse. Writes that fail the fault model are not submitted;
-// the rest are, so a partial failure behaves exactly like the same
-// sequence of plain Write calls.
-func (p *Plug) Unplug() ([]kbase.Errno, kbase.Errno) {
-	if len(p.blocks) == 0 {
-		return nil, kbase.EOK
-	}
-	d := p.d
-	n := len(p.blocks)
-	results := make([]kbase.Errno, n)
-	writes := make([]pendingWrite, 0, n)
-
-	d.ctl.Lock()
-	for i, b := range p.blocks {
-		results[i] = d.writeFaultLocked(b)
-	}
-	d.ctl.Unlock()
-
-	first := kbase.EOK
-	accepted := 0
-	for i := range results {
-		if results[i] != kbase.EOK {
-			if first == kbase.EOK {
-				first = results[i]
-			}
-			continue
-		}
-		accepted++
-		writes = append(writes, pendingWrite{
-			seq:   d.seq.Add(1),
-			block: p.blocks[i],
-			data:  p.datas[i],
-		})
-	}
-	if accepted > 0 {
-		d.writes.Add(uint64(accepted))
-		d.cfg.Clock.Advance(d.cfg.WriteCost * uint64(accepted))
-		d.plugs.Add(1)
-		if tpWrite.Enabled() {
-			for _, w := range writes {
-				tpWrite.Emit(0, w.block, 1)
-			}
-		}
-		// Group by shard so each shard lock is taken once.
-		var byShard [NumShards][]pendingWrite
-		for _, w := range writes {
-			idx := w.block % NumShards
-			byShard[idx] = append(byShard[idx], w)
-		}
-		for i := range byShard {
-			if len(byShard[i]) == 0 {
-				continue
-			}
-			s := &d.shards[i]
-			s.mu.Lock()
-			s.pending = append(s.pending, byShard[i]...)
-			s.mu.Unlock()
-		}
-	}
-	p.blocks = p.blocks[:0]
-	p.datas = p.datas[:0]
-	return results, first
-}

@@ -307,146 +307,6 @@ func TestCrashNeverInventsDataProperty(t *testing.T) {
 	}
 }
 
-// --- Plug.Unplug error paths -------------------------------------------
-
-// TestUnplugFaultOnNthWrite injects a write fault on the Nth queued
-// block: earlier blocks must be applied, the faulted one reported at
-// its call-order index, and later blocks applied — exactly as if the
-// same sequence of plain Write calls had run.
-func TestUnplugFaultOnNthWrite(t *testing.T) {
-	d := testDev(32)
-	const bad = 5
-	d.MarkBad(bad)
-
-	p := d.Plug()
-	blocks := []uint64{1, 3, bad, 7, 9}
-	for i, b := range blocks {
-		if e := p.Write(b, blockOf(d, byte(0x10+i))); e != kbase.EOK {
-			t.Fatalf("Plug.Write(%d): %v", b, e)
-		}
-	}
-	results, first := p.Unplug()
-	if first != kbase.EIO {
-		t.Fatalf("Unplug first = %v, want EIO", first)
-	}
-	if len(results) != len(blocks) {
-		t.Fatalf("Unplug returned %d results, want %d", len(results), len(blocks))
-	}
-	for i := range results {
-		want := kbase.EOK
-		if blocks[i] == bad {
-			want = kbase.EIO
-		}
-		if results[i] != want {
-			t.Errorf("results[%d] (block %d) = %v, want %v", i, blocks[i], results[i], want)
-		}
-	}
-	// Only the four accepted writes are pending; the faulted one was
-	// never submitted.
-	if got := d.PendingWrites(); got != len(blocks)-1 {
-		t.Fatalf("PendingWrites = %d, want %d", got, len(blocks)-1)
-	}
-	if e := d.Flush(); e != kbase.EOK {
-		t.Fatalf("Flush: %v", e)
-	}
-	buf := make([]byte, d.BlockSize())
-	for i, b := range blocks {
-		if b == bad {
-			continue
-		}
-		if e := d.Read(b, buf); e != kbase.EOK {
-			t.Fatalf("Read(%d): %v", b, e)
-		}
-		if !bytes.Equal(buf, blockOf(d, byte(0x10+i))) {
-			t.Errorf("block %d not applied after partial-failure unplug", b)
-		}
-	}
-	// The bad block never received data.
-	d.ctl.Lock()
-	delete(d.badBlocks, bad)
-	d.ctl.Unlock()
-	if e := d.Read(bad, buf); e != kbase.EOK {
-		t.Fatalf("Read(bad): %v", e)
-	}
-	if !bytes.Equal(buf, make([]byte, d.BlockSize())) {
-		t.Fatal("faulted write reached the device")
-	}
-}
-
-// TestUnplugFailNextWritesCountsPerQueuedWrite verifies the one-shot
-// fault budget is consumed per queued write in call order, so
-// FailNextWrites(n) fails exactly the first n writes of the batch.
-func TestUnplugFailNextWritesCountsPerQueuedWrite(t *testing.T) {
-	d := testDev(32)
-	p := d.Plug()
-	for i := uint64(0); i < 4; i++ {
-		p.Write(i, blockOf(d, byte(i+1)))
-	}
-	d.FailNextWrites(2)
-	results, first := p.Unplug()
-	if first != kbase.EIO {
-		t.Fatalf("first = %v, want EIO", first)
-	}
-	for i, want := range []kbase.Errno{kbase.EIO, kbase.EIO, kbase.EOK, kbase.EOK} {
-		if results[i] != want {
-			t.Errorf("results[%d] = %v, want %v", i, results[i], want)
-		}
-	}
-	if got := d.PendingWrites(); got != 2 {
-		t.Fatalf("PendingWrites = %d, want 2", got)
-	}
-	// The fault budget is exhausted: a plain write now succeeds.
-	if e := d.Write(10, blockOf(d, 0xFF)); e != kbase.EOK {
-		t.Fatalf("post-batch Write: %v", e)
-	}
-}
-
-// TestUnplugReadOnlyFailsAll verifies EROFS is reported for every
-// queued write and nothing is submitted.
-func TestUnplugReadOnlyFailsAll(t *testing.T) {
-	d := testDev(8)
-	p := d.Plug()
-	p.Write(1, blockOf(d, 0x01))
-	p.WriteOwned(2, blockOf(d, 0x02))
-	d.SetReadOnly(true)
-	results, first := p.Unplug()
-	if first != kbase.EROFS {
-		t.Fatalf("first = %v, want EROFS", first)
-	}
-	for i, r := range results {
-		if r != kbase.EROFS {
-			t.Errorf("results[%d] = %v, want EROFS", i, r)
-		}
-	}
-	if got := d.PendingWrites(); got != 0 {
-		t.Fatalf("PendingWrites = %d, want 0", got)
-	}
-}
-
-// TestUnplugReusableAfterPartialFailure verifies the plug resets after
-// a partial failure and a subsequent batch on the same plug works.
-func TestUnplugReusableAfterPartialFailure(t *testing.T) {
-	d := testDev(32)
-	d.MarkBad(2)
-	p := d.Plug()
-	p.Write(1, blockOf(d, 0x01))
-	p.Write(2, blockOf(d, 0x02))
-	if _, first := p.Unplug(); first != kbase.EIO {
-		t.Fatalf("first unplug: %v, want EIO", first)
-	}
-	if p.Queued() != 0 {
-		t.Fatalf("Queued = %d after Unplug, want 0", p.Queued())
-	}
-	p.Write(3, blockOf(d, 0x03))
-	results, first := p.Unplug()
-	if first != kbase.EOK || len(results) != 1 || results[0] != kbase.EOK {
-		t.Fatalf("second unplug: results=%v first=%v", results, first)
-	}
-	if got := d.PendingWrites(); got != 2 {
-		t.Fatalf("PendingWrites = %d, want 2", got)
-	}
-}
-
 // TestWriteOwnedZeroCopy verifies the ownership-transfer write path:
 // the device retains the caller's buffer without copying, so the
 // durable image after Flush aliases the submitted slice.
@@ -464,19 +324,6 @@ func TestWriteOwnedZeroCopy(t *testing.T) {
 	// caller must not touch the buffer again).
 	if &d.durable[4][0] != &buf[0] {
 		t.Fatal("WriteOwned copied the buffer; ownership path must be zero-copy")
-	}
-	// Plug.WriteOwned likewise.
-	buf2 := blockOf(d, 0xA5)
-	p := d.Plug()
-	if e := p.WriteOwned(5, buf2); e != kbase.EOK {
-		t.Fatalf("Plug.WriteOwned: %v", e)
-	}
-	if _, first := p.Unplug(); first != kbase.EOK {
-		t.Fatalf("Unplug: %v", first)
-	}
-	d.Flush()
-	if &d.durable[5][0] != &buf2[0] {
-		t.Fatal("Plug.WriteOwned copied the buffer")
 	}
 	// Write (the defensive wrapper) must still copy.
 	buf3 := blockOf(d, 0x33)
@@ -496,13 +343,6 @@ func TestWriteOwnedValidation(t *testing.T) {
 	}
 	if e := d.WriteOwned(99, blockOf(d, 1)); e != kbase.EINVAL {
 		t.Fatalf("out of range: %v, want EINVAL", e)
-	}
-	p := d.Plug()
-	if e := p.WriteOwned(1, make([]byte, 1)); e != kbase.EINVAL {
-		t.Fatalf("plug short buffer: %v, want EINVAL", e)
-	}
-	if e := p.WriteOwned(99, blockOf(d, 1)); e != kbase.EINVAL {
-		t.Fatalf("plug out of range: %v, want EINVAL", e)
 	}
 	d.FailNextWrites(1)
 	if e := d.WriteOwned(1, blockOf(d, 1)); e != kbase.EIO {

@@ -88,8 +88,8 @@ func (c *Cache) SyncDirty() kbase.Errno {
 }
 
 // SyncDirtyCtx is SyncDirty with task context: the whole flush is
-// timed into the bufcache:sync histogram, and on the engine path the
-// kio batch appears as a child span of the caller's trace.
+// timed into the bufcache:sync histogram, and the kio batch appears
+// as a child span of the caller's trace.
 func (c *Cache) SyncDirtyCtx(task *kbase.Task) kbase.Errno {
 	t := opSync.Begin(task)
 	defer t.End()

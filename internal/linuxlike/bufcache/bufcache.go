@@ -296,8 +296,9 @@ type Cache struct {
 	size         atomic.Int64  // total buffers across shards
 	overReleases atomic.Uint64 // Put calls rejected with OverReleaseError
 
-	// engine, when set, routes SyncDirty through the kio engine: every
-	// dirty buffer goes into one batch closed by a barrier.
+	// engine is the kio engine SyncDirty and the journal's commit submit
+	// through. Atomic: the kernel swaps in its own engine (SetEngine)
+	// while callers may be loading it.
 	engine atomic.Pointer[kio.Engine]
 
 	// boundary, when installed, wraps the public cache operations in a
@@ -307,9 +308,13 @@ type Cache struct {
 	shards [NumShards]cacheShard
 }
 
-// SetEngine routes SyncDirty through the kio engine (nil restores the
-// synchronous plug path). The engine must drive the cache's device.
+// SetEngine replaces the cache's kio engine, through which SyncDirty
+// and the journal's commit submit. The engine must drive the cache's
+// device and must not be nil.
 func (c *Cache) SetEngine(e *kio.Engine) { c.engine.Store(e) }
+
+// Engine returns the cache's kio engine (never nil).
+func (c *Cache) Engine() *kio.Engine { return c.engine.Load() }
 
 // CacheStats counts cache activity.
 type CacheStats struct {
@@ -321,9 +326,10 @@ type CacheStats struct {
 }
 
 // NewCache creates a cache over dev holding at most maxBufs buffers
-// (0 means unbounded).
+// (0 means unbounded), with its own kio engine over dev.
 func NewCache(dev *blockdev.Device, maxBufs int) *Cache {
 	c := &Cache{dev: dev, maxBufs: maxBufs}
+	c.engine.Store(kio.New(dev))
 	for i := range c.shards {
 		c.shards[i].buffers = make(map[uint64]*BufferHead)
 		c.shards[i].dirty = make(map[uint64]*BufferHead)
@@ -497,17 +503,32 @@ func (c *Cache) noteDirty(bh *BufferHead) {
 // doWriteBuffer synchronously writes one buffer to disk and clears its
 // dirty bit (sync_dirty_buffer for a single bh).
 func (c *Cache) doWriteBuffer(bh *BufferHead) kbase.Errno {
-	if !bh.TestFlag(BHMapped) && !bh.TestFlag(BHNew) {
-		// Writing an unmapped buffer is the classic flag-protocol
-		// violation; Linux would hit a BUG in submit_bh.
-		kbase.Oops(kbase.OopsSemantic, "bufcache",
-			"submit of unmapped buffer %d (flags %04x)", bh.Block, bh.Flags())
-		return kbase.EINVAL
+	if err := checkMapped(bh); err != kbase.EOK {
+		return err
 	}
 	if err := c.dev.Write(bh.Block, bh.Data); err != kbase.EOK {
 		bh.SetFlag(BHWriteEIO)
 		return err
 	}
+	c.written(bh)
+	return kbase.EOK
+}
+
+// checkMapped refuses to submit an unmapped buffer: writing one is the
+// classic flag-protocol violation, on which Linux would hit a BUG in
+// submit_bh.
+func checkMapped(bh *BufferHead) kbase.Errno {
+	if bh.TestFlag(BHMapped) || bh.TestFlag(BHNew) {
+		return kbase.EOK
+	}
+	kbase.Oops(kbase.OopsSemantic, "bufcache",
+		"submit of unmapped buffer %d (flags %04x)", bh.Block, bh.Flags())
+	return kbase.EINVAL
+}
+
+// written records a completed write of bh: clean, submitted, off the
+// dirty list.
+func (c *Cache) written(bh *BufferHead) {
 	bh.ClearFlag(BHDirty | BHNew)
 	bh.SetFlag(BHReq)
 	s := c.shard(bh.Block)
@@ -516,17 +537,17 @@ func (c *Cache) doWriteBuffer(bh *BufferHead) kbase.Errno {
 	s.writeback++
 	s.mu.Unlock()
 	tpWriteback.Emit(0, bh.Block, 0)
-	return kbase.EOK
 }
 
 // doSyncDirty writes all dirty buffers and issues a device flush
-// barrier (sync_dirty_buffers + blkdev_issue_flush). The writes are
-// submitted through a device plug so each device shard's lock is
-// taken once for the whole batch.
+// barrier (sync_dirty_buffers + blkdev_issue_flush).
 func (c *Cache) doSyncDirty() kbase.Errno {
 	return c.doSyncDirtyCtx(nil)
 }
 
+// doSyncDirtyCtx submits every dirty buffer on one kio batch closed by
+// a barrier SQE, which stands in for the trailing device flush, and
+// executes the batch with a single Submit.
 func (c *Cache) doSyncDirtyCtx(task *kbase.Task) kbase.Errno {
 	var toWrite []*BufferHead
 	for i := range c.shards {
@@ -537,72 +558,17 @@ func (c *Cache) doSyncDirtyCtx(task *kbase.Task) kbase.Errno {
 		}
 		s.mu.Unlock()
 	}
-	if e := c.engine.Load(); e != nil {
-		return c.syncDirtyAsync(task, e, toWrite)
-	}
-	var firstErr kbase.Errno = kbase.EOK
-	plug := c.dev.Plug()
-	queued := make([]*BufferHead, 0, len(toWrite))
-	for _, bh := range toWrite {
-		if !bh.TestFlag(BHMapped) && !bh.TestFlag(BHNew) {
-			kbase.Oops(kbase.OopsSemantic, "bufcache",
-				"submit of unmapped buffer %d (flags %04x)", bh.Block, bh.Flags())
-			if firstErr == kbase.EOK {
-				firstErr = kbase.EINVAL
-			}
-			continue
-		}
-		if err := plug.Write(bh.Block, bh.Data); err != kbase.EOK {
-			if firstErr == kbase.EOK {
-				firstErr = err
-			}
-			continue
-		}
-		queued = append(queued, bh)
-	}
-	results, _ := plug.Unplug()
-	for i, bh := range queued {
-		if results[i] != kbase.EOK {
-			bh.SetFlag(BHWriteEIO)
-			if firstErr == kbase.EOK {
-				firstErr = results[i]
-			}
-			continue
-		}
-		bh.ClearFlag(BHDirty | BHNew)
-		bh.SetFlag(BHReq)
-		s := c.shard(bh.Block)
-		s.mu.Lock()
-		delete(s.dirty, bh.Block)
-		s.writeback++
-		s.mu.Unlock()
-		tpWriteback.Emit(0, bh.Block, 0)
-	}
-	if err := c.dev.Flush(); err != kbase.EOK && firstErr == kbase.EOK {
-		firstErr = err
-	}
-	return firstErr
-}
-
-// syncDirtyAsync is SyncDirty's engine path: every dirty buffer is
-// enqueued on one batch, a barrier SQE replaces the trailing device
-// flush, and a single Submit executes the whole batch.
-func (c *Cache) syncDirtyAsync(task *kbase.Task, e *kio.Engine, toWrite []*BufferHead) kbase.Errno {
 	bt := kio.OpBatch.Begin(task)
 	defer bt.End()
 	var firstErr kbase.Errno = kbase.EOK
-	b := e.NewBatch()
+	b := c.Engine().NewBatch()
 	queued := make([]*BufferHead, 0, len(toWrite))
 	for _, bh := range toWrite {
-		if !bh.TestFlag(BHMapped) && !bh.TestFlag(BHNew) {
-			kbase.Oops(kbase.OopsSemantic, "bufcache",
-				"submit of unmapped buffer %d (flags %04x)", bh.Block, bh.Flags())
-			if firstErr == kbase.EOK {
-				firstErr = kbase.EINVAL
-			}
-			continue
+		err := checkMapped(bh)
+		if err == kbase.EOK {
+			err = b.Write(bh.Block, bh.Data, uint64(len(queued)))
 		}
-		if err := b.Write(bh.Block, bh.Data, uint64(len(queued))); err != kbase.EOK {
+		if err != kbase.EOK {
 			if firstErr == kbase.EOK {
 				firstErr = err
 			}
@@ -612,28 +578,18 @@ func (c *Cache) syncDirtyAsync(task *kbase.Task, e *kio.Engine, toWrite []*Buffe
 	}
 	b.Barrier(0)
 	for _, cqe := range b.Submit().Wait() {
-		if cqe.Op == kio.OpFlush {
-			if cqe.Err != kbase.EOK && firstErr == kbase.EOK {
-				firstErr = cqe.Err
-			}
-			continue
-		}
-		bh := queued[cqe.User]
 		if cqe.Err != kbase.EOK {
-			bh.SetFlag(BHWriteEIO)
+			if cqe.Op == kio.OpWrite {
+				queued[cqe.User].SetFlag(BHWriteEIO)
+			}
 			if firstErr == kbase.EOK {
 				firstErr = cqe.Err
 			}
 			continue
 		}
-		bh.ClearFlag(BHDirty | BHNew)
-		bh.SetFlag(BHReq)
-		s := c.shard(bh.Block)
-		s.mu.Lock()
-		delete(s.dirty, bh.Block)
-		s.writeback++
-		s.mu.Unlock()
-		tpWriteback.Emit(0, bh.Block, 0)
+		if cqe.Op == kio.OpWrite {
+			c.written(queued[cqe.User])
+		}
 	}
 	return firstErr
 }

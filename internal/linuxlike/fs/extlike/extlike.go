@@ -754,5 +754,5 @@ func (inst *fsInstance) SyncFS(task *kbase.Task) kbase.Errno {
 }
 
 func (inst *fsInstance) Unmount(task *kbase.Task) kbase.Errno {
-	return inst.SyncFS(nil)
+	return inst.SyncFS(task)
 }

@@ -64,10 +64,9 @@ const (
 // Journal manages a contiguous journal region of the block device
 // underlying cache.
 type Journal struct {
-	cache  *bufcache.Cache
-	start  uint64      // first journal block (superblock)
-	size   uint64      // journal region length in blocks
-	engine *kio.Engine // nil = synchronous commit path
+	cache *bufcache.Cache
+	start uint64 // first journal block (superblock)
+	size  uint64 // journal region length in blocks
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signaled on handle drain and gate release
@@ -156,18 +155,6 @@ func (j *Journal) CollectMetrics(emit func(name string, value uint64)) {
 	emit("checkpoints", st.Checkpoints)
 	emit("replayed", st.Replayed)
 	emit("revokes", st.Revokes)
-}
-
-// SetEngine switches Commit to the kio path: the log body goes out as
-// one engine batch closed by a barrier, then the commit record with
-// its own barrier — the two orderings the jbd2 protocol requires (body
-// before commit record, commit record before returning). The engine
-// must drive the same device the journal's cache does. Pass nil to
-// restore the synchronous path.
-func (j *Journal) SetEngine(e *kio.Engine) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.engine = e
 }
 
 // tagsPerBlock is how many home-block numbers one descriptor or
@@ -342,10 +329,10 @@ func (h *Handle) Stop() {
 }
 
 // Commit force-commits the running transaction synchronously
-// (jbd2_journal_force_commit): write descriptor+data+revoke blocks,
-// flush, write commit block, flush again, then write the home
-// locations through the buffer cache (without flushing them — that is
-// Checkpoint's job).
+// (jbd2_journal_force_commit): write data+descriptor+revoke blocks,
+// flush, write commit block, flush again — all through the cache's kio
+// engine — then write the home locations through the buffer cache
+// (without flushing them — that is Checkpoint's job).
 //
 // Under concurrency this is a blocking group commit: if other tasks
 // still hold open handles on the transaction, Commit waits for them
@@ -396,19 +383,9 @@ func (j *Journal) CommitCtx(task *kbase.Task) kbase.Errno {
 // commitGatedLocked writes tx out. Caller holds j.mu and the gate;
 // tx has no open handles. The gate is released before returning.
 func (j *Journal) commitGatedLocked(task *kbase.Task, tx *Tx) kbase.Errno {
-	finish := func(err kbase.Errno) kbase.Errno {
-		j.lastDoneSeq = tx.seq
-		j.lastErr = err
-		j.gate = false
-		j.cond.Broadcast()
-		tpCommit.Emit4(0, tx.seq, uint64(len(tx.buffers)), uint64(err), 0)
-		return err
-	}
 	tx.closed = true
 	j.running = nil
 
-	dev := j.cache.Device()
-	bs := dev.BlockSize()
 	// Needed journal blocks: descriptor + data + optional revoke + commit.
 	needed := uint64(1 + len(tx.buffers) + 1)
 	if len(tx.revokes) > 0 {
@@ -425,96 +402,38 @@ func (j *Journal) commitGatedLocked(task *kbase.Task, tx *Tx) kbase.Errno {
 		return kbase.ENOSPC
 	}
 
-	pos := j.start + j.writePos
-	if j.engine != nil {
-		return j.commitAsyncLocked(task, tx, finish, pos)
+	end, err := j.writeLogLocked(task, tx, j.start+j.writePos)
+	if err == kbase.EOK {
+		err = j.finishCommitLocked(tx, end)
 	}
-	crc := crc32.NewIEEE()
-
-	// Descriptor.
-	if err := dev.Write(pos, tx.descriptor(bs)); err != kbase.EOK {
-		return finish(err)
-	}
-	pos++
-	// Data blocks.
-	for _, bh := range tx.buffers {
-		if err := dev.Write(pos, bh.Data); err != kbase.EOK {
-			return finish(err)
-		}
-		crc.Write(bh.Data)
-		pos++
-		j.stats.BlocksLogged++
-	}
-	// Revoke block.
-	if len(tx.revokes) > 0 {
-		rev := recordBlock(bs, kindRevoke, tx.seq, uint32(len(tx.revokes)), tx.revokes)
-		if err := dev.Write(pos, rev); err != kbase.EOK {
-			return finish(err)
-		}
-		pos++
-	}
-	// Barrier: journal body durable before commit record.
-	if err := dev.Flush(); err != kbase.EOK {
-		return finish(err)
-	}
-	// Commit record.
-	if err := dev.Write(pos, recordBlock(bs, kindCommit, tx.seq, crc.Sum32(), nil)); err != kbase.EOK {
-		return finish(err)
-	}
-	pos++
-	if err := dev.Flush(); err != kbase.EOK {
-		return finish(err)
-	}
-	return j.finishCommitLocked(tx, finish, pos)
+	j.lastDoneSeq = tx.seq
+	j.lastErr = err
+	j.gate = false
+	j.cond.Broadcast()
+	tpCommit.Emit4(0, tx.seq, uint64(len(tx.buffers)), uint64(err), 0)
+	return err
 }
 
-// finishCommitLocked records the committed transaction's bookkeeping
-// and writes the home locations through the cache. Caller holds j.mu
-// and the gate; the journal image through endPos is durable.
-func (j *Journal) finishCommitLocked(tx *Tx, finish func(kbase.Errno) kbase.Errno, endPos uint64) kbase.Errno {
-	j.writePos = endPos - j.start
-	for _, home := range tx.revokes {
-		j.revoked[home] = tx.seq
-	}
-	j.stats.Commits++
-	buffers := tx.buffers
-
-	// Home writes: through the cache, unflushed. A crash between here
-	// and Checkpoint is exactly what recovery must repair. j.mu is
-	// dropped (WriteBuffer takes cache locks) but the gate stays up,
-	// so no new handle can mutate these buffers mid-write.
-	j.mu.Unlock()
-	var homeErr kbase.Errno = kbase.EOK
-	for _, bh := range buffers {
-		bh.ClearJournalSeq()
-		if err := j.cache.WriteBuffer(bh); err != kbase.EOK {
-			homeErr = err
-			break
-		}
-	}
-	j.mu.Lock()
-	return finish(homeErr)
-}
-
-// commitAsyncLocked is the kio commit path (engine set): the data,
-// descriptor and revoke blocks go out as one batch closed by a barrier
-// SQE that stands in for the body flush, and the commit record follows
-// in a second batch with its own barrier — exactly the jbd2 ordering
-// (body durable before the commit record, commit record durable before
-// Commit returns). Caller holds j.mu and the gate; the gate is what
-// lets the engine read bh.Data without a copy racing anything — no
-// handle can mutate a committing buffer.
-func (j *Journal) commitAsyncLocked(task *kbase.Task, tx *Tx, finish func(kbase.Errno) kbase.Errno, pos uint64) kbase.Errno {
+// writeLogLocked writes tx's log at pos through the cache's kio engine
+// and returns the block after it. Every commit reaches the device in
+// one order: the data blocks, the descriptor and any revoke block as
+// one submit closed by a barrier SQE, then the commit record in a
+// second submit of the same batch with its own barrier — the jbd2
+// ordering (body durable before the commit record, commit record
+// durable before Commit returns). Caller holds j.mu and the gate; the
+// gate is what lets the engine read bh.Data without a copy racing
+// anything — no handle can mutate a committing buffer.
+func (j *Journal) writeLogLocked(task *kbase.Task, tx *Tx, pos uint64) (uint64, kbase.Errno) {
 	bt := kio.OpBatch.Begin(task)
 	defer bt.End()
 	bs := j.cache.Device().BlockSize()
 	crc := crc32.NewIEEE()
 
-	body := j.engine.NewBatch()
+	b := j.cache.Engine().NewBatch()
 	next := pos + 1
 	var err kbase.Errno = kbase.EOK
 	for _, bh := range tx.buffers {
-		if err = body.Write(next, bh.Data, 0); err != kbase.EOK {
+		if err = b.Write(next, bh.Data, 0); err != kbase.EOK {
 			break
 		}
 		crc.Write(bh.Data)
@@ -525,35 +444,56 @@ func (j *Journal) commitAsyncLocked(task *kbase.Task, tx *Tx, finish func(kbase.
 	// touched again after submit: move them into the engine (§4.3
 	// zero-copy submission) instead of copying.
 	if err == kbase.EOK {
-		err = body.WriteOwned(pos, own.New(nil, "journal:desc", tx.descriptor(bs)), 0)
+		err = b.WriteOwned(pos, own.New(nil, "journal:desc", tx.descriptor(bs)), 0)
 	}
 	if err == kbase.EOK && len(tx.revokes) > 0 {
 		rev := recordBlock(bs, kindRevoke, tx.seq, uint32(len(tx.revokes)), tx.revokes)
-		err = body.WriteOwned(next, own.New(nil, "journal:revoke", rev), 0)
+		err = b.WriteOwned(next, own.New(nil, "journal:revoke", rev), 0)
 		next++
 	}
 	// Barrier: journal body durable before the commit record. After an
 	// enqueue failure the batch still runs what it holds, so every moved
 	// page is freed, but no commit record follows.
-	body.Barrier(0)
-	if e := body.Submit().Err(); err == kbase.EOK {
+	b.Barrier(0)
+	if e := b.Submit().Err(); err == kbase.EOK {
 		err = e
 	}
 	if err != kbase.EOK {
-		return finish(err)
+		return 0, err
 	}
 
 	// Commit record, with its own completion dependency.
 	com := recordBlock(bs, kindCommit, tx.seq, crc.Sum32(), nil)
-	record := j.engine.NewBatch()
-	if err := record.WriteOwned(next, own.New(nil, "journal:commit", com), 0); err != kbase.EOK {
-		return finish(err)
+	if err := b.WriteOwned(next, own.New(nil, "journal:commit", com), 0); err != kbase.EOK {
+		return 0, err
 	}
-	record.Barrier(0)
-	if err := record.Submit().Err(); err != kbase.EOK {
-		return finish(err)
+	b.Barrier(0)
+	return next + 1, b.Submit().Err()
+}
+
+// finishCommitLocked records the committed transaction's bookkeeping
+// and writes the home locations through the cache. Caller holds j.mu
+// and the gate; the journal image through endPos is durable.
+func (j *Journal) finishCommitLocked(tx *Tx, endPos uint64) kbase.Errno {
+	j.writePos = endPos - j.start
+	for _, home := range tx.revokes {
+		j.revoked[home] = tx.seq
 	}
-	return j.finishCommitLocked(tx, finish, next+1)
+	j.stats.Commits++
+
+	// Home writes: through the cache, unflushed. A crash between here
+	// and Checkpoint is exactly what recovery must repair. j.mu is
+	// dropped (WriteBuffer takes cache locks) but the gate stays up,
+	// so no new handle can mutate these buffers mid-write.
+	j.mu.Unlock()
+	defer j.mu.Lock()
+	for _, bh := range tx.buffers {
+		bh.ClearJournalSeq()
+		if err := j.cache.WriteBuffer(bh); err != kbase.EOK {
+			return err
+		}
+	}
+	return kbase.EOK
 }
 
 // Checkpoint makes all home locations durable and resets the journal

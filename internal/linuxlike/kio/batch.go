@@ -6,25 +6,32 @@ import (
 	"safelinux/internal/safety/own"
 )
 
+// inlineSQEs is how many SQEs and CQEs a batch holds in its own
+// allocation before its slices grow: a small journal commit — data,
+// descriptor, barrier, commit record, barrier — fits.
+const inlineSQEs = 8
+
 // Batch is a submission queue under construction: enqueue SQEs, then
 // Submit to execute them. A Batch is single-goroutine state; Submit
 // may be called repeatedly (each call executes the SQEs enqueued since
 // the last one) and every call returns the same Ticket.
 type Batch struct {
-	e       *Engine
-	pending []*sqe
+	e *Engine
+	// pending holds the SQEs enqueued since the last Submit, by value;
+	// pending[i] completes into t.results[t.submitted+i].
+	pending []sqe
 	t       Ticket
-	// lastWrite maps block -> the most recent un-superseded pending
-	// write, for duplicate-block merge (allocated on the first write).
-	// A read of the block or a barrier pins earlier writes (clears the
-	// entry): the read must observe the earlier write through the
-	// device cache, and a barrier promises its durability.
-	lastWrite map[uint64]*sqe
+
+	sqes [inlineSQEs]sqe
+	cqes [inlineSQEs]CQE
 }
 
 // NewBatch starts an empty batch.
 func (e *Engine) NewBatch() *Batch {
-	return &Batch{e: e}
+	b := &Batch{e: e}
+	b.pending = b.sqes[:0]
+	b.t.results = b.cqes[:0]
+	return b
 }
 
 // Read enqueues a read of block into buf, which must be exactly one
@@ -37,8 +44,7 @@ func (b *Batch) Read(block uint64, buf []byte, user uint64) kbase.Errno {
 	if block >= b.e.backend.Blocks() {
 		return kbase.EINVAL
 	}
-	delete(b.lastWrite, block)
-	b.enqueue(&sqe{op: OpRead, block: block, user: user, buf: buf})
+	b.enqueue(sqe{op: OpRead, block: block, buf: buf}, user)
 	return kbase.EOK
 }
 
@@ -57,7 +63,7 @@ func (b *Batch) Write(block uint64, data []byte, user uint64) kbase.Errno {
 	copy(cp, data)
 	b.e.copied.Add(uint64(len(cp)))
 	b.e.copies.Add(1)
-	b.enqueueWrite(&sqe{op: OpWrite, block: block, user: user, buf: cp})
+	b.enqueue(sqe{op: OpWrite, block: block, buf: cp}, user)
 	return kbase.EOK
 }
 
@@ -83,7 +89,7 @@ func (b *Batch) WriteOwned(block uint64, page own.Owned[[]byte], user uint64) kb
 		return kbase.EINVAL
 	}
 	b.e.avoided.Add(1)
-	b.enqueueWrite(&sqe{op: OpWrite, block: block, user: user, buf: buf, owned: true, page: moved})
+	b.enqueue(sqe{op: OpWrite, block: block, buf: buf, owned: true, page: moved}, user)
 	return kbase.EOK
 }
 
@@ -92,41 +98,15 @@ func (b *Batch) WriteOwned(block uint64, page own.Owned[[]byte], user uint64) kb
 // device, making every earlier write durable before anything after
 // the barrier starts.
 func (b *Batch) Barrier(user uint64) {
-	clear(b.lastWrite)
-	b.enqueue(&sqe{op: OpFlush, user: user})
+	b.enqueue(sqe{op: OpFlush}, user)
 }
 
-// enqueueWrite enqueues a write SQE, merging a duplicate-block
-// predecessor: if an earlier write to the same block is still pending
-// in this batch with no read of the block or barrier between, the
-// earlier SQE completes immediately as Merged (its payload can never
-// be observed — the device write cache is last-write-wins and no
-// barrier pinned it).
-func (b *Batch) enqueueWrite(s *sqe) {
-	if prev, ok := b.lastWrite[s.block]; ok {
-		for i, p := range b.pending {
-			if p == prev {
-				b.pending = append(b.pending[:i], b.pending[i+1:]...)
-				b.e.completeMerged(prev)
-				break
-			}
-		}
-	}
-	if b.lastWrite == nil {
-		b.lastWrite = make(map[uint64]*sqe)
-	}
-	b.lastWrite[s.block] = s
-	b.enqueue(s)
-}
-
-func (b *Batch) enqueue(s *sqe) {
-	s.t = &b.t
-	s.idx = len(b.t.results)
-	b.t.results = append(b.t.results, CQE{})
+func (b *Batch) enqueue(s sqe, user uint64) {
 	if ktrace.TimingSample() {
 		s.tNs = ktrace.NowNs()
 	}
 	b.pending = append(b.pending, s)
+	b.t.results = append(b.t.results, CQE{Op: s.op, Block: s.block, User: user})
 	b.e.submitted.Add(1)
 	if tpSubmit.Enabled() {
 		tpSubmit.Emit(0, s.block, uint64(s.op))
@@ -141,9 +121,8 @@ func (b *Batch) enqueue(s *sqe) {
 // SQE the execution did not complete completes with the boundary's
 // typed errno — each SQE completes exactly once.
 func (b *Batch) Submit() *Ticket {
-	batch := b.pending
-	b.pending = nil
-	clear(b.lastWrite)
+	batch, res := b.pending, b.t.results[b.t.submitted:]
+	b.pending = b.pending[:0] // executed before Submit returns; reuse the slots
 	b.t.submitted = len(b.t.results)
 	if len(batch) == 0 {
 		return &b.t
@@ -152,17 +131,17 @@ func (b *Batch) Submit() *Ticket {
 	box := e.boundary.Load()
 	if box == nil {
 		e.batches.Add(1)
-		e.execute(batch)
+		e.execute(batch, res)
 		return &b.t
 	}
 	if err := box.b.Run("submit", func() kbase.Errno {
 		e.batches.Add(1)
-		e.execute(batch)
+		e.execute(batch, res)
 		return kbase.EOK
 	}); err != kbase.EOK {
-		for _, s := range batch {
-			if !s.done {
-				e.complete(s, err)
+		for i := range batch {
+			if !batch[i].done {
+				e.complete(&batch[i], &res[i], err)
 			}
 		}
 	}

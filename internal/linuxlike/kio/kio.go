@@ -1,10 +1,10 @@
 // Package kio is an io_uring-style block I/O engine over the
 // simulated device stack: callers enqueue read/write/flush
 // submission-queue entries (SQEs) on a Batch, and Submit executes them
-// in order on the calling goroutine — each run of reads and writes
-// through the device plug, so a shard lock is taken once per run — and
-// publishes every completion (CQE) into the batch's Ticket for
-// Wait/Err-style joins.
+// in order on the calling goroutine, each SQE straight on the device,
+// and publishes every completion (CQE) into the batch's Ticket for
+// Wait/Err-style joins. It is the only block path of the journal's
+// commit and the buffer cache's writeback.
 //
 // The engine exists to turn the paper's §4.3 performance claim into a
 // measured number: ownership-sharing interfaces are semantically
@@ -28,7 +28,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"safelinux/internal/linuxlike/blockdev"
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/ktrace"
 	"safelinux/internal/safety/own"
@@ -71,9 +70,8 @@ func (o Op) String() string {
 // Backend is the device the engine drives — the same shape as
 // spec.DiskLike, so both the raw blockdev and the verified-stack
 // AxiomaticDisk plug in. When the concrete backend additionally
-// implements WriteOwned (zero-copy submission) or Plug (batched
-// shard-grouped submission), the engine detects and uses those fast
-// paths dynamically.
+// implements WriteOwned (zero-copy submission), the engine detects and
+// uses that fast path dynamically.
 type Backend interface {
 	BlockSize() int
 	Blocks() uint64
@@ -88,12 +86,6 @@ type ownedWriter interface {
 	WriteOwned(block uint64, data []byte) kbase.Errno
 }
 
-// plugger is the optional batched-submission fast path
-// (blockdev.Device implements it).
-type plugger interface {
-	Plug() *blockdev.Plug
-}
-
 // Stats counts engine activity. BytesCopied/CopiesPerformed cover the
 // legacy copying submit path; CopiesAvoided counts ownership-move
 // submits that would each have copied one block on that path — the
@@ -102,7 +94,6 @@ type plugger interface {
 type Stats struct {
 	Submitted       uint64 // SQEs accepted
 	Completed       uint64 // CQEs published
-	Merged          uint64 // duplicate-block writes merged at submit
 	Batches         uint64 // Submit calls that executed at least one SQE
 	Barriers        uint64 // flush SQEs executed
 	BytesCopied     uint64 // payload bytes copied by Batch.Write
@@ -116,25 +107,18 @@ type CQE struct {
 	Block uint64
 	User  uint64 // the submitter's tag, returned verbatim
 	Err   kbase.Errno
-	// Merged marks a write completed by being superseded: a later
-	// write to the same block in the same batch absorbed it before it
-	// reached the device (write-cache semantics — only a barrier
-	// promises durability).
-	Merged bool
 }
 
-// sqe is one submission-queue entry, engine-internal.
+// sqe is one submission-queue entry, engine-internal. The Batch holds
+// it by value; it completes into the CQE at the same position.
 type sqe struct {
-	op    Op
-	block uint64
-	user  uint64
 	buf   []byte // read destination or write payload (engine-owned for writes)
-	owned bool   // write payload arrived by ownership move
 	page  own.Owned[[]byte]
-	t     *Ticket
-	idx   int   // slot in t.results
+	block uint64
 	tNs   int64 // submit timestamp for the sqe latency histogram (0 = unsampled)
-	done  bool  // completed; a failed execution completes only the rest
+	op    Op
+	owned bool // write payload arrived by ownership move
+	done  bool // completed; a failed execution completes only the rest
 }
 
 // Engine is the I/O engine. All methods are safe for concurrent use;
@@ -142,7 +126,6 @@ type sqe struct {
 type Engine struct {
 	backend Backend
 	ow      ownedWriter // nil when backend lacks the zero-copy path
-	pl      plugger     // nil when backend lacks the plug path
 
 	// drain orders execution across submitters (IO_DRAIN): a run of
 	// reads and writes holds it shared, a flush holds it exclusive, so
@@ -157,7 +140,6 @@ type Engine struct {
 
 	submitted atomic.Uint64
 	completed atomic.Uint64
-	merged    atomic.Uint64
 	batches   atomic.Uint64
 	barriers  atomic.Uint64
 	copied    atomic.Uint64
@@ -175,7 +157,6 @@ type Engine struct {
 func New(backend Backend) *Engine {
 	e := &Engine{backend: backend, sqeHist: ktrace.NewHistogram()}
 	e.ow, _ = backend.(ownedWriter)
-	e.pl, _ = backend.(plugger)
 	return e
 }
 
@@ -195,7 +176,6 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Submitted:       e.submitted.Load(),
 		Completed:       e.completed.Load(),
-		Merged:          e.merged.Load(),
 		Batches:         e.batches.Load(),
 		Barriers:        e.barriers.Load(),
 		BytesCopied:     e.copied.Load(),
@@ -210,7 +190,6 @@ func (e *Engine) CollectMetrics(emit func(name string, value uint64)) {
 	s := e.Stats()
 	emit("submitted", s.Submitted)
 	emit("completed", s.Completed)
-	emit("merged", s.Merged)
 	emit("batches", s.Batches)
 	emit("barriers", s.Barriers)
 	emit("bytes_copied", s.BytesCopied)
@@ -218,12 +197,13 @@ func (e *Engine) CollectMetrics(emit func(name string, value uint64)) {
 	emit("copies_avoided", s.CopiesAvoided)
 }
 
-// execute runs batch in submit order on the calling goroutine: each
-// maximal run of reads and writes as one group, each flush on its own.
-func (e *Engine) execute(batch []*sqe) {
+// execute runs batch in submit order on the calling goroutine,
+// completing batch[i] into res[i]: each maximal run of reads and writes
+// under the shared drain lock, each flush on its own.
+func (e *Engine) execute(batch []sqe, res []CQE) {
 	for i := 0; i < len(batch); {
 		if batch[i].op == OpFlush {
-			e.flush(batch[i], i)
+			e.flush(&batch[i], &res[i], i)
 			i++
 			continue
 		}
@@ -231,7 +211,7 @@ func (e *Engine) execute(batch []*sqe) {
 		for j < len(batch) && batch[j].op != OpFlush {
 			j++
 		}
-		e.runGroup(batch[i:j])
+		e.run(batch[i:j], res[i:j])
 		i = j
 	}
 }
@@ -239,79 +219,50 @@ func (e *Engine) execute(batch []*sqe) {
 // flush executes one barrier SQE: it takes the drain lock exclusively,
 // so every run started earlier has finished and none starts until the
 // device flush returns.
-func (e *Engine) flush(s *sqe, ahead int) {
+func (e *Engine) flush(s *sqe, cqe *CQE, ahead int) {
 	e.drain.Lock()
 	defer e.drain.Unlock()
 	if e.closed {
-		e.complete(s, kbase.ENODEV)
+		e.complete(s, cqe, kbase.ENODEV)
 		return
 	}
 	tpBarrier.Emit(0, uint64(ahead), 0)
 	e.barriers.Add(1)
-	e.complete(s, e.backend.Flush())
+	e.complete(s, cqe, e.backend.Flush())
 }
 
-// runGroup executes one run of reads and writes in order, accumulating
-// consecutive writes into a plug and draining it before any read so a
-// read of a just-written block observes the write through the device
-// cache, exactly as the synchronous call sequence would. A run of one
-// SQE has nothing to group and skips the plug.
-func (e *Engine) runGroup(g []*sqe) {
+// run executes one run of reads and writes in order, each directly on
+// the backend, so a read of a just-written block observes the write
+// through the device cache exactly as the synchronous call sequence
+// would.
+func (e *Engine) run(g []sqe, res []CQE) {
 	e.drain.RLock()
 	defer e.drain.RUnlock()
-	if e.closed {
-		for _, s := range g {
-			e.complete(s, kbase.ENODEV)
+	for i := range g {
+		s := &g[i]
+		var err kbase.Errno
+		switch {
+		case e.closed:
+			err = kbase.ENODEV
+		case s.op == OpRead:
+			err = e.backend.Read(s.block, s.buf)
+		case e.ow != nil:
+			err = e.ow.WriteOwned(s.block, s.buf)
+		default:
+			// Copying backend: it copies internally; the engine still
+			// submitted without one.
+			err = e.backend.Write(s.block, s.buf)
 		}
-		return
+		e.complete(s, &res[i], err)
 	}
-	var plug *blockdev.Plug
-	var plugged []*sqe
-	unplug := func() {
-		if len(plugged) == 0 {
-			return
-		}
-		results, _ := plug.Unplug()
-		for k, s := range plugged {
-			e.complete(s, results[k])
-		}
-		plugged = plugged[:0]
-	}
-	for _, s := range g {
-		switch s.op {
-		case OpRead:
-			unplug()
-			e.complete(s, e.backend.Read(s.block, s.buf))
-		case OpWrite:
-			if e.pl != nil && len(g) > 1 {
-				if plug == nil {
-					plug = e.pl.Plug()
-				}
-				if err := plug.WriteOwned(s.block, s.buf); err != kbase.EOK {
-					e.complete(s, err)
-					continue
-				}
-				plugged = append(plugged, s)
-				continue
-			}
-			if e.ow != nil {
-				e.complete(s, e.ow.WriteOwned(s.block, s.buf))
-			} else {
-				// Copying backend: it copies internally; the engine
-				// still submitted without one.
-				e.complete(s, e.backend.Write(s.block, s.buf))
-			}
-		}
-	}
-	unplug()
 }
 
 // SQEHist returns the engine's submit-to-complete latency histogram.
 func (e *Engine) SQEHist() *ktrace.Histogram { return e.sqeHist }
 
-// complete publishes one completion into its Ticket slot. Each SQE
+// complete publishes one completion into its CQE slot. Each SQE
 // completes exactly once.
-func (e *Engine) complete(s *sqe, err kbase.Errno) {
+func (e *Engine) complete(s *sqe, cqe *CQE, err kbase.Errno) {
 	s.done = true
 	if s.tNs != 0 {
 		e.sqeHist.Record(uint64(ktrace.NowNs() - s.tNs))
@@ -325,12 +276,5 @@ func (e *Engine) complete(s *sqe, err kbase.Errno) {
 	if tpComplete.Enabled() {
 		tpComplete.Emit(0, s.block, uint64(err))
 	}
-	s.t.results[s.idx] = CQE{Op: s.op, Block: s.block, User: s.user, Err: err}
-}
-
-// completeMerged publishes a merged-write completion (no device I/O).
-func (e *Engine) completeMerged(s *sqe) {
-	e.merged.Add(1)
-	e.complete(s, kbase.EOK)
-	s.t.results[s.idx].Merged = true
+	cqe.Err = err
 }

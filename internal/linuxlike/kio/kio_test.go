@@ -187,54 +187,25 @@ func TestWriteOwnedWrongSizeFreesPage(t *testing.T) {
 	moved.Free()
 }
 
-func TestDuplicateWriteMerge(t *testing.T) {
+// TestDuplicateWritesReachDevice pins that the engine does not merge:
+// every write SQE, including a rewrite of a block earlier in the same
+// batch, reaches the device in submit order and the last one wins.
+func TestDuplicateWritesReachDevice(t *testing.T) {
 	e, dev := testEngine(t, 32)
 	b := e.NewBatch()
 	b.Write(5, fill(e.BlockSize(), 0x01), 1)
-	b.Write(5, fill(e.BlockSize(), 0x02), 2) // supersedes the first
+	b.Write(5, fill(e.BlockSize(), 0x02), 2)
 	b.Barrier(3)
-	cqes := b.Submit().Wait()
-	if !cqes[0].Merged {
-		t.Fatal("superseded write not marked Merged")
+	if err := b.Submit().Err(); err != kbase.EOK {
+		t.Fatalf("batch: %v", err)
 	}
-	if cqes[1].Merged {
-		t.Fatal("surviving write marked Merged")
-	}
-	if e.Stats().Merged != 1 {
-		t.Fatalf("Merged = %d, want 1", e.Stats().Merged)
+	if got := dev.Stats().Writes; got != 2 {
+		t.Fatalf("device writes = %d, want 2", got)
 	}
 	buf := make([]byte, e.BlockSize())
 	dev.Read(5, buf)
 	if buf[0] != 0x02 {
-		t.Fatal("merge did not keep the last write")
-	}
-	// A read between duplicate writes pins the earlier one: both must
-	// execute, and the read observes the first payload.
-	b2 := e.NewBatch()
-	got := make([]byte, e.BlockSize())
-	b2.Write(6, fill(e.BlockSize(), 0x0A), 1)
-	b2.Read(6, got, 2)
-	b2.Write(6, fill(e.BlockSize(), 0x0B), 3)
-	cqes = b2.Submit().Wait()
-	for i, cqe := range cqes {
-		if cqe.Merged {
-			t.Fatalf("CQE %d merged across a read of the block", i)
-		}
-		if cqe.Err != kbase.EOK {
-			t.Fatalf("CQE %d: %v", i, cqe.Err)
-		}
-	}
-	if got[0] != 0x0A {
-		t.Fatal("read between duplicate writes saw the wrong payload")
-	}
-	// A barrier also pins: the first write's durability was promised.
-	b3 := e.NewBatch()
-	b3.Write(7, fill(e.BlockSize(), 0x0C), 1)
-	b3.Barrier(2)
-	b3.Write(7, fill(e.BlockSize(), 0x0D), 3)
-	cqes = b3.Submit().Wait()
-	if cqes[0].Merged {
-		t.Fatal("write merged across a barrier")
+		t.Fatalf("block 5 holds %#x, want the last write", buf[0])
 	}
 }
 
@@ -323,12 +294,14 @@ func TestNoGoroutines(t *testing.T) {
 	if err := b.Submit().Err(); err != kbase.EOK {
 		t.Fatalf("batch: %v", err)
 	}
-	if n := runtime.NumGoroutine(); n != before {
-		t.Fatalf("goroutines %d after New+Submit, want %d", n, before)
+	// At most before: a goroutine of an earlier test may still be
+	// exiting, but the engine must not add one.
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines %d after New+Submit, want at most %d", n, before)
 	}
 	e.Close()
-	if n := runtime.NumGoroutine(); n != before {
-		t.Fatalf("goroutines %d after Close, want %d", n, before)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines %d after Close, want at most %d", n, before)
 	}
 }
 
@@ -404,8 +377,8 @@ func TestPerBlockOrderAcrossBatches(t *testing.T) {
 }
 
 func TestBackendWithoutFastPaths(t *testing.T) {
-	// A Backend that is only spec.DiskLike-shaped: no WriteOwned, no
-	// Plug. The engine must fall back to plain Write/Read.
+	// A Backend that is only spec.DiskLike-shaped: no WriteOwned. The
+	// engine must fall back to plain Write/Read.
 	dev := blockdev.New(blockdev.Config{Blocks: 32, BlockSize: 64, Rng: kbase.NewRng(7)})
 	e := New(plainBackend{dev})
 	defer e.Close()

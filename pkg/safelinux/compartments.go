@@ -9,7 +9,7 @@
 //	net   — both hosts' packet and timer dispatch (the protocol
 //	        machinery, legacy TCB or installed StreamProto)
 //	buf   — the root file system's buffer cache entry points
-//	kio   — I/O engine batch execution (AsyncIO kernels only)
+//	kio   — I/O engine batch execution
 //	ebpf  — verified probe evaluation inside tracepoint emission
 //	        (quiet: its boundary must not emit tracepoints)
 //
@@ -68,13 +68,11 @@ func (k *Kernel) enableCompartments() {
 		Restart:  k.restartBuf,
 	})
 
-	if k.ioEngine != nil {
-		kioC := p.Add("kio", compartment.Options{
-			Poisoned: func() []string { return k.Checker.LiveLabels("kio") },
-			Restart:  k.restartKio,
-		})
-		k.ioEngine.SetBoundary(kioC)
-	}
+	kioC := p.Add("kio", compartment.Options{
+		Poisoned: func() []string { return k.Checker.LiveLabels("kio") },
+		Restart:  k.restartKio,
+	})
+	k.ioEngine.SetBoundary(kioC)
 
 	// The observability compartment has no subsystem state to rebuild:
 	// ebpflike programs are verified, stateless register machines, so a
@@ -90,10 +88,11 @@ func (k *Kernel) enableCompartments() {
 }
 
 // wireRootFS (re)wires per-instance plumbing onto the currently
-// mounted root file system: the buffer-cache boundary and, on AsyncIO
-// kernels, the kio engine behind the journal and cache. Called at
-// enable time and again from restart hooks, which hand in a supervisor
-// task so the resolve bypasses a drained fs gate.
+// mounted root file system: the kernel's kio engine behind its buffer
+// cache (and so behind its journal) and, with compartments on, the
+// buffer-cache boundary. Called at boot, at enable time and again from
+// restart hooks, which hand in a supervisor task so the resolve
+// bypasses a drained fs gate.
 func (k *Kernel) wireRootFS(task *kbase.Task) {
 	root, err := k.VFS.Resolve(task, "/")
 	if err != kbase.EOK {
@@ -108,10 +107,7 @@ func (k *Kernel) wireRootFS(task *kbase.Task) {
 			inst.Cache().SetBoundary(c)
 		}
 	}
-	if k.ioEngine != nil {
-		inst.Journal().SetEngine(k.ioEngine)
-		inst.Cache().SetEngine(k.ioEngine)
-	}
+	inst.Cache().SetEngine(k.ioEngine)
 }
 
 // restartFS rebuilds the file-system compartment from clean state.
@@ -169,8 +165,8 @@ func (k *Kernel) restartBuf(task *kbase.Task) kbase.Errno {
 }
 
 // restartKio replaces the I/O engine with a fresh one, re-wires the
-// journal and buffer cache onto it, and closes the dead engine: a
-// batch still built on it completes with ENODEV.
+// buffer cache (and so the journal) onto it, and closes the dead
+// engine: a batch still built on it completes with ENODEV.
 func (k *Kernel) restartKio(task *kbase.Task) kbase.Errno {
 	old := k.ioEngine
 	k.ioEngine = kio.New(k.rootDev)
@@ -178,9 +174,7 @@ func (k *Kernel) restartKio(task *kbase.Task) kbase.Errno {
 		k.ioEngine.SetBoundary(c)
 	}
 	k.wireRootFS(task)
-	if old != nil {
-		old.Close()
-	}
+	old.Close()
 	return kbase.EOK
 }
 

@@ -28,7 +28,7 @@ func bootCompartmented(t *testing.T, cfg Config) *Kernel {
 }
 
 func TestCompartmentsBootAndWire(t *testing.T) {
-	k := bootCompartmented(t, Config{Seed: 11, AsyncIO: true})
+	k := bootCompartmented(t, Config{Seed: 11})
 	want := []string{"fs", "net", "buf", "kio", "ebpf"}
 	got := k.Plane.Names()
 	if len(got) != len(want) {

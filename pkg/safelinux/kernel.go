@@ -38,11 +38,7 @@ type Config struct {
 	// CaptureOops installs an oops recorder so failures are captured
 	// instead of panicking (default true).
 	CaptureOops bool
-	// AsyncIO boots the kernel with a kio engine on the root device:
-	// journal commits and buffer-cache writeback go out as engine
-	// batches, executed on the submitting task inside the kio
-	// compartment (when Compartments is set) with the plug, merge and
-	// barrier semantics of the engine.
+	// Deprecated: ignored; the kio engine is always on.
 	AsyncIO bool
 	// Link is the fault model for the link between the kernel's two
 	// hosts. The zero value selects the historical default of a
@@ -144,19 +140,13 @@ func New(cfg Config) (*Kernel, kbase.Errno) {
 		return nil, err
 	}
 
-	// Async I/O: one kio engine over the root device, shared by the
-	// journal (batched commit) and the buffer cache (batched
-	// writeback). The mount recovered the journal synchronously above,
-	// so the engine only ever sees steady-state traffic.
-	if cfg.AsyncIO {
-		k.ioEngine = kio.New(k.rootDev)
-		if root, err := k.VFS.Resolve(k.Task, "/"); err == kbase.EOK {
-			if inst, ok := extlike.InstanceOf(root.Sb); ok {
-				inst.Journal().SetEngine(k.ioEngine)
-				inst.Cache().SetEngine(k.ioEngine)
-			}
-		}
-	}
+	// Block I/O: one kio engine over the root device, behind the root
+	// file system's buffer cache, through which both the journal's
+	// commits and the cache's writeback submit. The mount recovered the
+	// journal with direct device calls above, so the engine only ever
+	// sees steady-state traffic.
+	k.ioEngine = kio.New(k.rootDev)
+	k.wireRootFS(k.Task)
 
 	// Network: two linked hosts on the legacy stack.
 	k.hostA = k.Sim.AddHost(1)
@@ -194,15 +184,14 @@ func (k *Kernel) Close() {
 		k.Plane.Settle()
 		ktrace.SetProbeGuard(nil)
 	}
-	if k.ioEngine != nil {
-		k.ioEngine.Close()
-	}
+	k.ioEngine.Close()
 	if k.Recorder != nil {
 		kbase.InstallRecorder(nil)
 	}
 }
 
-// IOEngine returns the kio engine, or nil when AsyncIO is off.
+// IOEngine returns the kernel's kio engine over the root device (never
+// nil).
 func (k *Kernel) IOEngine() *kio.Engine { return k.ioEngine }
 
 // FSSafe reports whether the root file system has been upgraded.
@@ -423,9 +412,7 @@ func (k *Kernel) RegisterMetrics(m *ktrace.Metrics) {
 		m.Register("safetcp", k.safeEPA.CollectMetrics)
 		m.Register("safetcp", k.safeEPB.CollectMetrics)
 	}
-	if k.ioEngine != nil {
-		m.Register("kio", k.ioEngine.CollectMetrics)
-	}
+	m.Register("kio", k.ioEngine.CollectMetrics)
 	// Latency plane v2: SQE submit→complete latency is read through a
 	// live source (the engine is replaced on a kio hot-swap; a direct
 	// histogram registration would pin the old epoch's distribution),
@@ -433,9 +420,7 @@ func (k *Kernel) RegisterMetrics(m *ktrace.Metrics) {
 	// and register once — re-registration on a post-upgrade call is the
 	// expected duplicate and is ignored.
 	m.RegisterHistSource("kio", func(emit func(string, ktrace.HistView)) {
-		if eng := k.ioEngine; eng != nil {
-			emit("sqe_ns", eng.SQEHist().View())
-		}
+		emit("sqe_ns", k.ioEngine.SQEHist().View())
 	})
 	_ = safetcp.RegisterLatency(m)
 	_ = compartment.RegisterLatency(m)

@@ -30,13 +30,13 @@ func armLatencyPlane(t *testing.T) {
 }
 
 // TestLatencyPlaneEndToEnd drives a dirtying workload plus SyncAll
-// through an async-I/O kernel with the full latency plane armed, then
+// through a kernel with the full latency plane armed, then
 // checks the two tentpole claims: the slow-op watchdog auto-dumps a
 // span tree naming every subsystem the op crossed (VFS → journal →
 // buffer cache → kio), and every boundary op's latency is readable as
 // percentiles through the one metrics registry.
 func TestLatencyPlaneEndToEnd(t *testing.T) {
-	k, err := New(Config{Seed: 33, CaptureOops: true, AsyncIO: true})
+	k, err := New(Config{Seed: 33, CaptureOops: true})
 	if err != kbase.EOK {
 		t.Fatalf("boot: %v", err)
 	}
@@ -127,6 +127,33 @@ func TestLatencyPlaneEndToEnd(t *testing.T) {
 	}
 	if v, ok := m.Lookup("ktrace", "spans.started"); !ok || v == 0 {
 		t.Fatal("span-plane counters not exported")
+	}
+}
+
+// TestUnmountTracesJournal pins that an extlike unmount carries the
+// caller's task: its final commit and checkpoint appear in the span
+// tree of the traced VFS.Unmount.
+func TestUnmountTracesJournal(t *testing.T) {
+	k, err := New(Config{Seed: 34, CaptureOops: true})
+	if err != kbase.EOK {
+		t.Fatalf("boot: %v", err)
+	}
+	defer k.Close()
+	writeThrough(t, k.VFS, k.Task, "/f", "dirty before unmount")
+	armLatencyPlane(t)
+
+	if err := k.VFS.Unmount(k.Task, "/"); err != kbase.EOK {
+		t.Fatalf("Unmount: %v", err)
+	}
+	slow := ktrace.LastSlowOp()
+	if slow == nil || slow.Op != "vfs:unmount" {
+		t.Fatalf("last slow op %+v, want the vfs:unmount capture", slow)
+	}
+	joined := strings.Join(slow.Tree, "\n")
+	for _, sub := range []string{"journal:commit", "journal:checkpoint"} {
+		if !strings.Contains(joined, sub) {
+			t.Fatalf("unmount span tree missing %q:\n%s", sub, joined)
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ import (
 // batch path and the network stack depend on nothing else, read-only
 // stats of a dcache-hot path touch neither buf nor the engine.
 func TestPanicStormConvergence(t *testing.T) {
-	k := bootCompartmented(t, Config{Seed: 77, AsyncIO: true, Link: netNoLoss()})
+	k := bootCompartmented(t, Config{Seed: 77, Link: netNoLoss()})
 
 	// A committed, dcache-hot anchor for read-only bystander traffic.
 	// SyncAll commits it to the journal so it survives fs restarts.

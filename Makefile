@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json vet-strict kerncheck test race bench-smoke bench-parallel bench-trace bench-kio bench-net bench-net-quick bench-swap bench-fuzz fuzz-smoke panic-storm check
+.PHONY: all build vet lint lint-json vet-strict kerncheck test race bench-smoke bench-parallel bench-trace bench-kio bench-net bench-net-quick bench-swap bench-fuzz fuzz-smoke kbench-smoke panic-storm check
 
 all: check
 
@@ -93,6 +93,12 @@ bench-swap:
 # under -race in `make test`. See DESIGN.md "Fuzzing".
 fuzz-smoke:
 	$(GO) run ./cmd/kfuzz -smoke
+
+# kbench's own tests under the race detector: the smoke run of every
+# workload, determinism, and the model oracle that checks each op's
+# result. kbench is its own module, so it runs outside the workspace.
+kbench-smoke:
+	cd cmd/kbench && GOWORK=off $(GO) test -race .
 
 # The full 10k-program campaign with the BENCH_fuzz.json artifact
 # (coverage ratio gate: cumulative must be >=2x seed-corpus-only).

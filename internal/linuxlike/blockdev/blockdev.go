@@ -16,8 +16,9 @@
 // pending-write submission queue and the durable slots for its blocks,
 // so reads and writes to different shards never contend. A global
 // atomic sequence number stamps every cached write, which lets the
-// whole-device operations (Flush, Crash, Snapshot) reconstruct the
-// exact global issue order the crash model depends on.
+// crash model (Crash, CrashApplySubset) and Snapshot reconstruct the
+// exact global issue order. Flush needs only per-block order, which
+// each shard's queue already holds.
 package blockdev
 
 import (
@@ -357,14 +358,26 @@ func (d *Device) Flush() kbase.Errno {
 	d.cfg.Clock.Advance(d.cfg.FlushCost)
 	d.lockAll()
 	defer d.unlockAll()
-	// Apply in global issue order so the last write to a block wins
-	// even when concurrent submitters raced on the shard queue.
-	pending := d.pendingInOrderLocked()
-	for _, w := range pending {
-		d.durable[w.block] = w.data
+	// Every write to a block queues on that block's shard, so applying
+	// each shard's queue in issue order makes the last write to every
+	// block win; no cross-shard merge is needed. A queue is sorted only
+	// when concurrent submitters appended it slightly out of order.
+	n := 0
+	for i := range d.shards {
+		q := d.shards[i].pending
+		bySeq := func(a, b int) bool { return q[a].seq < q[b].seq }
+		if !sort.SliceIsSorted(q, bySeq) {
+			sort.Slice(q, bySeq)
+		}
+		for _, w := range q {
+			d.durable[w.block] = w.data
+		}
+		n += len(q)
+		// nil, not q[:0]: a reused backing array would keep the
+		// applied blocks' data reachable until overwritten.
+		d.shards[i].pending = nil
 	}
-	d.clearPendingLocked()
-	tpFlush.Emit(0, uint64(len(pending)), 0)
+	tpFlush.Emit(0, uint64(n), 0)
 	return kbase.EOK
 }
 

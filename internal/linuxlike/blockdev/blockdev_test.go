@@ -2,6 +2,7 @@ package blockdev
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -347,5 +348,70 @@ func TestWriteOwnedValidation(t *testing.T) {
 	d.FailNextWrites(1)
 	if e := d.WriteOwned(1, blockOf(d, 1)); e != kbase.EIO {
 		t.Fatalf("fault model: %v, want EIO", e)
+	}
+}
+
+// Property: with concurrent writers racing on a few blocks (several
+// sharing one shard), Flush makes durable exactly what Read returned
+// just before it — the newest cached write of every block. Flush
+// applies each shard's queue on its own, so this pins that no global
+// merge is needed for the last write to win. Meaningful under -race.
+func TestConcurrentFlushKeepsNewestWriteProperty(t *testing.T) {
+	blocks := []uint64{0, NumShards, 2 * NumShards, 1, NumShards + 1}
+	f := func(writersRaw, writesRaw uint8, salt byte) bool {
+		writers := 2 + int(writersRaw%4)
+		writes := 1 + int(writesRaw%16)
+		d := testDev(3 * NumShards)
+		var wg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < writes; i++ {
+					b := blocks[(g+i)%len(blocks)]
+					d.Write(b, blockOf(d, salt+byte(g*writes+i)))
+				}
+			}(g)
+		}
+		wg.Wait()
+		before := make(map[uint64][]byte)
+		for _, b := range blocks {
+			buf := make([]byte, d.BlockSize())
+			if d.Read(b, buf) != kbase.EOK {
+				return false
+			}
+			before[b] = buf
+		}
+		if d.Flush() != kbase.EOK || d.PendingWrites() != 0 {
+			return false
+		}
+		for _, b := range blocks {
+			durable := d.durable[b]
+			if durable == nil { // never written: an all-zero block
+				durable = make([]byte, d.BlockSize())
+			}
+			if !bytes.Equal(durable, before[b]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlushSortsOutOfOrderQueue: a shard queue appended out of issue
+// order (two submitters racing between taking a sequence number and
+// taking the shard lock) still flushes with the newest write winning.
+func TestFlushSortsOutOfOrderQueue(t *testing.T) {
+	d := testDev(8)
+	older, newer := blockOf(d, 0x01), blockOf(d, 0x02)
+	d.shard(3).pending = []pendingWrite{{seq: 2, block: 3, data: newer}, {seq: 1, block: 3, data: older}}
+	if e := d.Flush(); e != kbase.EOK {
+		t.Fatalf("Flush: %v", e)
+	}
+	if !bytes.Equal(d.durable[3], newer) {
+		t.Fatal("Flush applied an older write over a newer one")
 	}
 }

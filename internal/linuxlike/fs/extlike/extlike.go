@@ -226,8 +226,7 @@ func (o *inodeOps) CreateTyped(task *kbase.Task, dir *vfs.Inode, name string, mo
 	if err := inst.writeDiskInode(task, h, ino, &di); err != kbase.EOK {
 		return typedapi.Err[*vfs.Inode](err)
 	}
-	ents = append(ents, dirent{Ino: ino, Mode: diskMode, Name: name})
-	if err := inst.writeDir(task, h, dir, ei, ents); err != kbase.EOK {
+	if err := inst.writeDir(task, h, dir, ei, withEntry(ents, dirent{Ino: ino, Mode: diskMode, Name: name})); err != kbase.EOK {
 		return typedapi.Err[*vfs.Inode](err)
 	}
 	h.Stop()
@@ -310,8 +309,7 @@ func (inst *fsInstance) removeEntry(task *kbase.Task, dir *vfs.Inode, name strin
 
 	h := inst.begin()
 	defer h.Stop()
-	ents = append(ents[:i], ents[i+1:]...)
-	if err := inst.writeDir(task, h, dir, ei, ents); err != kbase.EOK {
+	if err := inst.writeDir(task, h, dir, ei, withoutEntry(ents, i)); err != kbase.EOK {
 		return err
 	}
 	if isDir {
@@ -493,21 +491,22 @@ func (o *inodeOps) Rename(task *kbase.Task, oldDir *vfs.Inode, oldName string, n
 		if err := inst.releaseInode(task, h, existing.Ino, xei); err != kbase.EOK {
 			return err
 		}
-		newEnts = append(newEnts[:ni], newEnts[ni+1:]...)
+		newEnts = withoutEntry(newEnts, ni)
 		if sameDir {
 			// Removing an entry shifts indices; refind the source.
 			oi = dirFind(newEnts, oldName)
 		}
 	}
 
+	// The entry slices are the directories' caches until writeDir
+	// replaces them: every edit below works on a fresh copy.
 	if sameDir {
-		newEnts[oi].Name = newName
-		if err := inst.writeDir(task, h, oldDir, oei, newEnts); err != kbase.EOK {
+		if err := inst.writeDir(task, h, oldDir, oei, withName(newEnts, oi, newName)); err != kbase.EOK {
 			return err
 		}
 	} else {
-		oldEnts = append(oldEnts[:oi], oldEnts[oi+1:]...)
-		newEnts = append(newEnts, dirent{Ino: moving.Ino, Mode: moving.Mode, Name: newName})
+		oldEnts = withoutEntry(oldEnts, oi)
+		newEnts = withEntry(newEnts, dirent{Ino: moving.Ino, Mode: moving.Mode, Name: newName})
 		if err := inst.writeDir(task, h, oldDir, oei, oldEnts); err != kbase.EOK {
 			return err
 		}

@@ -124,7 +124,7 @@ func Fsck(dev *blockdev.Device) (FsckReport, kbase.Errno) {
 		if di.Mode != modeDirDisk {
 			continue
 		}
-		ents, err := inst.readDir(nil, ei)
+		ents, err := inst.decodeDir(nil, ei)
 		if err != kbase.EOK {
 			rep.Problems = append(rep.Problems,
 				fmt.Sprintf("directory %d unreadable: %v", ino, err))

@@ -23,6 +23,12 @@ type einode struct {
 	// On crash the storage leaks, as in ext without orphan-list
 	// recovery.
 	orphan bool
+	// dirents caches a directory's decoded entries once dirCached is
+	// set (an empty directory caches a nil slice). Guarded by lock;
+	// readDir fills it, writeDir replaces it, and the slice is never
+	// modified in place.
+	dirents   []dirent
+	dirCached bool
 }
 
 // einodeOf downcasts Inode.Private through the vfs accessor, so the

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json vet-strict kerncheck test race bench-smoke bench-parallel bench-trace bench-kio bench-net bench-net-quick bench-swap bench-fuzz fuzz-smoke kbench-smoke panic-storm check
+.PHONY: all build vet lint lint-json vet-strict kerncheck test race bench-smoke bench-parallel bench-trace bench-kio bench-net bench-net-quick bench-swap bench-fuzz fuzz-smoke kbench-smoke kbench-ab panic-storm check
 
 all: check
 
@@ -99,6 +99,26 @@ fuzz-smoke:
 # result. kbench is its own module, so it runs outside the workspace.
 kbench-smoke:
 	cd cmd/kbench && GOWORK=off $(GO) test -race .
+
+# Alternating A/B pairs of kbench against another checkout, then
+# `kbench compare` (the loop in cmd/kbench/README.md). PARENT is a
+# checkout of the base commit; each side builds its own kbench. Which
+# side runs first alternates pair by pair. Records and run output go to
+# .bench_build/ab/; the target fails on a REGRESSION verdict.
+#
+#   make kbench-ab PARENT=../base WORKLOAD=fs-sync.legacy PAIRS=10
+WORKLOAD ?= all
+PAIRS ?= 10
+kbench-ab:
+	@test -n "$(PARENT)" || { echo "usage: make kbench-ab PARENT=<checkout> [WORKLOAD=<names>] [PAIRS=10]"; exit 2; }
+	@out="$(CURDIR)/.bench_build/ab"; rm -rf "$$out"; mkdir -p "$$out"; \
+	base() { (cd "$(PARENT)" && bash cmd/kbench/run.sh -workload $(WORKLOAD) -append -out "$$out/base.json") >> "$$out/runs.log" 2>&1; }; \
+	change() { bash cmd/kbench/run.sh -workload $(WORKLOAD) -append -out "$$out/new.json" >> "$$out/runs.log" 2>&1; }; \
+	for i in $$(seq $(PAIRS)); do \
+		echo "kbench-ab: pair $$i of $(PAIRS)"; \
+		if [ $$((i % 2)) = 1 ]; then base && change; else change && base; fi || { tail -20 "$$out/runs.log"; exit 1; }; \
+	done; \
+	bash cmd/kbench/run.sh compare "$$out/base.json" "$$out/new.json"
 
 # The full 10k-program campaign with the BENCH_fuzz.json artifact
 # (coverage ratio gate: cumulative must be >=2x seed-corpus-only).

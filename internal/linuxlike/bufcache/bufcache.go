@@ -38,8 +38,9 @@ var (
 )
 
 // Latency-plane ops: a cache miss that must fill from the device, and
-// the whole dirty-sync flush (exported as bufcache.fill_ns and
-// bufcache.sync_ns histograms; span children of the calling trace).
+// a writeback flush of the whole dirty set or of one file's blocks
+// (exported as bufcache.fill_ns and bufcache.sync_ns histograms; span
+// children of the calling trace).
 var (
 	opFill = ktrace.NewOp("bufcache:fill")
 	opSync = ktrace.NewOp("bufcache:sync")
@@ -545,9 +546,8 @@ func (c *Cache) doSyncDirty() kbase.Errno {
 	return c.doSyncDirtyCtx(nil)
 }
 
-// doSyncDirtyCtx submits every dirty buffer on one kio batch closed by
-// a barrier SQE, which stands in for the trailing device flush, and
-// executes the batch with a single Submit.
+// doSyncDirtyCtx writes every dirty buffer and issues the trailing
+// device flush.
 func (c *Cache) doSyncDirtyCtx(task *kbase.Task) kbase.Errno {
 	var toWrite []*BufferHead
 	for i := range c.shards {
@@ -558,6 +558,29 @@ func (c *Cache) doSyncDirtyCtx(task *kbase.Task) kbase.Errno {
 		}
 		s.mu.Unlock()
 	}
+	return c.writeBack(task, toWrite)
+}
+
+// doSyncBlocksCtx writes the dirty buffers among blocks (clean and
+// uncached blocks are skipped) and issues the trailing device flush.
+func (c *Cache) doSyncBlocksCtx(task *kbase.Task, blocks []uint64) kbase.Errno {
+	toWrite := make([]*BufferHead, 0, len(blocks))
+	for _, block := range blocks {
+		s := c.shard(block)
+		s.mu.Lock()
+		if bh, ok := s.dirty[block]; ok {
+			toWrite = append(toWrite, bh)
+		}
+		s.mu.Unlock()
+	}
+	return c.writeBack(task, toWrite)
+}
+
+// writeBack is the one writeback routine: it submits toWrite on one
+// kio batch closed by a barrier SQE, which stands in for the trailing
+// device flush, and executes the batch with a single Submit. Each
+// buffer written goes clean; a failed write sets BHWriteEIO.
+func (c *Cache) writeBack(task *kbase.Task, toWrite []*BufferHead) kbase.Errno {
 	bt := kio.OpBatch.Begin(task)
 	defer bt.End()
 	var firstErr kbase.Errno = kbase.EOK
@@ -604,6 +627,14 @@ func (c *Cache) DirtyCount() int {
 		s.mu.Unlock()
 	}
 	return n
+}
+
+// DirtyPressure reports whether dirty buffers fill at least half of a
+// bounded cache: dirty buffers cannot be evicted, so past this point
+// writers should start writeback (balance_dirty_pages). An unbounded
+// cache never reports pressure.
+func (c *Cache) DirtyPressure() bool {
+	return c.maxBufs > 0 && 2*c.DirtyCount() >= c.maxBufs
 }
 
 // Forget drops a buffer from the cache without writing it

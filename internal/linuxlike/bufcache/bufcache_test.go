@@ -84,6 +84,60 @@ func TestDirtyWritebackRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSyncBlocksWritesOnlyListed: SyncBlocksCtx writes the dirty
+// buffers among the listed blocks, skips clean and uncached ones,
+// leaves every other dirty buffer alone and flushes once.
+func TestSyncBlocksWritesOnlyListed(t *testing.T) {
+	c := testCache(t, 0)
+	for _, block := range []uint64{3, 4, 5} {
+		bh, _ := c.Bread(block)
+		bh.Data[0] = byte(block)
+		bh.MarkDirty()
+		bh.Put()
+	}
+	clean, _ := c.Bread(6)
+	clean.Put()
+	before := c.Device().Stats()
+	if err := c.SyncBlocksCtx(nil, []uint64{3, 5, 6, 7}); err != kbase.EOK {
+		t.Fatalf("SyncBlocksCtx: %v", err)
+	}
+	after := c.Device().Stats()
+	if w, f := after.Writes-before.Writes, after.Flushes-before.Flushes; w != 2 || f != 1 {
+		t.Fatalf("SyncBlocksCtx issued %d writes and %d flushes, want 2 and 1", w, f)
+	}
+	if c.DirtyCount() != 1 {
+		t.Fatalf("DirtyCount = %d, want block 4 alone", c.DirtyCount())
+	}
+	c.Device().CrashApplyNone()
+	c.Invalidate()
+	for block, want := range map[uint64]byte{3: 3, 4: 0, 5: 5} {
+		bh, _ := c.Bread(block)
+		if bh.Data[0] != want {
+			t.Errorf("block %d after crash = %#x, want %#x", block, bh.Data[0], want)
+		}
+		bh.Put()
+	}
+}
+
+// TestDirtyPressure: only a bounded cache at least half full of dirty
+// buffers reports pressure.
+func TestDirtyPressure(t *testing.T) {
+	for _, tc := range []struct {
+		maxBufs, dirty int
+		want           bool
+	}{{0, 6, false}, {8, 3, false}, {8, 4, true}} {
+		c := testCache(t, tc.maxBufs)
+		for block := 0; block < tc.dirty; block++ {
+			bh, _ := c.Bread(uint64(block))
+			bh.MarkDirty()
+			bh.Put()
+		}
+		if got := c.DirtyPressure(); got != tc.want {
+			t.Errorf("max %d, %d dirty: DirtyPressure = %v, want %v", tc.maxBufs, tc.dirty, got, tc.want)
+		}
+	}
+}
+
 func TestUnflushedDirtyLostOnCrash(t *testing.T) {
 	c := testCache(t, 0)
 	bh, _ := c.Bread(9)

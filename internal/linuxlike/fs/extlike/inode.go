@@ -1,6 +1,8 @@
 package extlike
 
 import (
+	"slices"
+
 	"safelinux/internal/linuxlike/bufcache"
 	"safelinux/internal/linuxlike/journal"
 	"safelinux/internal/linuxlike/kbase"
@@ -26,9 +28,26 @@ type einode struct {
 	// dirents caches a directory's decoded entries once dirCached is
 	// set (an empty directory caches a nil slice). Guarded by lock;
 	// readDir fills it, writeDir replaces it, and the slice is never
-	// modified in place.
-	dirents   []dirent
+	// modified in place. dirCached sits beside orphan so the two bools
+	// share one word.
 	dirCached bool
+	dirents   []dirent
+	// dirtyData lists, once each, the data blocks of a regular file
+	// dirtied since its last fsync: the set Fsync writes and drains.
+	// Guarded by lock. Freeing a block drops it, so a block reused by
+	// another file is never written on that file's behalf. A block a
+	// checkpoint cleaned may stay listed until the next fsync, which
+	// skips it; the list never outgrows the file's block map.
+	dirtyData []uint64
+}
+
+// noteDirtyData adds block, a data block of ei just dirtied, to the
+// fsync set. Directory blocks are journaled metadata and stay out.
+// Caller holds ei.lock.
+func (ei *einode) noteDirtyData(block uint64) {
+	if ei.di.Mode == modeRegDisk && !slices.Contains(ei.dirtyData, block) {
+		ei.dirtyData = append(ei.dirtyData, block)
+	}
 }
 
 // einodeOf downcasts Inode.Private through the vfs accessor, so the
@@ -243,8 +262,9 @@ func (inst *fsInstance) readFileRange(task *kbase.Task, ei *einode, buf []byte, 
 }
 
 // writeFileRange writes data at off into ei under h, allocating
-// blocks as needed. Data blocks are dirtied in the cache (writeback);
-// only allocation metadata is journaled. Size is NOT updated here.
+// blocks as needed. Data blocks are dirtied in the cache (writeback)
+// and join ei's fsync set; only allocation metadata is journaled. Size
+// is NOT updated here.
 func (inst *fsInstance) writeFileRange(task *kbase.Task, h *journal.Handle, ei *einode, data []byte, off int64) (int, kbase.Errno) {
 	if uint64(off)+uint64(len(data)) > inst.geo.MaxFileSize() {
 		return 0, kbase.EFBIG
@@ -277,6 +297,7 @@ func (inst *fsInstance) writeFileRange(task *kbase.Task, h *journal.Handle, ei *
 		}
 		copy(bh.Data[inBlock:], data[n:n+want])
 		bh.MarkDirty()
+		ei.noteDirtyData(blk)
 		_ = bh.Put() // brelse-style release; over-release is already oopsed
 		n += want
 	}
@@ -308,13 +329,29 @@ func (inst *fsInstance) truncateBlocks(task *kbase.Task, h *journal.Handle, ei *
 				bh.Data[i] = 0
 			}
 			bh.MarkDirty()
+			ei.noteDirtyData(blk)
 			_ = bh.Put() // brelse-style release; over-release is already oopsed
 		}
 	}
 
+	// freeData releases one data block of ei. A file's block leaves the
+	// fsync set. A directory's block was logged as metadata, so it is
+	// revoked: its next owner's fsync writes the home location without
+	// a checkpoint, and replaying an older copy would overwrite that.
+	freeData := func(blk uint64) kbase.Errno {
+		if err := inst.freeBlock(task, h, blk); err != kbase.EOK {
+			return err
+		}
+		if ei.di.Mode == modeDirDisk {
+			return h.Revoke(blk)
+		}
+		ei.dirtyData = slices.DeleteFunc(ei.dirtyData, func(b uint64) bool { return b == blk })
+		return kbase.EOK
+	}
+
 	for fb := keep; fb < NumDirect; fb++ {
 		if ei.di.Direct[fb] != 0 {
-			if err := inst.freeBlock(task, h, ei.di.Direct[fb]); err != kbase.EOK {
+			if err := freeData(ei.di.Direct[fb]); err != kbase.EOK {
 				return err
 			}
 			ei.di.Direct[fb] = 0
@@ -335,7 +372,7 @@ func (inst *fsInstance) truncateBlocks(task *kbase.Task, h *journal.Handle, ei *
 			if blk == 0 {
 				continue
 			}
-			if err := inst.freeBlock(task, h, blk); err != kbase.EOK {
+			if err := freeData(blk); err != kbase.EOK {
 				_ = ibh.Put() // brelse-style release; over-release is already oopsed
 				return err
 			}

@@ -4,7 +4,7 @@
 // in order on the calling goroutine, each SQE straight on the device,
 // and publishes every completion (CQE) into the batch's Ticket for
 // Wait/Err-style joins. It is the only block path of the journal's
-// commit and the buffer cache's writeback.
+// commit and superblock writes and of the buffer cache's writeback.
 //
 // The engine exists to turn the paper's §4.3 performance claim into a
 // measured number: ownership-sharing interfaces are semantically

@@ -110,7 +110,15 @@ func BenchmarkAblationDcacheWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	hits, misses, _ := v.DcacheStats()
+	var hits, misses uint64
+	v.CollectMetrics(func(name string, val uint64) {
+		switch name {
+		case "dcache_hits":
+			hits = val
+		case "dcache_misses":
+			misses = val
+		}
+	})
 	b.ReportMetric(float64(hits)/float64(hits+misses), "hit-ratio")
 }
 

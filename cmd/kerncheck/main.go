@@ -1,17 +1,10 @@
 // Command kerncheck is the kernel's static-analysis multichecker: it
-// runs the nine kerncheck analyzers (anyboundary, compartguard,
-// droppederr, errptr, lockorder, ownescape, refbalance, sleepatomic,
-// useaftermove) over every package of the module and enforces the
-// zero-findings policy from DESIGN.md: with the legacy baseline
-// drained and deleted, ANY finding anywhere in the tree fails the
-// build.
-//
-// The ratchet machinery is still here for future debt: if a baseline
-// file exists, non-strict packages are compared against it instead
-// (new violations fail, counts may only go down), and entries for
-// packages that no longer exist are flagged as stale — a rename would
-// otherwise park its debt allowance on a ghost path. `-prune` rewrites
-// the baseline without the stale entries.
+// runs the ten kerncheck analyzers (anyboundary, compartguard,
+// deadexport, droppederr, errptr, lockorder, ownescape, refbalance,
+// sleepatomic, useaftermove) over every package of the module —
+// cmd/kbench's nested module included — and enforces the
+// zero-findings policy from DESIGN.md: ANY finding anywhere in the
+// tree fails the build.
 //
 // Usage:
 //
@@ -19,14 +12,18 @@
 //	kerncheck -report              # also print per-subsystem and CWE tables
 //	kerncheck -json                # machine-readable report + per-pass timing
 //	kerncheck -list                # print every finding
-//	kerncheck -prune               # drop stale baseline entries (if a baseline exists)
-//	kerncheck -update-baseline     # rewrite the ratchet (only for future debt)
+//	kerncheck internal/safemod     # report only packages under these prefixes
+//
+// A narrowed run still loads the whole module: deadexport's use set
+// is whole-program, only the reporting is narrowed.
 //
 // Individual findings can be suppressed with an audited directive:
 //
 //	//kerncheck:ignore <analyzer> <reason...>
 //
-// The reason is mandatory; a bare directive is void.
+// The reason is mandatory; a bare directive is void. A directive that
+// names no analyzer is a finding, and so, in an un-narrowed run, is
+// one that suppresses nothing.
 package main
 
 import (
@@ -34,13 +31,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"safelinux/internal/analysis"
 	"safelinux/internal/analysis/passes/anyboundary"
 	"safelinux/internal/analysis/passes/compartguard"
+	"safelinux/internal/analysis/passes/deadexport"
 	"safelinux/internal/analysis/passes/droppederr"
 	"safelinux/internal/analysis/passes/errptr"
 	"safelinux/internal/analysis/passes/lockorder"
@@ -54,6 +51,7 @@ import (
 var analyzers = []*analysis.Analyzer{
 	anyboundary.Analyzer,
 	compartguard.Analyzer,
+	deadexport.Analyzer,
 	droppederr.Analyzer,
 	errptr.Analyzer,
 	lockorder.Analyzer,
@@ -77,12 +75,6 @@ type jsonReport struct {
 
 func main() {
 	var (
-		baselinePath = flag.String("baseline", "analysis/baseline.json",
-			"ratchet baseline file, relative to the module root (absent = strict zero findings tree-wide)")
-		update = flag.Bool("update-baseline", false,
-			"rewrite the baseline from the current findings (only for future debt; the tree is at zero)")
-		prune = flag.Bool("prune", false,
-			"rewrite the baseline without entries for packages that no longer exist")
 		report = flag.Bool("report", false,
 			"print per-subsystem violation counts and the cvedb CWE categorization")
 		list   = flag.Bool("list", false, "print every finding")
@@ -97,63 +89,81 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	os.Exit(run(*baselinePath, *update, *prune, *report, *list, *asJSON, flag.Args()))
+	os.Exit(run(*report, *list, *asJSON, flag.Args()))
 }
 
-func run(baselinePath string, update, prune, report, list, asJSON bool, prefixes []string) int {
-	start := time.Now()
+// result is one kerncheck run before it is printed.
+type result struct {
+	findings []analysis.Finding
+	packages int
+	timing   map[string]time.Duration
+}
+
+// check loads every package of the module and runs the analyzers over
+// those under prefixes (all of them when prefixes is empty).
+func check(prefixes []string) (result, error) {
 	cwd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "kerncheck:", err)
-		return 2
+		return result{}, err
 	}
 	root, err := analysis.FindModuleRoot(cwd)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "kerncheck:", err)
-		return 2
+		return result{}, err
 	}
-	allPaths, err := analysis.ListPackages(root)
+	paths, err := analysis.ListPackages(root)
+	if err != nil {
+		return result{}, err
+	}
+	loader := analysis.NewLoader()
+	var program, scope []*analysis.Package
+	for _, p := range paths {
+		pkg, err := loader.LoadDir(analysis.DirForImport(root, p), p)
+		if err != nil {
+			return result{}, err
+		}
+		program = append(program, pkg)
+		if inScope(p, prefixes) {
+			scope = append(scope, pkg)
+		}
+	}
+	c := &analysis.Checker{
+		Analyzers:    analyzers,
+		Program:      program,
+		ReportUnused: len(prefixes) == 0,
+		Timing:       make(map[string]time.Duration, len(analyzers)),
+	}
+	res := result{packages: len(scope), timing: c.Timing}
+	for _, pkg := range scope {
+		fs, err := c.Run(pkg)
+		if err != nil {
+			return result{}, err
+		}
+		res.findings = append(res.findings, fs...)
+	}
+	analysis.SortFindings(res.findings)
+	return res, nil
+}
+
+func inScope(path string, prefixes []string) bool {
+	if len(prefixes) == 0 {
+		return true
+	}
+	for _, pre := range prefixes {
+		if strings.HasPrefix(path, pre) || strings.HasPrefix(path, analysis.ModulePath+"/"+pre) {
+			return true
+		}
+	}
+	return false
+}
+
+func run(report, list, asJSON bool, prefixes []string) int {
+	start := time.Now()
+	res, err := check(prefixes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kerncheck:", err)
 		return 2
 	}
-	paths := allPaths
-	if len(prefixes) > 0 {
-		var kept []string
-		for _, p := range paths {
-			for _, pre := range prefixes {
-				if strings.HasPrefix(p, pre) || strings.HasPrefix(p, analysis.ModulePath+"/"+pre) {
-					kept = append(kept, p)
-					break
-				}
-			}
-		}
-		paths = kept
-	}
-
-	loader := analysis.NewLoader()
-	var findings []analysis.Finding
-	timings := make(map[string]time.Duration, len(analyzers))
-	for _, p := range paths {
-		pkg, err := loader.LoadDir(analysis.DirForImport(root, p), p)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kerncheck: %v\n", err)
-			return 2
-		}
-		// One analyzer at a time so the wall clock is attributable:
-		// the lint budget in CI is enforced per pass.
-		for _, a := range analyzers {
-			t0 := time.Now()
-			fs, err := analysis.Run([]*analysis.Analyzer{a}, pkg)
-			timings[a.Name] += time.Since(t0)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "kerncheck: %v\n", err)
-				return 2
-			}
-			findings = append(findings, fs...)
-		}
-	}
-	analysis.SortFindings(findings)
+	findings := res.findings
 
 	if list {
 		for _, f := range findings {
@@ -165,14 +175,14 @@ func run(baselinePath string, update, prune, report, list, asJSON bool, prefixes
 		rep := jsonReport{
 			Report:   analysis.NewReport(findings),
 			Findings: findings,
-			Packages: len(paths),
-			TimingMS: make(map[string]float64, len(timings)),
+			Packages: res.packages,
+			TimingMS: make(map[string]float64, len(res.timing)),
 			WallMS:   float64(time.Since(start).Microseconds()) / 1000,
 		}
 		if rep.Findings == nil {
 			rep.Findings = []analysis.Finding{}
 		}
-		for name, d := range timings {
+		for name, d := range res.timing {
 			rep.TimingMS[name] = float64(d.Microseconds()) / 1000
 		}
 		enc := json.NewEncoder(os.Stdout)
@@ -188,101 +198,22 @@ func run(baselinePath string, update, prune, report, list, asJSON bool, prefixes
 		fmt.Print(cvedb.RenderStaticFindings(findings))
 	}
 
-	bpath := filepath.Join(root, filepath.FromSlash(baselinePath))
-	if update {
-		b := analysis.NewBaseline(findings)
-		if err := b.Save(bpath); err != nil {
-			fmt.Fprintln(os.Stderr, "kerncheck:", err)
-			return 2
-		}
-		fmt.Printf("kerncheck: baseline updated: %d legacy violation(s) in %s\n", b.Total(), baselinePath)
-	}
-
-	// Strict tier: zero-tolerance packages fail on any finding, with or
-	// without a baseline.
-	fail := 0
-	if strict := analysis.StrictViolations(findings); len(strict) > 0 {
-		fail = 1
-		fmt.Fprintf(os.Stderr, "kerncheck: %d violation(s) in zero-tolerance packages:\n", len(strict))
-		for _, f := range strict {
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "kerncheck: %d violation(s) against the zero-findings policy:\n", len(findings))
+		for _, f := range findings {
 			fmt.Fprintf(os.Stderr, "  %s\n", f)
 		}
+		fmt.Fprintf(os.Stderr, "  (fix the findings or suppress each one with an audited\n"+
+			"   //kerncheck:ignore <analyzer> <reason> directive)\n")
+		return 1
 	}
-
-	if _, err := os.Stat(bpath); os.IsNotExist(err) {
-		// No ratchet: the whole tree runs at zero findings. This is the
-		// steady state since the legacy baseline was drained and deleted.
-		rest := 0
-		for _, f := range findings {
-			if !analysis.StrictPackage(f.Pkg) {
-				rest++
-			}
+	if !report && !list && !asJSON {
+		where := "tree-wide"
+		if len(prefixes) > 0 {
+			where = "in scope"
 		}
-		if rest > 0 {
-			fail = 1
-			fmt.Fprintf(os.Stderr, "kerncheck: %d violation(s) against the zero-findings policy:\n", rest)
-			for _, f := range findings {
-				if !analysis.StrictPackage(f.Pkg) {
-					fmt.Fprintf(os.Stderr, "  %s\n", f)
-				}
-			}
-			fmt.Fprintf(os.Stderr, "  (the tree carries no baseline: fix the findings or suppress each one\n"+
-				"   with an audited //kerncheck:ignore <analyzer> <reason> directive)\n")
-		}
-		if fail == 0 && !update && !report && !list && !asJSON {
-			fmt.Printf("kerncheck: ok (%d package(s), 9 passes, zero findings tree-wide)\n", len(paths))
-		}
-		return fail
+		fmt.Printf("kerncheck: ok (%d package(s), %d passes, zero findings %s)\n",
+			res.packages, len(analyzers), where)
 	}
-
-	// Legacy ratchet mode: a baseline file exists.
-	base, err := analysis.LoadBaseline(bpath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kerncheck:", err)
-		return 2
-	}
-	// Staleness is judged against the FULL module package list even
-	// when prefixes narrow this run, so a scoped invocation cannot
-	// misread live packages as gone.
-	if stale := base.Stale(allPaths); len(stale) > 0 {
-		if prune {
-			n := base.Prune(stale)
-			if err := base.Save(bpath); err != nil {
-				fmt.Fprintln(os.Stderr, "kerncheck:", err)
-				return 2
-			}
-			fmt.Printf("kerncheck: pruned %d stale baseline entr(ies) from %s\n", n, baselinePath)
-		} else {
-			fail = 1
-			fmt.Fprintf(os.Stderr, "kerncheck: %d stale baseline entr(ies) — a renamed or deleted package\n"+
-				"  keeps its debt allowance parked where it can hide regressions; run `kerncheck -prune`:\n", len(stale))
-			for _, e := range stale {
-				fmt.Fprintf(os.Stderr, "  %s\n", e)
-			}
-		}
-	} else if prune {
-		fmt.Println("kerncheck: no stale baseline entries")
-	}
-	regressions, improvements := base.Compare(findings)
-	if len(regressions) > 0 {
-		fail = 1
-		fmt.Fprintf(os.Stderr, "kerncheck: new violations beyond the committed baseline:\n")
-		for _, r := range regressions {
-			fmt.Fprintf(os.Stderr, "  %s\n", r)
-		}
-		fmt.Fprintf(os.Stderr, "  (run `kerncheck -list` to see individual findings; fix them — do not\n"+
-			"   reach for -update-baseline, the ratchet only turns one way)\n")
-	}
-	if len(improvements) > 0 && !update {
-		fmt.Printf("kerncheck: %d baseline entr(ies) improved — run `kerncheck -update-baseline` to lock in:\n",
-			len(improvements))
-		for _, r := range improvements {
-			fmt.Printf("  %s\n", r)
-		}
-	}
-	if fail == 0 && !update && !report && !list && !asJSON {
-		fmt.Printf("kerncheck: ok (%d package(s), %d baselined legacy violation(s), 0 new)\n",
-			len(paths), base.Total())
-	}
-	return fail
+	return 0
 }

@@ -8,12 +8,10 @@
 // runtime by a test that happens to execute the bug" to "guaranteed at
 // compile time": each analyzer under passes/ enforces one invariant
 // that the runtime machinery (lockdep, the ownership checker, the
-// refinement engine) can only check dynamically. Legacy violations
-// were once carried by a committed ratchet baseline
-// (analysis/baseline.json, 70 findings at introduction); the baseline
-// has been drained and deleted, and CI now fails on ANY finding
-// anywhere in the tree. The Baseline type remains for future debt —
-// see cmd/kerncheck for the enforcement policy.
+// refinement engine) can only check dynamically. CI fails on ANY
+// finding anywhere in the tree — see cmd/kerncheck for the
+// enforcement policy. Whole-program passes (deadexport) see every
+// loaded package through Analyzer.Prepare.
 package analysis
 
 import (
@@ -23,18 +21,24 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+	"time"
 )
 
 // Analyzer is one static check, mirroring go/analysis.Analyzer.
 type Analyzer struct {
-	// Name identifies the analyzer in reports, baselines, and
-	// kerncheck:ignore directives. Lowercase, no spaces.
+	// Name identifies the analyzer in reports and kerncheck:ignore
+	// directives. Lowercase, no spaces.
 	Name string
 	// Doc is the one-paragraph description shown by kerncheck -help.
 	Doc string
 	// Run performs the check on one package and reports diagnostics
 	// through the pass.
 	Run func(*Pass) error
+	// Prepare, set instead of Run by a whole-program pass, runs once
+	// per program before any package is checked and returns the
+	// per-package check, bound to the cross-package state it
+	// collected.
+	Prepare func(program []*Package) (func(*Pass) error, error)
 }
 
 // Pass carries one analyzed package to an analyzer, mirroring
@@ -63,8 +67,7 @@ type Diagnostic struct {
 	Message  string
 }
 
-// Finding is one resolved violation, the unit of baselines and
-// reports.
+// Finding is one resolved violation, the unit of reports.
 type Finding struct {
 	Analyzer string `json:"analyzer"`
 	Category string `json:"category"`
@@ -107,44 +110,42 @@ func SortFindings(fs []Finding) {
 // analyzer) reported on the directive's line, the next line, or any
 // line of the declaration the directive is attached to as a doc
 // comment. Each use must carry a reason; bare directives are ignored
-// (so they cannot silently accumulate).
+// (so they cannot silently accumulate). A directive naming no analyzer
+// of the run is itself a finding, and so, in a run over the whole
+// tree, is one that suppressed nothing: neither may read as audited.
 const ignorePrefix = "//kerncheck:ignore "
 
-// ignoreSet records which (analyzer, line) pairs are suppressed in
-// one file.
+// directive is one parsed ignore comment.
+type directive struct {
+	pos  token.Pos
+	name string
+	used bool
+}
+
+// ignoreSet records which directives cover each line of one file.
 type ignoreSet struct {
-	// byLine maps line -> analyzer names ("all" wildcards).
-	byLine map[int][]string
+	all    []*directive
+	byLine map[int][]*directive
 }
 
 // collectIgnores scans a file's comments for directives. Directives in
 // a declaration's doc comment suppress the whole declaration's span.
 func collectIgnores(fset *token.FileSet, file *ast.File) ignoreSet {
-	set := ignoreSet{byLine: make(map[int][]string)}
-	mark := func(line int, name string) {
-		set.byLine[line] = append(set.byLine[line], name)
-	}
-	directive := func(c *ast.Comment) (string, bool) {
-		if !strings.HasPrefix(c.Text, ignorePrefix) {
-			return "", false
-		}
-		rest := strings.TrimPrefix(c.Text, ignorePrefix)
-		parts := strings.Fields(rest)
-		if len(parts) < 2 {
-			// No reason given: directive is void by design.
-			return "", false
-		}
-		return parts[0], true
-	}
+	set := ignoreSet{byLine: make(map[int][]*directive)}
+	parsed := make(map[*ast.Comment]*directive)
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			name, ok := directive(c)
-			if !ok {
+			parts := strings.Fields(strings.TrimPrefix(c.Text, ignorePrefix))
+			if !strings.HasPrefix(c.Text, ignorePrefix) || len(parts) < 2 {
+				// Not a directive, or no reason given: void by design.
 				continue
 			}
+			d := &directive{pos: c.Pos(), name: parts[0]}
+			parsed[c] = d
+			set.all = append(set.all, d)
 			line := fset.Position(c.Pos()).Line
-			mark(line, name)
-			mark(line+1, name)
+			set.byLine[line] = append(set.byLine[line], d)
+			set.byLine[line+1] = append(set.byLine[line+1], d)
 		}
 	}
 	// Doc-comment directives cover the full declaration span.
@@ -160,39 +161,88 @@ func collectIgnores(fset *token.FileSet, file *ast.File) ignoreSet {
 			continue
 		}
 		for _, c := range doc.List {
-			name, ok := directive(c)
-			if !ok {
-				continue
-			}
-			from := fset.Position(decl.Pos()).Line
-			to := fset.Position(decl.End()).Line
-			for line := from; line <= to; line++ {
-				mark(line, name)
+			if d := parsed[c]; d != nil {
+				from := fset.Position(decl.Pos()).Line
+				to := fset.Position(decl.End()).Line
+				for line := from; line <= to; line++ {
+					set.byLine[line] = append(set.byLine[line], d)
+				}
 			}
 		}
 	}
 	return set
 }
 
-func (s ignoreSet) suppressed(analyzer string, line int) bool {
-	for _, name := range s.byLine[line] {
-		if name == analyzer || name == "all" {
-			return true
+// suppress reports whether a directive covers analyzer on line, and
+// marks every covering directive used.
+func (s ignoreSet) suppress(analyzer string, line int) bool {
+	hit := false
+	for _, d := range s.byLine[line] {
+		if d.name == analyzer || d.name == "all" {
+			d.used = true
+			hit = true
 		}
 	}
-	return false
+	return hit
 }
 
-// Run applies analyzers to pkg and returns the surviving findings,
-// sorted. Suppressed diagnostics (kerncheck:ignore) are dropped here,
-// so they never reach baselines or strict enforcement.
-func Run(analyzers []*Analyzer, pkg *Package) ([]Finding, error) {
+// Checker applies a fixed list of analyzers to the packages of one
+// program.
+type Checker struct {
+	Analyzers []*Analyzer
+	// Program is every package of the run, including those outside
+	// the reporting scope; whole-program analyzers prepare over it.
+	Program []*Package
+	// ReportUnused makes a directive that suppressed nothing a
+	// finding. Set it only when every package of Program is checked.
+	ReportUnused bool
+	// Timing accumulates each analyzer's wall time, its Prepare
+	// included.
+	Timing map[string]time.Duration
+
+	prepared map[*Analyzer]func(*Pass) error
+}
+
+// Run applies the analyzers to pkg and returns the surviving findings,
+// sorted. Suppressed diagnostics (kerncheck:ignore) are dropped here;
+// unknown and (with ReportUnused) unused directives are added.
+func (c *Checker) Run(pkg *Package) ([]Finding, error) {
+	if c.Timing == nil {
+		c.Timing = make(map[string]time.Duration)
+	}
+	if c.prepared == nil {
+		c.prepared = make(map[*Analyzer]func(*Pass) error)
+	}
 	ignores := make(map[*token.File]ignoreSet)
 	for _, f := range pkg.Files {
 		ignores[pkg.Fset.File(f.Pos())] = collectIgnores(pkg.Fset, f)
 	}
 	var out []Finding
-	for _, a := range analyzers {
+	add := func(analyzer string, d Diagnostic) {
+		pos := pkg.Fset.Position(d.Pos)
+		out = append(out, Finding{
+			Analyzer: analyzer,
+			Category: d.Category,
+			Pkg:      pkg.Path,
+			Pos:      fmt.Sprintf("%s:%d:%d", shortFile(pos.Filename), pos.Line, pos.Column),
+			Message:  d.Message,
+		})
+	}
+	known := map[string]bool{"all": true}
+	for _, a := range c.Analyzers {
+		known[a.Name] = true
+		t0 := time.Now()
+		run := a.Run
+		if a.Prepare != nil {
+			if c.prepared[a] == nil {
+				check, err := a.Prepare(c.Program)
+				if err != nil {
+					return nil, fmt.Errorf("%s: %w", a.Name, err)
+				}
+				c.prepared[a] = check
+			}
+			run = c.prepared[a]
+		}
 		pass := &Pass{
 			Analyzer: a,
 			Fset:     pkg.Fset,
@@ -202,30 +252,37 @@ func Run(analyzers []*Analyzer, pkg *Package) ([]Finding, error) {
 			PkgPath:  pkg.Path,
 		}
 		pass.report = func(d Diagnostic) {
-			pos := pkg.Fset.Position(d.Pos)
 			if tf := pkg.Fset.File(d.Pos); tf != nil {
-				if set, ok := ignores[tf]; ok && set.suppressed(a.Name, pos.Line) {
+				if set, ok := ignores[tf]; ok && set.suppress(a.Name, tf.Line(d.Pos)) {
 					return
 				}
 			}
-			out = append(out, Finding{
-				Analyzer: a.Name,
-				Category: d.Category,
-				Pkg:      pkg.Path,
-				Pos:      fmt.Sprintf("%s:%d:%d", shortFile(pos.Filename), pos.Line, pos.Column),
-				Message:  d.Message,
-			})
+			add(a.Name, d)
 		}
-		if err := a.Run(pass); err != nil {
+		err := run(pass)
+		c.Timing[a.Name] += time.Since(t0)
+		if err != nil {
 			return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
+		}
+	}
+	for _, set := range ignores {
+		for _, d := range set.all {
+			switch {
+			case !known[d.name]:
+				add("kerncheck", Diagnostic{Pos: d.pos, Category: "ignore",
+					Message: fmt.Sprintf("ignore directive names unknown analyzer %q", d.name)})
+			case c.ReportUnused && !d.used:
+				add("kerncheck", Diagnostic{Pos: d.pos, Category: "ignore",
+					Message: fmt.Sprintf("ignore directive for %s suppresses nothing", d.name)})
+			}
 		}
 	}
 	SortFindings(out)
 	return out, nil
 }
 
-// shortFile strips directories from a file path: baseline entries must
-// not depend on where the repo is checked out.
+// shortFile strips directories from a file path: reported positions
+// must not depend on where the repo is checked out.
 func shortFile(path string) string {
 	if i := strings.LastIndexByte(path, '/'); i >= 0 {
 		return path[i+1:]

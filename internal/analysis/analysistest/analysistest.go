@@ -8,10 +8,11 @@
 // on its line whose message matches the regular expression; several
 // patterns may follow one want. Lines without a want comment must
 // produce no diagnostics.
+//
+//kerncheck:ignore deadexport a test helper: only the passes' tests import it
 package analysistest
 
 import (
-	"fmt"
 	"go/ast"
 	"path/filepath"
 	"regexp"
@@ -24,6 +25,7 @@ import (
 
 // expectation is one want pattern awaiting a diagnostic.
 type expectation struct {
+	pkg  string
 	file string // basename
 	line int
 	re   *regexp.Regexp
@@ -64,7 +66,7 @@ func parseWants(t testing.TB, pkg *analysis.Package, f *ast.File) []*expectation
 				if err != nil {
 					t.Fatalf("%s:%d: bad want regexp %q: %v", file, line, pat, err)
 				}
-				out = append(out, &expectation{file: file, line: line, re: re})
+				out = append(out, &expectation{pkg: pkg.Path, file: file, line: line, re: re})
 			}
 		}
 	}
@@ -81,13 +83,44 @@ func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) {
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}
-	var wants []*expectation
-	for _, f := range pkg.Files {
-		wants = append(wants, parseWants(t, pkg, f)...)
+	check(t, a, []*analysis.Package{pkg})
+}
+
+// RunProgram loads the testdata packages testdata/src/<path> for each
+// path as one program (they may import each other by those paths),
+// applies the analyzer to every one of them, and matches diagnostics
+// against want comments in all their files.
+func RunProgram(t *testing.T, a *analysis.Analyzer, paths ...string) {
+	t.Helper()
+	loader := analysis.NewLoader()
+	for _, p := range paths {
+		loader.Map(p, TestdataDir(p))
 	}
-	findings, err := analysis.Run([]*analysis.Analyzer{a}, pkg)
-	if err != nil {
-		t.Fatalf("run %s on %s: %v", a.Name, importPath, err)
+	var pkgs []*analysis.Package
+	for _, p := range paths {
+		pkg, err := loader.LoadDir(TestdataDir(p), p)
+		if err != nil {
+			t.Fatalf("load %s: %v", p, err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	check(t, a, pkgs)
+}
+
+func check(t *testing.T, a *analysis.Analyzer, pkgs []*analysis.Package) {
+	t.Helper()
+	c := &analysis.Checker{Analyzers: []*analysis.Analyzer{a}, Program: pkgs, ReportUnused: true}
+	var wants []*expectation
+	var findings []analysis.Finding
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			wants = append(wants, parseWants(t, pkg, f)...)
+		}
+		fs, err := c.Run(pkg)
+		if err != nil {
+			t.Fatalf("run %s on %s: %v", a.Name, pkg.Path, err)
+		}
+		findings = append(findings, fs...)
 	}
 	for _, f := range findings {
 		// Pos is "file.go:line:col".
@@ -98,7 +131,7 @@ func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) {
 		line, _ := strconv.Atoi(parts[1])
 		matched := false
 		for _, w := range wants {
-			if w.hit || w.file != parts[0] || w.line != line {
+			if w.hit || w.pkg != f.Pkg || w.file != parts[0] || w.line != line {
 				continue
 			}
 			if w.re.MatchString(f.Message) {
@@ -108,12 +141,12 @@ func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) {
 			}
 		}
 		if !matched {
-			t.Errorf("%s: unexpected diagnostic: %s", f.Pos, f.Message)
+			t.Errorf("%s: %s: unexpected diagnostic: %s", f.Pkg, f.Pos, f.Message)
 		}
 	}
 	for _, w := range wants {
 		if !w.hit {
-			t.Errorf("%s:%d: no diagnostic matching %q", w.file, w.line, w.re)
+			t.Errorf("%s: %s:%d: no diagnostic matching %q", w.pkg, w.file, w.line, w.re)
 		}
 	}
 }
@@ -122,13 +155,4 @@ func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) {
 // package directory.
 func TestdataDir(name string) string {
 	return filepath.Join("testdata", "src", name)
-}
-
-// Describe is a debugging helper formatting findings for failure logs.
-func Describe(fs []analysis.Finding) string {
-	var b strings.Builder
-	for _, f := range fs {
-		fmt.Fprintf(&b, "  %s\n", f)
-	}
-	return b.String()
 }

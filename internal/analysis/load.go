@@ -27,26 +27,72 @@ type Package struct {
 // ModulePath is this repository's module path (from go.mod).
 const ModulePath = "safelinux"
 
-// Loader parses and type-checks packages from source. Dependencies
-// (both standard library and in-module imports) are resolved through
-// the go/importer source importer, so no compiled export data or
-// network access is needed — analysis works on a bare checkout.
+// Loader parses and type-checks packages from source. In-module
+// imports are served from the packages this loader has already
+// checked (loading each on first use), so every package of one run
+// shares a single types.Object per declaration; the standard library
+// comes from the go/importer source importer. No compiled export data
+// or network access is needed — analysis works on a bare checkout.
 type Loader struct {
 	Fset *token.FileSet
-	imp  types.Importer
+	std  types.Importer
+	root string
+	// dirs maps import paths outside the module tree (testdata
+	// packages) to their directories.
+	dirs map[string]string
+	pkgs map[string]*Package
 }
 
 // NewLoader creates a loader.
 func NewLoader() *Loader {
 	fset := token.NewFileSet()
-	return &Loader{Fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
+	return &Loader{
+		Fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil),
+		dirs: make(map[string]string),
+		pkgs: make(map[string]*Package),
+	}
+}
+
+// Map serves imports of importPath from dir, for packages outside
+// the module tree (testdata).
+func (l *Loader) Map(importPath, dir string) {
+	l.dirs[importPath] = dir
+}
+
+// Import implements types.Importer.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	dir, ok := l.dirs[path]
+	if !ok && (path == ModulePath || strings.HasPrefix(path, ModulePath+"/")) {
+		if l.root == "" {
+			root, err := FindModuleRoot(".")
+			if err != nil {
+				return nil, err
+			}
+			l.root = root
+		}
+		dir, ok = DirForImport(l.root, path), true
+	}
+	if !ok {
+		return l.std.Import(path)
+	}
+	pkg, err := l.LoadDir(dir, path)
+	if err != nil {
+		return nil, err
+	}
+	return pkg.Types, nil
 }
 
 // LoadDir parses the non-test Go files of one directory as the package
-// importPath and type-checks them. Test files are excluded: the lint
-// suite guards the production boundaries, and test-only dependencies
-// would drag external test packages into the type-check.
+// importPath and type-checks them, once per import path. Test files
+// are excluded: the lint suite guards the production boundaries, and
+// test-only dependencies would drag external test packages into the
+// type-check.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
+	if pkg, ok := l.pkgs[importPath]; ok {
+		return pkg, nil
+	}
+	l.dirs[importPath] = dir
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -80,15 +126,17 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{Importer: l.imp}
+	conf := types.Config{Importer: l}
 	tpkg, err := conf.Check(importPath, l.Fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-check %s: %w", importPath, err)
 	}
-	return &Package{
+	pkg := &Package{
 		Path: importPath, Dir: dir,
 		Fset: l.Fset, Files: files, Types: tpkg, Info: info,
-	}, nil
+	}
+	l.pkgs[importPath] = pkg
+	return pkg, nil
 }
 
 // FindModuleRoot walks up from dir to the directory containing go.mod.

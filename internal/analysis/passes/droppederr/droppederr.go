@@ -9,8 +9,8 @@
 //
 // Only exported callees are checked: the exported surface is where a
 // contract crosses a package (or API) boundary, while an unexported
-// helper discarding its own package's status is local style the
-// ratchet does not police. The callee must also belong to this module
+// helper discarding its own package's status is local style
+// kerncheck does not police. The callee must also belong to this module
 // (or the package under analysis): a discarded fmt.Println error is
 // universal Go practice, not a kernel contract, and policing the
 // standard library would bury the real errno drops in noise.

@@ -2,10 +2,9 @@
 // §4.2 type-confusion hazard: Linux's ERR_PTR convention encodes an
 // errno inside a pointer value, so every caller must remember the
 // IsErr dance before dereferencing. The repo keeps kbase.ErrPtr and
-// friends alive for the legacy half of the tree; this analyzer flags
-// every use outside kbase itself so the convention cannot spread, and
-// the ratchet baseline walks the existing uses down to zero in favor
-// of typedapi.Result[T].
+// IsErr alive for the legacy half of the tree; this analyzer flags
+// every use outside kbase itself so the convention cannot spread in
+// place of typedapi.Result[T].
 package errptr
 
 import (
@@ -21,16 +20,14 @@ const errPtrPkg = analysis.ModulePath + "/internal/linuxlike/kbase"
 
 // errPtrFuncs are the ERR_PTR-convention entry points.
 var errPtrFuncs = map[string]bool{
-	"ErrPtr":     true,
-	"IsErr":      true,
-	"PtrErr":     true,
-	"IsErrOrNil": true,
+	"ErrPtr": true,
+	"IsErr":  true,
 }
 
 // Analyzer flags ERR_PTR-style error encoding outside kbase.
 var Analyzer = &analysis.Analyzer{
 	Name: "errptr",
-	Doc: "flags kbase.ErrPtr/IsErr/PtrErr/IsErrOrNil call sites: error-in-pointer " +
+	Doc: "flags kbase.ErrPtr/IsErr call sites: error-in-pointer " +
 		"encoding is the §4.2 type-confusion hazard; return typedapi.Result[T] " +
 		"(or a plain (T, Errno) pair) instead",
 	Run: run,

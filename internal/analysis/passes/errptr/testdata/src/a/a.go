@@ -13,9 +13,6 @@ func newThing(err kbase.Errno) *thing {
 
 func consume(p *thing) kbase.Errno {
 	if kbase.IsErr(p) { // want `kbase\.IsErr encodes an error inside a pointer`
-		return kbase.PtrErr(p) // want `kbase\.PtrErr encodes an error inside a pointer`
-	}
-	if kbase.IsErrOrNil(p) { // want `kbase\.IsErrOrNil encodes an error inside a pointer`
 		return kbase.EINVAL
 	}
 	return kbase.EOK
@@ -29,7 +26,7 @@ func plain(p *thing) bool { return p != nil }
 func suppressed(p *thing) kbase.Errno {
 	//kerncheck:ignore errptr pinned legacy shim exercised by this test
 	if kbase.IsErr(p) {
-		return kbase.PtrErr(p) // want `kbase\.PtrErr encodes an error inside a pointer`
+		return consume(kbase.ErrPtr[thing](kbase.EIO)) // want `kbase\.ErrPtr encodes an error inside a pointer`
 	}
 	return kbase.EOK
 }

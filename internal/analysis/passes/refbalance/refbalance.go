@@ -1,7 +1,7 @@
 // Package refbalance implements the kerncheck analyzer for BufferHead
 // reference counting — the "over-release still oopses at runtime"
 // path of the paper's §4.4. Per function and per variable it matches
-// acquisitions (Cache.GetBlk / Bread, BufferHead.Get)
+// acquisitions (Cache.GetBlk / Bread)
 // against releases (BufferHead.Put, plain or deferred) and reports:
 //
 //   - leak: a buffer acquired into a variable that is never released
@@ -12,9 +12,9 @@
 // Ownership transfer is respected: a variable that escapes — returned,
 // passed as a call argument, stored into a field or another variable,
 // placed in a composite literal — is exempt from balance checking, as
-// is any variable the function re-acquires into or calls Get on (the
-// count is then data-dependent and only the runtime check can see it).
-// Conservatism is deliberate: this pass is ratcheted in CI, so a
+// is any variable the function re-acquires into (the count is then
+// data-dependent and only the runtime check can see it).
+// Conservatism is deliberate: this pass gates CI, so a
 // missed leak is better than a false alarm.
 package refbalance
 
@@ -59,7 +59,6 @@ type varFacts struct {
 	acquires  []token.Pos
 	plainPuts []token.Pos
 	deferPuts int
-	gets      int
 	escaped   bool
 }
 
@@ -101,7 +100,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 
 	// Pass 3: judge.
 	for obj, f := range facts {
-		if f.escaped || f.gets > 0 || len(f.acquires) > 1 {
+		if f.escaped || len(f.acquires) > 1 {
 			continue // ownership transferred or count data-dependent
 		}
 		if len(f.plainPuts) == 0 && f.deferPuts == 0 {
@@ -137,8 +136,8 @@ func isAcquireCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	return ok && fn.Pkg() != nil && fn.Pkg().Path() == bufcachePkg && acquireFuncs[fn.Name()]
 }
 
-// bufferMethod resolves call to a BufferHead method name ("Put",
-// "Get", ...) with the receiver identifier, or ok=false.
+// bufferMethod resolves call to a BufferHead method name ("Put", ...)
+// with the receiver identifier, or ok=false.
 func bufferMethod(pass *analysis.Pass, call *ast.CallExpr) (recv *ast.Ident, name string, ok bool) {
 	sel, selOK := call.Fun.(*ast.SelectorExpr)
 	if !selOK {
@@ -155,7 +154,7 @@ func bufferMethod(pass *analysis.Pass, call *ast.CallExpr) (recv *ast.Ident, nam
 	return id, fn.Name(), true
 }
 
-// classifyUses walks the body with a parent stack, recording Put/Get
+// classifyUses walks the body with a parent stack, recording Put
 // calls and escape-shaped uses of each tracked variable.
 func classifyUses(pass *analysis.Pass, fd *ast.FuncDecl, facts map[types.Object]*varFacts) {
 	var stack []ast.Node
@@ -168,16 +167,11 @@ func classifyUses(pass *analysis.Pass, fd *ast.FuncDecl, facts map[types.Object]
 
 		if call, ok := n.(*ast.CallExpr); ok {
 			if recv, name, ok := bufferMethod(pass, call); ok {
-				if f := facts[identObj(pass, recv)]; f != nil {
-					switch name {
-					case "Put":
-						if insideDefer(stack) {
-							f.deferPuts++
-						} else {
-							f.plainPuts = append(f.plainPuts, call.Pos())
-						}
-					case "Get":
-						f.gets++
+				if f := facts[identObj(pass, recv)]; f != nil && name == "Put" {
+					if insideDefer(stack) {
+						f.deferPuts++
+					} else {
+						f.plainPuts = append(f.plainPuts, call.Pos())
 					}
 				}
 			}
@@ -311,7 +305,7 @@ func stmtHasPut(pass *analysis.Pass, stmt ast.Stmt, obj types.Object) (bool, tok
 
 // stmtExits reports whether stmt's subtree leaves the current path or
 // resets obj's count: a return/branch statement, a re-acquire
-// assignment, or a Get.
+// assignment.
 func stmtExits(pass *analysis.Pass, stmt ast.Stmt, obj types.Object) bool {
 	exits := false
 	ast.Inspect(stmt, func(n ast.Node) bool {
@@ -323,11 +317,6 @@ func stmtExits(pass *analysis.Pass, stmt ast.Stmt, obj types.Object) bool {
 				if id, ok := lhs.(*ast.Ident); ok && identObj(pass, id) == obj {
 					exits = true
 				}
-			}
-		case *ast.CallExpr:
-			if recv, name, ok := bufferMethod(pass, x); ok && name == "Get" &&
-				identObj(pass, recv) == obj {
-				exits = true
 			}
 		}
 		return !exits

@@ -65,12 +65,3 @@ func handsOff(c *bufcache.Cache, sink func(*bufcache.BufferHead)) {
 	bh, _ := c.GetBlk(6)
 	sink(bh)
 }
-
-// A Get makes the count data-dependent: only the runtime check can
-// judge it, so the static pass stays quiet even on a double Put.
-func dataDependent(c *bufcache.Cache) {
-	bh, _ := c.GetBlk(7)
-	bh.Get()
-	bh.Put()
-	bh.Put()
-}

@@ -23,6 +23,8 @@ var staticCWE = map[string]int{
 	"ownescape":               362, // shared mutable state across modules: race condition
 	"refbalance/leak":         401, // missing Put: memory leak
 	"refbalance/over-release": 415, // double Put: double free
+	// deadexport: none — exported code only tests call is a size
+	// finding, not a weakness class.
 }
 
 // CWEForFinding resolves the CWE a kerncheck finding maps to. The

@@ -60,7 +60,7 @@ func TestAsyncCommitTornSubmissionRecovery(t *testing.T) {
 	prev := kbase.InstallRecorder(rec)
 	defer kbase.InstallRecorder(prev)
 
-	ktrace.ResizeBuffer(64)
+	ktrace.Buffer().Reset()
 	ktrace.EnableFlightRecorder(32)
 	defer ktrace.DisableFlightRecorder()
 
@@ -73,7 +73,7 @@ func TestAsyncCommitTornSubmissionRecovery(t *testing.T) {
 	// Transaction 1 commits cleanly and enters the model.
 	journalWrite(t, cache, j, 40, 0xC1)
 	journalWrite(t, cache, j, 41, 0xC2)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit 1: %v", err)
 	}
 	model[40], model[41] = 0xC1, 0xC2
@@ -83,7 +83,7 @@ func TestAsyncCommitTornSubmissionRecovery(t *testing.T) {
 	journalWrite(t, cache, j, 42, 0xD1)
 	journalWrite(t, cache, j, 43, 0xD2)
 	dev.FailNextWrites(1)
-	err := j.Commit()
+	err := j.CommitCtx(nil)
 	if err == kbase.EOK {
 		t.Fatal("torn commit reported success")
 	}
@@ -157,7 +157,7 @@ func TestAsyncCrashMidBatchSubset(t *testing.T) {
 	// One intact transaction: its log blocks and commit record are
 	// durable before the crash window opens.
 	journalWrite(t, cache, j, 50, 0xE1)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit: %v", err)
 	}
 

@@ -45,7 +45,7 @@ func TestCommitCutPointSweep(t *testing.T) {
 	dev, cache, j, _ := asyncJournalRig(t)
 	journalWrite(t, cache, j, 40, 0xC1)
 	journalWrite(t, cache, j, 41, 0xC2)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit 1: %v", err)
 	}
 
@@ -59,7 +59,7 @@ func TestCommitCutPointSweep(t *testing.T) {
 	journalWrite(t, cache, j, 41, 0xD1)
 	journalWrite(t, cache, j, 42, 0xD2)
 	journalWrite(t, cache, j, 43, 0xD3)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit 2: %v", err)
 	}
 

@@ -20,7 +20,7 @@ func TestFlightRecorderAttributesFault(t *testing.T) {
 	prev := kbase.InstallRecorder(rec)
 	defer kbase.InstallRecorder(prev)
 
-	ktrace.ResizeBuffer(32)
+	ktrace.Buffer().Reset()
 	ktrace.EnableFlightRecorder(16)
 	defer ktrace.DisableFlightRecorder()
 
@@ -78,7 +78,7 @@ func TestFlightRecorderAttributesFault(t *testing.T) {
 // flight recorder installed: scenarios still produce the same outcome
 // table (the recorder must be an observer, never an actor).
 func TestCampaignWithFlightRecorder(t *testing.T) {
-	ktrace.ResizeBuffer(64)
+	ktrace.Buffer().Reset()
 	ktrace.EnableFlightRecorder(16)
 	defer ktrace.DisableFlightRecorder()
 

@@ -210,14 +210,9 @@ func (d *Device) CollectMetrics(emit func(name string, value uint64)) {
 	emit("pending_writes", uint64(d.PendingWrites()))
 }
 
-// SetReadOnly marks the device read-only; writes fail with EROFS.
-func (d *Device) SetReadOnly(ro bool) {
-	d.ctl.Lock()
-	defer d.ctl.Unlock()
-	d.readOnly = ro
-}
-
 // FailNextReads makes the next n reads fail with EIO.
+//
+//kerncheck:ignore deadexport fault-injection hook that other packages' crash and I/O-error tests drive
 func (d *Device) FailNextReads(n int) {
 	d.ctl.Lock()
 	defer d.ctl.Unlock()
@@ -225,6 +220,8 @@ func (d *Device) FailNextReads(n int) {
 }
 
 // FailNextWrites makes the next n writes fail with EIO.
+//
+//kerncheck:ignore deadexport fault-injection hook that other packages' crash and I/O-error tests drive
 func (d *Device) FailNextWrites(n int) {
 	d.ctl.Lock()
 	defer d.ctl.Unlock()
@@ -232,6 +229,8 @@ func (d *Device) FailNextWrites(n int) {
 }
 
 // MarkBad makes a specific block permanently unreadable/unwritable.
+//
+//kerncheck:ignore deadexport fault-injection hook that other packages' crash and I/O-error tests drive
 func (d *Device) MarkBad(block uint64) {
 	d.ctl.Lock()
 	defer d.ctl.Unlock()
@@ -397,6 +396,8 @@ func (d *Device) PendingWrites() int {
 // prefix of its TornWriteUnit-sized fragments lands. The write cache
 // is then discarded. Determinism comes from the device Rng, which is
 // consumed in global issue order.
+//
+//kerncheck:ignore deadexport fault-injection hook that other packages' crash and I/O-error tests drive
 func (d *Device) Crash() {
 	d.crashes.Add(1)
 	d.lockAll()

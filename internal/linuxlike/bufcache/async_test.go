@@ -31,7 +31,7 @@ func TestSyncDirtyAsyncWritesBack(t *testing.T) {
 	for i := uint64(0); i < 12; i++ {
 		dirtyBlock(t, c, i, byte(0x10+i))
 	}
-	if err := c.SyncDirty(); err != kbase.EOK {
+	if err := c.SyncDirtyCtx(nil); err != kbase.EOK {
 		t.Fatalf("SyncDirty: %v", err)
 	}
 	if n := c.DirtyCount(); n != 0 {
@@ -64,7 +64,7 @@ func TestSyncDirtyAsyncWriteFault(t *testing.T) {
 	dirtyBlock(t, c, 3, 0xAA)
 	dirtyBlock(t, c, 4, 0xBB)
 	c.Device().MarkBad(4)
-	err := c.SyncDirty()
+	err := c.SyncDirtyCtx(nil)
 	if err == kbase.EOK {
 		t.Fatal("SyncDirty succeeded with a bad block queued")
 	}
@@ -91,7 +91,7 @@ func TestSyncDirtyAsyncMatchesSync(t *testing.T) {
 		dirtyBlock(t, c, i*3, byte(i+1))
 		want[i*3] = byte(i + 1)
 	}
-	if err := c.SyncDirty(); err != kbase.EOK {
+	if err := c.SyncDirtyCtx(nil); err != kbase.EOK {
 		t.Fatalf("SyncDirty: %v", err)
 	}
 	c.Device().CrashApplyNone()

@@ -27,6 +27,8 @@ type Rule struct {
 
 // DefaultRules captures the buffer_head flag protocol as documented
 // in Linux comments and inferred from fs/buffer.c call sites.
+//
+//kerncheck:ignore deadexport paper artifact (§4.4 buffer_head flag state space), demonstrated by tests and benchmarks
 func DefaultRules() []Rule {
 	return []Rule{
 		{
@@ -119,6 +121,8 @@ type StateSpaceReport struct {
 // AuditStateSpace enumerates every flag combination and classifies it.
 // This is the paper's "many possible combinations of states; not all
 // of the combinations are valid" made quantitative.
+//
+//kerncheck:ignore deadexport paper artifact (§4.4 buffer_head flag state space), demonstrated by tests and benchmarks
 func AuditStateSpace(rules []Rule) StateSpaceReport {
 	rep := StateSpaceReport{Total: 1 << 16, ByRule: make(map[string]int)}
 	for w := 0; w < 1<<16; w++ {
@@ -155,6 +159,8 @@ func FlagString(f Flag) string {
 
 // CheckLive audits every buffer currently in the cache against the
 // rules, returning one report line per violating buffer.
+//
+//kerncheck:ignore deadexport paper artifact (§4.4 buffer_head flag state space), demonstrated by tests and benchmarks
 func (c *Cache) CheckLive(rules []Rule) []string {
 	bhs := make([]*BufferHead, 0, c.Cached())
 	for i := range c.shards {

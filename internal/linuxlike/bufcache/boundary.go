@@ -77,19 +77,10 @@ func (c *Cache) WriteBuffer(bh *BufferHead) kbase.Errno {
 	return box.b.Run("write_buffer", func() kbase.Errno { return c.doWriteBuffer(bh) })
 }
 
-// SyncDirty writes all dirty buffers and issues a device flush
-// barrier (sync_dirty_buffers + blkdev_issue_flush).
-func (c *Cache) SyncDirty() kbase.Errno {
-	box := c.boundary.Load()
-	if box == nil {
-		return c.doSyncDirty()
-	}
-	return box.b.Run("sync_dirty", func() kbase.Errno { return c.doSyncDirty() })
-}
-
-// SyncDirtyCtx is SyncDirty with task context: the whole flush is
-// timed into the bufcache:sync histogram, and the kio batch appears
-// as a child span of the caller's trace.
+// SyncDirtyCtx writes all dirty buffers and issues a device flush
+// barrier (sync_dirty_buffers + blkdev_issue_flush). The whole flush
+// is timed into the bufcache:sync histogram, and the kio batch
+// appears as a child span of the caller's trace.
 func (c *Cache) SyncDirtyCtx(task *kbase.Task) kbase.Errno {
 	t := opSync.Begin(task)
 	defer t.End()

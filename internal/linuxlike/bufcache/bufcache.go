@@ -14,7 +14,7 @@
 // Concurrency model: the cache is lock-striped into NumShards shards
 // keyed by block % NumShards; each shard owns its buffers map, LRU
 // list, and dirty set, so lookups of different blocks never contend.
-// BufferHead reference counts are atomic (get_bh/put_bh touch no
+// BufferHead reference counts are atomic (Put touches no
 // lock), and the capacity bound is a cache-wide atomic with per-shard
 // eviction, approximating a global LRU the way per-CPU pagevecs do.
 package bufcache
@@ -190,12 +190,6 @@ func (bh *BufferHead) Uptodate() bool { return bh.TestFlag(BHUptodate) }
 // Dirty reports BHDirty.
 func (bh *BufferHead) Dirty() bool { return bh.TestFlag(BHDirty) }
 
-// Get increments the reference count (get_bh). Lock-free: only
-// holders of a live reference may call Get, so the count cannot race
-// a 0→1 revival (that transition happens only inside GetBlk under the
-// shard lock).
-func (bh *BufferHead) Get() { bh.refcount.Add(1) }
-
 // OverReleaseError reports a Put on a buffer whose reference count
 // was already zero — the double-free (CWE-415) shape for refcounted
 // objects. It carries enough context for an audit trail; the oops is
@@ -231,6 +225,8 @@ func (bh *BufferHead) Put() error {
 }
 
 // Refcount returns the current reference count.
+//
+//kerncheck:ignore deadexport refcount probe for the concurrent stress tests in pkg/safelinux
 func (bh *BufferHead) Refcount() int { return int(bh.refcount.Load()) }
 
 // lruList is a typed intrusive LRU list of buffer heads (front =
@@ -297,7 +293,7 @@ type Cache struct {
 	size         atomic.Int64  // total buffers across shards
 	overReleases atomic.Uint64 // Put calls rejected with OverReleaseError
 
-	// engine is the kio engine SyncDirty and the journal's commit submit
+	// engine is the kio engine SyncDirtyCtx and the journal's commit submit
 	// through. Atomic: the kernel swaps in its own engine (SetEngine)
 	// while callers may be loading it.
 	engine atomic.Pointer[kio.Engine]
@@ -309,7 +305,7 @@ type Cache struct {
 	shards [NumShards]cacheShard
 }
 
-// SetEngine replaces the cache's kio engine, through which SyncDirty
+// SetEngine replaces the cache's kio engine, through which SyncDirtyCtx
 // and the journal's commit submit. The engine must drive the cache's
 // device and must not be nil.
 func (c *Cache) SetEngine(e *kio.Engine) { c.engine.Store(e) }
@@ -538,12 +534,6 @@ func (c *Cache) written(bh *BufferHead) {
 	s.writeback++
 	s.mu.Unlock()
 	tpWriteback.Emit(0, bh.Block, 0)
-}
-
-// doSyncDirty writes all dirty buffers and issues a device flush
-// barrier (sync_dirty_buffers + blkdev_issue_flush).
-func (c *Cache) doSyncDirty() kbase.Errno {
-	return c.doSyncDirtyCtx(nil)
 }
 
 // doSyncDirtyCtx writes every dirty buffer and issues the trailing

@@ -67,7 +67,7 @@ func TestDirtyWritebackRoundTrip(t *testing.T) {
 	if c.DirtyCount() != 1 {
 		t.Fatalf("DirtyCount = %d", c.DirtyCount())
 	}
-	if err := c.SyncDirty(); err != kbase.EOK {
+	if err := c.SyncDirtyCtx(nil); err != kbase.EOK {
 		t.Fatalf("SyncDirty: %v", err)
 	}
 	if c.DirtyCount() != 0 || bh.Dirty() {
@@ -270,7 +270,7 @@ func TestForget(t *testing.T) {
 		t.Fatalf("Forget left buffer dirty")
 	}
 	bh.Put()
-	c.SyncDirty()
+	c.SyncDirtyCtx(nil)
 	c.Invalidate()
 	bh2, _ := c.Bread(6)
 	if bh2.Data[0] != 0 {

@@ -280,10 +280,10 @@ func TestDirCacheMatchesBlocks(t *testing.T) {
 		t.Fatalf("commit: %v", err)
 	}
 	ops := &inodeOps{inst: inst}
-	if err := ops.LookupTyped(task, vi, renamed).Errno(); err != kbase.ENOENT {
+	if _, err := ops.LookupTyped(task, vi, renamed).Get(); err != kbase.ENOENT {
 		t.Fatalf("lookup of the refused name: %v, want ENOENT", err)
 	}
-	if err := ops.LookupTyped(task, vi, last.Name).Errno(); err != kbase.EOK {
+	if _, err := ops.LookupTyped(task, vi, last.Name).Get(); err != kbase.EOK {
 		t.Fatalf("lookup of the kept name: %v", err)
 	}
 	checkDirCache(t, v, task, inst, "/a", model["/a"].names)

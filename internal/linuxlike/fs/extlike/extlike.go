@@ -772,7 +772,7 @@ func (inst *fsInstance) Statfs(task *kbase.Task) (vfs.StatFS, kbase.Errno) {
 
 func (inst *fsInstance) SyncFS(task *kbase.Task) kbase.Errno {
 	// No instance-wide lock: the journal's commit gate quiesces
-	// metadata, and SyncDirty snapshots the dirty set on its own.
+	// metadata, and SyncDirtyCtx snapshots the dirty set on its own.
 	if err := inst.commit(task); err != kbase.EOK {
 		return err
 	}

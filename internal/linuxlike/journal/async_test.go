@@ -46,7 +46,7 @@ func TestAsyncCommitEquivalentToSync(t *testing.T) {
 	dev, cache, j, _ := asyncSetup(t)
 	writeVia(t, cache, j, 40, 0xA1)
 	writeVia(t, cache, j, 41, 0xA2)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit 1: %v", err)
 	}
 	// Second transaction with a revoke.
@@ -56,7 +56,7 @@ func TestAsyncCommitEquivalentToSync(t *testing.T) {
 	}
 	h.Stop()
 	writeVia(t, cache, j, 42, 0xA3)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit 2: %v", err)
 	}
 	// Crash dropping all unflushed (home) writes, then recover.
@@ -109,7 +109,7 @@ func TestAsyncCommitEquivalentToSync(t *testing.T) {
 func TestAsyncCommitRecoversAfterCrash(t *testing.T) {
 	dev, cache, j, _ := asyncSetup(t)
 	writeVia(t, cache, j, 45, 0xBB)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit: %v", err)
 	}
 	dev.CrashApplyNone()
@@ -154,7 +154,7 @@ func TestAsyncCommitGroupCommit(t *testing.T) {
 			h.DirtyMetadata(bh.Meta())
 			bh.Put()
 			h.Stop()
-			errs <- j.Commit()
+			errs <- j.CommitCtx(nil)
 		}(w)
 	}
 	for w := 0; w < writers; w++ {
@@ -177,12 +177,12 @@ func TestAsyncCommitENOSPCReinstates(t *testing.T) {
 	// 1+N+1 blocks. Fill the region with small commits, then overflow.
 	for i := 0; i < 10; i++ {
 		writeVia(t, cache, j, uint64(40+i), byte(i+1))
-		if err := j.Commit(); err != kbase.EOK {
+		if err := j.CommitCtx(nil); err != kbase.EOK {
 			t.Fatalf("Commit %d: %v", i, err)
 		}
 	}
 	writeVia(t, cache, j, 55, 0xEE)
-	err := j.Commit()
+	err := j.CommitCtx(nil)
 	if err != kbase.ENOSPC {
 		t.Fatalf("overflow Commit: %v, want ENOSPC", err)
 	}
@@ -190,7 +190,7 @@ func TestAsyncCommitENOSPCReinstates(t *testing.T) {
 	if err := j.Checkpoint(); err != kbase.EOK {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("post-checkpoint Commit: %v", err)
 	}
 	got := readBlock(t, dev, 55)
@@ -209,7 +209,7 @@ func TestAsyncCommitWriteFailure(t *testing.T) {
 	// block go through the engine; the counter also covers the commit
 	// record if the body unexpectedly survives).
 	dev.FailNextWrites(4)
-	if err := j.Commit(); err == kbase.EOK {
+	if err := j.CommitCtx(nil); err == kbase.EOK {
 		t.Fatal("Commit succeeded with failing device writes")
 	}
 	dev.FailNextWrites(0)

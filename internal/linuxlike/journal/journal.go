@@ -339,7 +339,7 @@ func (h *Handle) Stop() {
 	j.mu.Unlock()
 }
 
-// Commit force-commits the running transaction synchronously
+// CommitCtx force-commits the running transaction synchronously
 // (jbd2_journal_force_commit): write data+descriptor+revoke blocks,
 // flush, write commit block, flush again — all through the cache's kio
 // engine — then write the home locations through the buffer cache
@@ -348,16 +348,13 @@ func (h *Handle) Stop() {
 // sequence number is used up, and recovery accepts the forward gap.
 //
 // Under concurrency this is a blocking group commit: if other tasks
-// still hold open handles on the transaction, Commit waits for them
+// still hold open handles on the transaction, CommitCtx waits for them
 // to Stop (their updates then ride in this commit); if another task
-// is already committing the transaction our updates are in, Commit
-// waits for that commit and returns its outcome.
-func (j *Journal) Commit() kbase.Errno { return j.CommitCtx(nil) }
-
-// CommitCtx is Commit with task context for the latency plane: the
-// whole group commit — including any wait for the in-flight round —
-// is timed into the journal:commit histogram and spanned as a child
-// of the caller's trace.
+// is already committing the transaction our updates are in, CommitCtx
+// waits for that commit and returns its outcome. The whole group
+// commit — including any wait for the in-flight round — is timed into
+// the journal:commit histogram and spanned as a child of the caller's
+// trace.
 func (j *Journal) CommitCtx(task *kbase.Task) kbase.Errno {
 	t := opCommit.Begin(task)
 	defer t.End()

@@ -54,7 +54,7 @@ func readBlock(t *testing.T, dev *blockdev.Device, block uint64) []byte {
 func TestCommitMakesJournalDurable(t *testing.T) {
 	dev, cache, j := testSetup(t)
 	writeVia(t, cache, j, 40, 0xAA)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit: %v", err)
 	}
 	// Crash before checkpoint: home write may be lost...
@@ -97,7 +97,7 @@ func TestUncommittedTxNotReplayed(t *testing.T) {
 func TestCheckpointMakesHomeDurable(t *testing.T) {
 	dev, cache, j := testSetup(t)
 	writeVia(t, cache, j, 42, 0xCC)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit: %v", err)
 	}
 	if err := j.Checkpoint(); err != kbase.EOK {
@@ -122,11 +122,11 @@ func TestMultipleTransactionsReplayInOrder(t *testing.T) {
 	dev, cache, j := testSetup(t)
 	// Two commits touching the same block; later must win.
 	writeVia(t, cache, j, 43, 0x01)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit 1: %v", err)
 	}
 	writeVia(t, cache, j, 43, 0x02)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit 2: %v", err)
 	}
 	dev.CrashApplyNone()
@@ -144,7 +144,7 @@ func TestRevokePreventsReplay(t *testing.T) {
 	dev, cache, j := testSetup(t)
 	// Txn 1 journals block 44 as metadata.
 	writeVia(t, cache, j, 44, 0x0D)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit 1: %v", err)
 	}
 	// Txn 2 revokes it (block freed, reused as unjournaled data).
@@ -159,7 +159,7 @@ func TestRevokePreventsReplay(t *testing.T) {
 	h.DirtyMetadata(bh.Meta())
 	bh.Put()
 	h.Stop()
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit 2: %v", err)
 	}
 	// Overwrite block 44 directly (reused as data), durable.
@@ -207,7 +207,7 @@ func TestCommitBlocksUntilHandleStops(t *testing.T) {
 	// drain instead of failing with EBUSY, then commits the handle's
 	// updates.
 	done := make(chan kbase.Errno, 1)
-	go func() { done <- j.Commit() }()
+	go func() { done <- j.CommitCtx(nil) }()
 	select {
 	case err := <-done:
 		t.Fatalf("Commit completed with an open handle: %v", err)
@@ -221,7 +221,7 @@ func TestCommitBlocksUntilHandleStops(t *testing.T) {
 		t.Fatalf("Commits = %d, want 1", got)
 	}
 	// A second Commit with nothing running is a no-op.
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("idle Commit: %v", err)
 	}
 }
@@ -233,26 +233,26 @@ func TestJournalFullReturnsENOSPC(t *testing.T) {
 	j.Format()
 	// One txn with one buffer needs 3 blocks (desc+data+commit): fits.
 	writeVia(t, cache, j, 40, 0x11)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("first Commit: %v", err)
 	}
 	// Next txn needs 3 more: doesn't fit (writePos=4, size=5).
 	writeVia(t, cache, j, 41, 0x22)
-	if err := j.Commit(); err != kbase.ENOSPC {
+	if err := j.CommitCtx(nil); err != kbase.ENOSPC {
 		t.Fatalf("Commit on full journal: %v", err)
 	}
 	// Checkpoint frees the region; commit now succeeds.
 	if err := j.Checkpoint(); err != kbase.EOK {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit after checkpoint: %v", err)
 	}
 }
 
 func TestCommitEmptyJournalNoop(t *testing.T) {
 	_, _, j := testSetup(t)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("empty Commit: %v", err)
 	}
 	if j.Stats().Commits != 0 {
@@ -276,7 +276,7 @@ func TestRecoverOnCorruptSuperblock(t *testing.T) {
 func TestTornCommitRecordStopsReplay(t *testing.T) {
 	dev, cache, j := testSetup(t)
 	writeVia(t, cache, j, 46, 0x66)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit: %v", err)
 	}
 	// Corrupt the commit record's checksum on disk (journal block 3:
@@ -299,7 +299,7 @@ func TestTornCommitRecordStopsReplay(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	_, cache, j := testSetup(t)
 	writeVia(t, cache, j, 47, 0x01)
-	j.Commit()
+	j.CommitCtx(nil)
 	j.Checkpoint()
 	st := j.Stats()
 	if st.Commits != 1 || st.BlocksLogged != 1 || st.Checkpoints != 1 {
@@ -314,12 +314,12 @@ func TestStatsAccounting(t *testing.T) {
 func TestEmptyCommitBetweenRealCommits(t *testing.T) {
 	dev, cache, j := testSetup(t)
 	writeVia(t, cache, j, 40, 0xA1)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit 1: %v", err)
 	}
 	before := dev.Stats()
 	j.Begin().Stop()
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("empty Commit: %v", err)
 	}
 	if after := dev.Stats(); after.Writes != before.Writes || after.Flushes != before.Flushes {
@@ -327,7 +327,7 @@ func TestEmptyCommitBetweenRealCommits(t *testing.T) {
 			before.Writes, after.Writes, before.Flushes, after.Flushes)
 	}
 	writeVia(t, cache, j, 41, 0xA2)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit 2: %v", err)
 	}
 	// Super 0; transaction 1 is descriptor 1, data 2, commit 3; the
@@ -366,11 +366,11 @@ func TestWaiterAfterEmptyCommitSeesENOSPC(t *testing.T) {
 	j := New(cache, 0, 5) // super + 4 blocks: one 3-block transaction fits
 	j.Format()
 	writeVia(t, cache, j, 40, 0x11)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("first Commit: %v", err)
 	}
 	j.Begin().Stop()
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("empty Commit: %v", err)
 	}
 
@@ -383,7 +383,7 @@ func TestWaiterAfterEmptyCommitSeesENOSPC(t *testing.T) {
 	h.DirtyMetadata(bh.Meta())
 	bh.Put()
 	first := make(chan kbase.Errno, 1)
-	go func() { first <- j.Commit() }()
+	go func() { first <- j.CommitCtx(nil) }()
 	for gated := false; !gated; {
 		j.mu.Lock()
 		gated = j.gate
@@ -391,7 +391,7 @@ func TestWaiterAfterEmptyCommitSeesENOSPC(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	waiter := make(chan kbase.Errno, 1)
-	go func() { waiter <- j.Commit() }()
+	go func() { waiter <- j.CommitCtx(nil) }()
 	select {
 	case err := <-waiter:
 		t.Fatalf("waiting Commit returned %v during the commit", err)
@@ -408,7 +408,7 @@ func TestWaiterAfterEmptyCommitSeesENOSPC(t *testing.T) {
 	if err := j.Checkpoint(); err != kbase.EOK {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit after checkpoint: %v", err)
 	}
 	dev.CrashApplyNone()
@@ -427,7 +427,7 @@ func TestWaiterAfterEmptyCommitSeesENOSPC(t *testing.T) {
 func TestRewriteCancelsRevoke(t *testing.T) {
 	dev, cache, j := testSetup(t)
 	writeVia(t, cache, j, 42, 0x01)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit 1: %v", err)
 	}
 	h := j.Begin()
@@ -436,7 +436,7 @@ func TestRewriteCancelsRevoke(t *testing.T) {
 	}
 	h.Stop()
 	writeVia(t, cache, j, 42, 0x02)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit 2: %v", err)
 	}
 	dev.CrashApplyNone()
@@ -454,7 +454,7 @@ func TestRewriteCancelsRevoke(t *testing.T) {
 func TestRecoveryIdempotent(t *testing.T) {
 	dev, cache, j := testSetup(t)
 	writeVia(t, cache, j, 48, 0x88)
-	j.Commit()
+	j.CommitCtx(nil)
 	dev.CrashApplyNone()
 	cache.Invalidate()
 	if n, _ := j.Recover(); n != 1 {
@@ -476,7 +476,7 @@ func TestCheckpointWithRunningTransaction(t *testing.T) {
 	dev, cache, j := testSetup(t)
 	// Commit one txn, then open a handle (running txn exists).
 	writeVia(t, cache, j, 40, 0x01)
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit: %v", err)
 	}
 	h := j.Begin()
@@ -492,7 +492,7 @@ func TestCheckpointWithRunningTransaction(t *testing.T) {
 	if err := j.Checkpoint(); err != kbase.EOK {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	if err := j.Commit(); err != kbase.EOK {
+	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit 2: %v", err)
 	}
 	// Crash before the home write is durable; recovery must replay

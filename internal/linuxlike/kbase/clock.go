@@ -29,7 +29,7 @@ func (c *Clock) Advance(n uint64) uint64 { return c.jiffies.Add(n) }
 
 // Rng is a small, fast, deterministic PRNG (splitmix64). It is
 // goroutine-safe; simulation components that need independent streams
-// should Fork.
+// seed their own.
 type Rng struct {
 	mu    sync.Mutex
 	state uint64
@@ -64,9 +64,6 @@ func (r *Rng) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *Rng) Bool(p float64) bool { return r.Float64() < p }
-
-// Fork derives an independent stream.
-func (r *Rng) Fork() *Rng { return NewRng(r.Uint64()) }
 
 // Bytes fills b with pseudo-random bytes.
 func (r *Rng) Bytes(b []byte) {

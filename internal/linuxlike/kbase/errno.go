@@ -95,13 +95,3 @@ func (e Errno) String() string { return e.Error() }
 
 // IsError reports whether e denotes a failure (non-zero).
 func (e Errno) IsError() bool { return e != EOK }
-
-// OrNil converts an Errno to a Go error, mapping EOK to nil. This is
-// the escape hatch for harness code; in-kernel code passes Errno
-// values directly, as Linux does.
-func (e Errno) OrNil() error {
-	if e == EOK {
-		return nil
-	}
-	return e
-}

@@ -63,20 +63,3 @@ func IsErr[T any](p *T) bool {
 	errPtrMu.RUnlock()
 	return ok
 }
-
-// PtrErr extracts the errno from an error-encoding sentinel, mimicking
-// PTR_ERR(). For a non-sentinel pointer it returns EOK — silently, as
-// the C macro would produce a meaningless integer; callers that probe
-// unconditionally inherit the same fragility as the original idiom.
-func PtrErr[T any](p *T) Errno {
-	if p == nil {
-		return EOK
-	}
-	errPtrMu.RLock()
-	e := errPtrReverse[any(p)]
-	errPtrMu.RUnlock()
-	return e
-}
-
-// IsErrOrNil mimics IS_ERR_OR_NULL().
-func IsErrOrNil[T any](p *T) bool { return p == nil || IsErr(p) }

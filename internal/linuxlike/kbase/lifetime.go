@@ -86,34 +86,3 @@ func Access[T comparable](a *Arena, obj T) bool {
 	}
 	return true
 }
-
-// Live returns the number of currently live objects.
-func (a *Arena) Live() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := 0
-	for _, s := range a.state {
-		if s == ObjLive {
-			n++
-		}
-	}
-	return n
-}
-
-// Stats returns total allocations and frees.
-func (a *Arena) Stats() (allocs, frees uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.allocs, a.frees
-}
-
-// CheckLeaks raises a memory-leak oops if any object is still live and
-// returns the number of leaked objects (a kmemleak sweep at module
-// unload).
-func (a *Arena) CheckLeaks() int {
-	n := a.Live()
-	if n > 0 {
-		Oops(OopsLeak, a.module, "%d objects leaked at unload", n)
-	}
-	return n
-}

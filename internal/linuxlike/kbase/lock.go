@@ -2,7 +2,6 @@ package kbase
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,9 +69,6 @@ func newLockClassLocked(name string) *LockClass {
 	return c
 }
 
-// Name returns the class name.
-func (c *LockClass) Name() string { return c.name }
-
 // Nested returns the subclass of this class for nesting level sub, as
 // Linux's mutex_lock_nested uses to annotate places where two locks of
 // the same class are legitimately taken in a fixed order (e.g. parent
@@ -120,40 +116,6 @@ func (v *LockValidator) Reports() []string {
 	defer v.mu.Unlock()
 	out := make([]string, len(v.reports))
 	copy(out, v.reports)
-	return out
-}
-
-// Reset clears ordering state and reports (for tests).
-func (v *LockValidator) Reset() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.after = make(map[int]map[int]bool)
-	v.holders = make(map[int64][]*LockClass)
-	v.reports = nil
-	v.maxDepth = 0
-}
-
-// MaxDepth returns the deepest observed lock nesting.
-func (v *LockValidator) MaxDepth() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.maxDepth
-}
-
-// OrderingEdges returns the observed class-ordering edges as
-// "a->b" strings, sorted, for audit output.
-func (v *LockValidator) OrderingEdges() []string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	classMu.Lock()
-	defer classMu.Unlock()
-	var out []string
-	for a, m := range v.after {
-		for b := range m {
-			out = append(out, classes[a].name+"->"+classes[b].name)
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 

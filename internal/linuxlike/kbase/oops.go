@@ -212,12 +212,3 @@ func BUG(module, format string, args ...any) {
 	}
 	panic(&PanicReport{Event: e})
 }
-
-// WarnOn records a non-fatal warning event if cond is true, mirroring
-// WARN_ON. Returns cond for inline use.
-func WarnOn(cond bool, module, format string, args ...any) bool {
-	if cond {
-		Oops(OopsGeneric, module, "WARN_ON: "+format, args...)
-	}
-	return cond
-}

@@ -48,9 +48,6 @@ type WheelTimer[T any] struct {
 	Owner T
 }
 
-// Armed reports whether the timer currently sits in a wheel slot.
-func (t *WheelTimer[T]) Armed() bool { return t.head != nil }
-
 // wheelSlot is one bucket: a doubly-linked list of timers.
 type wheelSlot[T any] struct {
 	list *WheelTimer[T] // insertion-ordered: list is the oldest
@@ -113,25 +110,11 @@ func NewTimerWheel[T any](now uint64) *TimerWheel[T] {
 	return &TimerWheel[T]{now: now}
 }
 
-// Now returns the wheel clock.
-func (w *TimerWheel[T]) Now() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.now
-}
-
 // Len returns the number of armed timers.
 func (w *TimerWheel[T]) Len() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.armed
-}
-
-// Stats returns a snapshot of wheel counters.
-func (w *TimerWheel[T]) Stats() WheelStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.stats
 }
 
 // slotFor places an expiry relative to the wheel clock: level 0 holds

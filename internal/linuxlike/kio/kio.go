@@ -160,9 +160,6 @@ func New(backend Backend) *Engine {
 	return e
 }
 
-// BlockSize returns the backend's block size.
-func (e *Engine) BlockSize() int { return e.backend.BlockSize() }
-
 // Close waits for executions in progress and stops the engine:
 // submissions after Close complete with ENODEV. Close is idempotent.
 func (e *Engine) Close() {

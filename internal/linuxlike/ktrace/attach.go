@@ -130,9 +130,6 @@ func (p *Probe) run(ev *Event) bool {
 	return true
 }
 
-// Tracepoint returns the tracepoint the probe is attached to.
-func (p *Probe) Tracepoint() *Tracepoint { return p.tp }
-
 // Matched returns how many events the program kept.
 func (p *Probe) Matched() uint64 { return p.matched.Load() }
 

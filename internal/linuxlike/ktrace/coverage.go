@@ -35,12 +35,6 @@ func (b *CoverBitmap) Set(idx uint32) {
 	b[idx/64] |= 1 << (idx % 64)
 }
 
-// Has reports whether a bit is set.
-func (b *CoverBitmap) Has(idx uint32) bool {
-	idx %= CoverBits
-	return b[idx/64]&(1<<(idx%64)) != 0
-}
-
 // Merge ORs another bitmap into this one.
 func (b *CoverBitmap) Merge(o *CoverBitmap) {
 	for i := range b {
@@ -91,11 +85,8 @@ func coverMark(idx uint32) {
 
 // EnableCoverage starts marking the global bitmap on every recorded
 // event (the tracepoint must still be enabled for its events to
-// record). Pair with DisableCoverage.
+// record).
 func EnableCoverage() { coverOn.Store(true) }
-
-// DisableCoverage stops collection; the bitmap keeps its bits.
-func DisableCoverage() { coverOn.Store(false) }
 
 // ResetCoverage clears the global bitmap.
 func ResetCoverage() {

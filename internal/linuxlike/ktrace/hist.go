@@ -183,20 +183,3 @@ func (s *HistSnapshot) View() HistView {
 		P99: s.Quantile(0.99), P999: s.Quantile(0.999),
 	}
 }
-
-// QuantileOf returns the named percentile from a view (q in [0,1];
-// snapped to the nearest exported percentile at or above q).
-func (v *HistView) QuantileOf(q float64) uint64 {
-	switch {
-	case q <= 0.50:
-		return v.P50
-	case q <= 0.90:
-		return v.P90
-	case q <= 0.99:
-		return v.P99
-	case q <= 0.999:
-		return v.P999
-	default:
-		return v.Max
-	}
-}

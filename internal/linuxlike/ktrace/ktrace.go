@@ -156,10 +156,6 @@ func DisableAll() {
 // Name returns the tracepoint name.
 func (tp *Tracepoint) Name() string { return tp.name }
 
-// ID returns the tracepoint's stable numeric id (the value an
-// attached program reads at context offset 0).
-func (tp *Tracepoint) ID() uint32 { return tp.id }
-
 // Enabled reports whether emits currently record events.
 func (tp *Tracepoint) Enabled() bool { return tp.on.Load() > 0 }
 

@@ -14,7 +14,8 @@ import (
 func testRing(t *testing.T, perShard int) *Ring {
 	t.Helper()
 	old := ringPtr.Load()
-	r := ResizeBuffer(perShard)
+	r := NewRing(perShard)
+	ringPtr.Store(r)
 	t.Cleanup(func() { ringPtr.Store(old) })
 	return r
 }

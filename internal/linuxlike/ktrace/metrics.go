@@ -310,6 +310,8 @@ func (m *Metrics) RenderJSON() ([]byte, error) {
 
 // Lookup returns the gathered value of one metric and whether it was
 // present (for histograms, the sample count).
+//
+//kerncheck:ignore deadexport the metric query other packages' tests assert through
 func (m *Metrics) Lookup(subsystem, name string) (uint64, bool) {
 	for _, s := range m.Gather() {
 		if s.Subsystem == subsystem && s.Name == name {
@@ -321,6 +323,8 @@ func (m *Metrics) Lookup(subsystem, name string) (uint64, bool) {
 
 // LookupHist returns the gathered percentile view of one histogram
 // metric and whether it was present.
+//
+//kerncheck:ignore deadexport the metric query other packages' tests assert through
 func (m *Metrics) LookupHist(subsystem, name string) (HistView, bool) {
 	for _, s := range m.Gather() {
 		if s.Subsystem == subsystem && s.Name == name && s.Kind == KindHistogram && s.Hist != nil {
@@ -328,16 +332,6 @@ func (m *Metrics) LookupHist(subsystem, name string) (HistView, bool) {
 		}
 	}
 	return HistView{}, false
-}
-
-// Quantile returns quantile q of one histogram metric (snapped to the
-// nearest exported percentile) and whether the metric was present.
-func (m *Metrics) Quantile(subsystem, name string, q float64) (uint64, bool) {
-	v, ok := m.LookupHist(subsystem, name)
-	if !ok {
-		return 0, false
-	}
-	return v.QuantileOf(q), true
 }
 
 // RegisterBuiltin registers ktrace's own planes on a registry: per-

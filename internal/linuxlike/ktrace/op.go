@@ -19,7 +19,6 @@ type Op struct {
 	sub   string // "vfs"
 	short string // "read"
 	id    uint32
-	hash  uint64 // fnv1a(name); travels in event args when needed
 	hist  *Histogram
 }
 
@@ -45,7 +44,6 @@ func NewOp(name string) *Op {
 	op := &Op{
 		name: name, sub: sub, short: short,
 		id:   uint32(len(opsByID)),
-		hash: fnv1a(name),
 		hist: NewHistogram(),
 	}
 	opsByName[name] = op
@@ -90,12 +88,6 @@ func (op *Op) Subsystem() string { return op.sub }
 // Short returns the part after the colon — the string legacy
 // boundaries (vfs Boundary.Do, compartment Do) take as their op tag.
 func (op *Op) Short() string { return op.short }
-
-// ID returns the op's stable numeric id.
-func (op *Op) ID() uint32 { return op.id }
-
-// Hash returns the precomputed FNV-1a hash of the op name.
-func (op *Op) Hash() uint64 { return op.hash }
 
 // Hist returns the op's latency histogram (durations in nanoseconds).
 func (op *Op) Hist() *Histogram { return op.hist }

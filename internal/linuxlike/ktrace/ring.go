@@ -261,12 +261,3 @@ func ring() *Ring { return ringPtr.Load() }
 
 // Buffer returns the current global trace ring.
 func Buffer() *Ring { return ring() }
-
-// ResizeBuffer replaces the global ring with a fresh one holding
-// RingShards*perShard events and returns it. In-flight emits may
-// still land in the old ring.
-func ResizeBuffer(perShard int) *Ring {
-	r := NewRing(perShard)
-	ringPtr.Store(r)
-	return r
-}

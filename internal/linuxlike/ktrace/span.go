@@ -148,9 +148,6 @@ func SetSampleShift(shift uint32) uint32 {
 // SampleShift returns the current root sampling shift.
 func SampleShift() uint32 { return sampleShift.Load() }
 
-// SpansSlowCount returns how many times the slow-op watchdog fired.
-func SpansSlowCount() uint64 { return spansSlow.Load() }
-
 // OpTimer is the in-flight state of one timed boundary op. The zero
 // value's End is a no-op, so call sites stay branch-free:
 //
@@ -238,14 +235,6 @@ func (t OpTimer) End() {
 	}
 }
 
-// Active reports whether this timer is actually recording (false for
-// the zero timer handed out when the plane is off or sampled out).
-func (t OpTimer) Active() bool { return t.flags != 0 }
-
-// TraceID returns the trace this timer belongs to (0 when spans are
-// off or the timer is inactive).
-func (t OpTimer) TraceID() uint64 { return t.trace }
-
 // The slow-op watchdog.
 
 // SlowOp is one watchdog capture: the root op that blew the threshold
@@ -261,11 +250,12 @@ type SlowOp struct {
 var (
 	slowThresholdNs atomic.Uint64
 	lastSlow        atomic.Pointer[SlowOp]
-	slowHook        atomic.Pointer[func(SlowOp)]
 )
 
 // SetSlowOpThreshold arms the watchdog: any root span lasting d or
 // longer is captured (0 disarms). Returns the previous threshold.
+//
+//kerncheck:ignore deadexport the watchdog's control surface, armed by pkg/safelinux's latency tests
 func SetSlowOpThreshold(d time.Duration) time.Duration {
 	prev := slowThresholdNs.Swap(uint64(max64(0, d.Nanoseconds())))
 	return time.Duration(prev)
@@ -278,20 +268,14 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// SetSlowOpHook installs a function called (synchronously, on the
-// slow op's own goroutine) with each capture; nil uninstalls.
-func SetSlowOpHook(fn func(SlowOp)) {
-	if fn == nil {
-		slowHook.Store(nil)
-		return
-	}
-	slowHook.Store(&fn)
-}
-
 // LastSlowOp returns the most recent watchdog capture, or nil.
+//
+//kerncheck:ignore deadexport the watchdog's control surface, read by pkg/safelinux's latency tests
 func LastSlowOp() *SlowOp { return lastSlow.Load() }
 
 // ResetSlowOp clears the last capture (tests).
+//
+//kerncheck:ignore deadexport the watchdog's control surface, reset by pkg/safelinux's latency tests
 func ResetSlowOp() { lastSlow.Store(nil) }
 
 func (t OpTimer) fireWatchdog(durNs uint64) {
@@ -305,9 +289,6 @@ func (t OpTimer) fireWatchdog(durNs uint64) {
 		Tree:    SpanTree(ring().Snapshot(), t.trace),
 	}
 	lastSlow.Store(rec)
-	if h := slowHook.Load(); h != nil {
-		(*h)(*rec)
-	}
 }
 
 // SpanTree reconstructs the causal tree of one trace from a slice of

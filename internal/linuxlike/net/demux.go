@@ -112,20 +112,3 @@ func (d *DemuxTable[V]) Len() int {
 	}
 	return n
 }
-
-// ForEach visits every binding, shard by shard, stopping early if fn
-// returns false. Iteration order is NOT deterministic — this is for
-// reset and metrics paths, never for protocol decisions.
-func (d *DemuxTable[V]) ForEach(fn func(k FourTuple, v V) bool) {
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.Lock()
-		for k, v := range s.m {
-			if !fn(k, v) {
-				s.mu.Unlock()
-				return
-			}
-		}
-		s.mu.Unlock()
-	}
-}

@@ -47,16 +47,3 @@ func (h *Host) SendIP(dst Addr, proto byte, payload []byte) kbase.Errno {
 
 // Now returns the current simulation time (for protocol timers).
 func (h *Host) Now() uint64 { return h.sim.clock.Now() }
-
-// PacketFilter inspects one raw inbound packet; returning false drops
-// it. This is the restricted-extension hook the paper's related work
-// contrasts with full module replacement (eBPF-style: safe because
-// the program is verified, limited because it can only filter) —
-// internal/linuxlike/ebpflike provides verified programs that fit it.
-type PacketFilter func(pkt Packet) bool
-
-// SetPacketFilter installs (or, with nil, removes) the inbound filter.
-func (h *Host) SetPacketFilter(f PacketFilter) { h.filter = f }
-
-// FilteredCount returns packets dropped by the filter.
-func (h *Host) FilteredCount() uint64 { return h.stats.Filtered }

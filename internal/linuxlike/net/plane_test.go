@@ -85,11 +85,6 @@ func TestDemuxTableBasics(t *testing.T) {
 	if d.Len() != 2 {
 		t.Fatalf("len = %d", d.Len())
 	}
-	seen := 0
-	d.ForEach(func(FourTuple, int) bool { seen++; return true })
-	if seen != 2 {
-		t.Fatalf("ForEach visited %d", seen)
-	}
 	d.Delete(k1)
 	if _, ok := d.Lookup(k1); ok || d.Len() != 1 {
 		t.Fatal("delete did not remove the binding")

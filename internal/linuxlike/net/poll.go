@@ -83,40 +83,21 @@ type Poller struct {
 }
 
 // NewPoller creates an empty poller.
+//
+//kerncheck:ignore deadexport the readiness plane has no in-tree server yet; net and safetcp tests drive it
 func NewPoller() *Poller { return &Poller{} }
-
-// Stats returns a snapshot of poller counters.
-func (p *Poller) Stats() PollStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
-
-// Pending returns the current ready-list length.
-func (p *Poller) Pending() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.ready)
-}
 
 // Watch attaches a source to this poller. If the owner is already
 // ready, the source is queued immediately so a Watch that races a
 // data arrival cannot lose the wakeup.
+//
+//kerncheck:ignore deadexport the readiness plane has no in-tree server yet; net and safetcp tests drive it
 func (p *Poller) Watch(owner Pollable, src *PollSource) {
 	src.owner = owner
 	src.poller = p
 	if owner.PollReady() != 0 {
 		p.wake(src, owner.PollReady())
 	}
-}
-
-// Unwatch detaches a source; a queued entry is dropped lazily at the
-// next drain.
-func (p *Poller) Unwatch(src *PollSource) {
-	p.mu.Lock()
-	src.poller = nil
-	src.inReady = false
-	p.mu.Unlock()
 }
 
 func (p *Poller) wake(s *PollSource, ev PollEvents) {
@@ -139,6 +120,8 @@ func (p *Poller) wake(s *PollSource, ev PollEvents) {
 // events written; 0 means nothing is ready (the simulator's analog of
 // a wait that would block). Sources that don't fit in out stay queued
 // for the next call.
+//
+//kerncheck:ignore deadexport the readiness plane has no in-tree server yet; net and safetcp tests drive it
 func (p *Poller) Poll(out []PollEvent) int {
 	p.mu.Lock()
 	batch := p.ready

@@ -36,15 +36,6 @@ func NewPortAlloc() *PortAlloc { return &PortAlloc{} }
 // Free returns the number of unused ephemeral ports.
 func (pa *PortAlloc) Free() int { return ephemeralCount - pa.used }
 
-// InUse reports whether a port has live users (always false below the
-// ephemeral base).
-func (pa *PortAlloc) InUse(port uint16) bool {
-	if port < EphemeralBase {
-		return false
-	}
-	return pa.refs[port-EphemeralBase] > 0
-}
-
 // AllocEphemeral claims the next free ephemeral port, scanning from
 // the hint so allocation stays monotonic until the space wraps.
 // Returns EADDRINUSE when every port is in use.

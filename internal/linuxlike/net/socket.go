@@ -111,9 +111,6 @@ type Host struct {
 	// through the modular interface (see modular.go).
 	streamProto StreamProto
 
-	// filter, when installed, screens every inbound packet.
-	filter PacketFilter
-
 	// boundary, when installed, wraps packet and timer dispatch in a
 	// crash-containment compartment (see boundary.go).
 	boundary atomic.Pointer[boundaryBox]
@@ -127,7 +124,6 @@ type HostStats struct {
 	Received  uint64
 	BadPacket uint64
 	NoSocket  uint64
-	Filtered  uint64
 	TxErrors  uint64 // transmits the link refused (no route, partition)
 	Contained uint64 // dispatches dropped by the containment boundary
 }
@@ -154,24 +150,16 @@ func newHost(s *Sim, addr Addr) *Host {
 func (h *Host) Addr() Addr { return h.addr }
 
 // Stats returns a snapshot of host counters.
+//
+//kerncheck:ignore deadexport the host's only counter readout; net, safetcp and pkg/safelinux tests assert on it
 func (h *Host) Stats() HostStats { return h.stats }
 
 // SetTCPTuning installs tuning applied to subsequently created TCBs.
 func (h *Host) SetTCPTuning(tn TCPTuning) { h.tcpTuning = tn }
 
-// ConnCount returns the number of live TCP connections in the demux
-// table.
-func (h *Host) ConnCount() int { return h.demux.Len() }
-
 // TimerCount returns the number of armed connection timers — idle
 // connections hold none.
 func (h *Host) TimerCount() int { return h.wheel.Len() }
-
-// WheelStats exposes the timer-wheel counters (arms, cascades, fires).
-func (h *Host) WheelStats() kbase.WheelStats { return h.wheel.Stats() }
-
-// FreePorts returns how many ephemeral ports remain.
-func (h *Host) FreePorts() int { return h.ports.Free() }
 
 // ListenTCP creates a listening socket on port.
 func (h *Host) ListenTCP(port uint16) (*Socket, kbase.Errno) {
@@ -205,25 +193,6 @@ func (h *Host) ConnectTCP(raddr Addr, rport uint16) (*Socket, kbase.Errno) {
 	s.private = tcb
 	h.registerConn(s)
 	tcb.connect()
-	return s, kbase.EOK
-}
-
-// BindUDP creates a datagram socket on port (0 = ephemeral).
-func (h *Host) BindUDP(port uint16) (*Socket, kbase.Errno) {
-	if port == 0 {
-		p, err := h.ports.AllocEphemeral()
-		if err != kbase.EOK {
-			return nil, err
-		}
-		port = p
-	} else {
-		if _, dup := h.udpSocks[port]; dup {
-			return nil, kbase.EEXIST
-		}
-		h.ports.Acquire(port)
-	}
-	s := &Socket{host: h, Proto: ProtoUDP, LocalPort: port, private: &udpState{}}
-	h.udpSocks[port] = s
 	return s, kbase.EOK
 }
 
@@ -301,10 +270,6 @@ func (h *Host) receive(pkt Packet) {
 
 func (h *Host) doReceive(pkt Packet) {
 	h.stats.Received++
-	if h.filter != nil && !h.filter(pkt) {
-		h.stats.Filtered++
-		return
-	}
 	_, dst, proto, payload, err := ParseIP(pkt)
 	if err != kbase.EOK || dst != h.addr {
 		h.stats.BadPacket++
@@ -489,39 +454,6 @@ func (s *Socket) Recv(buf []byte) (int, kbase.Errno) {
 	}
 }
 
-// SendTo transmits one datagram from a UDP socket.
-func (s *Socket) SendTo(dst Addr, dport uint16, data []byte) kbase.Errno {
-	if s.Proto != ProtoUDP {
-		return kbase.EPROTO
-	}
-	if len(data) > 64*1024-udpHeaderLen {
-		return kbase.EMSGSIZE
-	}
-	dg := udpDatagram{SrcPort: s.LocalPort, DstPort: dport, Payload: data}
-	return s.host.sim.send(s.host.addr, dst, MakeIP(s.host.addr, dst, ProtoUDP, dg.marshal()))
-}
-
-// RecvFrom dequeues one datagram.
-func (s *Socket) RecvFrom(buf []byte) (int, Addr, uint16, kbase.Errno) {
-	if s.Proto != ProtoUDP {
-		return 0, 0, 0, kbase.EPROTO
-	}
-	st, ok := s.private.(*udpState)
-	if !ok {
-		kbase.Oops(kbase.OopsTypeConfusion, "net", "RecvFrom: private is %T", s.private)
-		return 0, 0, 0, kbase.EUCLEAN
-	}
-	if len(st.queue) == 0 {
-		return 0, 0, 0, kbase.EAGAIN
-	}
-	dg := st.queue[0]
-	from := st.from[0]
-	st.queue = st.queue[1:]
-	st.from = st.from[1:]
-	n := copy(buf, dg.Payload)
-	return n, from, dg.SrcPort, kbase.EOK
-}
-
 // Accept dequeues an established connection from a listener.
 func (s *Socket) Accept() (*Socket, kbase.Errno) {
 	if s.Proto != ProtoTCP || s.backlog == nil {
@@ -558,17 +490,6 @@ func (s *Socket) Close() kbase.Errno {
 	return kbase.EPROTO
 }
 
-// State reports the TCP state name (or "udp"/"?" otherwise).
-func (s *Socket) State() string {
-	if tcb, ok := s.private.(*TCB); ok {
-		return tcb.State.String()
-	}
-	if s.Proto == ProtoUDP {
-		return "udp"
-	}
-	return "?"
-}
-
 // Established reports whether a TCP socket finished its handshake.
 func (s *Socket) Established() bool {
 	tcb, ok := s.private.(*TCB)
@@ -587,13 +508,4 @@ func (s *Socket) Closed() bool {
 func (s *Socket) TCPInfo() (*TCB, bool) {
 	tcb, ok := s.private.(*TCB)
 	return tcb, ok
-}
-
-// BufferedRecv returns the number of bytes waiting in the receive
-// buffer — generic code reading TCP internals, again.
-func (s *Socket) BufferedRecv() int {
-	if tcb, ok := s.private.(*TCB); ok {
-		return len(tcb.recvBuf)
-	}
-	return 0
 }

@@ -97,14 +97,6 @@ type VFS struct {
 	boundary atomic.Pointer[boundaryBox]
 }
 
-// InstrumentBoundaries installs a type-confusion detector on the
-// VFS's untyped handoffs (nil uninstalls).
-func (v *VFS) InstrumentBoundaries(d boundaryDetector) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.detector = d
-}
-
 // New creates an empty VFS.
 func New(clock *kbase.Clock) *VFS {
 	if clock == nil {
@@ -118,9 +110,6 @@ func New(clock *kbase.Clock) *VFS {
 		clock:   clock,
 	}
 }
-
-// Clock returns the kernel clock used for timestamps.
-func (v *VFS) Clock() *kbase.Clock { return v.clock }
 
 // RegisterFS registers a file system type.
 func (v *VFS) RegisterFS(fs FileSystemType) kbase.Errno {
@@ -323,11 +312,6 @@ func (v *VFS) lookupCached(task *kbase.Task, dir *Inode, name string) (*Inode, k
 	v.dcache.insert(dir.Sb, dir.Ino, name, child)
 	return child, kbase.EOK
 }
-
-// DcacheStats reports dentry cache hits, misses, and size. It is the
-// legacy shim over the same counters CollectMetrics registers on the
-// unified metrics plane.
-func (v *VFS) DcacheStats() (hits, misses uint64, size int) { return v.dcache.stats() }
 
 // CollectMetrics enumerates the VFS counters — dentry cache and open-
 // file table — for the ktrace metrics registry (register with

@@ -322,7 +322,12 @@ func TestDcacheServesRepeatLookups(t *testing.T) {
 			t.Fatalf("Stat: %v", err)
 		}
 	}
-	hits, _, _ := v.DcacheStats()
+	var hits uint64
+	v.CollectMetrics(func(name string, val uint64) {
+		if name == "dcache_hits" {
+			hits = val
+		}
+	})
 	if hits == 0 {
 		t.Fatalf("dcache never hit")
 	}

@@ -7,6 +7,8 @@
 // shared borrows for readers. The flag-protocol bugs the paper's §4.4
 // describes — writing unmapped buffers, dirtying invalid data,
 // concurrent flag stomps — are unrepresentable.
+//
+//kerncheck:ignore deadexport paper artifact (§4.4): the safe buffer cache is demonstrated by its tests, no kernel stack mounts it yet
 package safebuf
 
 import (

@@ -645,6 +645,8 @@ func (inst *fsInstance) Checkpoint() kbase.Errno {
 }
 
 // InstanceOf extracts the safefs instance from a mounted superblock.
+//
+//kerncheck:ignore deadexport checkpoint handle for the safefs checkpoint ablation benchmark
 func InstanceOf(sb *vfs.SuperBlock) (interface{ Checkpoint() kbase.Errno }, bool) {
 	inst, ok := vfs.SBPrivateAs[*fsInstance](sb)
 	return inst, ok
@@ -673,6 +675,3 @@ func (Module) Implements() module.Interface {
 // Level implements module.Module: safefs carries its own checked
 // functional specification (see spec_adapter.go), the top rung.
 func (Module) Level() module.SafetyLevel { return module.LevelVerified }
-
-// New returns a mountable FS instance.
-func (Module) New(syncOnCommit bool) *FS { return &FS{SyncOnCommit: syncOnCommit} }

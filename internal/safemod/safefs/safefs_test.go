@@ -354,9 +354,6 @@ func TestModuleMetadata(t *testing.T) {
 	if m.Level().String() != "verified" {
 		t.Fatalf("level = %s", m.Level())
 	}
-	if m.New(true) == nil {
-		t.Fatalf("factory nil")
-	}
 }
 
 // TestRenameFileToSelfIsNoop pins the fix for a bug the randomized

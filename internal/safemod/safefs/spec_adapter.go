@@ -37,6 +37,8 @@ func absClone(a Abs) Abs {
 //
 //	create(path) mkdir(path) unlink(path) rmdir(path)
 //	rename(old, new) write(path, off, data) truncate(path, size)
+//
+//kerncheck:ignore deadexport paper artifact: safefs's functional specification, checked by the refinement and crash tests
 func FSSpec() spec.Spec[Abs] {
 	return spec.Spec[Abs]{
 		Name: "safefs",

@@ -206,9 +206,6 @@ type Conn struct {
 	ResetReason string
 }
 
-// State returns the connection state.
-func (c *Conn) State() State { return c.state }
-
 // Established reports a completed handshake.
 func (c *Conn) Established() bool { return c.state == Established }
 
@@ -756,6 +753,8 @@ func (c *Conn) Recv(buf []byte) (int, kbase.Errno) {
 }
 
 // Buffered returns bytes waiting to be Recv'd.
+//
+//kerncheck:ignore deadexport receive-buffer probe for pkg/safelinux's poisoned-enumeration test
 func (c *Conn) Buffered() int { return c.recvBytes }
 
 // Close starts an orderly shutdown.

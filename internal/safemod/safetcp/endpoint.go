@@ -95,21 +95,8 @@ func Attach(host *net.Host, checker *own.Checker) *Endpoint {
 	return ep
 }
 
-// Stats returns a snapshot of endpoint counters. It is the legacy
-// shim over the same counters CollectMetrics registers.
-func (ep *Endpoint) Stats() EndpointStats { return ep.stats }
-
-// ConnCount returns the number of live connections in the demux table.
-func (ep *Endpoint) ConnCount() int { return ep.demux.Len() }
-
 // TimerCount returns the number of armed connection timers.
 func (ep *Endpoint) TimerCount() int { return ep.wheel.Len() }
-
-// WheelStats returns the timer wheel's counters.
-func (ep *Endpoint) WheelStats() kbase.WheelStats { return ep.wheel.Stats() }
-
-// FreePorts returns the number of unused ephemeral ports.
-func (ep *Endpoint) FreePorts() int { return ep.ports.Free() }
 
 // CollectMetrics enumerates the endpoint counters for the ktrace
 // metrics registry (register with m.Register("safetcp", ...)).
@@ -309,9 +296,6 @@ func (l *Listener) PollReady() net.PollEvents {
 	}
 	return 0
 }
-
-// Backlogged returns the number of accepted-but-not-dequeued children.
-func (l *Listener) Backlogged() int { return l.backlog.Len() }
 
 // Close removes the listener.
 func (l *Listener) Close() kbase.Errno {

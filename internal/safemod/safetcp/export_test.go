@@ -1,0 +1,17 @@
+package safetcp
+
+// State returns the connection state.
+func (c *Conn) State() State { return c.state }
+
+// ConnCount returns the number of live connections in the demux table.
+func (ep *Endpoint) ConnCount() int { return ep.demux.Len() }
+
+// FreePorts returns the number of unused ephemeral ports.
+func (ep *Endpoint) FreePorts() int { return ep.ports.Free() }
+
+// Backlogged returns the number of accepted-but-not-dequeued children.
+func (l *Listener) Backlogged() int { return l.backlog.Len() }
+
+// Stats returns a snapshot of endpoint counters. It is the legacy
+// shim over the same counters CollectMetrics registers.
+func (ep *Endpoint) Stats() EndpointStats { return ep.stats }

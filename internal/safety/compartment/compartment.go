@@ -178,9 +178,6 @@ func New(name string) *Compartment {
 	return c
 }
 
-// Name returns the compartment name.
-func (c *Compartment) Name() string { return c.name }
-
 // State returns the current lifecycle state.
 func (c *Compartment) State() State {
 	c.mu.Lock()
@@ -189,6 +186,8 @@ func (c *Compartment) State() State {
 }
 
 // Epoch returns the current epoch (increments on restart and swap).
+//
+//kerncheck:ignore deadexport the supervisor's introspection surface, asserted by pkg/safelinux's containment tests
 func (c *Compartment) Epoch() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -196,6 +195,8 @@ func (c *Compartment) Epoch() uint64 {
 }
 
 // LastFault returns the most recent contained fault, or nil.
+//
+//kerncheck:ignore deadexport the supervisor's introspection surface, asserted by pkg/safelinux's containment tests
 func (c *Compartment) LastFault() *Fault {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -226,6 +227,8 @@ func (c *Compartment) SetFaultHandler(fn func(Fault)) {
 
 // InjectPanic arms the fault injector: the n-th subsequent boundary
 // entry panics inside the compartment. n=1 means the very next entry.
+//
+//kerncheck:ignore deadexport fault-injection hook that pkg/safelinux's containment tests drive
 func (c *Compartment) InjectPanic(n int64) { c.inject.Store(n) }
 
 // enter admits one call across the boundary. Supervisor tasks bypass
@@ -366,23 +369,6 @@ func (c *Compartment) maybeInject(op string) {
 	}
 }
 
-// Exec is Do for operations that return a value alongside the Errno.
-// On containment the zero value of T is returned with EFAULT (or
-// ESHUTDOWN while quarantined).
-func Exec[T any](c *Compartment, task *kbase.Task, op string, fn func() (T, kbase.Errno)) (T, kbase.Errno) {
-	var out T
-	err := c.Do(task, op, func() kbase.Errno {
-		var e kbase.Errno
-		out, e = fn()
-		return e
-	})
-	if err != kbase.EOK {
-		var zero T
-		return zero, err
-	}
-	return out, kbase.EOK
-}
-
 // Run routes a call that has no kernel task context (background
 // machinery, network drivers) across the boundary.
 func (c *Compartment) Run(op string, fn func() kbase.Errno) kbase.Errno {
@@ -520,6 +506,8 @@ func (c *Compartment) EndDrain(kind string, waited time.Duration) {
 }
 
 // Inflight returns the number of calls currently inside the boundary.
+//
+//kerncheck:ignore deadexport the supervisor's introspection surface, asserted by pkg/safelinux's containment tests
 func (c *Compartment) Inflight() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -81,6 +81,8 @@ func (p *Plane) Get(name string) *Compartment {
 }
 
 // Names lists registered compartments in registration order.
+//
+//kerncheck:ignore deadexport the supervisor's control surface, driven by pkg/safelinux's containment and panic-storm tests
 func (p *Plane) Names() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -93,6 +95,8 @@ func (p *Plane) Names() []string {
 // restart (default on). With it off, faulted compartments stay
 // quarantined until Restart is called explicitly — the mode the
 // quarantine-semantics tests use.
+//
+//kerncheck:ignore deadexport the supervisor's control surface, driven by pkg/safelinux's containment and panic-storm tests
 func (p *Plane) SetAutoRestart(on bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -100,6 +104,8 @@ func (p *Plane) SetAutoRestart(on bool) {
 }
 
 // Faults returns a copy of the fault log, oldest first.
+//
+//kerncheck:ignore deadexport the supervisor's control surface, driven by pkg/safelinux's containment and panic-storm tests
 func (p *Plane) Faults() []Fault {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -187,6 +193,8 @@ func (p *Plane) Settle() { p.pending.Wait() }
 
 // WaitHealthy polls until the named compartment is Healthy or the
 // timeout elapses, reporting success.
+//
+//kerncheck:ignore deadexport the supervisor's control surface, driven by pkg/safelinux's containment and panic-storm tests
 func (p *Plane) WaitHealthy(name string, timeout time.Duration) bool {
 	c := p.Get(name)
 	if c == nil {

@@ -236,20 +236,6 @@ func (r *Registry) Swap(m Module, policy SwapPolicy) (Module, kbase.Errno) {
 	}
 }
 
-// Unbind removes the implementation of an interface and returns it.
-func (r *Registry) Unbind(ifaceName string) (Module, kbase.Errno) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b, ok := r.bindings[ifaceName]
-	if !ok {
-		return nil, kbase.ENOENT
-	}
-	delete(r.bindings, ifaceName)
-	m := b.mod.Load().m
-	r.record("unbind", ifaceName, m.ModuleName(), "")
-	return m, kbase.EOK
-}
-
 // Lookup returns the active module for an interface. This is the only
 // sanctioned way for callers to reach an implementation. It is safe
 // against a concurrent Swap and never blocks behind one: the map is
@@ -270,6 +256,8 @@ func (r *Registry) Lookup(ifaceName string) (Module, kbase.Errno) {
 // combining Lookup with the typed downcast. A module bound under the
 // right name but not satisfying T is a contract violation (EPROTO) —
 // caught here at the boundary rather than at some later call site.
+//
+//kerncheck:ignore deadexport typed registry lookup; the root benchmarks compare it with the untyped path
 func Get[T any](r *Registry, ifaceName string) (T, kbase.Errno) {
 	var zero T
 	m, err := r.Lookup(ifaceName)

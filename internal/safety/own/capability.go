@@ -240,14 +240,6 @@ func (o Owned[T]) Borrow() (Ref[T], bool) {
 	return Ref[T]{c: c, released: new(bool)}, true
 }
 
-// Label returns the cell label ("" for the zero handle).
-func (o Owned[T]) Label() string {
-	if o.c == nil {
-		return ""
-	}
-	return o.c.label
-}
-
 // Mut is the exclusive-borrow capability (sharing model 2).
 type Mut[T any] struct {
 	c        *cell[T]
@@ -274,34 +266,6 @@ func (m Mut[T]) Update(f func(*T)) bool {
 	return true
 }
 
-// Get reads the value through the exclusive borrow.
-func (m Mut[T]) Get() (T, bool) {
-	var zero T
-	if m.c == nil {
-		return zero, false
-	}
-	c := m.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if *m.released || c.freed {
-		c.violate(VStaleBorrow, "Mut.Get", "borrow not live")
-		return zero, false
-	}
-	return c.val, true
-}
-
-// Free is always a violation: model 2 says "the callee can mutate the
-// memory but not free it".
-func (m Mut[T]) Free() bool {
-	if m.c == nil {
-		return false
-	}
-	m.c.mu.Lock()
-	defer m.c.mu.Unlock()
-	m.c.violate(VCalleeFree, "Mut.Free", "exclusive borrower attempted free")
-	return false
-}
-
 // Release ends the borrow, returning access to the owner. Double
 // release is a stale-borrow violation.
 func (m Mut[T]) Release() bool {
@@ -326,22 +290,6 @@ type Ref[T any] struct {
 	released *bool
 }
 
-// Get returns a copy of the value.
-func (r Ref[T]) Get() (T, bool) {
-	var zero T
-	if r.c == nil {
-		return zero, false
-	}
-	c := r.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if *r.released || c.freed {
-		c.violate(VStaleBorrow, "Ref.Get", "borrow not live")
-		return zero, false
-	}
-	return c.val, true
-}
-
 // With runs f over the value without copying. f must not retain or
 // mutate through the pointer; the checker cannot see through it, so
 // this is the one documented trust point (mirroring unsafe blocks).
@@ -358,17 +306,6 @@ func (r Ref[T]) With(f func(*T)) bool {
 	}
 	f(&c.val)
 	return true
-}
-
-// Free is always a violation: shared borrowers cannot free.
-func (r Ref[T]) Free() bool {
-	if r.c == nil {
-		return false
-	}
-	r.c.mu.Lock()
-	defer r.c.mu.Unlock()
-	r.c.violate(VCalleeFree, "Ref.Free", "shared borrower attempted free")
-	return false
 }
 
 // Release ends the shared borrow.

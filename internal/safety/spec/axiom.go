@@ -63,6 +63,8 @@ func NewAxiomaticDisk(inner DiskLike) *AxiomaticDisk {
 }
 
 // Violations returns all detected axiom breaches.
+//
+//kerncheck:ignore deadexport the axiomatic disk's audit readout, asserted by safefs and safebuf tests
 func (d *AxiomaticDisk) Violations() []AxiomViolation {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -111,12 +113,3 @@ func (d *AxiomaticDisk) Write(block uint64, data []byte) kbase.Errno {
 
 // Flush forwards.
 func (d *AxiomaticDisk) Flush() kbase.Errno { return d.inner.Flush() }
-
-// InvalidateModel drops tracked expectations (call after a simulated
-// crash, when acknowledged-but-unflushed writes may legitimately
-// vanish).
-func (d *AxiomaticDisk) InvalidateModel() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.model = make(map[uint64][]byte)
-}

@@ -35,46 +35,9 @@ func Err[T any](e kbase.Errno) Result[T] {
 // IsOk reports success.
 func (r Result[T]) IsOk() bool { return r.err == kbase.EOK }
 
-// Errno returns the failure code (EOK on success).
-func (r Result[T]) Errno() kbase.Errno { return r.err }
-
 // Get returns the value and errno; the value is meaningful only when
 // the errno is EOK. This is the total accessor.
 func (r Result[T]) Get() (T, kbase.Errno) { return r.value, r.err }
-
-// MustGet returns the value, panicking on error — for call sites that
-// have already checked IsOk. Unlike dereferencing an ERR_PTR, misuse
-// is loud, immediate, and attributed.
-func (r Result[T]) MustGet() T {
-	if r.err != kbase.EOK {
-		panic(fmt.Sprintf("typedapi: MustGet on Err(%v)", r.err))
-	}
-	return r.value
-}
-
-// OrElse returns the value, or fallback on error.
-func (r Result[T]) OrElse(fallback T) T {
-	if r.err != kbase.EOK {
-		return fallback
-	}
-	return r.value
-}
-
-// Then chains a computation over a successful Result.
-func Then[T, U any](r Result[T], f func(T) Result[U]) Result[U] {
-	if r.err != kbase.EOK {
-		return Result[U]{err: r.err}
-	}
-	return f(r.value)
-}
-
-// MapResult transforms the value of a successful Result.
-func MapResult[T, U any](r Result[T], f func(T) U) Result[U] {
-	if r.err != kbase.EOK {
-		return Result[U]{err: r.err}
-	}
-	return Ok(f(r.value))
-}
 
 // String renders for diagnostics.
 func (r Result[T]) String() string {

@@ -54,9 +54,6 @@ func (t *Token[T]) Peek(issuer string) (T, kbase.Errno) {
 	return t.value, kbase.EOK
 }
 
-// Live reports whether the token is still redeemable.
-func (t *Token[T]) Live() bool { return t != nil && t.live }
-
 // --- Type-confusion detector for legacy boundaries ---
 
 // Detector instruments legacy any-typed boundaries: each boundary
@@ -82,22 +79,14 @@ type Detector struct {
 }
 
 // NewDetector creates an empty detector.
+//
+//kerncheck:ignore deadexport paper artifact: the boundary type-confusion detector, demonstrated by typedapi and vfs tests
 func NewDetector() *Detector {
 	return &Detector{
 		expected:   make(map[string]reflect.Type),
 		crossings:  make(map[string]uint64),
 		confusions: make(map[string]uint64),
 	}
-}
-
-// Expect declares the dynamic type boundary must carry, from a sample
-// value (typically a zero value of the right type).
-//
-//kerncheck:ignore anyboundary the detector inspects untyped crossings by design; any is its subject, not its interface style
-func (d *Detector) Expect(boundary string, sample any) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.expected[boundary] = reflect.TypeOf(sample)
 }
 
 // Check validates one crossing and reports whether it is well-typed.
@@ -135,6 +124,8 @@ type BoundaryStats struct {
 }
 
 // Stats returns per-boundary counts, sorted by boundary name.
+//
+//kerncheck:ignore deadexport paper artifact: the boundary type-confusion detector, demonstrated by typedapi and vfs tests
 func (d *Detector) Stats() []BoundaryStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -143,14 +134,5 @@ func (d *Detector) Stats() []BoundaryStats {
 		out = append(out, BoundaryStats{Boundary: b, Crossings: n, Confusions: d.confusions[b]})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Boundary < out[j].Boundary })
-	return out
-}
-
-// Report returns the accumulated confusion descriptions.
-func (d *Detector) Report() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, len(d.report))
-	copy(out, d.report)
 	return out
 }

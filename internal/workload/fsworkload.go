@@ -281,6 +281,3 @@ func (w *FSWorkload) Run(v *vfs.VFS, task *kbase.Task) FSStats {
 	}
 	return stats
 }
-
-// LiveFiles returns the number of files the workload believes exist.
-func (w *FSWorkload) LiveFiles() int { return len(w.files) }

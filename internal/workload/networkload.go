@@ -54,59 +54,3 @@ func Bulk(sim *net.Sim, src, dst Stream, size int, seed uint64, maxSteps int) Bu
 		Integrity: bytes.Equal(got, payload),
 	}
 }
-
-// EchoResult reports one request/response run.
-type EchoResult struct {
-	Requests  int
-	Completed int
-	Steps     int
-}
-
-// Echo runs request/response rounds: client sends msgSize bytes, the
-// server echoes them back, the client validates. It measures
-// latency-bound behavior where Bulk measures throughput.
-func Echo(sim *net.Sim, client, server Stream, rounds, msgSize int, seed uint64, maxSteps int) EchoResult {
-	rng := kbase.NewRng(seed)
-	res := EchoResult{Requests: rounds}
-	buf := make([]byte, msgSize*2)
-	for r := 0; r < rounds; r++ {
-		msg := make([]byte, msgSize)
-		rng.Bytes(msg)
-		if err := client.Send(msg); err != kbase.EOK {
-			return res
-		}
-		var srvGot, cliGot []byte
-		echoed := false
-		done := sim.RunUntil(func() bool {
-			res.Steps++
-			if !echoed {
-				for len(srvGot) < msgSize {
-					n, _ := server.Recv(buf)
-					if n == 0 {
-						break
-					}
-					srvGot = append(srvGot, buf[:n]...)
-				}
-				if len(srvGot) >= msgSize {
-					server.Send(srvGot[:msgSize])
-					echoed = true
-				}
-			}
-			if echoed {
-				for len(cliGot) < msgSize {
-					n, _ := client.Recv(buf)
-					if n == 0 {
-						break
-					}
-					cliGot = append(cliGot, buf[:n]...)
-				}
-			}
-			return len(cliGot) >= msgSize
-		}, maxSteps)
-		if !done || !bytes.Equal(cliGot[:msgSize], msg) {
-			return res
-		}
-		res.Completed++
-	}
-	return res
-}

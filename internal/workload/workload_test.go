@@ -103,14 +103,6 @@ func TestBulkLegacy(t *testing.T) {
 	}
 }
 
-func TestEchoLegacy(t *testing.T) {
-	sim, c, srv := streamPair(t, 2, 0.02)
-	res := Echo(sim, c, srv, 10, 256, 9, 100000)
-	if res.Completed != 10 {
-		t.Fatalf("echo = %+v", res)
-	}
-}
-
 // TestBulkSafeTCP drives the same workload over the modular safe
 // transport — the module-swap experiment in miniature.
 func TestBulkSafeTCP(t *testing.T) {

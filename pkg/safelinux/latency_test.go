@@ -110,9 +110,6 @@ func TestLatencyPlaneEndToEnd(t *testing.T) {
 		if v.P50 > v.P99 || v.P99 > v.Max {
 			t.Fatalf("%s.%s quantiles inconsistent: %+v", rn[0], rn[1], v)
 		}
-		if q, ok := m.Quantile(rn[0], rn[1], 0.99); !ok || q != v.P99 {
-			t.Fatalf("%s.%s Quantile lookup broken", rn[0], rn[1])
-		}
 	}
 	// Declared-but-idle distributions are still present (count 0):
 	// the registry is the complete catalog, not just what fired.

@@ -56,13 +56,6 @@ func TestKernelRegisterMetrics(t *testing.T) {
 		t.Error("own.violations not registered")
 	}
 
-	// The legacy shims and the registry read the same counters.
-	hits, _, _ := k.VFS.DcacheStats()
-	v, _ := m.Lookup("vfs", "dcache_hits")
-	if v != hits {
-		t.Errorf("registry dcache_hits %d != DcacheStats shim %d", v, hits)
-	}
-
 	text := m.RenderText()
 	if !strings.Contains(text, "blockdev.writes ") {
 		t.Errorf("RenderText missing blockdev.writes:\n%s", text)
@@ -89,7 +82,8 @@ func TestAttachFiltersKernelEvents(t *testing.T) {
 	}
 	defer k.Close()
 
-	ring := ktrace.ResizeBuffer(64)
+	ring := ktrace.Buffer()
+	ring.Reset()
 	tp := ktrace.Lookup("vfs:lookup")
 	if tp == nil {
 		t.Fatal("vfs:lookup tracepoint not registered")

@@ -203,7 +203,7 @@ func stormRound(t *testing.T, k *Kernel, round int, victim string, nextPort *uin
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]byte, k.IOEngine().BlockSize())
+			buf := make([]byte, k.cfg.BlockSize)
 			for {
 				select {
 				case <-stop:
@@ -250,7 +250,7 @@ func stormRound(t *testing.T, k *Kernel, round int, victim string, nextPort *uin
 			}
 		case "kio":
 			b := k.IOEngine().NewBatch()
-			b.Read(1, make([]byte, k.IOEngine().BlockSize()), 0)
+			b.Read(1, make([]byte, k.cfg.BlockSize), 0)
 			for _, cqe := range b.Submit().Wait() {
 				if cqe.Err != kbase.EOK && cqe.Err != kbase.EFAULT && cqe.Err != kbase.ESHUTDOWN {
 					close(stop)

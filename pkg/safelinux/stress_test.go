@@ -238,7 +238,7 @@ func TestStressBufcacheGetPut(t *testing.T) {
 				bh.Put()
 			}
 			if id == 0 {
-				if err := c.SyncDirty(); err != kbase.EOK {
+				if err := c.SyncDirtyCtx(nil); err != kbase.EOK {
 					t.Errorf("SyncDirty: %v", err)
 				}
 			}

@@ -62,7 +62,9 @@ func (s *Socket) SendTo(dst Addr, dport uint16, data []byte) kbase.Errno {
 		return kbase.EMSGSIZE
 	}
 	dg := udpDatagram{SrcPort: s.LocalPort, DstPort: dport, Payload: data}
-	return s.host.sim.send(s.host.addr, dst, MakeIP(s.host.addr, dst, ProtoUDP, dg.marshal()))
+	pkt := NewPacket(udpHeaderLen + len(data))
+	dg.marshal(pkt.Transport())
+	return s.host.SendIP(dst, ProtoUDP, pkt)
 }
 
 // RecvFrom dequeues one datagram.

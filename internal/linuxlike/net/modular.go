@@ -39,10 +39,14 @@ func (h *Host) StreamProtoName() string {
 	return "legacy-tcp"
 }
 
-// SendIP transmits a raw transport payload to dst — the downcall a
-// modular protocol uses instead of reaching into the host.
-func (h *Host) SendIP(dst Addr, proto byte, payload []byte) kbase.Errno {
-	return h.sim.send(h.addr, dst, MakeIP(h.addr, dst, proto, payload))
+// SendIP fills pkt's IP-lite header and transmits it to dst — the
+// downcall a protocol uses instead of reaching into the host. The
+// caller has written its transport header and payload into
+// pkt.Transport(); after SendIP the packet belongs to the wire and
+// must not be written again.
+func (h *Host) SendIP(dst Addr, proto byte, pkt Packet) kbase.Errno {
+	pkt.fillIP(h.addr, dst, proto)
+	return h.sim.send(h.addr, dst, pkt)
 }
 
 // Now returns the current simulation time (for protocol timers).

@@ -98,7 +98,9 @@ func TestSendIPDownCall(t *testing.T) {
 	sim.Link(1, 2, LinkParams{Delay: 1})
 	rp := &recorderProto{}
 	b.InstallStreamProto(rp)
-	if err := a.SendIP(2, ProtoTCP, []byte{0xCA, 0xFE, 0xBA, 0xBE}); err != kbase.EOK {
+	pkt := NewPacket(4)
+	copy(pkt.Transport(), []byte{0xCA, 0xFE, 0xBA, 0xBE})
+	if err := a.SendIP(2, ProtoTCP, pkt); err != kbase.EOK {
 		t.Fatalf("SendIP: %v", err)
 	}
 	sim.Run(3)

@@ -12,6 +12,7 @@ package net
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 
 	"safelinux/internal/linuxlike/kbase"
 )
@@ -23,7 +24,7 @@ const (
 )
 
 // ipHeaderLen is the fixed IP-lite header size: src(4) dst(4)
-// proto(1) pad(1) totalLen(2) pad(2) crc(4). Like real IPv4, the
+// proto(1) pad(1) totalLen(2) crc(4). Like real IPv4, the
 // header carries its own checksum so a link that corrupts a length
 // or address field produces a dropped packet, not a parser walking
 // off the buffer.
@@ -51,32 +52,50 @@ type Addr uint32
 
 // Packet is one wire packet: IP-lite header plus payload. Packets are
 // raw byte slices parsed with manual offsets, as skb data is.
+//
+// A segment is one allocation from sender to receiver: NewPacket
+// reserves headroom for the IP-lite header, the transport writes its
+// header and payload into Transport(), and Host.SendIP fills the IP
+// header in place. Once sent, a packet is immutable: the simulator may
+// deliver a duplicate that shares its buffer, copies only a packet it
+// corrupts, and no receiver writes into a packet.
 type Packet []byte
 
-// MakeIP builds an IP-lite packet around a transport payload.
-func MakeIP(src, dst Addr, proto byte, transport []byte) Packet {
-	p := make(Packet, ipHeaderLen+len(transport))
+// NewPacket allocates a packet with an n-byte transport window.
+func NewPacket(n int) Packet { return make(Packet, ipHeaderLen+n) }
+
+// Transport returns the packet's transport window: everything after
+// the IP-lite header.
+func (p Packet) Transport() []byte { return p[ipHeaderLen:] }
+
+// fillIP writes the IP-lite header in front of the transport window.
+func (p Packet) fillIP(src, dst Addr, proto byte) {
 	le := binary.LittleEndian
 	le.PutUint32(p[0:], uint32(src))
 	le.PutUint32(p[4:], uint32(dst))
 	p[8] = proto
-	le.PutUint16(p[10:], uint16(ipHeaderLen+len(transport)))
+	le.PutUint16(p[10:], uint16(len(p)))
 	le.PutUint32(p[12:], ipChecksum(p))
-	copy(p[ipHeaderLen:], transport)
-	return p
 }
 
-// ipChecksum is FNV-1a over the header bytes preceding the crc field
-// (the header-only scope real IPv4 uses; transports checksum their
-// own payload).
-func ipChecksum(p Packet) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < 12; i++ {
-		h ^= uint32(p[i])
-		h *= 16777619
-	}
-	return h
+// castagnoli is the CRC32C table. hash/crc32 runs it in hardware where
+// the CPU has CRC instructions (SSE4.2 on amd64).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum is the wire checksum of every format on the wire: CRC32C
+// over hdr followed by payload, equal to the CRC32C of the two ranges
+// concatenated. A format passes its header up to the crc field as hdr
+// and its payload after the header, so the crc field itself is never
+// covered. Like any CRC it detects every single-bit flip, which is the
+// Sim's corruption model.
+func Checksum(hdr, payload []byte) uint32 {
+	return crc32.Update(crc32.Update(0, castagnoli, hdr), castagnoli, payload)
 }
+
+// ipChecksum covers the header bytes preceding the crc field (the
+// header-only scope real IPv4 uses; transports checksum their own
+// payload).
+func ipChecksum(p Packet) uint32 { return Checksum(p[:12], nil) }
 
 // ParseIP validates and splits an IP-lite packet. A failed header
 // checksum (bit rot on the wire) is a silent drop via EPROTO;
@@ -108,8 +127,9 @@ type tcpSegment struct {
 	Payload          []byte
 }
 
-func (s *tcpSegment) marshal() []byte {
-	b := make([]byte, tcpHeaderLen+len(s.Payload))
+// marshal writes the segment into b, which is exactly
+// tcpHeaderLen+len(s.Payload) bytes (a packet's transport window).
+func (s *tcpSegment) marshal(b []byte) {
 	le := binary.LittleEndian
 	le.PutUint16(b[0:], s.SrcPort)
 	le.PutUint16(b[2:], s.DstPort)
@@ -119,23 +139,11 @@ func (s *tcpSegment) marshal() []byte {
 	le.PutUint16(b[14:], s.Wnd)
 	copy(b[tcpHeaderLen:], s.Payload)
 	le.PutUint32(b[16:], tcpChecksum(b))
-	return b
 }
 
-// tcpChecksum is FNV-1a over the header (excluding the crc field
-// itself) and payload — the legacy stack's answer to link corruption.
-func tcpChecksum(b []byte) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < 16; i++ {
-		h ^= uint32(b[i])
-		h *= 16777619
-	}
-	for i := tcpHeaderLen; i < len(b); i++ {
-		h ^= uint32(b[i])
-		h *= 16777619
-	}
-	return h
-}
+// tcpChecksum covers the header (excluding the crc field itself) and
+// payload — the legacy stack's answer to link corruption.
+func tcpChecksum(b []byte) uint32 { return Checksum(b[:16], b[tcpHeaderLen:]) }
 
 func parseTCP(b []byte) (tcpSegment, kbase.Errno) {
 	if len(b) < tcpHeaderLen {
@@ -163,14 +171,14 @@ type udpDatagram struct {
 	Payload          []byte
 }
 
-func (d *udpDatagram) marshal() []byte {
-	b := make([]byte, udpHeaderLen+len(d.Payload))
+// marshal writes the datagram into b, which is exactly
+// udpHeaderLen+len(d.Payload) bytes.
+func (d *udpDatagram) marshal(b []byte) {
 	le := binary.LittleEndian
 	le.PutUint16(b[0:], d.SrcPort)
 	le.PutUint16(b[2:], d.DstPort)
 	le.PutUint16(b[4:], uint16(len(d.Payload)))
 	copy(b[udpHeaderLen:], d.Payload)
-	return b
 }
 
 func parseUDP(b []byte) (udpDatagram, kbase.Errno) {

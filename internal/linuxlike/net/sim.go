@@ -1,6 +1,8 @@
 package net
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"safelinux/internal/linuxlike/kbase"
@@ -120,6 +122,8 @@ func (s *Sim) Heal(a, b Addr) {
 }
 
 // send schedules a packet from src to dst, applying the link model.
+// The packet is shared, not copied: every delivered copy that the link
+// does not corrupt is the sender's buffer.
 func (s *Sim) send(src, dst Addr, pkt Packet) kbase.Errno {
 	dir := [2]Addr{src, dst}
 	lp, ok := s.links[dir]
@@ -159,16 +163,18 @@ func (s *Sim) send(src, dst Addr, pkt Packet) kbase.Errno {
 			delay += uint64(s.rng.Intn(int(lp.ReorderJitter) + 1))
 		}
 		s.nextSeq++
-		cp := make(Packet, len(pkt))
-		copy(cp, pkt)
-		if s.rng.Bool(lp.CorruptProb) && len(cp) > 0 {
-			// An adversarial or faulty link flips one byte somewhere in
-			// the packet — header, length field, or payload.
+		wire := pkt
+		if s.rng.Bool(lp.CorruptProb) && len(pkt) > 0 {
+			// An adversarial or faulty link flips one bit somewhere in
+			// the packet — header, length field, or payload. The sent
+			// packet is immutable (a duplicate may share it), so the
+			// flip lands in a private copy.
 			s.stats.Corrupted++
-			cp[s.rng.Intn(len(cp))] ^= byte(1 << uint(s.rng.Intn(8)))
+			wire = append(Packet(nil), pkt...)
+			wire[s.rng.Intn(len(wire))] ^= byte(1 << uint(s.rng.Intn(8)))
 		}
 		s.flight = append(s.flight, inFlight{
-			at: txDone + delay, seq: s.nextSeq, dst: dst, pkt: cp,
+			at: txDone + delay, seq: s.nextSeq, dst: dst, pkt: wire,
 		})
 	}
 	deliver()
@@ -197,11 +203,12 @@ func (s *Sim) Step() {
 		// Swap the backing arrays so next Step reuses this one.
 		s.due, s.scratch, s.flight = due, s.flight[:0], rest
 		if len(due) > 1 {
-			sort.Slice(due, func(i, j int) bool {
-				if due[i].at != due[j].at {
-					return due[i].at < due[j].at
+			// (at, seq) is unique per packet, so the order is total.
+			slices.SortFunc(due, func(a, b inFlight) int {
+				if c := cmp.Compare(a.at, b.at); c != 0 {
+					return c
 				}
-				return due[i].seq < due[j].seq
+				return cmp.Compare(a.seq, b.seq)
 			})
 		}
 		for i, f := range due {

@@ -270,12 +270,11 @@ func (h *Host) receive(pkt Packet) {
 
 func (h *Host) doReceive(pkt Packet) {
 	h.stats.Received++
-	_, dst, proto, payload, err := ParseIP(pkt)
+	src, dst, proto, payload, err := ParseIP(pkt)
 	if err != kbase.EOK || dst != h.addr {
 		h.stats.BadPacket++
 		return
 	}
-	src, _, _, _, _ := ParseIP(pkt)
 	switch proto {
 	case ProtoTCP:
 		if h.streamProto != nil {

@@ -280,16 +280,9 @@ func (t *TCB) transmit(flags byte, seq uint32, payload []byte, track bool) {
 		Wnd:     t.advertiseWnd(),
 		Payload: payload,
 	}
-	host := t.sock.host
-	err := host.sim.send(host.addr, t.sock.RemoteAddr,
-		MakeIP(host.addr, t.sock.RemoteAddr, ProtoTCP, seg.marshal()))
-	if err != kbase.EOK {
-		t.TxErrors++
-		host.stats.TxErrors++
-		tpTCPTxErr.Emit(0, uint64(err), uint64(t.sock.LocalPort))
-	}
+	t.emit(&seg)
 	if track {
-		now := host.sim.clock.Now()
+		now := t.sock.host.sim.clock.Now()
 		t.unacked = append(t.unacked, unackedSeg{
 			seq: seq, flags: flags, payload: payload,
 			deadline: now + t.rto(), sentAt: now,
@@ -579,10 +572,17 @@ func (t *TCB) retransmitSeg(u *unackedSeg, now uint64) {
 		Seq: u.seq, Ack: t.rcvNext, Flags: u.flags,
 		Wnd: t.advertiseWnd(), Payload: u.payload,
 	}
+	t.emit(&seg)
+}
+
+// emit marshals seg straight into a new packet's transport window and
+// sends it: one allocation per segment. Link errors are counted and
+// traced; the caller's retransmission state decides what happens next.
+func (t *TCB) emit(seg *tcpSegment) {
 	host := t.sock.host
-	err := host.sim.send(host.addr, t.sock.RemoteAddr,
-		MakeIP(host.addr, t.sock.RemoteAddr, ProtoTCP, seg.marshal()))
-	if err != kbase.EOK {
+	pkt := NewPacket(tcpHeaderLen + len(seg.Payload))
+	seg.marshal(pkt.Transport())
+	if err := host.SendIP(t.sock.RemoteAddr, ProtoTCP, pkt); err != kbase.EOK {
 		t.TxErrors++
 		host.stats.TxErrors++
 		tpTCPTxErr.Emit(0, uint64(err), uint64(t.sock.LocalPort))

@@ -2,6 +2,7 @@ package safetcp
 
 import (
 	"fmt"
+	"strconv"
 
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/ktrace"
@@ -184,6 +185,9 @@ type Conn struct {
 	peerFIN    bool
 	finPending bool
 	finSeq     uint32
+	// rxLabel labels recvQ's cells. It is built on first delivery, so
+	// an idle connection never allocates it.
+	rxLabel string
 
 	// Retransmission.
 	rtt      rttEstimator
@@ -242,11 +246,7 @@ func (c *Conn) send(f Flags, seq uint32, payload []byte, track bool) {
 		Seq: seq, Ack: c.rcvNext, Flags: f,
 		Wnd: c.advertiseWnd(), Payload: payload,
 	}
-	if err := c.ep.host.SendIP(c.remoteAddr, net.ProtoTCP, seg.Marshal()); err != kbase.EOK {
-		c.TxErrors++
-		c.ep.stats.TxErrors++
-		tpSafeTxErr.Emit(0, uint64(err), uint64(c.localPort))
-	}
+	c.emit(&seg)
 	if track {
 		now := c.ep.host.Now()
 		c.flight = append(c.flight, unacked{
@@ -396,8 +396,10 @@ func (c *Conn) handleSeg(seg Segment) {
 // queue (ownership transfer: the connection owns the cell until Recv
 // hands the bytes to the caller).
 func (c *Conn) deliver(seq uint32, payload []byte) {
-	cell := own.New(c.ep.checker,
-		fmt.Sprintf("safetcp.rx.%d.%d", c.localPort, seq), payload)
+	if c.rxLabel == "" {
+		c.rxLabel = "safetcp.rx." + strconv.Itoa(int(c.localPort))
+	}
+	cell := own.New(c.ep.checker, c.rxLabel, payload)
 	c.recvQ = append(c.recvQ, cell)
 	c.recvBytes += len(payload)
 	c.rcvNext = seq + uint32(len(payload))
@@ -631,7 +633,15 @@ func (c *Conn) retransmit(u *unacked, now uint64) {
 		Seq: u.seq, Ack: c.rcvNext, Flags: u.flags,
 		Wnd: c.advertiseWnd(), Payload: u.payload,
 	}
-	if err := c.ep.host.SendIP(c.remoteAddr, net.ProtoTCP, seg.Marshal()); err != kbase.EOK {
+	c.emit(&seg)
+}
+
+// emit marshals seg straight into a new packet's transport window and
+// sends it: one allocation per segment.
+func (c *Conn) emit(seg *Segment) {
+	pkt := net.NewPacket(headerLen + len(seg.Payload))
+	seg.marshal(pkt.Transport())
+	if err := c.ep.host.SendIP(c.remoteAddr, net.ProtoTCP, pkt); err != kbase.EOK {
 		c.TxErrors++
 		c.ep.stats.TxErrors++
 		tpSafeTxErr.Emit(0, uint64(err), uint64(c.localPort))

@@ -56,7 +56,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		Flags:   Flags{SYN: true, ACK: true},
 		Payload: []byte("data"),
 	}
-	res := ParseSegment(s.Marshal())
+	res := ParseSegment(marshalSeg(&s))
 	got, err := res.Get()
 	if err != kbase.EOK {
 		t.Fatalf("parse: %v", err)
@@ -69,7 +69,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 func TestSegmentValidation(t *testing.T) {
 	s := Segment{SrcPort: 1, DstPort: 2, Payload: []byte("xyz")}
-	wire := s.Marshal()
+	wire := marshalSeg(&s)
 	// Truncated.
 	if ParseSegment(wire[:10]).IsOk() {
 		t.Fatalf("runt accepted")
@@ -78,12 +78,27 @@ func TestSegmentValidation(t *testing.T) {
 	if ParseSegment(wire[:len(wire)-1]).IsOk() {
 		t.Fatalf("short payload accepted")
 	}
-	// Bit flip.
-	for _, i := range []int{0, 5, 12, len(wire) - 1} {
-		bad := append([]byte(nil), wire...)
-		bad[i] ^= 0x40
-		if ParseSegment(bad).IsOk() {
-			t.Fatalf("corruption at %d accepted", i)
+	// Every single-bit flip, at every offset, of header and payload.
+	for _, n := range []int{0, 1, 64} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i*37 + 5)
+		}
+		s := Segment{SrcPort: 49152, DstPort: 80, Seq: 0x01020304, Ack: 0xA0B0C0D0,
+			Flags: Flags{ACK: true, FIN: true}, Wnd: 4096, Payload: payload}
+		wire := marshalSeg(&s)
+		if !ParseSegment(wire).IsOk() {
+			t.Fatalf("intact %d-byte segment rejected", n)
+		}
+		bad := make([]byte, len(wire))
+		for i := range wire {
+			for bit := 0; bit < 8; bit++ {
+				copy(bad, wire)
+				bad[i] ^= 1 << bit
+				if ParseSegment(bad).IsOk() {
+					t.Fatalf("%d-byte segment: flip of bit %d at offset %d accepted", n, bit, i)
+				}
+			}
 		}
 	}
 }
@@ -95,7 +110,7 @@ func TestSegmentPropertyRoundTrip(t *testing.T) {
 		}
 		s := Segment{SrcPort: sp, DstPort: dp, Seq: seq, Ack: ack,
 			Flags: decodeFlags(fl & 0x0F), Payload: payload}
-		got, err := ParseSegment(s.Marshal()).Get()
+		got, err := ParseSegment(marshalSeg(&s)).Get()
 		if err != kbase.EOK {
 			return false
 		}

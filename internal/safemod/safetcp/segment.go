@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/linuxlike/net"
 	"safelinux/internal/safety/typedapi"
 )
 
@@ -65,9 +66,9 @@ type Segment struct {
 // format, the payload length is explicit and checksummed.
 const headerLen = 22
 
-// Marshal serializes the segment.
-func (s *Segment) Marshal() []byte {
-	b := make([]byte, headerLen+len(s.Payload))
+// marshal writes the segment into b, which is exactly
+// headerLen+len(s.Payload) bytes (a packet's transport window).
+func (s *Segment) marshal(b []byte) {
 	le := binary.LittleEndian
 	le.PutUint16(b[0:], s.SrcPort)
 	le.PutUint16(b[2:], s.DstPort)
@@ -78,24 +79,10 @@ func (s *Segment) Marshal() []byte {
 	le.PutUint16(b[16:], s.Wnd)
 	copy(b[headerLen:], s.Payload)
 	le.PutUint32(b[18:], checksum(b))
-	return b
 }
 
 // checksum covers everything except the crc field itself.
-func checksum(b []byte) uint32 {
-	var h uint32 = 2166136261
-	mix := func(x byte) {
-		h ^= uint32(x)
-		h *= 16777619
-	}
-	for i := 0; i < 18; i++ {
-		mix(b[i])
-	}
-	for i := headerLen; i < len(b); i++ {
-		mix(b[i])
-	}
-	return h
-}
+func checksum(b []byte) uint32 { return net.Checksum(b[:18], b[headerLen:]) }
 
 // ParseSegment validates and decodes one wire payload. All failure
 // modes return a typed error; nothing is ever interpreted from a

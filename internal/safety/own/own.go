@@ -215,7 +215,7 @@ func (c *Checker) CollectMetrics(emit func(name string, value uint64)) {
 // starts with prefix, sorted. A crash-containment supervisor calls
 // this when a compartment faults: the cells the dead compartment still
 // owns are exactly the shared state it may have left poisoned, and the
-// labels name them ("safefs:/a/b", "safetcp:recv:...") for the
+// labels name them ("safefs:/a/b", "safetcp.rx.80") for the
 // quarantine report.
 func (c *Checker) LiveLabels(prefix string) []string {
 	c.mu.Lock()

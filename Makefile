@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json vet-strict kerncheck test race bench-smoke bench-parallel bench-trace bench-kio bench-net bench-net-quick bench-swap bench-fuzz fuzz-smoke kbench-smoke kbench-ab panic-storm check
+.PHONY: all build vet lint lint-json vet-strict kerncheck kbench-vet test race bench-smoke bench-parallel bench-trace bench-kio bench-net bench-net-quick bench-swap bench-fuzz fuzz-smoke kbench-smoke kbench-ab panic-storm check
 
 all: check
 
@@ -94,6 +94,12 @@ bench-swap:
 fuzz-smoke:
 	$(GO) run ./cmd/kfuzz -smoke
 
+# kbench is its own module, so neither `go build ./...` nor `go vet
+# ./...` compiles it: this is the quick check that it still builds
+# against the kernel's current API.
+kbench-vet:
+	cd cmd/kbench && GOWORK=off $(GO) vet .
+
 # kbench's own tests under the race detector: the smoke run of every
 # workload, determinism, and the model oracle that checks each op's
 # result. kbench is its own module, so it runs outside the workspace.
@@ -133,4 +139,4 @@ bench-fuzz:
 panic-storm:
 	$(GO) test -race -run TestPanicStormConvergence -count 5 ./pkg/safelinux/
 
-check: build vet lint test
+check: build vet kbench-vet lint test

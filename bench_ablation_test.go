@@ -17,6 +17,7 @@ import (
 	"safelinux/internal/linuxlike/fs/extlike"
 	"safelinux/internal/linuxlike/fs/ramfs"
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/linuxlike/ktrace"
 	"safelinux/internal/linuxlike/vfs"
 	"safelinux/internal/safemod/safefs"
 	"safelinux/internal/workload"
@@ -49,7 +50,7 @@ func benchSafefsSync(b *testing.B, syncOnCommit bool) {
 		done += chunk
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(dev.Stats().Flushes)/float64(b.N), "flushes/op")
+	b.ReportMetric(float64(ktrace.Read(dev.CollectMetrics, "flushes"))/float64(b.N), "flushes/op")
 }
 
 func BenchmarkAblationSafefsSyncOnCommit(b *testing.B) { benchSafefsSync(b, true) }
@@ -161,7 +162,7 @@ func benchExtlikeCache(b *testing.B, cacheSize int) {
 		done += chunk
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(dev.Stats().Reads)/float64(b.N), "devReads/op")
+	b.ReportMetric(float64(ktrace.Read(dev.CollectMetrics, "reads"))/float64(b.N), "devReads/op")
 }
 
 func BenchmarkAblationBufcacheUnbounded(b *testing.B) { benchExtlikeCache(b, 0) }

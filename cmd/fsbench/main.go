@@ -15,6 +15,7 @@ import (
 	"safelinux/internal/linuxlike/blockdev"
 	"safelinux/internal/linuxlike/fs/extlike"
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/linuxlike/ktrace"
 	"safelinux/internal/linuxlike/vfs"
 	"safelinux/internal/safemod/safefs"
 	"safelinux/internal/workload"
@@ -35,15 +36,16 @@ func main() {
 	for _, mixName := range []string{"data-heavy", "metadata-heavy"} {
 		mix := mixes[mixName]
 		for _, fsName := range []string{"extlike", "safefs"} {
-			stats, devStats, wall := run(fsName, mix, *ops, *seed, *blocks)
+			stats, dev, wall := run(fsName, mix, *ops, *seed, *blocks)
 			fmt.Printf("%-16s %-10s %10d %10d %10d %10d %12s\n",
 				mixName, fsName, stats.Ops, stats.Errors,
-				devStats.Reads, devStats.Writes, wall.Round(time.Millisecond))
+				ktrace.Read(dev.CollectMetrics, "reads"), ktrace.Read(dev.CollectMetrics, "writes"),
+				wall.Round(time.Millisecond))
 		}
 	}
 }
 
-func run(fsName string, mix workload.FSMix, ops int, seed, blocks uint64) (workload.FSStats, blockdev.Stats, time.Duration) {
+func run(fsName string, mix workload.FSMix, ops int, seed, blocks uint64) (workload.FSStats, *blockdev.Device, time.Duration) {
 	rec := &kbase.OopsRecorder{}
 	prev := kbase.InstallRecorder(rec)
 	defer kbase.InstallRecorder(prev)
@@ -77,7 +79,7 @@ func run(fsName string, mix workload.FSMix, ops int, seed, blocks uint64) (workl
 	start := time.Now()
 	stats := w.Run(v, task)
 	wall := time.Since(start)
-	return stats, dev.Stats(), wall
+	return stats, dev, wall
 }
 
 func fatal(what string, err kbase.Errno) {

@@ -213,13 +213,13 @@ func measureCopies(writes int, owned bool) (CopyStats, error) {
 	if err := batch.Submit().Err(); err != kbase.EOK {
 		return CopyStats{}, fmt.Errorf("final batch: %v", err)
 	}
-	st := e.Stats()
+	performed := ktrace.Read(e.CollectMetrics, "copies_performed")
 	cs := CopyStats{
 		Writes:          uint64(writes),
-		CopiesPerformed: st.CopiesPerformed,
-		CopiesAvoided:   st.CopiesAvoided,
-		BytesCopied:     st.BytesCopied,
-		CopiesPerWrite:  float64(st.CopiesPerformed) / float64(writes),
+		CopiesPerformed: performed,
+		CopiesAvoided:   ktrace.Read(e.CollectMetrics, "copies_avoided"),
+		BytesCopied:     ktrace.Read(e.CollectMetrics, "bytes_copied"),
+		CopiesPerWrite:  float64(performed) / float64(writes),
 	}
 	return cs, nil
 }

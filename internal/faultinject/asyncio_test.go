@@ -252,8 +252,8 @@ func TestKioPanicMidBatchCompletesEachSQEOnce(t *testing.T) {
 			t.Errorf("CQE %d = {user %d, %v}, want {user %d, %v}", i, cqe.User, cqe.Err, i+1, want[i])
 		}
 	}
-	if st := e.Stats(); st.Completed != st.Submitted || st.Completed != 5 {
-		t.Fatalf("completed %d of %d submitted SQEs, want each of 5 once", st.Completed, st.Submitted)
+	if c, s := ktrace.Read(e.CollectMetrics, "completed"), ktrace.Read(e.CollectMetrics, "submitted"); c != s || c != 5 {
+		t.Fatalf("completed %d of %d submitted SQEs, want each of 5 once", c, s)
 	}
 	if n := ck.Count(); n != 0 {
 		t.Fatalf("ownership violations: %v", ck.Violations())

@@ -76,18 +76,6 @@ func (c *Config) fill() {
 	}
 }
 
-// Stats counts device activity.
-type Stats struct {
-	Reads   uint64
-	Writes  uint64
-	Flushes uint64
-	Crashes uint64
-	// TornBlocks counts blocks torn across all crashes.
-	TornBlocks uint64
-	// DroppedWrites counts cached writes lost to crashes.
-	DroppedWrites uint64
-}
-
 // pendingWrite is one cached, not-yet-durable write. seq is the
 // global issue order across all shards.
 type pendingWrite struct {
@@ -117,8 +105,8 @@ type Device struct {
 	writes  atomic.Uint64
 	flushes atomic.Uint64
 	crashes atomic.Uint64
-	torn    atomic.Uint64
-	dropped atomic.Uint64
+	torn    atomic.Uint64 // blocks torn across all crashes
+	dropped atomic.Uint64 // cached writes lost to crashes
 
 	// fault injection, guarded by ctl (never held together with a
 	// shard lock except ctl -> shard).
@@ -183,20 +171,6 @@ func (d *Device) BlockSize() int { return d.cfg.BlockSize }
 
 // Blocks returns the device capacity in blocks.
 func (d *Device) Blocks() uint64 { return d.cfg.Blocks }
-
-// Stats returns a snapshot of the device counters. It is the legacy
-// shim over the same counters CollectMetrics registers on the unified
-// metrics plane.
-func (d *Device) Stats() Stats {
-	return Stats{
-		Reads:         d.reads.Load(),
-		Writes:        d.writes.Load(),
-		Flushes:       d.flushes.Load(),
-		Crashes:       d.crashes.Load(),
-		TornBlocks:    d.torn.Load(),
-		DroppedWrites: d.dropped.Load(),
-	}
-}
 
 // CollectMetrics enumerates the device counters for the ktrace
 // metrics registry (register with m.Register("blockdev", d.CollectMetrics)).

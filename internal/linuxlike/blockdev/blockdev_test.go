@@ -61,8 +61,8 @@ func TestCrashApplyNoneDropsUnflushed(t *testing.T) {
 	if !bytes.Equal(got, make([]byte, d.BlockSize())) {
 		t.Fatalf("unflushed write survived CrashApplyNone")
 	}
-	if d.Stats().DroppedWrites != 1 {
-		t.Fatalf("DroppedWrites = %d", d.Stats().DroppedWrites)
+	if got := d.dropped.Load(); got != 1 {
+		t.Fatalf("dropped writes = %d", got)
 	}
 }
 

@@ -313,15 +313,6 @@ func (c *Cache) SetEngine(e *kio.Engine) { c.engine.Store(e) }
 // Engine returns the cache's kio engine (never nil).
 func (c *Cache) Engine() *kio.Engine { return c.engine.Load() }
 
-// CacheStats counts cache activity.
-type CacheStats struct {
-	Hits         uint64
-	Misses       uint64
-	Writeback    uint64
-	Evictions    uint64
-	OverReleases uint64 // Put calls rejected with OverReleaseError
-}
-
 // NewCache creates a cache over dev holding at most maxBufs buffers
 // (0 means unbounded), with its own kio engine over dev.
 func NewCache(dev *blockdev.Device, maxBufs int) *Cache {
@@ -344,32 +335,23 @@ func (c *Cache) Device() *blockdev.Device { return c.dev }
 // CollectMetrics enumerates the cache counters for the ktrace metrics
 // registry (register with m.Register("bufcache", c.CollectMetrics)).
 func (c *Cache) CollectMetrics(emit func(name string, value uint64)) {
-	st := c.Stats()
-	emit("hits", st.Hits)
-	emit("misses", st.Misses)
-	emit("writeback", st.Writeback)
-	emit("evictions", st.Evictions)
-	emit("over_releases", st.OverReleases)
-	emit("cached", uint64(c.Cached()))
-	emit("dirty", uint64(c.DirtyCount()))
-}
-
-// Stats returns a snapshot of cache counters. It is the legacy shim
-// over the same counters CollectMetrics registers on the unified
-// metrics plane.
-func (c *Cache) Stats() CacheStats {
-	var st CacheStats
+	var hits, misses, writeback, evictions uint64
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.Writeback += s.writeback
-		st.Evictions += s.evictions
+		hits += s.hits
+		misses += s.misses
+		writeback += s.writeback
+		evictions += s.evictions
 		s.mu.Unlock()
 	}
-	st.OverReleases = c.overReleases.Load()
-	return st
+	emit("hits", hits)
+	emit("misses", misses)
+	emit("writeback", writeback)
+	emit("evictions", evictions)
+	emit("over_releases", c.overReleases.Load())
+	emit("cached", uint64(c.Cached()))
+	emit("dirty", uint64(c.DirtyCount()))
 }
 
 // doGetBlk returns the buffer for block without reading it from disk

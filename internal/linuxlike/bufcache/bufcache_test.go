@@ -5,6 +5,7 @@ import (
 
 	"safelinux/internal/linuxlike/blockdev"
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/linuxlike/ktrace"
 )
 
 func testCache(t *testing.T, maxBufs int) *Cache {
@@ -53,9 +54,8 @@ func TestCacheHitReturnsSameBuffer(t *testing.T) {
 	}
 	a.Put()
 	b.Put()
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v", st)
+	if h, m := ktrace.Read(c.CollectMetrics, "hits"), ktrace.Read(c.CollectMetrics, "misses"); h != 1 || m != 1 {
+		t.Fatalf("hits = %d, misses = %d, want 1 and 1", h, m)
 	}
 }
 
@@ -97,12 +97,12 @@ func TestSyncBlocksWritesOnlyListed(t *testing.T) {
 	}
 	clean, _ := c.Bread(6)
 	clean.Put()
-	before := c.Device().Stats()
+	dev := c.Device().CollectMetrics
+	writes, flushes := ktrace.Read(dev, "writes"), ktrace.Read(dev, "flushes")
 	if err := c.SyncBlocksCtx(nil, []uint64{3, 5, 6, 7}); err != kbase.EOK {
 		t.Fatalf("SyncBlocksCtx: %v", err)
 	}
-	after := c.Device().Stats()
-	if w, f := after.Writes-before.Writes, after.Flushes-before.Flushes; w != 2 || f != 1 {
+	if w, f := ktrace.Read(dev, "writes")-writes, ktrace.Read(dev, "flushes")-flushes; w != 2 || f != 1 {
 		t.Fatalf("SyncBlocksCtx issued %d writes and %d flushes, want 2 and 1", w, f)
 	}
 	if c.DirtyCount() != 1 {
@@ -194,8 +194,8 @@ func TestPutReturnsTypedOverReleaseError(t *testing.T) {
 	if bh.Refcount() != 0 {
 		t.Fatalf("refcount corrupted to %d by rejected Put", bh.Refcount())
 	}
-	if got := c.Stats().OverReleases; got != 1 {
-		t.Fatalf("Stats().OverReleases = %d", got)
+	if got := c.overReleases.Load(); got != 1 {
+		t.Fatalf("over-releases = %d", got)
 	}
 	if rec.Count(kbase.OopsGeneric) != 1 {
 		t.Fatalf("oops count = %d", rec.Count(kbase.OopsGeneric))
@@ -221,8 +221,8 @@ func TestLRUEviction(t *testing.T) {
 	if _, err := c.GetBlk(10); err != kbase.EOK {
 		t.Fatalf("GetBlk after release: %v", err)
 	}
-	if c.Stats().Evictions != 1 {
-		t.Fatalf("evictions = %d", c.Stats().Evictions)
+	if got := ktrace.Read(c.CollectMetrics, "evictions"); got != 1 {
+		t.Fatalf("evictions = %d", got)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"safelinux/internal/linuxlike/bufcache"
 	"safelinux/internal/linuxlike/fs/extlike"
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/linuxlike/ktrace"
 	"safelinux/internal/linuxlike/vfs"
 )
 
@@ -141,9 +142,9 @@ func TestFsyncPersistsOnlyItsFile(t *testing.T) {
 	pwrite(t, v, task, fb, patterned(2*testBS, 4), 0)
 
 	cache := cacheOf(t, v, task)
-	writes := dev.Stats().Writes
+	writes := ktrace.Read(dev.CollectMetrics, "writes")
 	fsync(t, v, task, fa)
-	if got := dev.Stats().Writes - writes; got != 2 {
+	if got := ktrace.Read(dev.CollectMetrics, "writes") - writes; got != 2 {
 		t.Fatalf("fsync(a) issued %d device writes, want a's 2 blocks", got)
 	}
 	if got := cache.DirtyCount(); got != 2 {
@@ -209,9 +210,9 @@ func TestFsyncSkipsBlockReusedByAnotherFile(t *testing.T) {
 	pwrite(t, v, task, fb, patterned(testBS, 8), 0)
 
 	cache := cacheOf(t, v, task)
-	writes := dev.Stats().Writes
+	writes := ktrace.Read(dev.CollectMetrics, "writes")
 	fsync(t, v, task, fa)
-	if got := dev.Stats().Writes - writes; got != 1 {
+	if got := ktrace.Read(dev.CollectMetrics, "writes") - writes; got != 1 {
 		t.Fatalf("fsync(a) issued %d device writes, want a's 1 remaining block", got)
 	}
 	if got := cache.DirtyCount(); got != 1 {

@@ -8,6 +8,7 @@ import (
 
 	"safelinux/internal/linuxlike/blockdev"
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/linuxlike/ktrace"
 	"safelinux/internal/linuxlike/vfs"
 )
 
@@ -357,9 +358,9 @@ func TestMultiBlockDirCrash(t *testing.T) {
 				t.Fatalf("SyncAll: %v", err)
 			}
 
-			logged := inst.jnl.Stats().BlocksLogged
+			logged := ktrace.Read(inst.jnl.CollectMetrics, "blocks_logged")
 			want := tc.op(t, v, task, names)
-			logged = inst.jnl.Stats().BlocksLogged - logged
+			logged = ktrace.Read(inst.jnl.CollectMetrics, "blocks_logged") - logged
 			if tc.name == "append-create" {
 				// The new entry fits in the last block, so the other
 				// logged blocks are the new inode's and the

@@ -8,6 +8,7 @@ import (
 
 	"safelinux/internal/linuxlike/blockdev"
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/linuxlike/ktrace"
 	"safelinux/internal/linuxlike/vfs"
 )
 
@@ -21,15 +22,24 @@ type ioDelta struct {
 }
 
 func ioSince(dev *blockdev.Device, inst *fsInstance, run func()) ioDelta {
-	d0, j0 := dev.Stats(), inst.jnl.Stats()
+	read := func() ioDelta {
+		return ioDelta{
+			writes:      ktrace.Read(dev.CollectMetrics, "writes"),
+			flushes:     ktrace.Read(dev.CollectMetrics, "flushes"),
+			commits:     ktrace.Read(inst.jnl.CollectMetrics, "commits"),
+			logged:      ktrace.Read(inst.jnl.CollectMetrics, "blocks_logged"),
+			checkpoints: ktrace.Read(inst.jnl.CollectMetrics, "checkpoints"),
+		}
+	}
+	d0 := read()
 	run()
-	d1, j1 := dev.Stats(), inst.jnl.Stats()
+	d1 := read()
 	return ioDelta{
-		writes:      d1.Writes - d0.Writes,
-		flushes:     d1.Flushes - d0.Flushes,
-		commits:     j1.Commits - j0.Commits,
-		logged:      j1.BlocksLogged - j0.BlocksLogged,
-		checkpoints: j1.Checkpoints - j0.Checkpoints,
+		writes:      d1.writes - d0.writes,
+		flushes:     d1.flushes - d0.flushes,
+		commits:     d1.commits - d0.commits,
+		logged:      d1.logged - d0.logged,
+		checkpoints: d1.checkpoints - d0.checkpoints,
 	}
 }
 

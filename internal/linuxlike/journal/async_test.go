@@ -162,7 +162,7 @@ func TestAsyncCommitGroupCommit(t *testing.T) {
 			t.Fatalf("concurrent Commit: %v", err)
 		}
 	}
-	if got := j.Stats().BlocksLogged; got < writers {
+	if got := j.stats.BlocksLogged; got < writers {
 		t.Fatalf("BlocksLogged = %d, want >= %d", got, writers)
 	}
 }

@@ -90,16 +90,10 @@ type Journal struct {
 	lastDoneSeq uint64
 	lastErr     kbase.Errno
 
-	stats Stats
-}
-
-// Stats counts journal activity.
-type Stats struct {
-	Commits      uint64
-	BlocksLogged uint64
-	Checkpoints  uint64
-	Replayed     uint64
-	Revokes      uint64
+	// stats counts journal activity.
+	stats struct {
+		Commits, BlocksLogged, Checkpoints, Replayed, Revokes uint64
+	}
 }
 
 // Tx is a running transaction.
@@ -139,19 +133,12 @@ func New(cache *bufcache.Cache, start, size uint64) *Journal {
 	return j
 }
 
-// Stats returns a snapshot of journal counters. It is the legacy shim
-// over the same counters CollectMetrics registers on the unified
-// metrics plane.
-func (j *Journal) Stats() Stats {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.stats
-}
-
 // CollectMetrics enumerates the journal counters for the ktrace
 // metrics registry (register with m.Register("journal", j.CollectMetrics)).
 func (j *Journal) CollectMetrics(emit func(name string, value uint64)) {
-	st := j.Stats()
+	j.mu.Lock()
+	st := j.stats
+	j.mu.Unlock()
 	emit("commits", st.Commits)
 	emit("blocks_logged", st.BlocksLogged)
 	emit("checkpoints", st.Checkpoints)

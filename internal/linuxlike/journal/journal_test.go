@@ -8,6 +8,7 @@ import (
 	"safelinux/internal/linuxlike/blockdev"
 	"safelinux/internal/linuxlike/bufcache"
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/linuxlike/ktrace"
 )
 
 // Layout for tests: blocks 0..31 journal, 32..63 data.
@@ -217,7 +218,7 @@ func TestCommitBlocksUntilHandleStops(t *testing.T) {
 	if err := <-done; err != kbase.EOK {
 		t.Fatalf("Commit after Stop: %v", err)
 	}
-	if got := j.Stats().Commits; got != 1 {
+	if got := j.stats.Commits; got != 1 {
 		t.Fatalf("Commits = %d, want 1", got)
 	}
 	// A second Commit with nothing running is a no-op.
@@ -255,7 +256,7 @@ func TestCommitEmptyJournalNoop(t *testing.T) {
 	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("empty Commit: %v", err)
 	}
-	if j.Stats().Commits != 0 {
+	if j.stats.Commits != 0 {
 		t.Fatalf("empty commit counted")
 	}
 }
@@ -301,7 +302,7 @@ func TestStatsAccounting(t *testing.T) {
 	writeVia(t, cache, j, 47, 0x01)
 	j.CommitCtx(nil)
 	j.Checkpoint()
-	st := j.Stats()
+	st := j.stats
 	if st.Commits != 1 || st.BlocksLogged != 1 || st.Checkpoints != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -317,14 +318,13 @@ func TestEmptyCommitBetweenRealCommits(t *testing.T) {
 	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit 1: %v", err)
 	}
-	before := dev.Stats()
+	writes, flushes := ktrace.Read(dev.CollectMetrics, "writes"), ktrace.Read(dev.CollectMetrics, "flushes")
 	j.Begin().Stop()
 	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("empty Commit: %v", err)
 	}
-	if after := dev.Stats(); after.Writes != before.Writes || after.Flushes != before.Flushes {
-		t.Fatalf("empty commit did I/O: writes %d→%d, flushes %d→%d",
-			before.Writes, after.Writes, before.Flushes, after.Flushes)
+	if w, f := ktrace.Read(dev.CollectMetrics, "writes"), ktrace.Read(dev.CollectMetrics, "flushes"); w != writes || f != flushes {
+		t.Fatalf("empty commit did I/O: writes %d→%d, flushes %d→%d", writes, w, flushes, f)
 	}
 	writeVia(t, cache, j, 41, 0xA2)
 	if err := j.CommitCtx(nil); err != kbase.EOK {
@@ -350,8 +350,8 @@ func TestEmptyCommitBetweenRealCommits(t *testing.T) {
 	if a, b := readBlock(t, dev, 40)[0], readBlock(t, dev, 41)[0]; a != 0xA1 || b != 0xA2 {
 		t.Fatalf("replayed homes = %#x, %#x; want 0xa1, 0xa2", a, b)
 	}
-	if c := j.Stats().Commits; c != 2 {
-		t.Fatalf("Stats().Commits = %d, want 2", c)
+	if c := j.stats.Commits; c != 2 {
+		t.Fatalf("commits = %d, want 2", c)
 	}
 }
 

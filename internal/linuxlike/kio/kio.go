@@ -86,21 +86,6 @@ type ownedWriter interface {
 	WriteOwned(block uint64, data []byte) kbase.Errno
 }
 
-// Stats counts engine activity. BytesCopied/CopiesPerformed cover the
-// legacy copying submit path; CopiesAvoided counts ownership-move
-// submits that would each have copied one block on that path — the
-// §4.3 zero-copy claim is the pair (CopiesAvoided > 0, BytesCopied
-// unchanged).
-type Stats struct {
-	Submitted       uint64 // SQEs accepted
-	Completed       uint64 // CQEs published
-	Batches         uint64 // Submit calls that executed at least one SQE
-	Barriers        uint64 // flush SQEs executed
-	BytesCopied     uint64 // payload bytes copied by Batch.Write
-	CopiesPerformed uint64 // Batch.Write submissions (one copy each)
-	CopiesAvoided   uint64 // Batch.WriteOwned submissions (zero copies)
-}
-
 // CQE is one completion-queue entry.
 type CQE struct {
 	Op    Op
@@ -138,13 +123,17 @@ type Engine struct {
 	// crash-containment compartment (see boundary.go).
 	boundary atomic.Pointer[boundaryBox]
 
-	submitted atomic.Uint64
-	completed atomic.Uint64
-	batches   atomic.Uint64
-	barriers  atomic.Uint64
-	copied    atomic.Uint64
-	copies    atomic.Uint64
-	avoided   atomic.Uint64
+	// Counters. copied and copies cover the legacy copying submit
+	// path; avoided counts ownership-move submits that would each have
+	// copied one block on that path — the §4.3 zero-copy claim is the
+	// pair (copies_avoided > 0, bytes_copied unchanged).
+	submitted atomic.Uint64 // SQEs accepted
+	completed atomic.Uint64 // CQEs published
+	batches   atomic.Uint64 // Submit calls that executed at least one SQE
+	barriers  atomic.Uint64 // flush SQEs executed
+	copied    atomic.Uint64 // payload bytes copied by Batch.Write
+	copies    atomic.Uint64 // Batch.Write submissions (one copy each)
+	avoided   atomic.Uint64 // Batch.WriteOwned submissions (zero copies)
 
 	// sqeHist is the submit-to-complete latency distribution of
 	// sampled SQEs (see ktrace.TimingSample), exported as the
@@ -168,30 +157,16 @@ func (e *Engine) Close() {
 	e.drain.Unlock()
 }
 
-// Stats returns a snapshot of the engine counters.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		Submitted:       e.submitted.Load(),
-		Completed:       e.completed.Load(),
-		Batches:         e.batches.Load(),
-		Barriers:        e.barriers.Load(),
-		BytesCopied:     e.copied.Load(),
-		CopiesPerformed: e.copies.Load(),
-		CopiesAvoided:   e.avoided.Load(),
-	}
-}
-
 // CollectMetrics enumerates the engine counters for the ktrace metrics
 // registry (register with m.Register("kio", e.CollectMetrics)).
 func (e *Engine) CollectMetrics(emit func(name string, value uint64)) {
-	s := e.Stats()
-	emit("submitted", s.Submitted)
-	emit("completed", s.Completed)
-	emit("batches", s.Batches)
-	emit("barriers", s.Barriers)
-	emit("bytes_copied", s.BytesCopied)
-	emit("copies_performed", s.CopiesPerformed)
-	emit("copies_avoided", s.CopiesAvoided)
+	emit("submitted", e.submitted.Load())
+	emit("completed", e.completed.Load())
+	emit("batches", e.batches.Load())
+	emit("barriers", e.barriers.Load())
+	emit("bytes_copied", e.copied.Load())
+	emit("copies_performed", e.copies.Load())
+	emit("copies_avoided", e.avoided.Load())
 }
 
 // execute runs batch in submit order on the calling goroutine,

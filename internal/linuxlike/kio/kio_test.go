@@ -8,6 +8,7 @@ import (
 
 	"safelinux/internal/linuxlike/blockdev"
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/linuxlike/ktrace"
 	"safelinux/internal/safety/own"
 )
 
@@ -81,7 +82,7 @@ func TestBarrierMakesWritesDurable(t *testing.T) {
 			t.Fatalf("block %d not durable after barrier", blk)
 		}
 	}
-	if got := e.Stats().Barriers; got != 1 {
+	if got := e.barriers.Load(); got != 1 {
 		t.Fatalf("Barriers = %d, want 1", got)
 	}
 }
@@ -105,13 +106,11 @@ func TestZeroCopyOwnershipPath(t *testing.T) {
 		t.Fatalf("write CQE: %v", cqes[0].Err)
 	}
 
-	st := e.Stats()
-	if st.CopiesAvoided != 1 {
-		t.Fatalf("CopiesAvoided = %d, want 1", st.CopiesAvoided)
+	if got := e.avoided.Load(); got != 1 {
+		t.Fatalf("copies avoided = %d, want 1", got)
 	}
-	if st.BytesCopied != 0 || st.CopiesPerformed != 0 {
-		t.Fatalf("ownership path copied: BytesCopied=%d CopiesPerformed=%d",
-			st.BytesCopied, st.CopiesPerformed)
+	if copied, copies := e.copied.Load(), e.copies.Load(); copied != 0 || copies != 0 {
+		t.Fatalf("ownership path copied: %d bytes in %d copies", copied, copies)
 	}
 	buf := make([]byte, e.BlockSize())
 	dev.Read(7, buf)
@@ -137,12 +136,11 @@ func TestCopyPathCountsCopies(t *testing.T) {
 	if err := b.Submit().Err(); err != kbase.EOK {
 		t.Fatalf("batch: %v", err)
 	}
-	st := e.Stats()
-	if st.CopiesPerformed != 5 {
-		t.Fatalf("CopiesPerformed = %d, want 5", st.CopiesPerformed)
+	if got := e.copies.Load(); got != 5 {
+		t.Fatalf("copies performed = %d, want 5", got)
 	}
-	if want := uint64(5 * e.BlockSize()); st.BytesCopied != want {
-		t.Fatalf("BytesCopied = %d, want %d", st.BytesCopied, want)
+	if got, want := e.copied.Load(), uint64(5*e.BlockSize()); got != want {
+		t.Fatalf("bytes copied = %d, want %d", got, want)
 	}
 	// The caller's buffer is reusable immediately: mutate it and check
 	// the device kept the original payload.
@@ -199,7 +197,7 @@ func TestDuplicateWritesReachDevice(t *testing.T) {
 	if err := b.Submit().Err(); err != kbase.EOK {
 		t.Fatalf("batch: %v", err)
 	}
-	if got := dev.Stats().Writes; got != 2 {
+	if got := ktrace.Read(dev.CollectMetrics, "writes"); got != 2 {
 		t.Fatalf("device writes = %d, want 2", got)
 	}
 	buf := make([]byte, e.BlockSize())
@@ -351,9 +349,8 @@ func TestConcurrentBatches(t *testing.T) {
 	if leaks := ck.CheckLeaks(); len(leaks) != 0 {
 		t.Fatalf("%d pages leaked", len(leaks))
 	}
-	st := e.Stats()
-	if st.Completed != st.Submitted {
-		t.Fatalf("completed %d != submitted %d", st.Completed, st.Submitted)
+	if c, s := e.completed.Load(), e.submitted.Load(); c != s {
+		t.Fatalf("completed %d != submitted %d", c, s)
 	}
 }
 

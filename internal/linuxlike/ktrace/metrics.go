@@ -15,10 +15,10 @@ import (
 // its own struct, and nothing could enumerate "all the counters of
 // this kernel". A Metrics registry inverts that: subsystems register
 // a collector that emits (name, value) pairs, and the registry renders
-// them all as a /proc-style text table or JSON. The old Stats()
-// accessors survive as thin shims over the same counters, so existing
-// callers keep working while the registry becomes the one surface
-// tooling reads.
+// them all as a /proc-style text table or JSON. A subsystem's
+// collector is the only readout of its counters: a caller holding one
+// subsystem reads a single counter with Read, a caller holding a
+// kernel reads its registry.
 //
 // v2 makes the registry typed. A Metric is either a counter or a
 // histogram (percentile export), and aggregation semantics are
@@ -38,6 +38,24 @@ import (
 // each. Collectors must be safe to call at any time from any
 // goroutine; they read live atomics or take the subsystem's own locks.
 type CollectorFunc func(emit func(name string, value uint64))
+
+// Read runs c once and returns the value it emits for name. It panics
+// when c never emits name, or emits it more than once (the case
+// GatherChecked reports as a DupEmission), so a misspelt counter fails
+// loudly instead of reading 0.
+func Read(c CollectorFunc, name string) uint64 {
+	var v uint64
+	n := 0
+	c(func(got string, value uint64) {
+		if got == name {
+			v, n = value, n+1
+		}
+	})
+	if n != 1 {
+		panic(fmt.Sprintf("ktrace: collector emitted %q %d times, want once", name, n))
+	}
+	return v
+}
 
 // HistSourceFunc enumerates a subsystem's histograms by calling emit
 // with a point-in-time view of each. Like CollectorFunc it must be

@@ -9,14 +9,31 @@ import (
 
 // TestGatherCheckedDupEmission: one collector emitting a name twice in
 // a single gather is the bug v2 makes visible — still summed (dropping
-// data would be worse) but reported as a typed DupEmission.
+// data would be worse) but reported as a typed DupEmission. Read, the
+// one-collector readout, returns a single emission and panics where
+// GatherChecked would report a dup, or on a name the collector never
+// emits.
 func TestGatherCheckedDupEmission(t *testing.T) {
 	m := NewMetrics()
-	m.Register("buggy", func(emit func(string, uint64)) {
+	buggy := func(emit func(string, uint64)) {
 		emit("x", 3)
 		emit("x", 4)
 		emit("y", 1)
-	})
+	}
+	m.Register("buggy", buggy)
+	if v := Read(buggy, "y"); v != 1 {
+		t.Fatalf("Read(y) = %d, want 1", v)
+	}
+	for _, name := range []string{"x", "z"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Read(%s) did not panic", name)
+				}
+			}()
+			Read(buggy, name)
+		}()
+	}
 	metrics, dups := m.GatherChecked()
 	if len(dups) != 1 {
 		t.Fatalf("got %d dup reports, want 1: %v", len(dups), dups)

@@ -12,9 +12,9 @@ import (
 // (timers). Routing those through a containment boundary means a panic
 // anywhere in protocol code is recovered at the dispatch line: the
 // compartment quarantines, subsequent packets are dropped (counted in
-// HostStats.Contained) instead of crashing the kernel, and the
-// supervisor rebuilds the stack with ResetStreams + a fresh protocol
-// attach.
+// the host's net.contained metric) instead of crashing the kernel, and
+// the supervisor rebuilds the stack with ResetStreams + a fresh
+// protocol attach.
 //
 // Socket-level calls (Send/Recv/Accept) are NOT individually guarded:
 // a caller that wants containment for a whole client interaction wraps

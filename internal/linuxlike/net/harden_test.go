@@ -192,7 +192,7 @@ func TestTxErrorsSurfaced(t *testing.T) {
 	if ctcb.TxErrors == 0 {
 		t.Fatalf("partitioned transmit not counted on the TCB")
 	}
-	if a.Stats().TxErrors == 0 {
+	if a.stats.TxErrors == 0 {
 		t.Fatalf("partitioned transmit not counted on the host")
 	}
 	if sim.Stats().PartitionDrops == 0 {

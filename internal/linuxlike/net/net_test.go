@@ -251,8 +251,8 @@ func TestRuntPacketDetected(t *testing.T) {
 	if rec.Count(kbase.OopsOutOfBounds) != 1 {
 		t.Fatalf("runt packet not reported")
 	}
-	if h.Stats().BadPacket != 1 {
-		t.Fatalf("BadPacket = %d", h.Stats().BadPacket)
+	if h.stats.BadPacket != 1 {
+		t.Fatalf("BadPacket = %d", h.stats.BadPacket)
 	}
 }
 

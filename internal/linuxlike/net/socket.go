@@ -115,17 +115,14 @@ type Host struct {
 	// crash-containment compartment (see boundary.go).
 	boundary atomic.Pointer[boundaryBox]
 
-	// Oops attribution.
-	stats HostStats
-}
-
-// HostStats counts per-host activity.
-type HostStats struct {
-	Received  uint64
-	BadPacket uint64
-	NoSocket  uint64
-	TxErrors  uint64 // transmits the link refused (no route, partition)
-	Contained uint64 // dispatches dropped by the containment boundary
+	// stats counts per-host activity.
+	stats struct {
+		Received  uint64
+		BadPacket uint64
+		NoSocket  uint64
+		TxErrors  uint64 // transmits the link refused (no route, partition)
+		Contained uint64 // dispatches dropped by the containment boundary
+	}
 }
 
 func newHost(s *Sim, addr Addr) *Host {
@@ -149,10 +146,15 @@ func newHost(s *Sim, addr Addr) *Host {
 // Addr returns the host address.
 func (h *Host) Addr() Addr { return h.addr }
 
-// Stats returns a snapshot of host counters.
-//
-//kerncheck:ignore deadexport the host's only counter readout; net, safetcp and pkg/safelinux tests assert on it
-func (h *Host) Stats() HostStats { return h.stats }
+// CollectMetrics enumerates the host counters for the ktrace metrics
+// registry (register with m.Register("net", h.CollectMetrics)).
+func (h *Host) CollectMetrics(emit func(name string, value uint64)) {
+	emit("received", h.stats.Received)
+	emit("bad_packets", h.stats.BadPacket)
+	emit("no_socket", h.stats.NoSocket)
+	emit("tx_errors", h.stats.TxErrors)
+	emit("contained", h.stats.Contained)
+}
 
 // SetTCPTuning installs tuning applied to subsequently created TCBs.
 func (h *Host) SetTCPTuning(tn TCPTuning) { h.tcpTuning = tn }

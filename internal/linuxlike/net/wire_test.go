@@ -178,8 +178,8 @@ func TestDuplicatedStreamLegacy(t *testing.T) {
 			if _, err := l.Accept(); err == kbase.EOK || c.Established() {
 				t.Fatalf("a connection came up over a link that corrupts every packet")
 			}
-			if a.Stats().BadPacket+b.Stats().BadPacket != sim.Stats().Delivered {
-				t.Fatalf("bad %d + %d of %d delivered", a.Stats().BadPacket, b.Stats().BadPacket, sim.Stats().Delivered)
+			if a.stats.BadPacket+b.stats.BadPacket != sim.Stats().Delivered {
+				t.Fatalf("bad %d + %d of %d delivered", a.stats.BadPacket, b.stats.BadPacket, sim.Stats().Delivered)
 			}
 			ta.checkUnwritten(t)
 			tb.checkUnwritten(t)

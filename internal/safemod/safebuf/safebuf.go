@@ -168,7 +168,7 @@ type cacheShard struct {
 	mu      sync.Mutex
 	buffers map[uint64]*Buffer
 	dirty   map[uint64]*Buffer
-	stats   Stats
+	stats   struct{ Hits, Misses, Writeback uint64 }
 }
 
 // Cache is the ownership-safe buffer cache over an axiomatically
@@ -178,13 +178,6 @@ type Cache struct {
 	checker *own.Checker
 
 	shards [NumShards]cacheShard
-}
-
-// Stats counts cache activity.
-type Stats struct {
-	Hits      uint64
-	Misses    uint64
-	Writeback uint64
 }
 
 // NewCache creates a cache over disk; ownership violations are
@@ -205,26 +198,19 @@ func (c *Cache) shard(block uint64) *cacheShard {
 // CollectMetrics enumerates the cache counters for the ktrace metrics
 // registry (register with m.Register("safebuf", c.CollectMetrics)).
 func (c *Cache) CollectMetrics(emit func(name string, value uint64)) {
-	st := c.Stats()
-	emit("hits", st.Hits)
-	emit("misses", st.Misses)
-	emit("writeback", st.Writeback)
-	emit("dirty", uint64(c.DirtyCount()))
-}
-
-// Stats returns a snapshot summed over all shards. It is the legacy
-// shim over the same counters CollectMetrics registers.
-func (c *Cache) Stats() Stats {
-	var out Stats
+	var hits, misses, writeback uint64
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		out.Hits += s.stats.Hits
-		out.Misses += s.stats.Misses
-		out.Writeback += s.stats.Writeback
+		hits += s.stats.Hits
+		misses += s.stats.Misses
+		writeback += s.stats.Writeback
 		s.mu.Unlock()
 	}
-	return out
+	emit("hits", hits)
+	emit("misses", misses)
+	emit("writeback", writeback)
+	emit("dirty", uint64(c.DirtyCount()))
 }
 
 // Get returns the buffer for block, reading it from disk on first

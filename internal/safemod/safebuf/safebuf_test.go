@@ -67,8 +67,7 @@ func TestGetCachesAndCounts(t *testing.T) {
 	if a != b {
 		t.Fatalf("distinct buffers for same block")
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
+	if st := c.shard(1).stats; st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -51,11 +51,11 @@ type Endpoint struct {
 	tickNow uint64
 	fireFn  func(*Conn)
 
-	stats EndpointStats
+	stats endpointStats
 }
 
-// EndpointStats counts endpoint activity.
-type EndpointStats struct {
+// endpointStats counts endpoint activity.
+type endpointStats struct {
 	Segments   uint64
 	BadSegment uint64
 	NoConn     uint64

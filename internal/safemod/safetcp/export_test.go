@@ -11,7 +11,3 @@ func (ep *Endpoint) FreePorts() int { return ep.ports.Free() }
 
 // Backlogged returns the number of accepted-but-not-dequeued children.
 func (l *Listener) Backlogged() int { return l.backlog.Len() }
-
-// Stats returns a snapshot of endpoint counters. It is the legacy
-// shim over the same counters CollectMetrics registers.
-func (ep *Endpoint) Stats() EndpointStats { return ep.stats }

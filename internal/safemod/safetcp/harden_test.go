@@ -139,9 +139,9 @@ func TestSafeResetOnRetryExhaustion(t *testing.T) {
 	if c.ResetErr != kbase.ETIMEDOUT {
 		t.Fatalf("ResetErr = %v, want ETIMEDOUT", c.ResetErr)
 	}
-	if c.TxErrors == 0 || a.Stats().TxErrors == 0 {
+	if c.TxErrors == 0 || a.stats.TxErrors == 0 {
 		t.Fatalf("partitioned transmits not surfaced: conn=%d ep=%d",
-			c.TxErrors, a.Stats().TxErrors)
+			c.TxErrors, a.stats.TxErrors)
 	}
 	if err := c.Send([]byte("x")); err != kbase.ETIMEDOUT {
 		t.Fatalf("send after reset: %v", err)

@@ -270,8 +270,8 @@ func TestGarbageSegmentsCounted(t *testing.T) {
 	sim, _, b := pair(t, 7, net.LinkParams{Delay: 1})
 	_ = sim
 	b.HandleSegment(1, []byte{1, 2, 3})
-	if b.Stats().BadSegment != 1 {
-		t.Fatalf("BadSegment = %d", b.Stats().BadSegment)
+	if b.stats.BadSegment != 1 {
+		t.Fatalf("BadSegment = %d", b.stats.BadSegment)
 	}
 }
 

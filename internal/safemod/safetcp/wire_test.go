@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/linuxlike/ktrace"
 	"safelinux/internal/linuxlike/net"
 	"safelinux/internal/safety/own"
 )
@@ -70,8 +71,8 @@ func TestDuplicatedStreamSafe(t *testing.T) {
 			if _, err := l.Accept(); err == kbase.EOK || c.Established() {
 				t.Fatalf("a connection came up over a link that corrupts every packet")
 			}
-			bad := ha.Stats().BadPacket + hb.Stats().BadPacket +
-				ta.ep.Stats().BadSegment + tb.ep.Stats().BadSegment
+			bad := ktrace.Read(ha.CollectMetrics, "bad_packets") + ktrace.Read(hb.CollectMetrics, "bad_packets") +
+				ta.ep.stats.BadSegment + tb.ep.stats.BadSegment
 			if bad != sim.Stats().Delivered {
 				t.Fatalf("%d bad of %d delivered", bad, sim.Stats().Delivered)
 			}

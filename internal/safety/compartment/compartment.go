@@ -505,15 +505,6 @@ func (c *Compartment) EndDrain(kind string, waited time.Duration) {
 	}
 }
 
-// Inflight returns the number of calls currently inside the boundary.
-//
-//kerncheck:ignore deadexport the supervisor's introspection surface, asserted by pkg/safelinux's containment tests
-func (c *Compartment) Inflight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inflight
-}
-
 // CollectMetrics enumerates the boundary counters for the ktrace
 // metrics registry (register as "compartment_<name>").
 func (c *Compartment) CollectMetrics(emit func(name string, value uint64)) {

@@ -263,8 +263,8 @@ func TestDrainBlocksEntriesAndReleases(t *testing.T) {
 	if err := <-drained; err != kbase.EOK {
 		t.Fatalf("BeginDrain = %v, want EOK", err)
 	}
-	if got := c.Inflight(); got != 0 {
-		t.Fatalf("Inflight after drain = %d, want 0", got)
+	if got := ktrace.Read(c.CollectMetrics, "inflight"); got != 0 {
+		t.Fatalf("inflight after drain = %d, want 0", got)
 	}
 
 	epochBefore := c.Epoch()
@@ -486,7 +486,7 @@ func TestSwapUnderConcurrentLoadZeroDrops(t *testing.T) {
 		if err := c.BeginDrain(Draining); err != kbase.EOK {
 			t.Fatalf("swap %d: BeginDrain = %v", s, err)
 		}
-		if got := c.Inflight(); got != 0 {
+		if got := ktrace.Read(c.CollectMetrics, "inflight"); got != 0 {
 			t.Fatalf("swap %d: inflight = %d during drained window", s, got)
 		}
 		c.EndDrain("swap", time.Since(start))

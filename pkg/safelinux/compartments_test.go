@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/linuxlike/ktrace"
 	"safelinux/internal/linuxlike/net"
 	"safelinux/internal/linuxlike/vfs"
 	"safelinux/internal/safemod/safefs"
@@ -54,7 +55,7 @@ func TestCompartmentsBootAndWire(t *testing.T) {
 	if readAll(t, k, "/f") != "data" {
 		t.Fatalf("read back mismatch")
 	}
-	if k.Plane.Get("fs").Inflight() != 0 {
+	if ktrace.Read(k.Plane.Get("fs").CollectMetrics, "inflight") != 0 {
 		t.Fatalf("inflight stuck nonzero")
 	}
 }
@@ -181,7 +182,7 @@ func TestNetFaultContainedAndRestarted(t *testing.T) {
 		t.Fatalf("net did not restart; state=%v", comp.State())
 	}
 	hostA, hostB := k.Hosts()
-	if hostA.Stats().Contained == 0 && hostB.Stats().Contained == 0 {
+	if ktrace.Read(hostA.CollectMetrics, "contained")+ktrace.Read(hostB.CollectMetrics, "contained") == 0 {
 		t.Fatalf("no contained drops counted")
 	}
 	if err := k.StreamRoundTrip(4001, []byte("after-restart")); err != kbase.EOK {

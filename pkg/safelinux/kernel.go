@@ -36,7 +36,8 @@ type Config struct {
 	DiskBlocks uint64 // root device capacity (default 4096)
 	BlockSize  int    // root device block size (default 512)
 	// CaptureOops installs an oops recorder so failures are captured
-	// instead of panicking (default true).
+	// instead of panicking. The zero value installs none, so a caller
+	// that wants failures captured must set it.
 	CaptureOops bool
 	// Deprecated: ignored; the kio engine is always on.
 	AsyncIO bool
@@ -395,13 +396,16 @@ func (k *Kernel) migrateTCP(task *kbase.Task) kbase.Errno {
 // RegisterMetrics wires every live subsystem into a ktrace metrics
 // registry: the root block device, the VFS/dcache, the ownership
 // checker, the root file system's journal and buffer cache (legacy
-// configuration), the safe transport endpoints (after UpgradeTCP), and
-// the ktrace built-ins (tracepoint hit counts, lockstat). Call again
-// after an upgrade to pick up newly installed modules.
+// configuration), both network hosts, the safe transport endpoints
+// (after UpgradeTCP), and the ktrace built-ins (tracepoint hit counts,
+// lockstat). Call again after an upgrade to pick up newly installed
+// modules.
 func (k *Kernel) RegisterMetrics(m *ktrace.Metrics) {
 	m.Register("blockdev", k.rootDev.CollectMetrics)
 	m.Register("vfs", k.VFS.CollectMetrics)
 	m.Register("own", k.Checker.CollectMetrics)
+	m.Register("net", k.hostA.CollectMetrics)
+	m.Register("net", k.hostB.CollectMetrics)
 	if root, err := k.VFS.Resolve(k.Task, "/"); err == kbase.EOK {
 		if inst, ok := extlike.InstanceOf(root.Sb); ok {
 			m.Register("journal", inst.Journal().CollectMetrics)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/linuxlike/ktrace"
 	"safelinux/internal/linuxlike/net"
 	"safelinux/internal/linuxlike/vfs"
 	"safelinux/internal/safety/audit"
@@ -222,7 +223,7 @@ func TestConfigLinkAndNetPartition(t *testing.T) {
 	if n, _ := srv.Recv(make([]byte, 64)); n != 0 {
 		t.Fatalf("data crossed a full partition")
 	}
-	if a.Stats().TxErrors == 0 {
+	if ktrace.Read(a.CollectMetrics, "tx_errors") == 0 {
 		t.Fatalf("partitioned sends not surfaced as tx errors")
 	}
 

@@ -36,25 +36,42 @@ func TestKernelRegisterMetrics(t *testing.T) {
 		}
 	}
 
-	for _, probe := range []struct{ sub, name string }{
-		{"blockdev", "writes"},
-		{"bufcache", "hits"},
-		{"journal", "commits"},
-		{"vfs", "dcache_hits"},
-	} {
-		v, ok := m.Lookup(probe.sub, probe.name)
-		if !ok {
-			t.Errorf("metric %s.%s not registered", probe.sub, probe.name)
-			continue
-		}
-		if v == 0 {
-			t.Errorf("metric %s.%s = 0 after I/O", probe.sub, probe.name)
+	if err := k.StreamRoundTrip(7000, []byte("ping")); err != kbase.EOK {
+		t.Fatalf("legacy round trip: %v", err)
+	}
+
+	// The probes cover every registry counter kbench's perLayerMetrics
+	// reads (cmd/kbench/trace.go): kbench is its own module, so a
+	// renamed counter would read 0 there without failing a build.
+	// moves marks the counters the I/O above must have bumped.
+	type probe struct {
+		sub, name string
+		moves     bool
+	}
+	check := func(m *ktrace.Metrics, probes []probe) {
+		t.Helper()
+		for _, p := range probes {
+			v, ok := m.Lookup(p.sub, p.name)
+			if !ok {
+				t.Errorf("metric %s.%s not registered", p.sub, p.name)
+			} else if p.moves && v == 0 {
+				t.Errorf("metric %s.%s = 0 after I/O", p.sub, p.name)
+			}
 		}
 	}
-	// The ownership checker is wired even when clean.
-	if _, ok := m.Lookup("own", "violations"); !ok {
-		t.Error("own.violations not registered")
-	}
+	check(m, []probe{
+		{"vfs", "dcache_hits", true}, {"vfs", "dcache_misses", false},
+		{"journal", "commits", true}, {"journal", "blocks_logged", true},
+		{"bufcache", "hits", true}, {"bufcache", "misses", false}, {"bufcache", "writeback", false},
+		{"kio", "submitted", true}, {"kio", "batches", true},
+		{"kio", "copies_avoided", false}, {"kio", "copies_performed", false},
+		{"blockdev", "reads", false}, {"blockdev", "writes", true}, {"blockdev", "flushes", true},
+		{"own", "live_cells", false},
+		// The ownership checker is wired even when clean.
+		{"own", "violations", false},
+		{"net", "received", true}, {"net", "bad_packets", false}, {"net", "no_socket", false},
+		{"net", "tx_errors", false}, {"net", "contained", false},
+	})
 
 	text := m.RenderText()
 	if !strings.Contains(text, "blockdev.writes ") {
@@ -65,11 +82,12 @@ func TestKernelRegisterMetrics(t *testing.T) {
 	if err := k.UpgradeTCP(); err != kbase.EOK {
 		t.Fatalf("UpgradeTCP: %v", err)
 	}
+	if err := k.StreamRoundTrip(7001, []byte("ping")); err != kbase.EOK {
+		t.Fatalf("safe round trip: %v", err)
+	}
 	m2 := ktrace.NewMetrics()
 	k.RegisterMetrics(m2)
-	if _, ok := m2.Lookup("safetcp", "segments"); !ok {
-		t.Error("safetcp.segments not registered after UpgradeTCP")
-	}
+	check(m2, []probe{{"safetcp", "segments", true}, {"safetcp", "bad_segments", false}})
 }
 
 // TestAttachFiltersKernelEvents is the whole-stack integration test of

@@ -10,6 +10,7 @@ import (
 	"safelinux/internal/linuxlike/bufcache"
 	"safelinux/internal/linuxlike/fs/extlike"
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/linuxlike/ktrace"
 	"safelinux/internal/linuxlike/vfs"
 	"safelinux/internal/safemod/safefs"
 	"safelinux/internal/safety/own"
@@ -249,9 +250,9 @@ func TestStressBufcacheGetPut(t *testing.T) {
 	if n := rec.Count(""); n != 0 {
 		t.Fatalf("oopses under cache stress: %v", rec.Events())
 	}
-	st := c.Stats()
-	if st.Hits+st.Misses != gets.Load() {
-		t.Fatalf("stats leak: hits %d + misses %d != gets %d", st.Hits, st.Misses, gets.Load())
+	hits, misses := ktrace.Read(c.CollectMetrics, "hits"), ktrace.Read(c.CollectMetrics, "misses")
+	if hits+misses != gets.Load() {
+		t.Fatalf("stats leak: hits %d + misses %d != gets %d", hits, misses, gets.Load())
 	}
 	if c.Cached() > blocks {
 		t.Fatalf("cache grew past device: %d", c.Cached())
@@ -310,7 +311,7 @@ func TestStressBufcacheBounded(t *testing.T) {
 	if got := c.Cached(); got > maxBufs+workers {
 		t.Fatalf("cache size %d way past bound %d", got, maxBufs)
 	}
-	if st := c.Stats(); st.Evictions == 0 {
-		t.Fatalf("bounded cache never evicted: %+v", st)
+	if ktrace.Read(c.CollectMetrics, "evictions") == 0 {
+		t.Fatalf("bounded cache never evicted")
 	}
 }

@@ -134,9 +134,12 @@ bench-fuzz:
 # The faultinject campaign: a seeded storm of injected panics kills
 # every compartment at least once under load; bystander workloads must
 # record zero failures and the plane must converge back to healthy.
-# Run under the race detector — the quarantine/restart window is where
-# the interesting interleavings live.
+# TestGateStress runs beside it: concurrent crossings against looping
+# drains, injected faults and restarts, checking the lock-free gate
+# admits nothing into a completed drain. Run under the race detector —
+# the quarantine/restart window is where the interesting interleavings
+# live.
 panic-storm:
-	$(GO) test -race -run TestPanicStormConvergence -count 5 ./pkg/safelinux/
+	$(GO) test -race -run 'TestPanicStormConvergence|TestGateStress' -count 5 ./pkg/safelinux/ ./internal/safety/compartment/
 
 check: build vet kbench-vet lint test

@@ -1,21 +1,21 @@
-// Package compartguard enforces the PR 6 compartment discipline with
-// two rules. First, legacy packages (everything under
-// internal/linuxlike) must not import internal/safety/compartment:
-// the containment plane reaches them only through each package's
-// structurally-typed Boundary interface, so the kernel never links
-// against the safety layer. Second, in a package that declares such a
-// Boundary, the unexported operation implementations that gate
-// functions route through it (the doX convention) must stay reachable
-// only through the gates: an exported function that calls one
-// directly — or through an unexported wrapper — is a gate bypass, an
-// entry point a compartment restart cannot contain.
+// Package compartguard enforces the compartment discipline with two
+// rules. First, legacy packages (everything under internal/linuxlike)
+// must not import internal/safety/compartment: the containment plane
+// reaches them only through the concrete gate type of the trusted core
+// (internal/safety/gate), so the kernel never links legacy code
+// against the safety layer's policy. Second, in a package that crosses
+// a gate, the unexported operation implementations that gate functions
+// route through it (the doX convention) must stay reachable only
+// through the gates: an exported function that calls one directly —
+// or through an unexported wrapper — is a gate bypass, an entry point
+// a compartment restart cannot contain.
 //
-// Gate detection is structural: a gate is any function whose body
-// invokes a method on the package's Boundary interface (vfs.guard,
-// bufcache.guardBuf, an inline box.b.Run). Guarded internals are the
-// static callees of function literals passed to gate calls or to
-// Boundary method calls; guardedness propagates through unexported
-// wrappers that call a guarded function outside such a literal.
+// Gate detection is by type: a gate is any function whose body calls a
+// method of gate.Gate, directly or promoted through an embedding type
+// (vfs.guard, bufcache.guardBuf, an inline g.Run). Guarded internals
+// are the static callees of function literals passed to gate calls or
+// to gate methods; guardedness propagates through unexported wrappers
+// that call a guarded function outside such a literal.
 package compartguard
 
 import (
@@ -29,6 +29,7 @@ import (
 
 const (
 	compartmentPkg = analysis.ModulePath + "/internal/safety/compartment"
+	gatePkg        = analysis.ModulePath + "/internal/safety/gate"
 	legacyPrefix   = analysis.ModulePath + "/internal/linuxlike/"
 )
 
@@ -37,7 +38,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "compartguard",
 	Doc: "legacy (internal/linuxlike) packages must not import the compartment " +
 		"package, and every exported entry point of a compartmentalized package " +
-		"must route through its Boundary — no gate-bypassing paths to the " +
+		"must route through its gate — no gate-bypassing paths to the " +
 		"guarded doX internals",
 	Run: run,
 }
@@ -60,33 +61,14 @@ func checkImports(pass *analysis.Pass) {
 			if path == compartmentPkg {
 				pass.Reportf(imp.Pos(), "compartguard",
 					"legacy package %s imports %s: containment must reach legacy "+
-						"code only through the package's structural Boundary interface",
-					pass.PkgPath, compartmentPkg)
+						"code only through the concrete gate type of %s",
+					pass.PkgPath, compartmentPkg, gatePkg)
 			}
 		}
 	}
 }
 
-// boundaryType returns the package's Boundary interface type, or nil
-// when the package is not compartmentalized.
-func boundaryType(pass *analysis.Pass) *types.TypeName {
-	obj := pass.Pkg.Scope().Lookup("Boundary")
-	tn, ok := obj.(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	if _, ok := tn.Type().Underlying().(*types.Interface); !ok {
-		return nil
-	}
-	return tn
-}
-
 func checkDiscipline(pass *analysis.Pass) {
-	boundary := boundaryType(pass)
-	if boundary == nil {
-		return
-	}
-
 	// Collect declared functions.
 	decls := map[*types.Func]*ast.FuncDecl{}
 	for _, f := range pass.Files {
@@ -99,7 +81,7 @@ func checkDiscipline(pass *analysis.Pass) {
 		}
 	}
 
-	// Pass 1: gates — functions that invoke a Boundary method.
+	// Pass 1: gates — functions that call a gate method.
 	gates := map[*types.Func]bool{}
 	for fn, fd := range decls {
 		found := false
@@ -107,7 +89,7 @@ func checkDiscipline(pass *analysis.Pass) {
 			if found {
 				return false
 			}
-			if call, ok := n.(*ast.CallExpr); ok && isBoundaryCall(pass, boundary, call) {
+			if call, ok := n.(*ast.CallExpr); ok && isGateMethodCall(pass, call) {
 				found = true
 			}
 			return !found
@@ -118,7 +100,7 @@ func checkDiscipline(pass *analysis.Pass) {
 	}
 
 	// Pass 2: guarded internals — unexported static callees of
-	// function literals passed to gate calls or Boundary calls.
+	// function literals passed to gate calls or gate methods.
 	guarded := map[*types.Func]bool{}
 	for _, fd := range decls {
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -126,7 +108,7 @@ func checkDiscipline(pass *analysis.Pass) {
 			if !ok {
 				return true
 			}
-			if !isGateCall(pass, boundary, gates, call) {
+			if !isGateCall(pass, gates, call) {
 				return true
 			}
 			for _, arg := range call.Args {
@@ -168,7 +150,7 @@ func checkDiscipline(pass *analysis.Pass) {
 				if !ok {
 					return true
 				}
-				if isGateCall(pass, boundary, gates, call) {
+				if isGateCall(pass, gates, call) {
 					// Literal arguments are the sanctioned route;
 					// everything else in the call still walks.
 					walk(call.Fun)
@@ -217,7 +199,7 @@ func checkDiscipline(pass *analysis.Pass) {
 			if guarded[cs.callee] {
 				pass.Reportf(cs.pos, "compartguard",
 					"exported %s bypasses the compartment boundary: %s is only "+
-						"reachable through a Boundary gate",
+						"reachable through a gate",
 					fn.Name(), cs.callee.Name())
 			}
 		}
@@ -248,9 +230,10 @@ func isExportedSurface(fn *types.Func) bool {
 	return true
 }
 
-// isBoundaryCall reports whether call invokes a method on the
-// package's Boundary interface.
-func isBoundaryCall(pass *analysis.Pass, boundary *types.TypeName, call *ast.CallExpr) bool {
+// isGateMethodCall reports whether call invokes a method of the
+// concrete gate type, directly or promoted through an embedding type
+// (a *compartment.Compartment's Do is gate.Gate's Do).
+func isGateMethodCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
@@ -259,17 +242,26 @@ func isBoundaryCall(pass *analysis.Pass, boundary *types.TypeName, call *ast.Cal
 	if !ok || selection.Kind() != types.MethodVal {
 		return false
 	}
-	recv := selection.Recv()
-	if named, ok := recv.(*types.Named); ok {
-		return named.Obj() == boundary
+	fn, ok := selection.Obj().(*types.Func)
+	if !ok {
+		return false
 	}
-	return false
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Gate" && obj.Pkg() != nil && obj.Pkg().Path() == gatePkg
 }
 
-// isGateCall reports whether call targets a gate function or a
-// Boundary method.
-func isGateCall(pass *analysis.Pass, boundary *types.TypeName, gates map[*types.Func]bool, call *ast.CallExpr) bool {
-	if isBoundaryCall(pass, boundary, call) {
+// isGateCall reports whether call targets a gate function or a gate
+// method.
+func isGateCall(pass *analysis.Pass, gates map[*types.Func]bool, call *ast.CallExpr) bool {
+	if isGateMethodCall(pass, call) {
 		return true
 	}
 	callee := staticCallee(pass, call)

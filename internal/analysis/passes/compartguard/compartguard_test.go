@@ -12,6 +12,10 @@ func TestBoundaryDiscipline(t *testing.T) {
 	analysistest.Run(t, compartguard.Analyzer, analysistest.TestdataDir("a"), "a")
 }
 
+func TestGateShapes(t *testing.T) {
+	analysistest.Run(t, compartguard.Analyzer, analysistest.TestdataDir("c"), "c")
+}
+
 func TestImportBan(t *testing.T) {
 	// The synthetic import path places the package inside the legacy
 	// tree, where the compartment import is forbidden.

@@ -1,68 +1,66 @@
-// Testdata for compartguard's boundary-discipline rule, shaped like
-// the bufcache idiom: a Boundary interface, gate helpers, and
-// unexported doX internals.
+// Testdata for compartguard's gate-discipline rule, shaped like the
+// bufcache idiom: an atomically installed concrete gate, gate helpers,
+// and unexported doX internals.
 package a
 
-type errno int
+import (
+	"sync/atomic"
 
-const eok errno = 0
-
-// Boundary is the compartment hook, like vfs/bufcache/net/kio's.
-type Boundary interface {
-	Run(op string, fn func() errno) errno
-}
-
-type box struct{ b Boundary }
+	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/safety/gate"
+)
 
 // Cache is the compartmentalized subsystem.
-type Cache struct{ boundary *box }
+type Cache struct{ gate atomic.Pointer[gate.Gate] }
 
-// SetBoundary installs the containment boundary.
-func (c *Cache) SetBoundary(b Boundary) { c.boundary = &box{b: b} }
+// SetGate installs the containment gate.
+func (c *Cache) SetGate(g *gate.Gate) { c.gate.Store(g) }
 
-// guard is a gate: it invokes the Boundary method.
-func (c *Cache) guard(op string, fn func() errno) errno {
-	if c.boundary == nil {
+// guard is a gate: it calls a method of the gate type.
+func (c *Cache) guard(op string, fn func() kbase.Errno) kbase.Errno {
+	g := c.gate.Load()
+	if g == nil {
 		return fn()
 	}
-	return c.boundary.b.Run(op, fn)
+	return g.Run(op, fn)
 }
 
-func (c *Cache) doRead() errno  { return eok }
-func (c *Cache) doWrite() errno { return eok }
-func (c *Cache) doSync() errno  { return eok }
+func (c *Cache) doRead() kbase.Errno  { return kbase.EOK }
+func (c *Cache) doWrite() kbase.Errno { return kbase.EOK }
+func (c *Cache) doSync() kbase.Errno  { return kbase.EOK }
 
 // Read routes through the gate: the sanctioned shape.
-func (c *Cache) Read() errno {
-	return c.guard("read", func() errno { return c.doRead() })
+func (c *Cache) Read() kbase.Errno {
+	return c.guard("read", func() kbase.Errno { return c.doRead() })
 }
 
 // Write uses the inline-gate shape (kio.Submit): it is itself a gate,
-// so its no-boundary fallback may call the internal directly.
-func (c *Cache) Write() errno {
-	if c.boundary == nil {
+// so its no-gate fallback may call the internal directly.
+func (c *Cache) Write() kbase.Errno {
+	g := c.gate.Load()
+	if g == nil {
 		return c.doWrite()
 	}
-	return c.boundary.b.Run("write", func() errno { return c.doWrite() })
+	return g.Run("write", func() kbase.Errno { return c.doWrite() })
 }
 
 // Sync routes correctly...
-func (c *Cache) Sync() errno {
-	return c.guard("sync", func() errno { return c.doSync() })
+func (c *Cache) Sync() kbase.Errno {
+	return c.guard("sync", func() kbase.Errno { return c.doSync() })
 }
 
 // ...but FastSync bypasses the gate: the containment plane never sees
 // this entry point.
-func (c *Cache) FastSync() errno {
+func (c *Cache) FastSync() kbase.Errno {
 	return c.doSync() // want `bypasses the compartment boundary`
 }
 
 // wrapper is an unexported bypass: calling a guarded internal outside
 // a gate literal makes it guarded too.
-func (c *Cache) wrapper() errno { return c.doRead() }
+func (c *Cache) wrapper() kbase.Errno { return c.doRead() }
 
 // ReadUnsafe reaches the guarded internal through the wrapper.
-func (c *Cache) ReadUnsafe() errno {
+func (c *Cache) ReadUnsafe() kbase.Errno {
 	return c.wrapper() // want `bypasses the compartment boundary`
 }
 
@@ -71,6 +69,6 @@ func (c *Cache) ReadUnsafe() errno {
 func (c *Cache) Stats() int { return 0 }
 
 // Suppression requires a reason, like every kerncheck directive.
-func (c *Cache) Audited() errno {
+func (c *Cache) Audited() kbase.Errno {
 	return c.doSync() //kerncheck:ignore compartguard exercised by the suppression test
 }

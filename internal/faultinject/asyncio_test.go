@@ -231,7 +231,7 @@ func TestKioPanicMidBatchCompletesEachSQEOnce(t *testing.T) {
 	c := plane.Add("kio", compartment.Options{
 		Restart: func(*kbase.Task) kbase.Errno { return kbase.EOK },
 	})
-	e.SetBoundary(c)
+	e.SetGate(c.Gate)
 	ck := own.NewChecker(own.PolicyRecord)
 
 	b := e.NewBatch()

@@ -2,41 +2,32 @@ package bufcache
 
 import (
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/safety/gate"
 )
 
 // Crash containment for the buffer cache: the public cache operations
-// route through an installable boundary, so a panic in cache internals
+// cross an installable gate, so a panic in cache internals
 // (flag-protocol BUGs, a poisoned buffer) is recovered at the caller's
-// line and converted to a typed error. Satisfied by
-// *compartment.Compartment via its Run method; structural typing keeps
-// this package free of a safety-layer import.
+// line and converted to a typed error. The gate is the concrete
+// trusted-core type: a cache hit crosses it with one static call that
+// takes no lock and allocates nothing, and this package never imports
+// the safety layer's policy.
 //
 // Only the outermost entry points are guarded — doBread calls doGetBlk
 // directly, never the public wrapper, so a hot-swap drain cannot
 // deadlock on a nested entry.
-type Boundary interface {
-	Run(op string, fn func() kbase.Errno) kbase.Errno
-}
 
-type boundaryBox struct{ b Boundary }
-
-// SetBoundary installs (or, with nil, removes) the containment
-// boundary around the public cache surface.
-func (c *Cache) SetBoundary(b Boundary) {
-	if b == nil {
-		c.boundary.Store(nil)
-		return
-	}
-	c.boundary.Store(&boundaryBox{b: b})
-}
+// SetGate installs (or, with nil, removes) the containment gate around
+// the public cache surface.
+func (c *Cache) SetGate(g *gate.Gate) { c.gate.Store(g) }
 
 func (c *Cache) guardBuf(op string, fn func() (*BufferHead, kbase.Errno)) (*BufferHead, kbase.Errno) {
-	box := c.boundary.Load()
-	if box == nil {
+	g := c.gate.Load()
+	if g == nil {
 		return fn()
 	}
 	var bh *BufferHead
-	err := box.b.Run(op, func() kbase.Errno {
+	err := g.Run(op, func() kbase.Errno {
 		var e kbase.Errno
 		bh, e = fn()
 		return e
@@ -70,11 +61,11 @@ func (c *Cache) BreadCtx(task *kbase.Task, block uint64) (*BufferHead, kbase.Err
 // WriteBuffer synchronously writes one buffer to disk and clears its
 // dirty bit (sync_dirty_buffer for a single bh).
 func (c *Cache) WriteBuffer(bh *BufferHead) kbase.Errno {
-	box := c.boundary.Load()
-	if box == nil {
+	g := c.gate.Load()
+	if g == nil {
 		return c.doWriteBuffer(bh)
 	}
-	return box.b.Run("write_buffer", func() kbase.Errno { return c.doWriteBuffer(bh) })
+	return g.Run("write_buffer", func() kbase.Errno { return c.doWriteBuffer(bh) })
 }
 
 // SyncDirtyCtx writes all dirty buffers and issues a device flush
@@ -84,11 +75,11 @@ func (c *Cache) WriteBuffer(bh *BufferHead) kbase.Errno {
 func (c *Cache) SyncDirtyCtx(task *kbase.Task) kbase.Errno {
 	t := opSync.Begin(task)
 	defer t.End()
-	box := c.boundary.Load()
-	if box == nil {
+	g := c.gate.Load()
+	if g == nil {
 		return c.doSyncDirtyCtx(task)
 	}
-	return box.b.Run("sync_dirty", func() kbase.Errno { return c.doSyncDirtyCtx(task) })
+	return g.Run("sync_dirty", func() kbase.Errno { return c.doSyncDirtyCtx(task) })
 }
 
 // SyncBlocksCtx writes the dirty buffers among blocks and issues a
@@ -98,9 +89,9 @@ func (c *Cache) SyncDirtyCtx(task *kbase.Task) kbase.Errno {
 func (c *Cache) SyncBlocksCtx(task *kbase.Task, blocks []uint64) kbase.Errno {
 	t := opSync.Begin(task)
 	defer t.End()
-	box := c.boundary.Load()
-	if box == nil {
+	g := c.gate.Load()
+	if g == nil {
 		return c.doSyncBlocksCtx(task, blocks)
 	}
-	return box.b.Run("sync_blocks", func() kbase.Errno { return c.doSyncBlocksCtx(task, blocks) })
+	return g.Run("sync_blocks", func() kbase.Errno { return c.doSyncBlocksCtx(task, blocks) })
 }

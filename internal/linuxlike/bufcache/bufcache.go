@@ -28,6 +28,7 @@ import (
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/kio"
 	"safelinux/internal/linuxlike/ktrace"
+	"safelinux/internal/safety/gate"
 )
 
 // Tracepoints (args documented in DESIGN.md's catalog).
@@ -298,9 +299,9 @@ type Cache struct {
 	// while callers may be loading it.
 	engine atomic.Pointer[kio.Engine]
 
-	// boundary, when installed, wraps the public cache operations in a
+	// gate, when installed, wraps the public cache operations in a
 	// crash-containment compartment (see boundary.go).
-	boundary atomic.Pointer[boundaryBox]
+	gate atomic.Pointer[gate.Gate]
 
 	shards [NumShards]cacheShard
 }

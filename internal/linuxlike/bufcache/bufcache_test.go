@@ -6,6 +6,7 @@ import (
 	"safelinux/internal/linuxlike/blockdev"
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/ktrace"
+	"safelinux/internal/safety/gate"
 )
 
 func testCache(t *testing.T, maxBufs int) *Cache {
@@ -282,5 +283,47 @@ func TestGetBlkBounds(t *testing.T) {
 	c := testCache(t, 0)
 	if _, err := c.GetBlk(64); err != kbase.EINVAL {
 		t.Fatalf("out-of-range GetBlk: %v", err)
+	}
+}
+
+// gatedCache returns a cache behind a containment gate with block 7
+// cached.
+func gatedCache(tb testing.TB) (*Cache, *kbase.Task) {
+	dev := blockdev.New(blockdev.Config{Blocks: 64, BlockSize: 512, Rng: kbase.NewRng(3)})
+	c := NewCache(dev, 0)
+	c.SetGate(gate.New("buf", nil))
+	task := kbase.NewTask()
+	bh, err := c.BreadCtx(task, 7)
+	if err != kbase.EOK {
+		tb.Fatalf("BreadCtx: %v", err)
+	}
+	bh.Put()
+	return c, task
+}
+
+// TestCachedBreadThroughGateAllocFree pins a cache hit through the
+// gate: the crossed closure, its wrapper and the returned buffer
+// pointer all stay on the stack.
+func TestCachedBreadThroughGateAllocFree(t *testing.T) {
+	c, task := gatedCache(t)
+	if allocs := testing.AllocsPerRun(200, func() {
+		bh, err := c.BreadCtx(task, 7)
+		if err != kbase.EOK {
+			t.Fatalf("BreadCtx: %v", err)
+		}
+		bh.Put()
+	}); allocs != 0 {
+		t.Fatalf("cached BreadCtx+Put through the gate: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// BenchmarkBreadThroughGate measures a cached BreadCtx + Put through
+// the buffer-cache gate.
+func BenchmarkBreadThroughGate(b *testing.B) {
+	c, task := gatedCache(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bh, _ := c.BreadCtx(task, 7)
+		bh.Put()
 	}
 }

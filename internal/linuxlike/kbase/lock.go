@@ -172,7 +172,11 @@ func (v *LockValidator) release(task int64, c *LockClass) {
 	held := v.holders[task]
 	for i := len(held) - 1; i >= 0; i-- {
 		if held[i] == c {
-			v.holders[task] = append(held[:i:i], held[i+1:]...)
+			// Remove in place: the next acquire appends into the same
+			// array instead of allocating a new one.
+			copy(held[i:], held[i+1:])
+			held[len(held)-1] = nil
+			v.holders[task] = held[:len(held)-1]
 			return
 		}
 	}
@@ -204,6 +208,9 @@ type Task struct {
 	// subsystem boundary.
 	trace atomic.Uint64
 	span  atomic.Uint64
+	// roots counts the span plane's root-sampling rolls for this task,
+	// so parallel tasks do not contend on one shared counter.
+	roots atomic.Uint64
 }
 
 // NewTask registers a new kernel task.
@@ -244,6 +251,10 @@ func (t *Task) SpanCtx() (trace, span uint64) {
 	}
 	return t.trace.Load(), t.span.Load()
 }
+
+// NextRoot counts one root-sampling roll of the span plane on the
+// task and returns the new count.
+func (t *Task) NextRoot() uint64 { return t.roots.Add(1) }
 
 // SetSpanCtx installs a tracing context on the task (no-op on nil).
 // Set by the span plane on boundary entry and restored on exit.

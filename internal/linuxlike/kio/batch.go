@@ -116,10 +116,10 @@ func (b *Batch) enqueue(s sqe, user uint64) {
 // Submit executes every SQE enqueued since the last Submit, in order,
 // on the calling goroutine, and returns the batch's Ticket with all of
 // them completed. On a closed engine they complete with ENODEV. With
-// a containment boundary installed the execution runs inside it; when
-// the boundary rejects it (contained fault, quarantined engine), every
-// SQE the execution did not complete completes with the boundary's
-// typed errno — each SQE completes exactly once.
+// a containment gate installed the execution runs inside it; when the
+// gate rejects it (contained fault, quarantined engine), every SQE the
+// execution did not complete completes with the gate's typed errno —
+// each SQE completes exactly once.
 func (b *Batch) Submit() *Ticket {
 	batch, res := b.pending, b.t.results[b.t.submitted:]
 	b.pending = b.pending[:0] // executed before Submit returns; reuse the slots
@@ -128,13 +128,13 @@ func (b *Batch) Submit() *Ticket {
 		return &b.t
 	}
 	e := b.e
-	box := e.boundary.Load()
-	if box == nil {
+	g := e.gate.Load()
+	if g == nil {
 		e.batches.Add(1)
 		e.execute(batch, res)
 		return &b.t
 	}
-	if err := box.b.Run("submit", func() kbase.Errno {
+	if err := g.Run("submit", func() kbase.Errno {
 		e.batches.Add(1)
 		e.execute(batch, res)
 		return kbase.EOK

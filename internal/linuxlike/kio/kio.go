@@ -30,6 +30,7 @@ import (
 
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/ktrace"
+	"safelinux/internal/safety/gate"
 	"safelinux/internal/safety/own"
 )
 
@@ -119,9 +120,9 @@ type Engine struct {
 	drain  sync.RWMutex
 	closed bool
 
-	// boundary, when installed, wraps batch execution in a
+	// gate, when installed, wraps batch execution in a
 	// crash-containment compartment (see boundary.go).
-	boundary atomic.Pointer[boundaryBox]
+	gate atomic.Pointer[gate.Gate]
 
 	// Counters. copied and copies cover the legacy copying submit
 	// path; avoided counts ownership-move submits that would each have

@@ -84,7 +84,7 @@ func (p *Probe) Detach() {
 // when installed, every program run crosses it, so a panic inside the
 // ebpflike machine quarantines the observability compartment (fail
 // open: the event is kept) instead of crashing the emitting kernel
-// path. Satisfied by compartment.Compartment.GuardProbe. The guard's
+// path. Satisfied by gate.Gate.GuardProbe. The guard's
 // compartment must be quiet — probe evaluation happens inside
 // tracepoint emission, and a boundary that emitted tracepoints from
 // here would recurse.

@@ -85,8 +85,8 @@ func (op *Op) Name() string { return op.name }
 // Subsystem returns the part before the colon.
 func (op *Op) Subsystem() string { return op.sub }
 
-// Short returns the part after the colon — the string legacy
-// boundaries (vfs Boundary.Do, compartment Do) take as their op tag.
+// Short returns the part after the colon — the string a compartment
+// gate's Do takes as its op tag.
 func (op *Op) Short() string { return op.short }
 
 // Hist returns the op's latency histogram (durations in nanoseconds).

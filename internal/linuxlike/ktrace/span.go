@@ -79,19 +79,29 @@ func init() { sampleShift.Store(DefaultSampleShift) }
 // clock every latency measurement here uses.
 func NowNs() int64 { return int64(time.Since(timeBase)) }
 
-func sampled() bool {
+// sampled rolls the root-sampling dice, 1 in 2^shift. Each task
+// counts its own roots, because one counter shared by parallel tasks
+// costs a cache-line transfer on every op. Task-less sites share
+// sampleCtr.
+func sampled(task *kbase.Task) bool {
 	shift := sampleShift.Load()
 	if shift == 0 {
 		return true
 	}
-	return sampleCtr.Add(1)&(1<<shift-1) == 0
+	var n uint64
+	if task != nil {
+		n = task.NextRoot()
+	} else {
+		n = sampleCtr.Add(1)
+	}
+	return n&(1<<shift-1) == 0
 }
 
 // TimingSample reports whether a manually-timed site (one that can't
 // use OpTimer, like a kio SQE that completes on another goroutine)
 // should take a timestamp now: histograms on, and the sampler says go.
 func TimingSample() bool {
-	return planeMode.Load()&planeHist != 0 && sampled()
+	return planeMode.Load()&planeHist != 0 && sampled(nil)
 }
 
 // SetHistograms turns op latency histograms on or off.
@@ -186,7 +196,7 @@ func (op *Op) Begin(task *kbase.Task) OpTimer {
 	}
 	// Parent-based sampling: inside a trace, always record (trees stay
 	// complete); at a root, roll the dice once for the whole tree.
-	if pTrace == 0 && !sampled() {
+	if pTrace == 0 && !sampled(task) {
 		return OpTimer{}
 	}
 	t := OpTimer{op: op, flags: mode}

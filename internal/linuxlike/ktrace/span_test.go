@@ -88,18 +88,21 @@ func TestRootSampling(t *testing.T) {
 		SetSampleShift(prevShift)
 	})
 	op := NewOp("spantest:sampled")
-	active := 0
-	for i := 0; i < 80; i++ {
-		tm := op.Begin(nil)
-		if tm.Active() {
-			active++
+	// The sampler is a counter — shared by task-less roots, one per
+	// task otherwise — so any 80 consecutive rolls at shift 3 hit
+	// exactly 10 times wherever the counter started.
+	for _, task := range []*kbase.Task{nil, kbase.NewTask()} {
+		active := 0
+		for i := 0; i < 80; i++ {
+			tm := op.Begin(task)
+			if tm.Active() {
+				active++
+			}
+			tm.End()
 		}
-		tm.End()
-	}
-	// The sampler is a shared counter, so any 80 consecutive rolls at
-	// shift 3 hit exactly 10 times wherever the counter started.
-	if active != 10 {
-		t.Fatalf("%d of 80 roots sampled at shift 3, want exactly 10", active)
+		if active != 10 {
+			t.Fatalf("task %d: %d of 80 roots sampled at shift 3, want exactly 10", task.ID(), active)
+		}
 	}
 }
 

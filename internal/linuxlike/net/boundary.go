@@ -2,6 +2,7 @@ package net
 
 import (
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/safety/gate"
 )
 
 // Crash containment for the network stack.
@@ -9,62 +10,47 @@ import (
 // The host's protocol machinery — legacy TCB handling or an installed
 // StreamProto like safetcp — runs entirely inside two entry points
 // driven by the simulator: receive (inbound segment dispatch) and tick
-// (timers). Routing those through a containment boundary means a panic
+// (timers). Routing those through a containment gate means a panic
 // anywhere in protocol code is recovered at the dispatch line: the
 // compartment quarantines, subsequent packets are dropped (counted in
 // the host's net.contained metric) instead of crashing the kernel, and
 // the supervisor rebuilds the stack with ResetStreams + a fresh
-// protocol attach.
+// protocol attach. The gate is the concrete trusted-core type, so a
+// crossing is a static call that takes no lock and allocates nothing,
+// and this package never imports the safety layer's policy.
 //
 // Socket-level calls (Send/Recv/Accept) are NOT individually guarded:
 // a caller that wants containment for a whole client interaction wraps
-// it in one boundary entry (see safelinux.Kernel.StreamRoundTrip),
-// which also makes hot-swap drains align with interaction boundaries —
-// a drain never lands between a connect and its close.
+// it in one gate hold (see safelinux.Kernel.StreamRoundTrip), which
+// also makes hot-swap drains align with interaction boundaries — a
+// drain never lands between a connect and its close.
 
-// Boundary is the containment hook, satisfied by
-// *compartment.Compartment (structural typing keeps this package free
-// of a safety-layer import).
-type Boundary interface {
-	Run(op string, fn func() kbase.Errno) kbase.Errno
-}
+// SetGate installs (or, with nil, removes) the containment gate around
+// the host's packet and timer dispatch.
+func (h *Host) SetGate(g *gate.Gate) { h.gate.Store(g) }
 
-type boundaryBox struct{ b Boundary }
-
-// SetBoundary installs (or, with nil, removes) the containment
-// boundary around the host's packet and timer dispatch.
-func (h *Host) SetBoundary(b Boundary) {
-	if b == nil {
-		h.boundary.Store(nil)
-		return
-	}
-	h.boundary.Store(&boundaryBox{b: b})
-}
-
-// guardReceive gates one inbound packet dispatch through the
-// boundary. A contained fault or a quarantined compartment surfaces
-// as a dropped packet, counted in stats.Contained. With no boundary
-// installed, the dispatch runs direct — no closure, no allocation.
+// guardReceive gates one inbound packet dispatch. A contained fault or
+// a quarantined compartment surfaces as a dropped packet, counted in
+// stats.Contained.
 func (h *Host) guardReceive(pkt Packet) {
-	box := h.boundary.Load()
-	if box == nil {
+	g := h.gate.Load()
+	if g == nil {
 		h.doReceive(pkt)
 		return
 	}
-	if err := box.b.Run("rx", func() kbase.Errno { h.doReceive(pkt); return kbase.EOK }); err != kbase.EOK {
+	if err := g.Run("rx", func() kbase.Errno { h.doReceive(pkt); return kbase.EOK }); err != kbase.EOK {
 		h.stats.Contained++
 	}
 }
 
-// guardTick gates one timer tick through the boundary, with the same
-// no-boundary fast path as guardReceive.
+// guardTick gates one timer tick, like guardReceive.
 func (h *Host) guardTick(now uint64) {
-	box := h.boundary.Load()
-	if box == nil {
+	g := h.gate.Load()
+	if g == nil {
 		h.doTick(now)
 		return
 	}
-	if err := box.b.Run("tick", func() kbase.Errno { h.doTick(now); return kbase.EOK }); err != kbase.EOK {
+	if err := g.Run("tick", func() kbase.Errno { h.doTick(now); return kbase.EOK }); err != kbase.EOK {
 		h.stats.Contained++
 	}
 }

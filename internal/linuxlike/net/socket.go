@@ -5,6 +5,7 @@ import (
 
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/ktrace"
+	"safelinux/internal/safety/gate"
 )
 
 // Latency-plane ops at the generic socket entry points. Sockets carry
@@ -111,9 +112,9 @@ type Host struct {
 	// through the modular interface (see modular.go).
 	streamProto StreamProto
 
-	// boundary, when installed, wraps packet and timer dispatch in a
+	// gate, when installed, wraps packet and timer dispatch in a
 	// crash-containment compartment (see boundary.go).
-	boundary atomic.Pointer[boundaryBox]
+	gate atomic.Pointer[gate.Gate]
 
 	// stats counts per-host activity.
 	stats struct {
@@ -121,7 +122,7 @@ type Host struct {
 		BadPacket uint64
 		NoSocket  uint64
 		TxErrors  uint64 // transmits the link refused (no route, partition)
-		Contained uint64 // dispatches dropped by the containment boundary
+		Contained uint64 // dispatches dropped by the containment gate
 	}
 }
 
@@ -264,8 +265,8 @@ func (h *Host) promote(child *Socket) {
 }
 
 // receive dispatches one inbound packet through the containment
-// boundary (when installed): a panic in protocol code drops the
-// packet and quarantines the stack instead of crashing the kernel.
+// gate (when installed): a panic in protocol code drops the packet
+// and quarantines the stack instead of crashing the kernel.
 func (h *Host) receive(pkt Packet) {
 	h.guardReceive(pkt)
 }

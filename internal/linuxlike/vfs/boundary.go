@@ -3,38 +3,28 @@ package vfs
 import (
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/ktrace"
+	"safelinux/internal/safety/gate"
 )
 
-// Boundary is the crash-containment hook: when installed, every public
-// VFS operation is routed through it, so a panic anywhere below the
+// Crash containment for the VFS: when a gate is installed, every
+// public VFS operation crosses it, so a panic anywhere below the
 // syscall surface (VFS internals, the mounted file system, the buffer
 // cache it calls into) is recovered at this line and converted to a
-// typed error instead of killing the kernel. The interface is
-// satisfied by *compartment.Compartment (structural typing keeps this
-// package free of a safety-layer import).
+// typed error instead of killing the kernel. The gate is the concrete
+// trusted-core type, so the crossing is a static call that neither
+// locks nor allocates; the safety layer's policy
+// (internal/safety/compartment) owns the gate and is never imported
+// here.
 //
-// Only the OUTERMOST public entry points route through the boundary;
-// internal calls between operations use the unexported doX
-// implementations directly. This matters for the drain protocol: a
-// nested boundary entry during a drain would wait for the drain that
-// is waiting for it.
-type Boundary interface {
-	Do(task *kbase.Task, op string, fn func() kbase.Errno) kbase.Errno
-}
+// Only the OUTERMOST public entry points cross the gate; internal
+// calls between operations use the unexported doX implementations
+// directly. This matters for the drain protocol: a nested entry during
+// a drain would wait for the drain that is waiting for it.
 
-// boundaryBox wraps the interface for atomic installation: workloads
-// are already running when the containment plane is wired in.
-type boundaryBox struct{ b Boundary }
-
-// SetBoundary installs (or, with nil, removes) the containment
-// boundary around the public VFS surface.
-func (v *VFS) SetBoundary(b Boundary) {
-	if b == nil {
-		v.boundary.Store(nil)
-		return
-	}
-	v.boundary.Store(&boundaryBox{b: b})
-}
+// SetGate installs (or, with nil, removes) the containment gate around
+// the public VFS surface. Workloads may already be running when the
+// containment plane is wired in, so the gate is published atomically.
+func (v *VFS) SetGate(g *gate.Gate) { v.gate.Store(g) }
 
 // Every public operation has a pre-registered latency-plane Op: the
 // VFS dispatch is where user-visible latency is defined, so this is
@@ -64,32 +54,31 @@ var (
 	opSyncAll  = ktrace.NewOp("vfs:syncall")
 )
 
-// guard routes one errno-only operation through the boundary, or runs
-// it directly when no boundary is installed. It is also the span
-// root / histogram site for the operation.
+// guard routes one errno-only operation through the gate, or runs it
+// directly when no gate is installed. It is also the span root /
+// histogram site for the operation.
 func (v *VFS) guard(task *kbase.Task, op *ktrace.Op, fn func() kbase.Errno) kbase.Errno {
 	t := op.Begin(task)
 	defer t.End()
-	box := v.boundary.Load()
-	if box == nil {
+	g := v.gate.Load()
+	if g == nil {
 		return fn()
 	}
-	return box.b.Do(task, op.Short(), fn)
+	return g.Do(task, op.Short(), fn)
 }
 
-// guardRet routes a value-returning operation through the boundary.
-// On containment the caller sees the zero value with the boundary's
-// typed error (EFAULT for a contained fault, ESHUTDOWN while
-// quarantined).
+// guardRet routes a value-returning operation through the gate. On
+// containment the caller sees the zero value with the gate's typed
+// error (EFAULT for a contained fault, ESHUTDOWN while quarantined).
 func guardRet[T any](v *VFS, task *kbase.Task, op *ktrace.Op, fn func() (T, kbase.Errno)) (T, kbase.Errno) {
 	t := op.Begin(task)
 	defer t.End()
-	box := v.boundary.Load()
-	if box == nil {
+	g := v.gate.Load()
+	if g == nil {
 		return fn()
 	}
 	var out T
-	err := box.b.Do(task, op.Short(), func() kbase.Errno {
+	err := g.Do(task, op.Short(), func() kbase.Errno {
 		var e kbase.Errno
 		out, e = fn()
 		return e

@@ -8,6 +8,7 @@ import (
 
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/ktrace"
+	"safelinux/internal/safety/gate"
 )
 
 // Tracepoints (args documented in DESIGN.md's catalog). vfs:lookup
@@ -92,9 +93,9 @@ type VFS struct {
 
 	detector boundaryDetector
 
-	// boundary, when installed, wraps every public operation in a
+	// gate, when installed, wraps every public operation in a
 	// crash-containment compartment (see boundary.go).
-	boundary atomic.Pointer[boundaryBox]
+	gate atomic.Pointer[gate.Gate]
 }
 
 // New creates an empty VFS.
@@ -124,9 +125,13 @@ func (v *VFS) RegisterFS(fs FileSystemType) kbase.Errno {
 
 // CleanPath canonicalizes an absolute path lexically: collapses
 // slashes, resolves "." and "..". Returns "" for non-absolute input.
+// An already canonical path is returned as is, without allocating.
 func CleanPath(p string) string {
 	if !strings.HasPrefix(p, "/") {
 		return ""
+	}
+	if isClean(p) {
+		return p
 	}
 	parts := strings.Split(p, "/")
 	var stack []string
@@ -142,6 +147,23 @@ func CleanPath(p string) string {
 		}
 	}
 	return "/" + strings.Join(stack, "/")
+}
+
+// isClean reports whether the absolute path p is canonical: "/" or
+// components that are neither empty, "." nor "..", with no trailing
+// slash.
+func isClean(p string) bool {
+	if p == "/" {
+		return true
+	}
+	for rest, more := p[1:], true; more; {
+		var c string
+		c, rest, more = strings.Cut(rest, "/")
+		if c == "" || c == "." || c == ".." {
+			return false
+		}
+	}
+	return true
 }
 
 // doMount mounts fstype at path with fs-specific data. Path must be "/"
@@ -260,15 +282,13 @@ func (v *VFS) resolveParent(task *kbase.Task, path string, wantParent bool) (*In
 		return nil, nil, "", err
 	}
 	cur := sb.Root
-	var comps []string
-	if rest != "" {
-		comps = strings.Split(rest, "/")
-	}
-	for i, c := range comps {
+	for more := rest != ""; more; {
+		var c string
+		c, rest, more = strings.Cut(rest, "/")
 		if len(c) > MaxNameLen {
 			return nil, nil, "", kbase.ENAMETOOLONG
 		}
-		last := i == len(comps)-1
+		last := !more
 		if wantParent && last {
 			if !cur.Mode.IsDir() {
 				return nil, nil, "", kbase.ENOTDIR

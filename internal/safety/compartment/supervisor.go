@@ -6,6 +6,7 @@ import (
 
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/ktrace"
+	"safelinux/internal/safety/gate"
 )
 
 // Options configures one compartment registered with a Plane.
@@ -122,7 +123,7 @@ func (p *Plane) onFault(c *Compartment, f Fault) {
 	p.mu.Lock()
 	p.faults = append(p.faults, f)
 	auto := p.auto
-	_, canRestart := p.restart[c.name]
+	_, canRestart := p.restart[c.Name()]
 	if auto && canRestart {
 		p.pending.Add(1)
 	}
@@ -130,13 +131,13 @@ func (p *Plane) onFault(c *Compartment, f Fault) {
 	if auto && canRestart {
 		go func() {
 			defer p.pending.Done()
-			if err := p.Restart(c.name); err != kbase.EOK {
+			if err := p.Restart(c.Name()); err != kbase.EOK {
 				// A failed auto-restart must not vanish: the compartment
 				// is still quarantined, and a fault log that showed only
 				// the original crash would read as a clean recovery.
 				p.mu.Lock()
 				p.faults = append(p.faults, Fault{
-					Compartment: c.name,
+					Compartment: c.Name(),
 					Epoch:       f.Epoch,
 					Panic:       "auto-restart failed: " + err.Error(),
 					Reported:    true, // no oops site: the hook returned, not panicked
@@ -163,7 +164,7 @@ func (p *Plane) Restart(name string) kbase.Errno {
 	if fn == nil {
 		return kbase.ENOSYS
 	}
-	if err := c.BeginDrain(Restarting); err != kbase.EOK {
+	if err := c.BeginDrain(gate.Restarting); err != kbase.EOK {
 		return err
 	}
 	task := kbase.NewSupervisorTask()
@@ -178,10 +179,7 @@ func (p *Plane) Restart(name string) kbase.Errno {
 	if err != kbase.EOK {
 		// Rebuild failed: back to quarantine, release queued callers
 		// into the fail-fast path rather than leaving them blocked.
-		c.mu.Lock()
-		c.state = Quarantined
-		c.cond.Broadcast()
-		c.mu.Unlock()
+		c.Quarantine()
 		return err
 	}
 	c.EndDrain("restart", 0)
@@ -202,7 +200,7 @@ func (p *Plane) WaitHealthy(name string, timeout time.Duration) bool {
 	}
 	deadline := time.Now().Add(timeout)
 	for {
-		if c.State() == Healthy {
+		if c.State() == gate.Healthy {
 			return true
 		}
 		if time.Now().After(deadline) {
@@ -217,7 +215,7 @@ func (p *Plane) AllHealthy() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, c := range p.comps {
-		if c.State() != Healthy {
+		if c.State() != gate.Healthy {
 			return false
 		}
 	}

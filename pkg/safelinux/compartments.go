@@ -40,11 +40,12 @@ import (
 	"safelinux/internal/safemod/safefs"
 	"safelinux/internal/safemod/safetcp"
 	"safelinux/internal/safety/compartment"
+	"safelinux/internal/safety/gate"
 	"safelinux/internal/safety/module"
 )
 
 // enableCompartments builds the containment plane and installs a
-// boundary on every swappable subsystem. Called from New when
+// compartment's gate on every swappable subsystem. Called from New when
 // Config.Compartments is set.
 func (k *Kernel) enableCompartments() {
 	p := compartment.NewPlane()
@@ -54,14 +55,14 @@ func (k *Kernel) enableCompartments() {
 		Poisoned: func() []string { return k.Checker.LiveLabels("safefs:") },
 		Restart:  k.restartFS,
 	})
-	k.VFS.SetBoundary(fs)
+	k.VFS.SetGate(fs.Gate)
 
 	netc := p.Add("net", compartment.Options{
 		Poisoned: func() []string { return k.Checker.LiveLabels("safetcp") },
 		Restart:  k.restartNet,
 	})
-	k.hostA.SetBoundary(netc)
-	k.hostB.SetBoundary(netc)
+	k.hostA.SetGate(netc.Gate)
+	k.hostB.SetGate(netc.Gate)
 
 	p.Add("buf", compartment.Options{
 		Poisoned: func() []string { return k.Checker.LiveLabels("bufcache") },
@@ -72,7 +73,7 @@ func (k *Kernel) enableCompartments() {
 		Poisoned: func() []string { return k.Checker.LiveLabels("kio") },
 		Restart:  k.restartKio,
 	})
-	k.ioEngine.SetBoundary(kioC)
+	k.ioEngine.SetGate(kioC.Gate)
 
 	// The observability compartment has no subsystem state to rebuild:
 	// ebpflike programs are verified, stateless register machines, so a
@@ -90,7 +91,7 @@ func (k *Kernel) enableCompartments() {
 // wireRootFS (re)wires per-instance plumbing onto the currently
 // mounted root file system: the kernel's kio engine behind its buffer
 // cache (and so behind its journal) and, with compartments on, the
-// buffer-cache boundary. Called at boot, at enable time and again from
+// buffer-cache gate. Called at boot, at enable time and again from
 // restart hooks, which hand in a supervisor task so the resolve
 // bypasses a drained fs gate.
 func (k *Kernel) wireRootFS(task *kbase.Task) {
@@ -104,7 +105,7 @@ func (k *Kernel) wireRootFS(task *kbase.Task) {
 	}
 	if k.Plane != nil {
 		if c := k.Plane.Get("buf"); c != nil {
-			inst.Cache().SetBoundary(c)
+			inst.Cache().SetGate(c.Gate)
 		}
 	}
 	inst.Cache().SetEngine(k.ioEngine)
@@ -171,7 +172,7 @@ func (k *Kernel) restartKio(task *kbase.Task) kbase.Errno {
 	old := k.ioEngine
 	k.ioEngine = kio.New(k.rootDev)
 	if c := k.Plane.Get("kio"); c != nil {
-		k.ioEngine.SetBoundary(c)
+		k.ioEngine.SetGate(c.Gate)
 	}
 	k.wireRootFS(task)
 	old.Close()
@@ -221,7 +222,7 @@ func (k *Kernel) HotSwap(kind string, m module.Module) kbase.Errno {
 		return kbase.EINVAL
 	}
 	start := time.Now()
-	if err := comp.BeginDrain(compartment.Draining); err != kbase.EOK {
+	if err := comp.BeginDrain(gate.Draining); err != kbase.EOK {
 		return err
 	}
 	task := kbase.NewSupervisorTask()

@@ -136,10 +136,13 @@ bench-fuzz:
 # record zero failures and the plane must converge back to healthy.
 # TestGateStress runs beside it: concurrent crossings against looping
 # drains, injected faults and restarts, checking the lock-free gate
-# admits nothing into a completed drain. Run under the race detector —
-# the quarantine/restart window is where the interesting interleavings
-# live.
+# admits nothing into a completed drain. Two buf-fault tests join
+# them: the fault stays in its compartment, and the buf restart keeps
+# what the journal holds (committed metadata not yet checkpointed). Run
+# under the race detector — the quarantine/restart window is where the
+# interesting interleavings live — 20 times, since a restart race that
+# fails once in 60 runs slips past a handful.
 panic-storm:
-	$(GO) test -race -run 'TestPanicStormConvergence|TestGateStress' -count 5 ./pkg/safelinux/ ./internal/safety/compartment/
+	$(GO) test -race -run 'TestPanicStormConvergence|TestGateStress|TestFaultInOneCompartmentLeavesOthersServing|TestBufRestartKeepsCommittedMetadata' -count 20 ./pkg/safelinux/ ./internal/safety/compartment/
 
 check: build vet kbench-vet lint test

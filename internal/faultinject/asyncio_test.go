@@ -28,6 +28,12 @@ func asyncJournalRig(t *testing.T) (*blockdev.Device, *bufcache.Cache, *journal.
 	return dev, cache, j, cache.Engine()
 }
 
+// remount returns the journal a mount builds over dev after a crash:
+// a fresh cache and no in-memory state.
+func remount(dev *blockdev.Device) *journal.Journal {
+	return journal.New(bufcache.NewCache(dev, 0), 0, 32)
+}
+
 // journalWrite mutates one home block under a journal handle.
 func journalWrite(t *testing.T, cache *bufcache.Cache, j *journal.Journal, block uint64, fill byte) {
 	t.Helper()
@@ -95,8 +101,7 @@ func TestAsyncCommitTornSubmissionRecovery(t *testing.T) {
 
 	// Crash losing everything not yet flushed, then remount-recover.
 	dev.CrashApplyNone()
-	cache.Invalidate()
-	n, rerr := j.Recover()
+	n, rerr := remount(dev).Recover()
 	if rerr != kbase.EOK {
 		t.Fatalf("Recover: %v", rerr)
 	}
@@ -186,20 +191,19 @@ func TestAsyncCrashMidBatchSubset(t *testing.T) {
 			t.Fatalf("batch write failed: %v", cqe.Err)
 		}
 	}
-	// Keep one arbitrary pending write (the queue also holds tx1's
-	// unflushed home write): torn, out of order, no commit record.
+	// Keep one arbitrary pending write of the four: torn, out of order,
+	// no commit record.
 	dev.CrashApplySubset(map[int]bool{1: true})
-	cache.Invalidate()
 
-	n, err := j.Recover()
+	n, err := remount(dev).Recover()
 	if err != kbase.EOK {
 		t.Fatalf("Recover: %v", err)
 	}
 	if n != 1 {
 		t.Fatalf("recovery replayed %d transactions, want 1 (the committed one)", n)
 	}
-	// Replay restores the committed transaction's home block even
-	// though its unflushed home write died in the crash.
+	// Replay restores the committed transaction's home block, which
+	// no checkpoint wrote.
 	raw := make([]byte, 128)
 	if err := dev.Read(50, raw); err != kbase.EOK {
 		t.Fatalf("Read(50): %v", err)

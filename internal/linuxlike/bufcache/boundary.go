@@ -58,16 +58,6 @@ func (c *Cache) BreadCtx(task *kbase.Task, block uint64) (*BufferHead, kbase.Err
 	return c.guardBuf("bread", func() (*BufferHead, kbase.Errno) { return c.doBreadCtx(task, block) })
 }
 
-// WriteBuffer synchronously writes one buffer to disk and clears its
-// dirty bit (sync_dirty_buffer for a single bh).
-func (c *Cache) WriteBuffer(bh *BufferHead) kbase.Errno {
-	g := c.gate.Load()
-	if g == nil {
-		return c.doWriteBuffer(bh)
-	}
-	return g.Run("write_buffer", func() kbase.Errno { return c.doWriteBuffer(bh) })
-}
-
 // SyncDirtyCtx writes all dirty buffers and issues a device flush
 // barrier (sync_dirty_buffers + blkdev_issue_flush). The whole flush
 // is timed into the bufcache:sync histogram, and the kio batch

@@ -480,20 +480,6 @@ func (c *Cache) noteDirty(bh *BufferHead) {
 	s.mu.Unlock()
 }
 
-// doWriteBuffer synchronously writes one buffer to disk and clears its
-// dirty bit (sync_dirty_buffer for a single bh).
-func (c *Cache) doWriteBuffer(bh *BufferHead) kbase.Errno {
-	if err := checkMapped(bh); err != kbase.EOK {
-		return err
-	}
-	if err := c.dev.Write(bh.Block, bh.Data); err != kbase.EOK {
-		bh.SetFlag(BHWriteEIO)
-		return err
-	}
-	c.written(bh)
-	return kbase.EOK
-}
-
 // checkMapped refuses to submit an unmapped buffer: writing one is the
 // classic flag-protocol violation, on which Linux would hit a BUG in
 // submit_bh.
@@ -620,19 +606,47 @@ func (c *Cache) Forget(bh *BufferHead) {
 	s.mu.Unlock()
 }
 
-// Invalidate drops every clean, unreferenced buffer; used after a
-// simulated crash so stale cached state cannot mask lost writes.
-// Dirty or referenced buffers are dropped too — a crash destroys RAM.
+// Invalidate drops every buffer the journal does not hold — the
+// buffer-cache restart: readers re-fetch from the device, and unflushed
+// data writes are lost as in a crash. A journal-held buffer stays, as
+// jbd2's journal_head pins its buffer_head: one joined to the running
+// transaction, whose changes its commit must still log, and dirty
+// metadata a commit logged and the next checkpoint must write home.
+// Either image exists nowhere else the file system reads. A simulated
+// crash loses those too: crash tests build a fresh cache over the
+// crashed device instead.
 func (c *Cache) Invalidate() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
+		dropped := len(s.buffers)
+		var held []*BufferHead
+		for bh := s.lru.back; bh != nil; bh = bh.lruPrev {
+			if bh.journalHeld() {
+				held = append(held, bh)
+			}
+		}
 		s.buffers = make(map[uint64]*BufferHead)
 		s.dirty = make(map[uint64]*BufferHead)
 		s.lru.init()
+		for _, bh := range held { // back to front: LRU order survives
+			s.lru.pushFront(bh)
+			s.buffers[bh.Block] = bh
+			if bh.Dirty() {
+				s.dirty[bh.Block] = bh
+			}
+		}
+		c.size.Add(int64(len(held) - dropped))
 		s.mu.Unlock()
 	}
-	c.size.Store(0)
+}
+
+// journalHeld reports whether the journal holds bh: joined to the
+// running transaction, or dirty metadata awaiting its checkpoint.
+func (bh *BufferHead) journalHeld() bool {
+	bh.mu.Lock()
+	defer bh.mu.Unlock()
+	return bh.journalSeq != 0 || bh.flags&(BHDirty|BHMeta) == BHDirty|BHMeta
 }
 
 // Cached returns the number of buffers currently in the cache.

@@ -78,7 +78,7 @@ func TestDirtyWritebackRoundTrip(t *testing.T) {
 
 	// Crash; data must be durable.
 	c.Device().CrashApplyNone()
-	c.Invalidate()
+	c = NewCache(c.Device(), 0)
 	bh2, _ := c.Bread(5)
 	if bh2.Data[0] != 0xEE {
 		t.Fatalf("written data lost: %#x", bh2.Data[0])
@@ -110,7 +110,7 @@ func TestSyncBlocksWritesOnlyListed(t *testing.T) {
 		t.Fatalf("DirtyCount = %d, want block 4 alone", c.DirtyCount())
 	}
 	c.Device().CrashApplyNone()
-	c.Invalidate()
+	c = NewCache(c.Device(), 0)
 	for block, want := range map[uint64]byte{3: 3, 4: 0, 5: 5} {
 		bh, _ := c.Bread(block)
 		if bh.Data[0] != want {
@@ -146,7 +146,7 @@ func TestUnflushedDirtyLostOnCrash(t *testing.T) {
 	bh.MarkDirty()
 	bh.Put()
 	c.Device().CrashApplyNone()
-	c.Invalidate()
+	c = NewCache(c.Device(), 0)
 	bh2, _ := c.Bread(9)
 	if bh2.Data[0] != 0 {
 		t.Fatalf("dirty-but-unsynced data survived crash")
@@ -158,8 +158,8 @@ func TestWriteUnmappedBufferOopses(t *testing.T) {
 	c := testCache(t, 0)
 	bh, _ := c.GetBlk(2) // never read, never mapped
 	bh.MarkDirty()
-	if err := c.WriteBuffer(bh); err != kbase.EINVAL {
-		t.Fatalf("WriteBuffer of unmapped: %v", err)
+	if err := c.SyncBlocksCtx(nil, []uint64{2}); err != kbase.EINVAL {
+		t.Fatalf("SyncBlocksCtx of unmapped: %v", err)
 	}
 	if rec.Count(kbase.OopsSemantic) != 1 {
 		t.Fatalf("semantic oops count = %d", rec.Count(kbase.OopsSemantic))
@@ -272,10 +272,62 @@ func TestForget(t *testing.T) {
 	}
 	bh.Put()
 	c.SyncDirtyCtx(nil)
-	c.Invalidate()
+	c = NewCache(c.Device(), 0)
 	bh2, _ := c.Bread(6)
 	if bh2.Data[0] != 0 {
 		t.Fatalf("forgotten write reached disk")
+	}
+}
+
+// TestInvalidateKeepsJournalHeld: a buffer-cache restart drops clean
+// buffers and dirty data, but keeps what the journal holds — a buffer
+// joined to the running transaction and dirty metadata awaiting its
+// checkpoint — as the same heads, still dirty.
+func TestInvalidateKeepsJournalHeld(t *testing.T) {
+	c := testCache(t, 0)
+	for block := uint64(1); block <= 4; block++ {
+		bh, _ := c.Bread(block)
+		bh.Data[0] = byte(block)
+		bh.Put()
+	}
+	joined, _ := c.Bread(1)
+	joined.SetJournalSeq(7)
+	meta, _ := c.Bread(2)
+	meta.SetFlag(BHMeta)
+	meta.MarkDirty()
+	data, _ := c.Bread(3)
+	data.MarkDirty()
+	for _, bh := range []*BufferHead{joined, meta, data} {
+		bh.Put()
+	}
+
+	c.Invalidate()
+	if c.Cached() != 2 || c.DirtyCount() != 1 {
+		t.Fatalf("after Invalidate: %d cached, %d dirty; want 2 and 1", c.Cached(), c.DirtyCount())
+	}
+	for block, want := range map[uint64]*BufferHead{1: joined, 2: meta} {
+		bh, _ := c.Bread(block)
+		if bh != want || bh.Data[0] != byte(block) {
+			t.Errorf("block %d: journal-held head not kept", block)
+		}
+		bh.Put()
+	}
+	if !meta.Dirty() {
+		t.Error("kept metadata lost its dirty bit")
+	}
+	for _, block := range []uint64{3, 4} {
+		bh, _ := c.Bread(block)
+		if bh.Data[0] != 0 {
+			t.Errorf("block %d = %#x after Invalidate, want the device's 0", block, bh.Data[0])
+		}
+		bh.Put()
+	}
+	if err := c.SyncDirtyCtx(nil); err != kbase.EOK {
+		t.Fatalf("SyncDirtyCtx: %v", err)
+	}
+	got := make([]byte, c.Device().BlockSize())
+	if c.Device().Read(2, got); got[0] != 2 {
+		t.Fatalf("kept metadata not written home: %#x", got[0])
 	}
 }
 

@@ -215,8 +215,21 @@ func TestFsyncSkipsBlockReusedByAnotherFile(t *testing.T) {
 	if got := ktrace.Read(dev.CollectMetrics, "writes") - writes; got != 1 {
 		t.Fatalf("fsync(a) issued %d device writes, want a's 1 remaining block", got)
 	}
-	if got := cache.DirtyCount(); got != 1 {
-		t.Fatalf("%d dirty buffers after fsync(a), want b's 1", got)
+	// Committed metadata stays dirty until a checkpoint; of the data
+	// buffers, only b's block is still dirty.
+	var dirty []*bufcache.BufferHead
+	for block := uint64(0); block < dev.Blocks(); block++ {
+		bh, err := cache.GetBlk(block)
+		if err != kbase.EOK {
+			t.Fatalf("GetBlk(%d): %v", block, err)
+		}
+		if bh.Dirty() && !bh.TestFlag(bufcache.BHMeta) {
+			dirty = append(dirty, bh)
+		}
+		_ = bh.Put()
+	}
+	if len(dirty) != 1 || !bytes.Equal(dirty[0].Data, patterned(testBS, 8)) {
+		t.Fatalf("%d dirty data buffers after fsync(a), want b's 1", len(dirty))
 	}
 
 	v2, task2 := crashAndRemount(t, dev, &extlike.FS{})
@@ -330,6 +343,29 @@ func TestSkipJournalSurvivesWithSync(t *testing.T) {
 	if _, err := v2.Stat(task2, "/visible"); err != kbase.EOK {
 		t.Fatalf("synced file lost: %v", err)
 	}
+}
+
+// TestSkipJournalManyCreates: the injected bug skips the log only.
+// Each op still closes its transaction, so a long run of creates never
+// fills one transaction to capacity and fails with ENOSPC; the bug
+// stays invisible without a crash.
+func TestSkipJournalManyCreates(t *testing.T) {
+	dev := newDevice(t, 4096)
+	v, task := mkfsAndMount(t, dev, &extlike.FS{SkipJournal: true})
+	for i := 0; i < 300; i++ {
+		fd, err := v.Open(task, fmt.Sprintf("/f%03d", i), vfs.OWrOnly|vfs.OCreate)
+		if err != kbase.EOK {
+			t.Fatalf("create #%d: %v", i, err)
+		}
+		v.Close(fd)
+	}
+	if ents, err := v.ReadDir(task, "/"); err != kbase.EOK || len(ents) != 300 {
+		t.Fatalf("ReadDir: %d entries (%v), want 300", len(ents), err)
+	}
+	if err := v.SyncAll(task); err != kbase.EOK {
+		t.Fatalf("SyncAll: %v", err)
+	}
+	fsckClean(t, dev)
 }
 
 // TestRandomCrashConsistency runs a deterministic random crash (some

@@ -17,8 +17,10 @@ import (
 // while exercising the same journaling paths.
 
 // readDir returns the entries of directory ei, decoding its blocks on
-// first use. The caller holds ei.lock and must not modify the
-// returned slice: it is the cache itself.
+// first use. The caller holds ei.lock. The returned slice is the cache
+// itself: a caller edits it in place (append, slices.Delete) only to
+// hand the result straight to writeDir, which drops the cache before
+// anything can fail.
 func (inst *fsInstance) readDir(task *kbase.Task, ei *einode) ([]dirent, kbase.Errno) {
 	if ei.dirCached {
 		return ei.dirents, kbase.EOK
@@ -47,9 +49,10 @@ func (inst *fsInstance) decodeDir(task *kbase.Task, ei *einode) ([]dirent, kbase
 }
 
 // writeDir makes ents the contents of directory ei under h and
-// updates its size (journaled). ents becomes the cached entry list, so
-// the caller must not modify it afterwards. On any error the cache is
-// dropped, and the next readDir decodes whatever the buffers hold.
+// updates its size (journaled). ents, typically the cached list edited
+// in place, becomes the cached entry list, so the caller must not
+// modify it afterwards. The cache is dropped first and stays dropped
+// on any error, and the next readDir decodes whatever the buffers hold.
 func (inst *fsInstance) writeDir(task *kbase.Task, h *journal.Handle, dirVi *vfs.Inode, ei *einode, ents []dirent) kbase.Errno {
 	ei.dirents, ei.dirCached = nil, false
 	buf := encodeDirents(ents)
@@ -115,32 +118,6 @@ func allZero(b []byte) bool {
 		}
 	}
 	return true
-}
-
-// withEntry returns a new slice of exactly len(ents)+1 entries: ents
-// followed by e.
-func withEntry(ents []dirent, e dirent) []dirent {
-	out := make([]dirent, len(ents)+1)
-	copy(out, ents)
-	out[len(ents)] = e
-	return out
-}
-
-// withoutEntry returns a new slice of exactly len(ents)-1 entries:
-// ents without entry i.
-func withoutEntry(ents []dirent, i int) []dirent {
-	out := make([]dirent, len(ents)-1)
-	copy(out, ents[:i])
-	copy(out[i:], ents[i+1:])
-	return out
-}
-
-// withName returns a copy of ents with entry i renamed to name.
-func withName(ents []dirent, i int, name string) []dirent {
-	out := make([]dirent, len(ents))
-	copy(out, ents)
-	out[i].Name = name
-	return out
 }
 
 // txSlack bounds the buffers a namespace operation joins to its

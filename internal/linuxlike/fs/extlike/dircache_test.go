@@ -118,11 +118,13 @@ func checkDirCache(t *testing.T, v *vfs.VFS, task *kbase.Task, inst *fsInstance,
 
 // TestDirCacheMatchesBlocks runs a seeded mix of create, mkdir,
 // unlink, rmdir and same- and cross-directory renames (some replacing
-// an existing name) over two directories of several blocks each.
-// After every op each directory's cached entries must equal a decode
-// of its blocks and the model; the volume must fsck clean at the end.
-// A writeDir refused mid-way by the journal (ENOSPC from
-// GetWriteAccess) must drop the cache so the next lookup re-decodes.
+// an existing name), plus ops the namespace rules refuse, over two
+// directories of several blocks each. The ops edit the cached entry
+// slices in place. After every op each directory's cached entries must
+// equal a decode of its blocks and the model; the volume must fsck
+// clean at the end. A writeDir refused mid-way by the journal (ENOSPC
+// from GetWriteAccess) must drop the cache so the next lookup
+// re-decodes.
 func TestDirCacheMatchesBlocks(t *testing.T) {
 	dev := blockdev.New(blockdev.Config{Blocks: 4096, BlockSize: dcBS, Rng: kbase.NewRng(5)})
 	v, task, inst := dcMount(t, dev, true)
@@ -169,7 +171,28 @@ func TestDirCacheMatchesBlocks(t *testing.T) {
 		m := model[d]
 		var desc string
 		var err kbase.Errno
-		switch k := rng.Intn(20); {
+		switch k := rng.Intn(23); {
+		case k >= 20: // refused: a file renamed onto a directory, or an existing name made again
+			from, onto := m.pick(rng, false), model[other].pick(rng, true)
+			if from == "" || onto == "" {
+				continue
+			}
+			var want kbase.Errno
+			switch k {
+			case 20:
+				desc, want = "rename "+d+"/"+from+" -> "+other+"/"+onto+" (a directory)", kbase.EISDIR
+				err = v.Rename(task, d+"/"+from, other+"/"+onto)
+			case 21:
+				desc, want = "rename "+other+"/"+onto+" -> "+d+"/"+from+" (a file)", kbase.ENOTDIR
+				err = v.Rename(task, other+"/"+onto, d+"/"+from)
+			default:
+				desc, want = "mkdir "+d+"/"+from+" (exists)", kbase.EEXIST
+				err = v.Mkdir(task, d+"/"+from)
+			}
+			if err != want {
+				t.Fatalf("op %d (%s): %v, want %v", op, desc, err, want)
+			}
+			err = kbase.EOK
 		case k < 4: // create
 			name := newName()
 			desc = "create " + d + "/" + name
@@ -269,7 +292,8 @@ func TestDirCacheMatchesBlocks(t *testing.T) {
 		}
 		_ = bh.Put()
 	}
-	if err := inst.writeDir(task, h, vi, ei, withName(before, len(before)-1, renamed)); err != kbase.ENOSPC {
+	before[len(before)-1].Name = renamed // in place, as the namespace ops edit
+	if err := inst.writeDir(task, h, vi, ei, before); err != kbase.ENOSPC {
 		t.Fatalf("writeDir into a full transaction: %v, want ENOSPC", err)
 	}
 	if ei.dirCached {

@@ -1,6 +1,7 @@
 package extlike
 
 import (
+	"slices"
 	"sync"
 
 	"safelinux/internal/linuxlike/blockdev"
@@ -136,8 +137,7 @@ func InstanceOf(sb *vfs.SuperBlock) (interface {
 	return inst, ok
 }
 
-// begin opens a journal handle, or a no-op handle when SkipJournal is
-// injected.
+// begin opens a journal handle on the running transaction.
 func (inst *fsInstance) begin() *journal.Handle {
 	return inst.jnl.Begin()
 }
@@ -147,8 +147,9 @@ func (inst *fsInstance) begin() *journal.Handle {
 // trace into the journal's latency plane.
 func (inst *fsInstance) commit(task *kbase.Task) kbase.Errno {
 	if inst.fs.SkipJournal {
-		// Injected bug: pretend durability without the journal.
-		return kbase.EOK
+		// Injected bug: close the transaction without logging it, so
+		// its metadata is durable only once a checkpoint writes it home.
+		return inst.jnl.CloseCtx(task)
 	}
 	err := inst.jnl.CommitCtx(task)
 	if err == kbase.ENOSPC {
@@ -226,7 +227,7 @@ func (o *inodeOps) CreateTyped(task *kbase.Task, dir *vfs.Inode, name string, mo
 	if err := inst.writeDiskInode(task, h, ino, &di); err != kbase.EOK {
 		return typedapi.Err[*vfs.Inode](err)
 	}
-	if err := inst.writeDir(task, h, dir, ei, withEntry(ents, dirent{Ino: ino, Mode: diskMode, Name: name})); err != kbase.EOK {
+	if err := inst.writeDir(task, h, dir, ei, append(ents, dirent{Ino: ino, Mode: diskMode, Name: name})); err != kbase.EOK {
 		return typedapi.Err[*vfs.Inode](err)
 	}
 	h.Stop()
@@ -309,7 +310,7 @@ func (inst *fsInstance) removeEntry(task *kbase.Task, dir *vfs.Inode, name strin
 
 	h := inst.begin()
 	defer h.Stop()
-	if err := inst.writeDir(task, h, dir, ei, withoutEntry(ents, i)); err != kbase.EOK {
+	if err := inst.writeDir(task, h, dir, ei, slices.Delete(ents, i, i+1)); err != kbase.EOK {
 		return err
 	}
 	if isDir {
@@ -491,25 +492,29 @@ func (o *inodeOps) Rename(task *kbase.Task, oldDir *vfs.Inode, oldName string, n
 		if err := inst.releaseInode(task, h, existing.Ino, xei); err != kbase.EOK {
 			return err
 		}
-		newEnts = withoutEntry(newEnts, ni)
-		if sameDir {
+	}
+
+	// The entry slices are the directories' caches, edited in place:
+	// each edit comes right before the writeDir that drops the cache
+	// first, so a failure cannot leave a half-edited cache installed.
+	if sameDir {
+		if ni >= 0 {
+			newEnts = slices.Delete(newEnts, ni, ni+1)
 			// Removing an entry shifts indices; refind the source.
 			oi = dirFind(newEnts, oldName)
 		}
-	}
-
-	// The entry slices are the directories' caches until writeDir
-	// replaces them: every edit below works on a fresh copy.
-	if sameDir {
-		if err := inst.writeDir(task, h, oldDir, oei, withName(newEnts, oi, newName)); err != kbase.EOK {
+		newEnts[oi].Name = newName
+		if err := inst.writeDir(task, h, oldDir, oei, newEnts); err != kbase.EOK {
 			return err
 		}
 	} else {
-		oldEnts = withoutEntry(oldEnts, oi)
-		newEnts = withEntry(newEnts, dirent{Ino: moving.Ino, Mode: moving.Mode, Name: newName})
-		if err := inst.writeDir(task, h, oldDir, oei, oldEnts); err != kbase.EOK {
+		if err := inst.writeDir(task, h, oldDir, oei, slices.Delete(oldEnts, oi, oi+1)); err != kbase.EOK {
 			return err
 		}
+		if ni >= 0 {
+			newEnts = slices.Delete(newEnts, ni, ni+1)
+		}
+		newEnts = append(newEnts, dirent{Ino: moving.Ino, Mode: moving.Mode, Name: newName})
 		if err := inst.writeDir(task, h, newDir, nei, newEnts); err != kbase.EOK {
 			return err
 		}
@@ -694,8 +699,8 @@ func (fo *fileOps) Fsync(task *kbase.Task, ino *vfs.Inode) kbase.Errno {
 	ei.lock.Lock(task)
 	defer ei.lock.Unlock(task)
 	if inst.fs.SkipJournal {
-		// Injected bug: no commit carries the metadata, so only a full
-		// writeback persists it.
+		// Injected bug: no log carries the metadata, so only a
+		// checkpoint persists it.
 		return inst.SyncFS(task)
 	}
 	// jbd2-style: commit the running transaction, which holds this
@@ -775,9 +780,6 @@ func (inst *fsInstance) SyncFS(task *kbase.Task) kbase.Errno {
 	// metadata, and SyncDirtyCtx snapshots the dirty set on its own.
 	if err := inst.commit(task); err != kbase.EOK {
 		return err
-	}
-	if inst.fs.SkipJournal {
-		return inst.cache.SyncDirtyCtx(task)
 	}
 	return inst.jnl.CheckpointCtx(task)
 }

@@ -27,9 +27,10 @@ type einode struct {
 	orphan bool
 	// dirents caches a directory's decoded entries once dirCached is
 	// set (an empty directory caches a nil slice). Guarded by lock;
-	// readDir fills it, writeDir replaces it, and the slice is never
-	// modified in place. dirCached sits beside orphan so the two bools
-	// share one word.
+	// readDir fills it, and a namespace op edits it in place as the
+	// argument of the writeDir that installs the result (writeDir drops
+	// the cache first, so a failed edit never stays cached). dirCached
+	// sits beside orphan so the two bools share one word.
 	dirCached bool
 	dirents   []dirent
 	// dirtyData lists, once each, the data blocks of a regular file

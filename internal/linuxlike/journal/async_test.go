@@ -60,8 +60,7 @@ func TestAsyncCommitEquivalentToSync(t *testing.T) {
 		t.Fatalf("Commit 2: %v", err)
 	}
 	// Crash dropping all unflushed (home) writes, then recover.
-	dev.CrashApplyNone()
-	cache.Invalidate()
+	j = crash(dev, j)
 	if _, err := j.Recover(); err != kbase.EOK {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -83,12 +82,11 @@ func TestAsyncCommitEquivalentToSync(t *testing.T) {
 		6: a3,
 		7: journalRecord(bs, kindRevoke, 2, 1, 41),
 		8: journalRecord(bs, kindCommit, 2, crc32.ChecksumIEEE(a3)),
-		// Home blocks: transaction 2's barriers flushed transaction 1's
-		// home writes (41 included: a revoke stops replay, not a write
-		// already made), and replay restored 42, whose home write died
-		// in the crash.
+		// Home blocks: a commit writes no home, and no checkpoint ran,
+		// so replay alone restored 40 and 42. Block 41 was revoked by
+		// transaction 2 before any checkpoint wrote it home, so replay
+		// skips it and its home stays zero.
 		40: a1,
-		41: a2,
 		42: a3,
 	}
 	zero := make([]byte, bs)
@@ -112,8 +110,7 @@ func TestAsyncCommitRecoversAfterCrash(t *testing.T) {
 	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit: %v", err)
 	}
-	dev.CrashApplyNone()
-	cache.Invalidate()
+	j = crash(dev, j)
 	n, err := j.Recover()
 	if err != kbase.EOK {
 		t.Fatalf("Recover: %v", err)
@@ -213,8 +210,7 @@ func TestAsyncCommitWriteFailure(t *testing.T) {
 		t.Fatal("Commit succeeded with failing device writes")
 	}
 	dev.FailNextWrites(0)
-	dev.CrashApplyNone()
-	cache.Invalidate()
+	j = crash(dev, j)
 	n, err := j.Recover()
 	if err != kbase.EOK {
 		t.Fatalf("Recover: %v", err)

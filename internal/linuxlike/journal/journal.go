@@ -76,7 +76,6 @@ type Journal struct {
 	tailSeq  uint64     // oldest not-yet-checkpointed sequence
 	writePos uint64     // next free journal block (offset within region)
 	running  *Tx
-	revoked  map[uint64]uint64 // home block -> seq at which revoked
 
 	// gate is the commit/checkpoint barrier: while set, Begin blocks,
 	// so no new handle can mutate a buffer whose data is being written
@@ -126,7 +125,6 @@ func New(cache *bufcache.Cache, start, size uint64) *Journal {
 		size:    size,
 		seq:     1,
 		tailSeq: 1,
-		revoked: make(map[uint64]uint64),
 		lastErr: kbase.EOK,
 	}
 	j.cond = sync.NewCond(&j.mu)
@@ -329,10 +327,12 @@ func (h *Handle) Stop() {
 // CommitCtx force-commits the running transaction synchronously
 // (jbd2_journal_force_commit): write data+descriptor+revoke blocks,
 // flush, write commit block, flush again — all through the cache's kio
-// engine — then write the home locations through the buffer cache
-// (without flushing them — that is Checkpoint's job). A transaction
-// that joined no buffer and revoked nothing commits with no I/O; its
-// sequence number is used up, and recovery accepts the forward gap.
+// engine. The commit writes the log only: the logged buffers stay
+// dirty metadata in the cache, and the next checkpoint writes each
+// home once however many transactions logged it (jbd2's checkpoint
+// list). A transaction that joined no buffer and revoked nothing
+// commits with no I/O; its sequence number is used up, and recovery
+// accepts the forward gap.
 //
 // Under concurrency this is a blocking group commit: if other tasks
 // still hold open handles on the transaction, CommitCtx waits for them
@@ -342,7 +342,15 @@ func (h *Handle) Stop() {
 // commit — including any wait for the in-flight round — is timed into
 // the journal:commit histogram and spanned as a child of the caller's
 // trace.
-func (j *Journal) CommitCtx(task *kbase.Task) kbase.Errno {
+func (j *Journal) CommitCtx(task *kbase.Task) kbase.Errno { return j.commit(task, true) }
+
+// CloseCtx closes the running transaction as CommitCtx does but writes
+// no log: its buffers stay dirty in the cache until the next
+// checkpoint, and a crash before then loses them. It is the commit of
+// an unjournaled file system (extlike's injected SkipJournal bug).
+func (j *Journal) CloseCtx(task *kbase.Task) kbase.Errno { return j.commit(task, false) }
+
+func (j *Journal) commit(task *kbase.Task, log bool) kbase.Errno {
 	t := opCommit.Begin(task)
 	defer t.End()
 	j.mu.Lock()
@@ -373,51 +381,51 @@ func (j *Journal) CommitCtx(task *kbase.Task) kbase.Errno {
 		for tx.handles > 0 {
 			j.cond.Wait()
 		}
-		return j.commitGatedLocked(task, tx)
+		return j.commitGatedLocked(task, tx, log)
 	}
 }
 
-// commitGatedLocked writes tx out. Caller holds j.mu and the gate;
-// tx has no open handles. The gate is released before returning.
-func (j *Journal) commitGatedLocked(task *kbase.Task, tx *Tx) kbase.Errno {
+// commitGatedLocked closes tx and, with log set, writes it out. Caller
+// holds j.mu and the gate; tx has no open handles. The gate is released
+// before returning.
+func (j *Journal) commitGatedLocked(task *kbase.Task, tx *Tx, log bool) kbase.Errno {
 	tx.closed = true
 	j.running = nil
 
-	if len(tx.buffers) == 0 && len(tx.revokes) == 0 {
-		// Nothing to log: write nothing. The sequence number stays
-		// used, so lastDoneSeq never names a later transaction.
-		j.lastDoneSeq = tx.seq
-		j.lastErr = kbase.EOK
-		j.gate = false
-		j.cond.Broadcast()
-		return kbase.EOK
+	err := kbase.EOK
+	if log && (len(tx.buffers) > 0 || len(tx.revokes) > 0) {
+		// Needed journal blocks: descriptor + data + optional revoke + commit.
+		needed := uint64(1 + len(tx.buffers) + 1)
+		if len(tx.revokes) > 0 {
+			needed++
+		}
+		if j.writePos+needed > j.size {
+			// Out of journal space; require a checkpoint first. A real
+			// jbd2 would block; we surface ENOSPC and the caller
+			// checkpoints. Reinstate the transaction.
+			tx.closed = false
+			j.running = tx
+			j.gate = false
+			j.cond.Broadcast()
+			return kbase.ENOSPC
+		}
+		var end uint64
+		if end, err = j.writeLogLocked(task, tx, j.start+j.writePos); err == kbase.EOK {
+			j.writePos = end - j.start
+			j.stats.Commits++
+		}
+		tpCommit.Emit4(0, tx.seq, uint64(len(tx.buffers)), uint64(err), 0)
 	}
-
-	// Needed journal blocks: descriptor + data + optional revoke + commit.
-	needed := uint64(1 + len(tx.buffers) + 1)
-	if len(tx.revokes) > 0 {
-		needed++
-	}
-	if j.writePos+needed > j.size {
-		// Out of journal space; require a checkpoint first. A real
-		// jbd2 would block; we surface ENOSPC and the caller
-		// checkpoints. Reinstate the transaction.
-		tx.closed = false
-		j.running = tx
-		j.gate = false
-		j.cond.Broadcast()
-		return kbase.ENOSPC
-	}
-
-	end, err := j.writeLogLocked(task, tx, j.start+j.writePos)
-	if err == kbase.EOK {
-		err = j.finishCommitLocked(tx, end)
+	// Logged or not, the buffers leave the transaction. Its sequence
+	// number stays used, so lastDoneSeq never names a later
+	// transaction.
+	for _, bh := range tx.buffers {
+		bh.ClearJournalSeq()
 	}
 	j.lastDoneSeq = tx.seq
 	j.lastErr = err
 	j.gate = false
 	j.cond.Broadcast()
-	tpCommit.Emit4(0, tx.seq, uint64(len(tx.buffers)), uint64(err), 0)
 	return err
 }
 
@@ -478,33 +486,11 @@ func (j *Journal) writeLogLocked(task *kbase.Task, tx *Tx, pos uint64) (uint64, 
 	return next + 1, b.Submit().Err()
 }
 
-// finishCommitLocked records the committed transaction's bookkeeping
-// and writes the home locations through the cache. Caller holds j.mu
-// and the gate; the journal image through endPos is durable.
-func (j *Journal) finishCommitLocked(tx *Tx, endPos uint64) kbase.Errno {
-	j.writePos = endPos - j.start
-	for _, home := range tx.revokes {
-		j.revoked[home] = tx.seq
-	}
-	j.stats.Commits++
-
-	// Home writes: through the cache, unflushed. A crash between here
-	// and Checkpoint is exactly what recovery must repair. j.mu is
-	// dropped (WriteBuffer takes cache locks) but the gate stays up,
-	// so no new handle can mutate these buffers mid-write.
-	j.mu.Unlock()
-	defer j.mu.Lock()
-	for _, bh := range tx.buffers {
-		bh.ClearJournalSeq()
-		if err := j.cache.WriteBuffer(bh); err != kbase.EOK {
-			return err
-		}
-	}
-	return kbase.EOK
-}
-
 // Checkpoint makes all home locations durable and resets the journal
-// region (jbd2 checkpoint + journal tail update). It quiesces the
+// region (jbd2 checkpoint + journal tail update): it syncs every dirty
+// buffer of the cache, so each metadata block committed since the last
+// checkpoint is written home once, however many transactions logged
+// it. Only then may the tail pass those transactions. It quiesces the
 // journal first — new Begins block and live handles drain — so the
 // writeback pass cannot race buffer mutations made under a handle.
 func (j *Journal) Checkpoint() kbase.Errno { return j.CheckpointCtx(nil) }
@@ -545,7 +531,6 @@ func (j *Journal) CheckpointCtx(task *kbase.Task) kbase.Errno {
 		j.tailSeq = j.running.seq
 	}
 	j.writePos = 1
-	j.revoked = make(map[uint64]uint64)
 	j.stats.Checkpoints++
 	tpCheckpoint.Emit(0, j.tailSeq, 0)
 	return j.writeSuperLocked()

@@ -43,6 +43,14 @@ func writeVia(t *testing.T, cache *bufcache.Cache, j *Journal, block uint64, fil
 	h.Stop()
 }
 
+// crash cuts power, losing every unflushed write, and returns the
+// journal a remount builds over the crashed device: a fresh cache and
+// no in-memory state.
+func crash(dev *blockdev.Device, j *Journal) *Journal {
+	dev.CrashApplyNone()
+	return New(bufcache.NewCache(dev, 0), j.start, j.size)
+}
+
 func readBlock(t *testing.T, dev *blockdev.Device, block uint64) []byte {
 	t.Helper()
 	buf := make([]byte, dev.BlockSize())
@@ -59,8 +67,7 @@ func TestCommitMakesJournalDurable(t *testing.T) {
 		t.Fatalf("Commit: %v", err)
 	}
 	// Crash before checkpoint: home write may be lost...
-	dev.CrashApplyNone()
-	cache.Invalidate()
+	j = crash(dev, j)
 	if got := readBlock(t, dev, 40)[0]; got != 0 {
 		t.Fatalf("home block durable before checkpoint without replay: %#x", got)
 	}
@@ -81,8 +88,7 @@ func TestUncommittedTxNotReplayed(t *testing.T) {
 	dev, cache, j := testSetup(t)
 	writeVia(t, cache, j, 41, 0xBB)
 	// No commit. Crash.
-	dev.CrashApplyNone()
-	cache.Invalidate()
+	j = crash(dev, j)
 	n, err := j.Recover()
 	if err != kbase.EOK {
 		t.Fatalf("Recover: %v", err)
@@ -104,8 +110,7 @@ func TestCheckpointMakesHomeDurable(t *testing.T) {
 	if err := j.Checkpoint(); err != kbase.EOK {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	dev.CrashApplyNone()
-	cache.Invalidate()
+	j = crash(dev, j)
 	if got := readBlock(t, dev, 42)[0]; got != 0xCC {
 		t.Fatalf("checkpointed block lost: %#x", got)
 	}
@@ -130,8 +135,7 @@ func TestMultipleTransactionsReplayInOrder(t *testing.T) {
 	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit 2: %v", err)
 	}
-	dev.CrashApplyNone()
-	cache.Invalidate()
+	j = crash(dev, j)
 	n, _ := j.Recover()
 	if n != 2 {
 		t.Fatalf("replayed %d, want 2", n)
@@ -169,8 +173,7 @@ func TestRevokePreventsReplay(t *testing.T) {
 	dev.Write(44, data)
 	dev.Flush()
 
-	dev.CrashApplyNone()
-	cache.Invalidate()
+	j = crash(dev, j)
 	j.Recover()
 	if got := readBlock(t, dev, 44)[0]; got != 0xFF {
 		t.Fatalf("revoked block was replayed: %#x", got)
@@ -286,8 +289,7 @@ func TestTornCommitRecordStopsReplay(t *testing.T) {
 	buf[16] ^= 0xFF
 	dev.Write(3, buf)
 	dev.Flush()
-	dev.CrashApplyNone()
-	cache.Invalidate()
+	j = crash(dev, j)
 	n, err := j.Recover()
 	if err != kbase.EOK {
 		t.Fatalf("Recover: %v", err)
@@ -337,9 +339,11 @@ func TestEmptyCommitBetweenRealCommits(t *testing.T) {
 	if seq2 != seq1+2 {
 		t.Fatalf("real commits carry seqs %d and %d, want a gap of one for the empty commit", seq1, seq2)
 	}
+	if c := j.stats.Commits; c != 2 {
+		t.Fatalf("commits = %d, want 2", c)
+	}
 
-	dev.CrashApplyNone()
-	cache.Invalidate()
+	j = crash(dev, j)
 	n, err := j.Recover()
 	if err != kbase.EOK {
 		t.Fatalf("Recover: %v", err)
@@ -349,9 +353,6 @@ func TestEmptyCommitBetweenRealCommits(t *testing.T) {
 	}
 	if a, b := readBlock(t, dev, 40)[0], readBlock(t, dev, 41)[0]; a != 0xA1 || b != 0xA2 {
 		t.Fatalf("replayed homes = %#x, %#x; want 0xa1, 0xa2", a, b)
-	}
-	if c := j.stats.Commits; c != 2 {
-		t.Fatalf("commits = %d, want 2", c)
 	}
 }
 
@@ -411,8 +412,7 @@ func TestWaiterAfterEmptyCommitSeesENOSPC(t *testing.T) {
 	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit after checkpoint: %v", err)
 	}
-	dev.CrashApplyNone()
-	cache.Invalidate()
+	j = crash(dev, j)
 	if n, err := j.Recover(); err != kbase.EOK || n != 1 {
 		t.Fatalf("Recover = %d, %v; want 1 transaction", n, err)
 	}
@@ -439,8 +439,7 @@ func TestRewriteCancelsRevoke(t *testing.T) {
 	if err := j.CommitCtx(nil); err != kbase.EOK {
 		t.Fatalf("Commit 2: %v", err)
 	}
-	dev.CrashApplyNone()
-	cache.Invalidate()
+	j = crash(dev, j)
 	if n, err := j.Recover(); err != kbase.EOK || n != 2 {
 		t.Fatalf("Recover = %d, %v; want 2 transactions", n, err)
 	}
@@ -455,8 +454,7 @@ func TestRecoveryIdempotent(t *testing.T) {
 	dev, cache, j := testSetup(t)
 	writeVia(t, cache, j, 48, 0x88)
 	j.CommitCtx(nil)
-	dev.CrashApplyNone()
-	cache.Invalidate()
+	j = crash(dev, j)
 	if n, _ := j.Recover(); n != 1 {
 		t.Fatalf("first recover replayed %d", n)
 	}
@@ -497,8 +495,7 @@ func TestCheckpointWithRunningTransaction(t *testing.T) {
 	}
 	// Crash before the home write is durable; recovery must replay
 	// the post-checkpoint transaction.
-	dev.CrashApplyNone()
-	cache.Invalidate()
+	j = crash(dev, j)
 	n, err := j.Recover()
 	if err != kbase.EOK {
 		t.Fatalf("Recover: %v", err)
@@ -508,5 +505,50 @@ func TestCheckpointWithRunningTransaction(t *testing.T) {
 	}
 	if got := readBlock(t, dev, 41)[0]; got != 0x42 {
 		t.Fatalf("committed data lost: %#x", got)
+	}
+}
+
+// TestCommitsWriteLogOnlyCheckpointWritesHomeOnce: k commits of one
+// block write only the log (descriptor, data and commit record each)
+// and leave the home untouched; the block stays dirty in the cache, and
+// the next checkpoint writes it home exactly once, beside the journal
+// superblock.
+func TestCommitsWriteLogOnlyCheckpointWritesHomeOnce(t *testing.T) {
+	dev, cache, j := testSetup(t)
+	const k = 4
+	writes := func() uint64 { return ktrace.Read(dev.CollectMetrics, "writes") }
+	homeWrites := func() uint64 { return ktrace.Read(cache.CollectMetrics, "writeback") }
+	w0 := writes()
+	for i := 1; i <= k; i++ {
+		writeVia(t, cache, j, 40, byte(i))
+		if err := j.CommitCtx(nil); err != kbase.EOK {
+			t.Fatalf("Commit %d: %v", i, err)
+		}
+	}
+	if got := writes() - w0; got != 3*k {
+		t.Fatalf("%d commits issued %d device writes, want %d (log only)", k, got, 3*k)
+	}
+	if got := homeWrites(); got != 0 {
+		t.Fatalf("commits wrote %d home blocks, want 0", got)
+	}
+	if got := readBlock(t, dev, 40)[0]; got != 0 {
+		t.Fatalf("home block = %#x before the checkpoint, want 0", got)
+	}
+	if cache.DirtyCount() != 1 {
+		t.Fatalf("%d dirty buffers after the commits, want the one block", cache.DirtyCount())
+	}
+
+	w0 = writes()
+	if err := j.Checkpoint(); err != kbase.EOK {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if got, hw := writes()-w0, homeWrites(); got != 2 || hw != 1 {
+		t.Fatalf("checkpoint: %d device writes, %d home; want 2 (home once + superblock) and 1", got, hw)
+	}
+	if got := readBlock(t, dev, 40)[0]; got != k {
+		t.Fatalf("home block = %#x after the checkpoint, want %#x", got, k)
+	}
+	if cache.DirtyCount() != 0 {
+		t.Fatalf("%d dirty buffers after the checkpoint, want 0", cache.DirtyCount())
 	}
 }

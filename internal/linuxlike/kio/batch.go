@@ -51,7 +51,7 @@ func (b *Batch) Read(block uint64, buf []byte, user uint64) kbase.Errno {
 // Write enqueues a write of data to block on the legacy copying path:
 // the batch copies data now (the caller may reuse the buffer
 // immediately), exactly the one defensive copy every synchronous
-// blockdev.Write performs. Stats().BytesCopied accounts it.
+// blockdev.Write performs. The bytes_copied counter accounts it.
 func (b *Batch) Write(block uint64, data []byte, user uint64) kbase.Errno {
 	if len(data) != b.e.backend.BlockSize() {
 		return kbase.EINVAL

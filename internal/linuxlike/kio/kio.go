@@ -15,8 +15,9 @@
 // engine — the caller's handles go stale at the move and the engine
 // fulfils the model-1 free obligation at completion — and the payload
 // reaches the device's durable image with zero copies.
-// Stats().BytesCopied and CopiesAvoided count both paths, so the claim
-// is counter-verified rather than asserted.
+// The bytes_copied, copies_performed and copies_avoided counters
+// (CollectMetrics) count both paths, so the claim is counter-verified
+// rather than asserted.
 //
 // Barrier SQEs (Batch.Barrier) are the io_uring IO_DRAIN analogue: a
 // flush waits for every run that started earlier on any goroutine,

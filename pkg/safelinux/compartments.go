@@ -18,8 +18,9 @@
 // ESHUTDOWN), the ownership checker enumerates the shared state the
 // dead compartment still held, and the supervisor rebuilds the
 // subsystem from clean state — remount with journal/log recovery for
-// fs, a protocol re-attach for net, a cache invalidation for buf, a
-// fresh engine for kio — while the rest of the kernel keeps serving.
+// fs, a protocol re-attach for net, a cache invalidation that keeps
+// the journal's buffers for buf, a fresh engine for kio — while the
+// rest of the kernel keeps serving.
 //
 // The same in-flight gate powers HotSwap: drain the compartment (new
 // entries queue, in-flight entries retire), migrate the module on a
@@ -152,8 +153,11 @@ func (k *Kernel) restartNet(task *kbase.Task) kbase.Errno {
 }
 
 // restartBuf rebuilds the buffer-cache compartment by dropping every
-// cached buffer — a crash destroys RAM; readers re-fetch from the
-// device, unflushed writes are lost to the journal's crash semantics.
+// cached buffer the journal does not hold: readers re-fetch from the
+// device, and unfsynced file data is lost as in a crash. Buffers joined
+// to the running transaction and committed metadata awaiting its
+// checkpoint belong to the fs compartment's journal and stay (see
+// bufcache.Cache.Invalidate).
 func (k *Kernel) restartBuf(task *kbase.Task) kbase.Errno {
 	root, err := k.VFS.Resolve(task, "/")
 	if err != kbase.EOK {

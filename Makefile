@@ -138,11 +138,14 @@ bench-fuzz:
 # drains, injected faults and restarts, checking the lock-free gate
 # admits nothing into a completed drain. Two buf-fault tests join
 # them: the fault stays in its compartment, and the buf restart keeps
-# what the journal holds (committed metadata not yet checkpointed). Run
-# under the race detector — the quarantine/restart window is where the
+# what the journal holds (committed metadata not yet checkpointed).
+# Two drain tests close the set: no op runs inside a swap's drained
+# window, and a fault inside a swap's drain waits for the swap to end
+# before the supervisor restarts the compartment. Run under the race
+# detector — the quarantine/restart window is where the
 # interesting interleavings live — 20 times, since a restart race that
 # fails once in 60 runs slips past a handful.
 panic-storm:
-	$(GO) test -race -run 'TestPanicStormConvergence|TestGateStress|TestFaultInOneCompartmentLeavesOthersServing|TestBufRestartKeepsCommittedMetadata' -count 20 ./pkg/safelinux/ ./internal/safety/compartment/
+	$(GO) test -race -run 'TestPanicStormConvergence|TestGateStress|TestFaultInOneCompartmentLeavesOthersServing|TestBufRestartKeepsCommittedMetadata|TestSwapUnderConcurrentLoadZeroDrops|TestFaultInSwapDrainWaitsForOwner' -count 20 ./pkg/safelinux/ ./internal/safety/compartment/
 
 check: build vet kbench-vet lint test

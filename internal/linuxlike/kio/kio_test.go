@@ -3,6 +3,7 @@ package kio
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -179,7 +180,7 @@ func TestWriteOwnedWrongSizeFreesPage(t *testing.T) {
 	if err := b.WriteOwned(1, p2, 0); err != kbase.EINVAL {
 		t.Fatalf("stale WriteOwned: %v, want EINVAL", err)
 	}
-	if ck.CountKind(own.VUseAfterMove) == 0 {
+	if !slices.ContainsFunc(ck.Violations(), func(v own.Violation) bool { return v.Kind == own.VUseAfterMove }) {
 		t.Fatal("stale-handle submit recorded no use-after-move violation")
 	}
 	moved.Free()

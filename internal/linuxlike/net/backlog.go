@@ -36,9 +36,6 @@ func NewBacklog[V any](max int) *Backlog[V] {
 	return &Backlog[V]{max: max}
 }
 
-// Len returns the number of queued children.
-func (b *Backlog[V]) Len() int { return b.size }
-
 // Dropped returns how many pushes the bound has refused.
 func (b *Backlog[V]) Dropped() uint64 { return b.dropped }
 

@@ -136,84 +136,6 @@ func TestPortRecyclingUnderChurn(t *testing.T) {
 	}
 }
 
-func TestReadinessPlaneEndToEnd(t *testing.T) {
-	// Listener and connection readiness driven entirely through the
-	// poller: accept-ready wake, established PollOut, data PollIn,
-	// hangup PollHup.
-	sim, client, _, l := establishPair(t)
-	poller := NewPoller()
-	poller.Watch(l, &l.PollSource)
-
-	c, err := client.ConnectTCP(2, 80)
-	if err != kbase.EOK {
-		t.Fatalf("connect: %v", err)
-	}
-	poller.Watch(c, &c.PollSource)
-
-	var out [16]PollEvent
-	var child *Socket
-	sawOut := false
-	sim.RunUntil(func() bool {
-		for i, n := 0, poller.Poll(out[:]); i < n; i++ {
-			switch s := out[i].Owner.(*Socket); s {
-			case l:
-				if ch, err := l.Accept(); err == kbase.EOK {
-					child = ch
-				}
-			case c:
-				if out[i].Events&PollOut != 0 {
-					sawOut = true
-				}
-			}
-		}
-		return child != nil && sawOut
-	}, 200)
-	if child == nil || !sawOut {
-		t.Fatalf("poller never surfaced accept/establish: child=%v out=%v", child != nil, sawOut)
-	}
-
-	// Data path: server sends, the client's source wakes with PollIn.
-	if err := child.Send([]byte("hello")); err != kbase.EOK {
-		t.Fatalf("send: %v", err)
-	}
-	gotIn := false
-	sim.RunUntil(func() bool {
-		for i, n := 0, poller.Poll(out[:]); i < n; i++ {
-			if out[i].Owner.(*Socket) == c && out[i].Events&PollIn != 0 {
-				gotIn = true
-			}
-		}
-		return gotIn
-	}, 200)
-	if !gotIn {
-		t.Fatal("data arrival never woke the connection source")
-	}
-	var buf [16]byte
-	if n, err := c.Recv(buf[:]); err != kbase.EOK || string(buf[:n]) != "hello" {
-		t.Fatalf("recv = (%q, %v)", buf[:n], err)
-	}
-
-	// Hangup: both sides close; the client source reports PollHup.
-	child.Close()
-	c.Close()
-	gotHup := false
-	sim.RunUntil(func() bool {
-		for i, n := 0, poller.Poll(out[:]); i < n; i++ {
-			if out[i].Owner.(*Socket) == c && out[i].Events&PollHup != 0 {
-				gotHup = true
-			}
-		}
-		return gotHup
-	}, TimeWaitJiffies+400)
-	if !gotHup {
-		t.Fatal("close never surfaced PollHup")
-	}
-	st := poller.Stats()
-	if st.Delivered == 0 || st.Wakeups == 0 {
-		t.Fatalf("poller stats empty: %+v", st)
-	}
-}
-
 func TestWheelDrivesRetransmissionTiming(t *testing.T) {
 	// A lossy first SYN must retransmit at exactly the old InitialRTO
 	// deadline — the wheel preserves per-jiffy timing, which the

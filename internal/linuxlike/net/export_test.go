@@ -2,22 +2,6 @@ package net
 
 import "safelinux/internal/linuxlike/kbase"
 
-// Stats returns a snapshot of poller counters.
-func (p *Poller) Stats() PollStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
-
-// Unwatch detaches a source; a queued entry is dropped lazily at the
-// next drain.
-func (p *Poller) Unwatch(src *PollSource) {
-	p.mu.Lock()
-	src.poller = nil
-	src.inReady = false
-	p.mu.Unlock()
-}
-
 // InUse reports whether a port has live users (always false below the
 // ephemeral base).
 func (pa *PortAlloc) InUse(port uint16) bool {

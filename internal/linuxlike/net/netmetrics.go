@@ -9,21 +9,14 @@ var tpWheelCascade = ktrace.New("net:wheel_cascade")
 // Histograms for the data-plane mechanisms this package owns. They
 // record structural costs (counts, not nanoseconds), so they are not
 // gated on the latency plane: a cascade happens at most once per 64
-// jiffies per level and a poll batch once per drain, nowhere near the
-// per-packet path.
-var (
-	// wheelCascadeHist: timers moved per non-empty timer-wheel cascade
-	// (legacy stack's wheel).
-	wheelCascadeHist = ktrace.NewHistogram()
-	// pollBatchHist: events delivered per non-empty Poller.Poll drain.
-	pollBatchHist = ktrace.NewHistogram()
-)
+// jiffies per level, nowhere near the per-packet path.
+//
+// wheelCascadeHist: timers moved per non-empty timer-wheel cascade
+// (legacy stack's wheel).
+var wheelCascadeHist = ktrace.NewHistogram()
 
 // RegisterNetMetrics registers the net data-plane histograms with a
 // metrics registry (wired from kernel.RegisterMetrics).
 func RegisterNetMetrics(m *ktrace.Metrics) error {
-	if err := m.RegisterHistogram("net", "wheel_cascade_moved", wheelCascadeHist); err != nil {
-		return err
-	}
-	return m.RegisterHistogram("net", "poll_batch", pollBatchHist)
+	return m.RegisterHistogram("net", "wheel_cascade_moved", wheelCascadeHist)
 }

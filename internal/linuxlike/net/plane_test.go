@@ -132,101 +132,3 @@ func TestBacklogDeterministicAndBounded(t *testing.T) {
 		seen[v] = true
 	}
 }
-
-// --- readiness plane ---
-
-// fakeSock is a Pollable with a settable readiness level.
-type fakeSock struct {
-	PollSource
-	level PollEvents
-}
-
-func (f *fakeSock) PollReady() PollEvents { return f.level }
-
-func TestPollNoLostWakeups(t *testing.T) {
-	p := NewPoller()
-	s := &fakeSock{}
-	p.Watch(s, &s.PollSource)
-	s.level = PollIn
-	s.PollWake(PollIn)
-	var out [4]PollEvent
-	n := p.Poll(out[:])
-	if n != 1 || out[0].Owner != Pollable(s) || out[0].Events != PollIn {
-		t.Fatalf("woken source not delivered: n=%d out=%+v", n, out[0])
-	}
-	// Still ready (level-triggered): a second wake re-delivers.
-	s.PollWake(PollIn)
-	if n := p.Poll(out[:]); n != 1 {
-		t.Fatalf("second wake lost, n=%d", n)
-	}
-	st := p.Stats()
-	if st.Delivered != 2 || st.Wakeups != 2 {
-		t.Fatalf("stats %+v, want 2 delivered / 2 wakeups", st)
-	}
-}
-
-func TestPollCoalescingNoStorms(t *testing.T) {
-	p := NewPoller()
-	s := &fakeSock{level: PollIn}
-	p.Watch(s, &s.PollSource) // Watch sees the level and queues once
-	for i := 0; i < 99; i++ {
-		s.PollWake(PollIn) // 99 more edges before anyone drains
-	}
-	var out [8]PollEvent
-	if n := p.Poll(out[:]); n != 1 {
-		t.Fatalf("storm delivered %d events, want 1", n)
-	}
-	st := p.Stats()
-	if st.Coalesced != 99 {
-		t.Fatalf("coalesced = %d, want 99", st.Coalesced)
-	}
-	if st.Delivered != 1 {
-		t.Fatalf("delivered = %d, want 1", st.Delivered)
-	}
-}
-
-func TestPollSpuriousSuppression(t *testing.T) {
-	p := NewPoller()
-	s := &fakeSock{}
-	p.Watch(s, &s.PollSource)
-	s.level = PollIn
-	s.PollWake(PollIn)
-	s.level = 0 // condition consumed before the drain
-	var out [4]PollEvent
-	if n := p.Poll(out[:]); n != 0 {
-		t.Fatalf("consumed condition still delivered %d events", n)
-	}
-	if st := p.Stats(); st.Spurious != 1 || st.Delivered != 0 {
-		t.Fatalf("stats %+v, want 1 spurious / 0 delivered", st)
-	}
-}
-
-func TestPollSmallBufferKeepsRemainder(t *testing.T) {
-	p := NewPoller()
-	socks := make([]*fakeSock, 5)
-	for i := range socks {
-		socks[i] = &fakeSock{level: PollIn}
-		p.Watch(socks[i], &socks[i].PollSource)
-	}
-	var out [2]PollEvent
-	total := 0
-	for i := 0; i < 10 && total < 5; i++ {
-		total += p.Poll(out[:])
-	}
-	if total != 5 {
-		t.Fatalf("delivered %d of 5 across drains", total)
-	}
-}
-
-func TestPollUnwatchDropsQueued(t *testing.T) {
-	p := NewPoller()
-	s := &fakeSock{level: PollIn}
-	p.Watch(s, &s.PollSource)
-	p.Unwatch(&s.PollSource)
-	var out [4]PollEvent
-	if n := p.Poll(out[:]); n != 0 {
-		t.Fatalf("unwatched source delivered %d events", n)
-	}
-	// Wake after unwatch is a no-op, not a panic.
-	s.PollWake(PollIn)
-}

@@ -30,11 +30,6 @@ var (
 
 // Socket is the generic socket.
 type Socket struct {
-	// PollSource connects the socket to the readiness plane: a Poller
-	// watching this socket learns of readable data, acceptable
-	// children, and hangups without polling.
-	PollSource
-
 	host       *Host
 	Proto      byte
 	LocalPort  uint16
@@ -257,10 +252,6 @@ func (h *Host) promote(child *Socket) {
 			ctcb.transmit(FlagRST, ctcb.sendNext, nil, false)
 			ctcb.rearm()
 		}
-		return
-	}
-	if l.Watched() {
-		l.PollWake(PollIn)
 	}
 }
 
@@ -360,9 +351,6 @@ func (h *Host) dispatchUDP(src Addr, dg udpDatagram) {
 	}
 	st.queue = append(st.queue, dg)
 	st.from = append(st.from, src)
-	if s.Watched() {
-		s.PollWake(PollIn)
-	}
 }
 
 // tick advances the host's timer plane: the modular protocol (when
@@ -385,41 +373,6 @@ func (h *Host) doTick(now uint64) {
 }
 
 // --- Generic socket operations (legacy layer) ---
-
-// PollReady implements Pollable: the socket's current readiness level.
-func (s *Socket) PollReady() PollEvents {
-	var ev PollEvents
-	switch s.Proto {
-	case ProtoTCP:
-		if s.backlog != nil {
-			if s.backlog.Len() > 0 {
-				ev |= PollIn
-			}
-			return ev
-		}
-		tcb, ok := s.private.(*TCB)
-		if !ok {
-			return PollErr
-		}
-		if len(tcb.recvBuf) > 0 || tcb.peerFIN {
-			ev |= PollIn
-		}
-		switch tcb.State {
-		case StateEstablished, StateCloseWait:
-			ev |= PollOut
-		case StateClosed:
-			ev |= PollHup
-		}
-		if tcb.ResetErr != kbase.EOK {
-			ev |= PollErr
-		}
-	case ProtoUDP:
-		if st, ok := s.private.(*udpState); ok && len(st.queue) > 0 {
-			ev |= PollIn
-		}
-	}
-	return ev
-}
 
 // Send queues data on a connected socket.
 func (s *Socket) Send(data []byte) kbase.Errno {

@@ -235,14 +235,6 @@ func (t *TCB) rearm() {
 	}
 }
 
-// pollWake pushes the socket's current readiness level to its poller,
-// if watched. Cheap no-op otherwise.
-func (t *TCB) pollWake() {
-	if s := t.sock; s != nil && s.Watched() {
-		s.PollWake(s.PollReady())
-	}
-}
-
 // rto returns the current retransmission timeout.
 func (t *TCB) rto() uint64 {
 	if t.fixedRTO {
@@ -315,11 +307,10 @@ func seqLen(flags byte, payload []byte) uint32 {
 }
 
 // handle processes one inbound segment, then re-syncs the wheel timer
-// and readiness plane with whatever the segment changed.
+// with whatever the segment changed.
 func (t *TCB) handle(seg tcpSegment) {
 	t.handleSeg(seg)
 	t.rearm()
-	t.pollWake()
 }
 
 func (t *TCB) handleSeg(seg tcpSegment) {
@@ -656,7 +647,6 @@ func (t *TCB) onTimer(now uint64) {
 			t.State = StateClosed
 		}
 		t.rearm()
-		t.pollWake()
 		return
 	}
 	if t.State == StateClosed || t.State == StateListen {
@@ -674,7 +664,6 @@ func (t *TCB) onTimer(now uint64) {
 			t.ResetReason = "retransmission limit"
 			t.transmit(FlagRST, t.sendNext, nil, false)
 			t.rearm()
-			t.pollWake()
 			return
 		}
 		t.retransmitSeg(u, now)

@@ -146,8 +146,6 @@ type reasmSeg struct {
 // Conn is one connection. All state is concrete and private; there
 // is no untyped escape hatch.
 type Conn struct {
-	net.PollSource // readiness plane hookup (zero value = unwatched)
-
 	ep         *Endpoint
 	key        net.FourTuple
 	localPort  uint16
@@ -305,37 +303,11 @@ func (c *Conn) rearm() {
 	}
 }
 
-// wake pushes the connection's current readiness level to its poller.
-func (c *Conn) wake() {
-	if c.Watched() {
-		c.PollWake(c.PollReady())
-	}
-}
-
-// PollReady implements net.Pollable.
-func (c *Conn) PollReady() net.PollEvents {
-	var ev net.PollEvents
-	if c.recvBytes > 0 || c.peerFIN {
-		ev |= net.PollIn
-	}
-	switch c.state {
-	case Established, CloseWait:
-		ev |= net.PollOut
-	case Closed:
-		ev |= net.PollHup
-	}
-	if c.ResetErr != kbase.EOK {
-		ev |= net.PollErr
-	}
-	return ev
-}
-
 // handle processes one validated inbound segment, then re-syncs the
-// wheel timer and the readiness plane.
+// wheel timer.
 func (c *Conn) handle(seg Segment) {
 	c.handleSeg(seg)
 	c.rearm()
-	c.wake()
 }
 
 func (c *Conn) handleSeg(seg Segment) {
@@ -658,7 +630,6 @@ func (c *Conn) onTimer(now uint64) {
 			c.state = Closed
 		}
 		c.rearm()
-		c.wake()
 		return
 	}
 	if c.state == Closed {
@@ -676,7 +647,6 @@ func (c *Conn) onTimer(now uint64) {
 			c.ResetReason = "retransmission limit"
 			c.send(Flags{RST: true}, c.sendNext, nil, false)
 			c.rearm()
-			c.wake()
 			return
 		}
 		c.retransmit(u, now)

@@ -62,10 +62,8 @@ type endpointStats struct {
 	TxErrors   uint64 // transmits the link refused (no route, partition)
 }
 
-// Listener accepts inbound connections on one port. It embeds a
-// PollSource so a readiness consumer can wait for accept-ready.
+// Listener accepts inbound connections on one port.
 type Listener struct {
-	net.PollSource
 	ep      *Endpoint
 	port    uint16
 	pending map[net.FourTuple]*Conn
@@ -222,7 +220,7 @@ func (ep *Endpoint) reapDead(now uint64) {
 }
 
 // promote moves an established child from its listener's pending map
-// to the accept backlog, waking any readiness waiter. A full backlog
+// to the accept backlog. A full backlog
 // resets the child — the bound is the SYN-flood drop point.
 func (ep *Endpoint) promote(c *Conn) {
 	l, ok := ep.listeners[c.localPort]
@@ -240,10 +238,6 @@ func (ep *Endpoint) promote(c *Conn) {
 		c.ResetReason = "accept backlog full"
 		c.send(Flags{RST: true}, c.sendNext, nil, false)
 		c.rearm()
-		return
-	}
-	if l.Watched() {
-		l.PollWake(net.PollIn)
 	}
 }
 
@@ -286,15 +280,6 @@ func (l *Listener) Accept() (*Conn, kbase.Errno) {
 		return nil, kbase.EAGAIN
 	}
 	return c, kbase.EOK
-}
-
-// PollReady implements net.Pollable: a listener is readable when the
-// accept backlog is non-empty.
-func (l *Listener) PollReady() net.PollEvents {
-	if l.backlog.Len() > 0 {
-		return net.PollIn
-	}
-	return 0
 }
 
 // Close removes the listener.

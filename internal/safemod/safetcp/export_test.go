@@ -8,6 +8,3 @@ func (ep *Endpoint) ConnCount() int { return ep.demux.Len() }
 
 // FreePorts returns the number of unused ephemeral ports.
 func (ep *Endpoint) FreePorts() int { return ep.ports.Free() }
-
-// Backlogged returns the number of accepted-but-not-dequeued children.
-func (l *Listener) Backlogged() int { return l.backlog.Len() }

@@ -40,7 +40,9 @@
 // is swapped, and EndDrain releases the queued callers — zero dropped
 // operations, observed as a p99 latency blip (cmd/swapbench).
 // Quarantined is the crash path: new entries fail fast, nothing
-// blocks. Restarting behaves like Draining for entry purposes (callers
+// blocks. A fault during a drain waits for the drain's owner: new
+// entries fail fast at once, and EndDrain quarantines instead of
+// reopening. Restarting behaves like Draining for entry purposes (callers
 // queue and are released on completion) so a restart is invisible to
 // callers except as latency.
 //
@@ -216,7 +218,9 @@ const DrainTimeout = 5 * time.Second
 // A quarantined compartment can BeginDrain(gate.Restarting) — that is
 // the supervisor's restart path; there are no in-flight entries to
 // wait for (the gate rejected them) but the faulted one that is
-// unwinding.
+// unwinding. A fault inside another owner's drain does not quarantine
+// the gate at once, so the restart it calls for waits here until that
+// owner's EndDrain has quarantined it: one drain owner at a time.
 func (c *Compartment) BeginDrain(target gate.State) kbase.Errno {
 	start := time.Now()
 	if err := c.Close(target, DrainTimeout); err != kbase.EOK {
@@ -227,15 +231,19 @@ func (c *Compartment) BeginDrain(target gate.State) kbase.Errno {
 	return kbase.EOK
 }
 
-// EndDrain completes a drain cycle: clear the fault record, return the
-// gate to Healthy with a new epoch, release every queued caller, and
+// EndDrain completes a drain cycle: return the gate to Healthy with a
+// new epoch, clear the fault record, release every queued caller, and
 // record the outcome. kind selects the counter and tracepoint ("swap"
 // or "restart"); waited is the drain duration for the swap tracepoint.
+// If a fault hit the drain, the gate quarantines instead and the
+// supervisor's restart, waiting in BeginDrain, takes it from there.
 func (c *Compartment) EndDrain(kind string, waited time.Duration) {
-	c.mu.Lock()
-	c.lastFault = nil
-	c.mu.Unlock()
 	epoch := c.Open()
+	c.mu.Lock()
+	if c.lastFault != nil && c.lastFault.Epoch < epoch {
+		c.lastFault = nil
+	}
+	c.mu.Unlock()
 	switch kind {
 	case "swap":
 		c.swaps.Add(1)

@@ -461,20 +461,28 @@ func TestConcurrentTrafficDuringFaultAndRestart(t *testing.T) {
 
 // TestSwapUnderConcurrentLoadZeroDrops is the drain-protocol property
 // the bench enforces: every operation issued around a drain completes
-// with EOK — queued, never dropped.
+// with EOK — queued, never dropped — and none runs inside the drained
+// window between BeginDrain and EndDrain.
 func TestSwapUnderConcurrentLoadZeroDrops(t *testing.T) {
 	c := New("fs")
 	const workers = 8
 	const opsPerWorker = 300
 	var wg sync.WaitGroup
-	var failed atomic.Int64
+	var failed, violations atomic.Int64
+	var drained atomic.Bool // set from BeginDrain's return to EndDrain
+	body := func() kbase.Errno {
+		if drained.Load() {
+			violations.Add(1)
+		}
+		return kbase.EOK
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			task := kbase.NewTask()
 			for i := 0; i < opsPerWorker; i++ {
-				if err := c.Do(task, "op", func() kbase.Errno { return kbase.EOK }); err != kbase.EOK {
+				if err := c.Do(task, "op", body); err != kbase.EOK {
 					failed.Add(1)
 				}
 			}
@@ -486,17 +494,109 @@ func TestSwapUnderConcurrentLoadZeroDrops(t *testing.T) {
 		if err := c.BeginDrain(gate.Draining); err != kbase.EOK {
 			t.Fatalf("swap %d: BeginDrain = %v", s, err)
 		}
-		if got := ktrace.Read(c.CollectMetrics, "inflight"); got != 0 {
-			t.Fatalf("swap %d: inflight = %d during drained window", s, got)
-		}
+		drained.Store(true)
+		time.Sleep(20 * time.Microsecond)
+		drained.Store(false)
 		c.EndDrain("swap", time.Since(start))
 	}
 	wg.Wait()
+	if v := violations.Load(); v != 0 {
+		t.Fatalf("%d operations ran inside a drained window, want 0", v)
+	}
 	if failed.Load() != 0 {
 		t.Fatalf("%d operations failed across 3 swaps, want 0", failed.Load())
 	}
 	if got := ktrace.Read(c.CollectMetrics, "swaps"); got != 3 {
 		t.Fatalf("swaps = %d after 3 swaps, want 3", got)
+	}
+}
+
+// TestFaultInSwapDrainWaitsForOwner: a swap drains while an
+// interaction holds the gate, and the hold's nested entry panics. The
+// fault must not hand the gate to a second drain owner: the
+// supervisor's auto-restart starts only after the swap's EndDrain,
+// never under it, and the gate ends Healthy.
+func TestFaultInSwapDrainWaitsForOwner(t *testing.T) {
+	rec := kbase.InstallRecorder(&kbase.OopsRecorder{})
+	defer kbase.InstallRecorder(rec)
+
+	var ending, hookRan atomic.Bool // swap reached EndDrain; restart hook started
+	var early, reopened atomic.Int64
+	var c *Compartment
+	p := NewPlane()
+	c = p.Add("net", Options{Restart: func(*kbase.Task) kbase.Errno {
+		if !ending.Load() {
+			early.Add(1)
+		}
+		hookRan.Store(true)
+		time.Sleep(time.Millisecond) // the window a reopening swap would hit
+		if c.State() != gate.Restarting {
+			reopened.Add(1)
+		}
+		return kbase.EOK
+	}})
+	// waitFor polls cond for up to 10 ms, the time the bug needs to show:
+	// a second owner's drain and hook start microseconds after the fault.
+	waitFor := func(cond func() bool) {
+		for end := time.Now().Add(10 * time.Millisecond); !cond() && time.Now().Before(end); {
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
+
+	task := kbase.NewTask()
+	release, err := c.Hold(task, "interaction")
+	if err != kbase.EOK {
+		t.Fatalf("Hold = %v", err)
+	}
+	swapped := make(chan kbase.Errno)
+	go func() {
+		if err := c.BeginDrain(gate.Draining); err != kbase.EOK {
+			swapped <- err
+			return
+		}
+		waitFor(hookRan.Load) // migrate; a concurrent restart would start here
+		ending.Store(true)
+		c.EndDrain("swap", 0)
+		swapped <- kbase.EOK
+	}()
+	waitFor(func() bool { return c.State() == gate.Draining })
+	if c.State() != gate.Draining {
+		t.Fatalf("state = %v, want the swap draining", c.State())
+	}
+
+	c.InjectPanic(1)
+	if err := c.Run("nested", func() kbase.Errno { return kbase.EOK }); err != kbase.EFAULT {
+		t.Fatalf("nested entry = %v, want EFAULT", err)
+	}
+	if err := c.Run("after-fault", func() kbase.Errno { return kbase.EOK }); err != kbase.ESHUTDOWN {
+		t.Fatalf("entry after the fault = %v, want ESHUTDOWN", err)
+	}
+	waitFor(func() bool { return c.State() == gate.Restarting })
+	release()
+
+	if err := <-swapped; err != kbase.EOK {
+		t.Fatalf("swap BeginDrain = %v", err)
+	}
+	p.Settle()
+	if early.Load() != 0 {
+		t.Fatalf("restart hook started before the swap's EndDrain")
+	}
+	if reopened.Load() != 0 {
+		t.Fatalf("the gate left Restarting under a running restart hook")
+	}
+	if !hookRan.Load() {
+		t.Fatal("the fault never restarted the compartment")
+	}
+	if c.State() != gate.Healthy {
+		t.Fatalf("state = %v, want Healthy", c.State())
+	}
+	if f := p.Faults(); len(f) != 1 {
+		t.Fatalf("fault log = %v, want the one injected fault", f)
+	}
+	for _, name := range []string{"swaps", "restarts"} {
+		if got := ktrace.Read(c.CollectMetrics, name); got != 1 {
+			t.Fatalf("%s = %d, want 1", name, got)
+		}
 	}
 }
 

@@ -84,7 +84,10 @@ type Gate struct {
 	// and emitting from there would recurse into the probe machinery.
 	quiet bool
 
-	state    atomic.Int32 // State; stored only under mu
+	// state is stored only under mu. Draining and Restarting mean a
+	// drain owner holds the gate: the caller whose Close took it, until
+	// its Open or Quarantine (or its Close times out).
+	state    atomic.Int32
 	inflight atomic.Int64
 	// epoch increments every time a drain ends healthy (restart and
 	// swap); it rides on the compartment:enter tracepoint.
@@ -98,6 +101,11 @@ type Gate struct {
 	// driven from inside a StreamRoundTrip), and blocking them would
 	// deadlock the drain against the interaction it is waiting out.
 	holds int
+	// faulted records a fault that hit an owned drain. The gate stays
+	// with its owner, refuses new entries like a quarantined gate, and
+	// quarantines when the owner ends the drain; a Close for a restart
+	// waits for that.
+	faulted bool
 
 	// inject, when positive, counts down entries; the entry that
 	// decrements it to zero panics inside the boundary. This is the
@@ -177,6 +185,10 @@ func (g *Gate) enterSlow() kbase.Errno {
 			g.rejected.Add(1)
 			return kbase.ESHUTDOWN
 		case Draining, Restarting:
+			if g.faulted {
+				g.rejected.Add(1)
+				return kbase.ESHUTDOWN
+			}
 			if g.holds == 0 {
 				g.cond.Wait()
 				continue
@@ -201,11 +213,18 @@ func (g *Gate) setState(s State) { g.state.Store(int32(s)) }
 // the panic to the fault hook. The quarantine is in effect before the
 // hook runs: the hook reports an oops, which emits tracepoints, and an
 // attached probe that re-entered the gate must fail fast instead of
-// recursing into the dying subsystem.
+// recursing into the dying subsystem. A fault during an owned drain
+// leaves the gate with its owner (see faulted): quarantining it there
+// would let a second drain, the supervisor's restart, take it too.
 func (g *Gate) fault(task *kbase.Task, op string, r any) {
 	g.faults.Add(1)
 	g.mu.Lock()
-	g.setState(Quarantined)
+	switch g.State() {
+	case Draining, Restarting:
+		g.faulted = true
+	default:
+		g.setState(Quarantined)
+	}
 	g.mu.Unlock()
 	if g.onFault != nil {
 		g.onFault(task, op, g.epoch.Load(), r)
@@ -312,12 +331,17 @@ func (g *Gate) GuardProbe(run func() bool) (keep bool) {
 // only to Restarting (nothing is in flight but the faulted call that is
 // unwinding). Close returns EBUSY if a drain is already in effect, and
 // EBUSY with the gate Healthy again if the wait times out. On EOK the
-// caller owns the gate exclusively until Open or Quarantine.
+// caller owns the gate exclusively until Open or Quarantine. A restart
+// Close that finds a fault in the current owner's drain waits for that
+// owner to end it, then restarts the quarantined gate.
 func (g *Gate) Close(target State, timeout time.Duration) kbase.Errno {
 	if target != Draining && target != Restarting {
 		return kbase.EINVAL
 	}
 	g.mu.Lock()
+	for g.faulted && target == Restarting {
+		g.cond.Wait()
+	}
 	switch g.State() {
 	case Healthy:
 	case Quarantined:
@@ -338,8 +362,7 @@ func (g *Gate) Close(target State, timeout time.Duration) kbase.Errno {
 	for g.inflight.Load() > 0 {
 		if time.Now().After(deadline) {
 			g.mu.Lock()
-			g.setState(Healthy)
-			g.cond.Broadcast()
+			g.endDrainLocked(false)
 			g.mu.Unlock()
 			return kbase.EBUSY
 		}
@@ -349,15 +372,14 @@ func (g *Gate) Close(target State, timeout time.Duration) kbase.Errno {
 }
 
 // Open ends a drain healthy: it advances the epoch, returns the gate to
-// Healthy and releases every queued caller into its call. It returns
-// the new epoch.
+// Healthy and releases every queued caller into its call. If a fault
+// hit the drain, the gate quarantines instead and keeps its epoch. It
+// returns the epoch.
 func (g *Gate) Open() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	epoch := g.epoch.Add(1)
-	g.setState(Healthy)
-	g.cond.Broadcast()
-	return epoch
+	g.endDrainLocked(true)
+	return g.epoch.Load()
 }
 
 // Quarantine ends a drain whose restart failed: the gate goes back to
@@ -366,7 +388,25 @@ func (g *Gate) Open() uint64 {
 func (g *Gate) Quarantine() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.faulted = false
 	g.setState(Quarantined)
+	g.cond.Broadcast()
+}
+
+// endDrainLocked ends the owner's drain: Healthy (with a new epoch if
+// advance), or Quarantined if a fault hit the drain. It releases every
+// queued caller and any Close waiting for the owner. The caller holds
+// mu.
+func (g *Gate) endDrainLocked(advance bool) {
+	if g.faulted {
+		g.faulted = false
+		g.setState(Quarantined)
+	} else {
+		if advance {
+			g.epoch.Add(1)
+		}
+		g.setState(Healthy)
+	}
 	g.cond.Broadcast()
 }
 

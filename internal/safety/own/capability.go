@@ -219,6 +219,8 @@ func (o Owned[T]) BorrowMut() (Mut[T], bool) {
 
 // Borrow starts a shared read-only borrow (sharing model 3). Multiple
 // shared borrows coexist; mutation is blocked until all release.
+//
+//kerncheck:ignore deadexport paper artifact: §4.3 sharing model 3, measured by the root ownership benchmarks and driven by pkg/safelinux's concurrency test
 func (o Owned[T]) Borrow() (Ref[T], bool) {
 	if o.c == nil {
 		return Ref[T]{}, false
@@ -247,6 +249,8 @@ type Mut[T any] struct {
 }
 
 // Update mutates the value. Fails after release or free.
+//
+//kerncheck:ignore deadexport paper artifact: §4.3 sharing model 2's mutation, measured by the root ownership benchmarks
 func (m Mut[T]) Update(f func(*T)) bool {
 	if m.c == nil {
 		return false
@@ -293,6 +297,8 @@ type Ref[T any] struct {
 // With runs f over the value without copying. f must not retain or
 // mutate through the pointer; the checker cannot see through it, so
 // this is the one documented trust point (mirroring unsafe blocks).
+//
+//kerncheck:ignore deadexport paper artifact: §4.3 sharing model 3, measured by the root ownership benchmarks and driven by pkg/safelinux's concurrency test
 func (r Ref[T]) With(f func(*T)) bool {
 	if r.c == nil {
 		return false
@@ -309,6 +315,8 @@ func (r Ref[T]) With(f func(*T)) bool {
 }
 
 // Release ends the shared borrow.
+//
+//kerncheck:ignore deadexport paper artifact: §4.3 sharing model 3, measured by the root ownership benchmarks and driven by pkg/safelinux's concurrency test
 func (r Ref[T]) Release() bool {
 	if r.c == nil {
 		return false

@@ -88,3 +88,14 @@ func (c *Checker) Reset() {
 	defer c.mu.Unlock()
 	c.violations = nil
 }
+
+// CountKind returns the number of violations of one kind.
+func (c *Checker) CountKind(k ViolationKind) int {
+	n := 0
+	for _, v := range c.Violations() {
+		if v.Kind == k {
+			n++
+		}
+	}
+	return n
+}

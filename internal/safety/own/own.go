@@ -133,21 +133,6 @@ func (c *Checker) Violations() []Violation {
 	return out
 }
 
-// CountKind returns the number of violations of one kind.
-//
-//kerncheck:ignore deadexport the ownership checker's audit readout, asserted by tests across the stack
-func (c *Checker) CountKind(k ViolationKind) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, v := range c.violations {
-		if v.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
 // Count returns the total violations recorded.
 func (c *Checker) Count() int {
 	c.mu.Lock()

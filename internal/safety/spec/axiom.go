@@ -58,13 +58,15 @@ type AxiomaticDisk struct {
 }
 
 // NewAxiomaticDisk wraps inner.
+//
+//kerncheck:ignore deadexport paper artifact: the §4.4 axiomatic disk shim, demonstrated by the spec and safefs tests
 func NewAxiomaticDisk(inner DiskLike) *AxiomaticDisk {
 	return &AxiomaticDisk{inner: inner, model: make(map[uint64][]byte)}
 }
 
 // Violations returns all detected axiom breaches.
 //
-//kerncheck:ignore deadexport the axiomatic disk's audit readout, asserted by safefs and safebuf tests
+//kerncheck:ignore deadexport the axiomatic disk's audit readout, asserted by the spec and safefs tests
 func (d *AxiomaticDisk) Violations() []AxiomViolation {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -125,7 +125,7 @@ func (k *Kernel) restartFS(task *kbase.Task) kbase.Errno {
 	// instance never finished mounting — either way the slate is clean.
 	_ = k.VFS.DropMount("/")
 	if k.fsSafe {
-		data := vfs.NewMountData(&safefs.MountData{Disk: k.safeDev, Checker: k.Checker})
+		data := vfs.NewMountData(&safefs.MountData{Disk: k.fsDev.Load(), Checker: k.Checker})
 		if err := k.VFS.Mount(task, "/", "safefs", data); err != kbase.EOK {
 			return err
 		}

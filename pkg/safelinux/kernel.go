@@ -12,6 +12,7 @@ package safelinux
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"safelinux/internal/linuxlike/blockdev"
 	"safelinux/internal/linuxlike/fs/extlike"
@@ -76,9 +77,12 @@ type Kernel struct {
 	// Config.Compartments was set).
 	Plane *compartment.Plane
 
-	cfg      Config
-	rootDev  *blockdev.Device
-	safeDev  *blockdev.Device // safefs root device (nil before UpgradeFS)
+	cfg     Config
+	rootDev *blockdev.Device
+	// fsDev is the device behind "/": rootDev, then the safefs device
+	// once UpgradeFS or HotSwap has moved the root onto it. Atomic so
+	// a metrics read races no swap.
+	fsDev    atomic.Pointer[blockdev.Device]
 	ioEngine *kio.Engine
 	hostA    *net.Host
 	hostB    *net.Host
@@ -129,6 +133,7 @@ func New(cfg Config) (*Kernel, kbase.Errno) {
 	if _, err := extlike.Mkfs(k.rootDev, extlike.MkfsOptions{}); err != kbase.EOK {
 		return nil, err
 	}
+	k.fsDev.Store(k.rootDev)
 	k.VFS = vfs.New(nil)
 	for _, fs := range []vfs.FileSystemType{
 		&ramfs.FS{}, &extlike.FS{}, &overlaylike.FS{}, &safefs.FS{SyncOnCommit: true},
@@ -310,7 +315,7 @@ func (k *Kernel) migrateFS(task *kbase.Task) kbase.Errno {
 	if err := k.VFS.Mount(task, "/", "safefs-root", vfs.MountData{}); err != kbase.EOK {
 		return err
 	}
-	k.safeDev = newDev
+	k.fsDev.Store(newDev)
 	k.fsSafe = true
 	return kbase.EOK
 }
@@ -394,14 +399,18 @@ func (k *Kernel) migrateTCP(task *kbase.Task) kbase.Errno {
 }
 
 // RegisterMetrics wires every live subsystem into a ktrace metrics
-// registry: the root block device, the VFS/dcache, the ownership
+// registry: the block device behind "/" (whichever it is at read
+// time, so a registration made before UpgradeFS or HotSwap follows
+// the root onto the safefs device), the VFS/dcache, the ownership
 // checker, the root file system's journal and buffer cache (legacy
 // configuration), both network hosts, the safe transport endpoints
 // (after UpgradeTCP), and the ktrace built-ins (tracepoint hit counts,
 // lockstat). Call again after an upgrade to pick up newly installed
 // modules.
 func (k *Kernel) RegisterMetrics(m *ktrace.Metrics) {
-	m.Register("blockdev", k.rootDev.CollectMetrics)
+	m.Register("blockdev", func(emit func(string, uint64)) {
+		k.fsDev.Load().CollectMetrics(emit)
+	})
 	m.Register("vfs", k.VFS.CollectMetrics)
 	m.Register("own", k.Checker.CollectMetrics)
 	m.Register("net", k.hostA.CollectMetrics)

@@ -8,6 +8,7 @@ import (
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/ktrace"
 	"safelinux/internal/linuxlike/vfs"
+	"safelinux/internal/safemod/safefs"
 )
 
 // TestKernelRegisterMetrics boots a kernel, drives I/O, and checks the
@@ -88,6 +89,74 @@ func TestKernelRegisterMetrics(t *testing.T) {
 	m2 := ktrace.NewMetrics()
 	k.RegisterMetrics(m2)
 	check(m2, []probe{{"safetcp", "segments", true}, {"safetcp", "bad_segments", false}})
+}
+
+// TestBlockdevMetricsFollowRoot: the blockdev collector reads the
+// device behind "/", so after UpgradeFS or HotSwap a pwrite+fsync
+// moves blockdev.writes and blockdev.flushes — also through a
+// registration made before the swap.
+func TestBlockdevMetricsFollowRoot(t *testing.T) {
+	syncWrite := func(t *testing.T, k *Kernel, m *ktrace.Metrics) {
+		t.Helper()
+		writes, _ := m.Lookup("blockdev", "writes")
+		flushes, _ := m.Lookup("blockdev", "flushes")
+		fd, err := k.VFS.Open(k.Task, "/dev-follow", vfs.OWrOnly|vfs.OCreate)
+		if err != kbase.EOK {
+			t.Fatalf("open: %v", err)
+		}
+		if _, err := k.VFS.Pwrite(k.Task, fd, []byte(strings.Repeat("d", 4096)), 0); err != kbase.EOK {
+			t.Fatalf("pwrite: %v", err)
+		}
+		if err := k.VFS.Fsync(k.Task, fd); err != kbase.EOK {
+			t.Fatalf("fsync: %v", err)
+		}
+		k.VFS.Close(fd)
+		if w, _ := m.Lookup("blockdev", "writes"); w <= writes {
+			t.Errorf("blockdev.writes %d -> %d across pwrite+fsync on safefs", writes, w)
+		}
+		if f, _ := m.Lookup("blockdev", "flushes"); f <= flushes {
+			t.Errorf("blockdev.flushes %d -> %d across fsync on safefs", flushes, f)
+		}
+	}
+	t.Run("UpgradeFS", func(t *testing.T) {
+		k, err := New(Config{Seed: 13})
+		if err != kbase.EOK {
+			t.Fatalf("boot: %v", err)
+		}
+		defer k.Close()
+		if err := k.UpgradeFS(); err != kbase.EOK {
+			t.Fatalf("UpgradeFS: %v", err)
+		}
+		m := ktrace.NewMetrics()
+		k.RegisterMetrics(m)
+		syncWrite(t, k, m)
+	})
+	t.Run("HotSwap", func(t *testing.T) {
+		k := bootCompartmented(t, Config{Seed: 14})
+		m := ktrace.NewMetrics()
+		k.RegisterMetrics(m)
+		// A reader beside the swap: under -race, the collector's read
+		// of the root device must not race the swap that moves it.
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					m.Lookup("blockdev", "writes")
+				}
+			}
+		}()
+		err := k.HotSwap("fs", safefs.Module{})
+		close(stop)
+		<-done
+		if err != kbase.EOK {
+			t.Fatalf("HotSwap(fs): %v", err)
+		}
+		syncWrite(t, k, m)
+	})
 }
 
 // TestAttachFiltersKernelEvents is the whole-stack integration test of

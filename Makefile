@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-json vet-strict kerncheck kbench-vet test race bench-smoke bench-parallel bench-trace bench-kio bench-net bench-net-quick bench-swap bench-fuzz fuzz-smoke kbench-smoke kbench-ab panic-storm check
+.PHONY: all build vet fmt-check lint lint-json vet-strict kerncheck kbench-vet test race bench-smoke bench-parallel bench-trace bench-kio bench-net bench-net-quick bench-swap bench-fuzz fuzz-smoke kbench-smoke kbench-ab panic-storm check
 
 all: check
 
@@ -9,6 +9,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails, listing them, if gofmt would rewrite any Go
+# file in the tree (kbench and analysis testdata included).
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 # Static analysis gate: strict go vet plus the kerncheck multichecker
 # (see DESIGN.md "Static analysis"). All ten passes run at zero
@@ -148,4 +153,4 @@ bench-fuzz:
 panic-storm:
 	$(GO) test -race -run 'TestPanicStormConvergence|TestGateStress|TestFaultInOneCompartmentLeavesOthersServing|TestBufRestartKeepsCommittedMetadata|TestSwapUnderConcurrentLoadZeroDrops|TestFaultInSwapDrainWaitsForOwner' -count 20 ./pkg/safelinux/ ./internal/safety/compartment/
 
-check: build vet kbench-vet lint test
+check: fmt-check build vet kbench-vet lint test

@@ -20,7 +20,7 @@ var genWeights = [opKindCount]int{
 	OpListen: 8, OpCloseLst: 2, OpConnect: 8, OpAccept: 6,
 	OpSend: 8, OpRecv: 8, OpCloseConn: 4,
 	OpStepNet: 4, OpPartition: 2, OpHeal: 2,
-	OpKioBatch: 3,
+	OpKioBatch:  3,
 	OpHotSwapFS: 2, OpHotSwapNet: 2,
 }
 

@@ -13,6 +13,13 @@ import (
 // takes no lock and allocates nothing, and this package never imports
 // the safety layer's policy.
 //
+// A crossing costs the same whatever it carries, so file data crosses
+// once per operation, not once per block: CopyOut and CopyIn take the
+// device blocks of a whole byte range and run the per-block bread,
+// copy, dirtying and release inside one gate entry. A 4 KiB extlike
+// read thus crosses twice at most (the indirect block, then the data)
+// where a block-at-a-time loop crossed 8 to 15 times.
+//
 // Only the outermost entry points are guarded — doBread calls doGetBlk
 // directly, never the public wrapper, so a hot-swap drain cannot
 // deadlock on a nested entry.
@@ -21,13 +28,18 @@ import (
 // the public cache surface.
 func (c *Cache) SetGate(g *gate.Gate) { c.gate.Store(g) }
 
-func (c *Cache) guardBuf(op string, fn func() (*BufferHead, kbase.Errno)) (*BufferHead, kbase.Errno) {
+// guard runs fn across the gate, or directly when none is installed.
+func (c *Cache) guard(op string, fn func() kbase.Errno) kbase.Errno {
 	g := c.gate.Load()
 	if g == nil {
 		return fn()
 	}
+	return g.Run(op, fn)
+}
+
+func (c *Cache) guardBuf(op string, fn func() (*BufferHead, kbase.Errno)) (*BufferHead, kbase.Errno) {
 	var bh *BufferHead
-	err := g.Run(op, func() kbase.Errno {
+	err := c.guard(op, func() kbase.Errno {
 		var e kbase.Errno
 		bh, e = fn()
 		return e
@@ -58,6 +70,38 @@ func (c *Cache) BreadCtx(task *kbase.Task, block uint64) (*BufferHead, kbase.Err
 	return c.guardBuf("bread", func() (*BufferHead, kbase.Errno) { return c.doBreadCtx(task, block) })
 }
 
+// CopyOut copies a byte range of file data out of the cache in one
+// crossing. blocks are the device blocks the range spans, in order, 0
+// marking a hole that reads as zeros; off is where the range starts in
+// blocks[0]. Each block takes the BreadCtx path (a miss fills from the
+// device) and is released before the next. Returns the bytes copied:
+// len(buf) unless a block fails, or EINVAL if blocks end before buf.
+func (c *Cache) CopyOut(task *kbase.Task, blocks []uint64, off int, buf []byte) (int, kbase.Errno) {
+	n := 0
+	err := c.guard("copy_out", func() kbase.Errno {
+		var e kbase.Errno
+		n, e = c.doCopy(task, blocks, off, buf, false)
+		return e
+	})
+	return n, err
+}
+
+// CopyIn copies data into the cache over a byte range in one crossing,
+// marking each block it writes dirty. blocks and off are as for
+// CopyOut, except that every block must be mapped (no holes). A block
+// the range covers whole is taken without a read, as getblk would; a
+// partly covered one is read first. Returns the bytes copied, with the
+// same errors as CopyOut.
+func (c *Cache) CopyIn(task *kbase.Task, blocks []uint64, off int, data []byte) (int, kbase.Errno) {
+	n := 0
+	err := c.guard("copy_in", func() kbase.Errno {
+		var e kbase.Errno
+		n, e = c.doCopy(task, blocks, off, data, true)
+		return e
+	})
+	return n, err
+}
+
 // SyncDirtyCtx writes all dirty buffers and issues a device flush
 // barrier (sync_dirty_buffers + blkdev_issue_flush). The whole flush
 // is timed into the bufcache:sync histogram, and the kio batch
@@ -65,11 +109,7 @@ func (c *Cache) BreadCtx(task *kbase.Task, block uint64) (*BufferHead, kbase.Err
 func (c *Cache) SyncDirtyCtx(task *kbase.Task) kbase.Errno {
 	t := opSync.Begin(task)
 	defer t.End()
-	g := c.gate.Load()
-	if g == nil {
-		return c.doSyncDirtyCtx(task)
-	}
-	return g.Run("sync_dirty", func() kbase.Errno { return c.doSyncDirtyCtx(task) })
+	return c.guard("sync_dirty", func() kbase.Errno { return c.doSyncDirtyCtx(task) })
 }
 
 // SyncBlocksCtx writes the dirty buffers among blocks and issues a
@@ -79,9 +119,5 @@ func (c *Cache) SyncDirtyCtx(task *kbase.Task) kbase.Errno {
 func (c *Cache) SyncBlocksCtx(task *kbase.Task, blocks []uint64) kbase.Errno {
 	t := opSync.Begin(task)
 	defer t.End()
-	g := c.gate.Load()
-	if g == nil {
-		return c.doSyncBlocksCtx(task, blocks)
-	}
-	return g.Run("sync_blocks", func() kbase.Errno { return c.doSyncBlocksCtx(task, blocks) })
+	return c.guard("sync_blocks", func() kbase.Errno { return c.doSyncBlocksCtx(task, blocks) })
 }

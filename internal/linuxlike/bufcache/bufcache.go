@@ -472,6 +472,79 @@ func (c *Cache) fill(task *kbase.Task, bh *BufferHead) kbase.Errno {
 	return kbase.EOK
 }
 
+// doCopy moves p between the cache and the byte range that starts off
+// bytes into blocks[0], block by block: into the cache when in is set,
+// out of it otherwise. It returns the bytes moved before any error;
+// off must lie inside a block.
+func (c *Cache) doCopy(task *kbase.Task, blocks []uint64, off int, p []byte, in bool) (int, kbase.Errno) {
+	bs := c.dev.BlockSize()
+	if off < 0 || off >= bs {
+		return 0, kbase.EINVAL
+	}
+	n := 0
+	for _, block := range blocks {
+		if n == len(p) {
+			break
+		}
+		chunk := p[n:min(len(p), n+bs-off)]
+		var err kbase.Errno
+		if in {
+			err = c.copyInBlock(task, block, off, chunk)
+		} else {
+			err = c.copyOutBlock(task, block, off, chunk)
+		}
+		if err != kbase.EOK {
+			return n, err
+		}
+		n += len(chunk)
+		off = 0
+	}
+	if n < len(p) {
+		return n, kbase.EINVAL
+	}
+	return n, kbase.EOK
+}
+
+// copyOutBlock copies block's bytes from off into p; a hole (block 0)
+// reads as zeros.
+func (c *Cache) copyOutBlock(task *kbase.Task, block uint64, off int, p []byte) kbase.Errno {
+	if block == 0 {
+		clear(p)
+		return kbase.EOK
+	}
+	bh, err := c.doBreadCtx(task, block)
+	if err != kbase.EOK {
+		return err
+	}
+	defer bh.Put()
+	copy(p, bh.Data[off:])
+	return kbase.EOK
+}
+
+// copyInBlock copies p into block at off and marks the buffer dirty. A
+// whole-block overwrite skips the read.
+func (c *Cache) copyInBlock(task *kbase.Task, block uint64, off int, p []byte) kbase.Errno {
+	if block == 0 {
+		return kbase.EINVAL
+	}
+	var bh *BufferHead
+	var err kbase.Errno
+	if off == 0 && len(p) == c.dev.BlockSize() {
+		if bh, err = c.doGetBlk(block); err == kbase.EOK {
+			bh.SetFlag(BHMapped | BHUptodate)
+		}
+	} else {
+		bh, err = c.doBreadCtx(task, block)
+	}
+	if err != kbase.EOK {
+		return err
+	}
+	defer bh.Put()
+	copy(bh.Data[off:], p)
+	bh.MarkDirty()
+	return kbase.EOK
+}
+
 // noteDirty puts bh on the dirty list.
 func (c *Cache) noteDirty(bh *BufferHead) {
 	s := c.shard(bh.Block)

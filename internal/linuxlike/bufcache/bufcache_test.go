@@ -1,6 +1,7 @@
 package bufcache
 
 import (
+	"bytes"
 	"testing"
 
 	"safelinux/internal/linuxlike/blockdev"
@@ -377,5 +378,117 @@ func BenchmarkBreadThroughGate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bh, _ := c.BreadCtx(task, 7)
 		bh.Put()
+	}
+}
+
+// TestCopyOutCopyInRange moves byte ranges across blocks, holes and
+// partial first and last blocks, checks the reads, fills and dirtying
+// against the per-block contract, and that no reference stays taken.
+func TestCopyOutCopyInRange(t *testing.T) {
+	c := testCache(t, 0)
+	task := kbase.NewTask()
+	dev := c.Device()
+	img := func(b uint64) []byte {
+		p := make([]byte, 64)
+		for i := range p {
+			p[i] = byte(b*7 + uint64(i))
+		}
+		return p
+	}
+	for _, b := range []uint64{3, 5, 6, 7} {
+		dev.Write(b, img(b))
+	}
+	dev.Flush()
+
+	// Block 3 from byte 10, a hole, block 5 up to byte 59.
+	buf := make([]byte, 54+64+59)
+	for i := range buf {
+		buf[i] = 0xEE
+	}
+	n, err := c.CopyOut(task, []uint64{3, 0, 5}, 10, buf)
+	if err != kbase.EOK || n != len(buf) {
+		t.Fatalf("CopyOut = %d, %v; want %d, EOK", n, err, len(buf))
+	}
+	want := append(append(img(3)[10:], make([]byte, 64)...), img(5)[:59]...)
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("CopyOut bytes differ:\n got %x\nwant %x", buf, want)
+	}
+	if m := ktrace.Read(c.CollectMetrics, "misses"); m != 2 {
+		t.Fatalf("misses = %d, want 2 (the hole reads nothing)", m)
+	}
+
+	// Block 6 whole (no read), block 7 up to byte 20 (read first).
+	reads := ktrace.Read(dev.CollectMetrics, "reads")
+	data := bytes.Repeat([]byte{0xAB}, 64+20)
+	if n, err := c.CopyIn(task, []uint64{6, 7}, 0, data); err != kbase.EOK || n != len(data) {
+		t.Fatalf("CopyIn = %d, %v; want %d, EOK", n, err, len(data))
+	}
+	if r := ktrace.Read(dev.CollectMetrics, "reads") - reads; r != 1 {
+		t.Fatalf("CopyIn read %d blocks from the device, want 1", r)
+	}
+	if d := c.DirtyCount(); d != 2 {
+		t.Fatalf("dirty = %d, want 2", d)
+	}
+	if err := c.SyncDirtyCtx(task); err != kbase.EOK {
+		t.Fatalf("SyncDirtyCtx: %v", err)
+	}
+	got := make([]byte, 64)
+	dev.Read(7, got)
+	if want := append(bytes.Repeat([]byte{0xAB}, 20), img(7)[20:]...); !bytes.Equal(got, want) {
+		t.Fatalf("block 7 after CopyIn = %x, want %x", got, want)
+	}
+
+	for _, b := range []uint64{3, 5, 6, 7} {
+		bh, _ := c.GetBlk(b)
+		if rc := bh.Refcount(); rc != 1 {
+			t.Fatalf("block %d refcount %d after the copies, want 0", b, rc-1)
+		}
+		bh.Put()
+	}
+
+	if _, err := c.CopyIn(task, []uint64{6, 0}, 0, data); err != kbase.EINVAL {
+		t.Fatalf("CopyIn over a hole: %v, want EINVAL", err)
+	}
+	if n, err := c.CopyOut(task, []uint64{3}, 10, make([]byte, 64)); err != kbase.EINVAL || n != 54 {
+		t.Fatalf("CopyOut past its blocks = %d, %v; want 54, EINVAL", n, err)
+	}
+	if _, err := c.CopyOut(task, []uint64{3}, 64, make([]byte, 1)); err != kbase.EINVAL {
+		t.Fatalf("CopyOut from an offset outside the block: %v, want EINVAL", err)
+	}
+}
+
+// TestRangeCopyCrossesOnce pins the point of the range entries: a
+// cached nine-block CopyOut or CopyIn is one gate crossing, and it
+// allocates nothing.
+func TestRangeCopyCrossesOnce(t *testing.T) {
+	c, task := gatedCache(t)
+	g := gate.New("buf", nil)
+	c.SetGate(g)
+	blocks := []uint64{7, 8, 9, 10, 11, 12, 13, 14, 15}
+	buf := make([]byte, 4096)
+	if _, err := c.CopyOut(task, blocks, 100, buf); err != kbase.EOK {
+		t.Fatalf("CopyOut: %v", err)
+	}
+	entered := ktrace.Read(g.CollectMetrics, "entered")
+	copyOut := func() {
+		if _, err := c.CopyOut(task, blocks, 100, buf); err != kbase.EOK {
+			t.Fatalf("CopyOut: %v", err)
+		}
+	}
+	copyIn := func() {
+		if _, err := c.CopyIn(task, blocks, 100, buf); err != kbase.EOK {
+			t.Fatalf("CopyIn: %v", err)
+		}
+	}
+	copyOut()
+	copyIn()
+	if n := ktrace.Read(g.CollectMetrics, "entered") - entered; n != 2 {
+		t.Fatalf("a CopyOut and a CopyIn of 9 blocks crossed the gate %d times, want 2", n)
+	}
+	if allocs := testing.AllocsPerRun(200, copyOut); allocs != 0 {
+		t.Errorf("cached CopyOut through the gate: %.1f allocs/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, copyIn); allocs != 0 {
+		t.Errorf("cached CopyIn through the gate: %.1f allocs/op, want 0", allocs)
 	}
 }

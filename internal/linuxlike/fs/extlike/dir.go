@@ -76,19 +76,22 @@ func (inst *fsInstance) writeDir(task *kbase.Task, h *journal.Handle, dirVi *vfs
 }
 
 // writeDirBlocks stores buf as the directory's block images: each
-// block holds its slice of buf followed by a zero tail. A block whose
-// cached buffer already holds that image is left alone; any other
-// joins the transaction before it is modified, then is dirtied as
-// metadata, so directory data is durable with the inode that
+// block holds its slice of buf followed by a zero tail. The whole range
+// is mapped, new blocks allocated, before any block changes, so a
+// refused allocation leaves the directory's bytes as they were. A
+// block whose cached buffer already holds its image is left alone; any
+// other joins the transaction before it is modified, then is dirtied
+// as metadata, so directory data is durable with the inode that
 // references it.
 func (inst *fsInstance) writeDirBlocks(task *kbase.Task, h *journal.Handle, ei *einode, buf []byte) kbase.Errno {
 	bs := int(inst.geo.SB.BlockSize)
-	for off := 0; off < len(buf); off += bs {
-		img := buf[off:min(off+bs, len(buf))]
-		blk, err := inst.blockFor(task, h, ei, uint64(off/bs), true)
-		if err != kbase.EOK {
-			return err
-		}
+	var scratch [spanBlocks]uint64
+	blocks, _ := inst.span(scratch[:], 0, len(buf))
+	if _, err := inst.mapRange(task, h, ei, 0, blocks, true); err != kbase.EOK {
+		return err
+	}
+	for i, blk := range blocks {
+		img := buf[i*bs : min((i+1)*bs, len(buf))]
 		bh, err := inst.cache.BreadCtx(task, blk)
 		if err != kbase.EOK {
 			return err

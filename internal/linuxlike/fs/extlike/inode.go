@@ -141,69 +141,105 @@ func (inst *fsInstance) iget(task *kbase.Task, ino uint64) (*vfs.Inode, kbase.Er
 	return vi, kbase.EOK
 }
 
-// blockFor maps fileBlock of ei to a device block. With alloc, holes
-// are filled by allocating data blocks (and the indirect block when
-// needed) under h. A zero return with EOK means "hole" (only when
-// !alloc).
-func (inst *fsInstance) blockFor(task *kbase.Task, h *journal.Handle, ei *einode, fileBlock uint64, alloc bool) (uint64, kbase.Errno) {
-	bs := uint64(inst.geo.SB.BlockSize)
-	ptrsPerBlock := bs / 8
-	if fileBlock < NumDirect {
-		blk := ei.di.Direct[fileBlock]
-		if blk == 0 && alloc {
-			nb, err := inst.allocBlock(task, h)
-			if err != kbase.EOK {
-				return 0, err
-			}
-			if err := inst.zeroBlock(nb); err != kbase.EOK {
-				return 0, err
-			}
-			ei.di.Direct[fileBlock] = nb
-			blk = nb
-		}
-		return blk, kbase.EOK
+// spanBlocks is the stack room for a byte range's block list. A 4 KiB
+// range spans at most 9 blocks of 512 bytes, so the hot reads and
+// writes map on the stack; a longer range (a whole directory) gets a
+// heap list.
+const spanBlocks = 16
+
+// span sizes the block list for bytes [off, off+n) of a file, using
+// scratch when it has room, and returns it with the first file block.
+func (inst *fsInstance) span(scratch []uint64, off int64, n int) ([]uint64, uint64) {
+	bs := int64(inst.geo.SB.BlockSize)
+	first := off / bs
+	count := 0
+	if n > 0 {
+		count = int((off+int64(n)+bs-1)/bs - first)
 	}
-	idx := fileBlock - NumDirect
-	if idx >= ptrsPerBlock {
+	if count > len(scratch) {
+		return make([]uint64, count), uint64(first)
+	}
+	return scratch[:count], uint64(first)
+}
+
+// mapRange fills blocks with the device blocks of ei's file blocks
+// first, first+1, ... — the range mapper every data path shares. A
+// zero entry is a hole (only without alloc). With alloc, holes are
+// filled under h by allocating zeroed data blocks, and the indirect
+// block when the range first reaches it, in file-block order. The
+// indirect block is read at most once per call, joins h once, and is
+// dirtied once after its last new pointer. Returns how many leading
+// entries are mapped: all of them unless err is set (EFBIG, when the
+// range runs past the largest file, maps nothing).
+func (inst *fsInstance) mapRange(task *kbase.Task, h *journal.Handle, ei *einode, first uint64, blocks []uint64, alloc bool) (int, kbase.Errno) {
+	end := first + uint64(len(blocks))
+	if end > NumDirect+uint64(inst.geo.SB.BlockSize)/8 {
 		return 0, kbase.EFBIG
+	}
+	fb := first
+	for ; fb < end && fb < NumDirect; fb++ {
+		blk := ei.di.Direct[fb]
+		if blk == 0 && alloc {
+			var err kbase.Errno
+			if blk, err = inst.allocZeroed(task, h); err != kbase.EOK {
+				return int(fb - first), err
+			}
+			ei.di.Direct[fb] = blk
+		}
+		blocks[fb-first] = blk
+	}
+	if fb == end {
+		return len(blocks), kbase.EOK
 	}
 	if ei.di.Indirect == 0 {
 		if !alloc {
-			return 0, kbase.EOK
+			clear(blocks[fb-first:])
+			return len(blocks), kbase.EOK
 		}
-		nb, err := inst.allocBlock(task, h)
+		nb, err := inst.allocZeroed(task, h)
 		if err != kbase.EOK {
-			return 0, err
-		}
-		if err := inst.zeroBlock(nb); err != kbase.EOK {
-			return 0, err
+			return int(fb - first), err
 		}
 		ei.di.Indirect = nb
 	}
 	ibh, err := inst.cache.BreadCtx(task, ei.di.Indirect)
 	if err != kbase.EOK {
-		return 0, err
+		return int(fb - first), err
 	}
 	defer ibh.Put()
-	blk := leU64(ibh.Data[idx*8:])
-	if blk == 0 && alloc {
-		nb, err := inst.allocBlock(task, h)
-		if err != kbase.EOK {
-			return 0, err
+	joined := false
+	for ; fb < end; fb++ {
+		ptr := ibh.Data[(fb-NumDirect)*8:]
+		blk := leU64(ptr)
+		if blk == 0 && alloc {
+			if blk, err = inst.allocZeroed(task, h); err != kbase.EOK {
+				break
+			}
+			if !joined {
+				if err = h.GetWriteAccess(ibh.Meta()); err != kbase.EOK {
+					break
+				}
+				joined = true
+			}
+			putU64(ptr, blk)
 		}
-		if err := inst.zeroBlock(nb); err != kbase.EOK {
-			return 0, err
-		}
-		if err := h.GetWriteAccess(ibh.Meta()); err != kbase.EOK {
-			return 0, err
-		}
-		putU64(ibh.Data[idx*8:], nb)
-		if err := h.DirtyMetadata(ibh.Meta()); err != kbase.EOK {
-			return 0, err
-		}
-		blk = nb
+		blocks[fb-first] = blk
 	}
-	return blk, kbase.EOK
+	if joined {
+		if e := h.DirtyMetadata(ibh.Meta()); err == kbase.EOK {
+			err = e
+		}
+	}
+	return int(fb - first), err
+}
+
+// allocZeroed allocates a block under h and zeroes it in the cache.
+func (inst *fsInstance) allocZeroed(task *kbase.Task, h *journal.Handle) (uint64, kbase.Errno) {
+	nb, err := inst.allocBlock(task, h)
+	if err != kbase.EOK {
+		return 0, err
+	}
+	return nb, inst.zeroBlock(nb)
 }
 
 // zeroBlock initializes a freshly allocated block in the cache
@@ -223,7 +259,8 @@ func (inst *fsInstance) zeroBlock(block uint64) kbase.Errno {
 }
 
 // readFileRange copies file bytes [off, off+len(buf)) of ei into buf,
-// bounded by size. Returns bytes copied.
+// bounded by size: it maps the range, then copies it out of the cache
+// in one crossing. Returns bytes copied.
 func (inst *fsInstance) readFileRange(task *kbase.Task, ei *einode, buf []byte, off int64) (int, kbase.Errno) {
 	size := int64(ei.di.Size)
 	if off >= size {
@@ -232,77 +269,43 @@ func (inst *fsInstance) readFileRange(task *kbase.Task, ei *einode, buf []byte, 
 	if max := size - off; int64(len(buf)) > max {
 		buf = buf[:max]
 	}
-	bs := int64(inst.geo.SB.BlockSize)
-	n := 0
-	for n < len(buf) {
-		fb := uint64((off + int64(n)) / bs)
-		inBlock := (off + int64(n)) % bs
-		want := len(buf) - n
-		if rem := int(bs - inBlock); want > rem {
-			want = rem
-		}
-		blk, err := inst.blockFor(task, nil, ei, fb, false)
-		if err != kbase.EOK {
-			return n, err
-		}
-		if blk == 0 { // hole
-			for i := 0; i < want; i++ {
-				buf[n+i] = 0
-			}
-		} else {
-			bh, err := inst.cache.BreadCtx(task, blk)
-			if err != kbase.EOK {
-				return n, err
-			}
-			copy(buf[n:n+want], bh.Data[inBlock:])
-			_ = bh.Put() // brelse-style release; over-release is already oopsed
-		}
-		n += want
+	var scratch [spanBlocks]uint64
+	blocks, first := inst.span(scratch[:], off, len(buf))
+	if _, err := inst.mapRange(task, nil, ei, first, blocks, false); err != kbase.EOK {
+		return 0, err
 	}
-	return n, kbase.EOK
+	return inst.cache.CopyOut(task, blocks, int(off%int64(inst.geo.SB.BlockSize)), buf)
 }
 
-// writeFileRange writes data at off into ei under h, allocating
-// blocks as needed. Data blocks are dirtied in the cache (writeback)
-// and join ei's fsync set; only allocation metadata is journaled. Size
-// is NOT updated here.
+// writeFileRange writes data at off into ei under h: it maps the range,
+// allocating blocks as needed, then copies it into the cache in one
+// crossing. Data blocks are dirtied in the cache (writeback) and join
+// ei's fsync set; only allocation metadata is journaled. When the
+// mapper stops short (ENOSPC), the mapped prefix is still written and
+// its length returned with the error, as a short write. Size is NOT
+// updated here.
 func (inst *fsInstance) writeFileRange(task *kbase.Task, h *journal.Handle, ei *einode, data []byte, off int64) (int, kbase.Errno) {
 	if uint64(off)+uint64(len(data)) > inst.geo.MaxFileSize() {
 		return 0, kbase.EFBIG
 	}
-	bs := int64(inst.geo.SB.BlockSize)
-	n := 0
-	for n < len(data) {
-		fb := uint64((off + int64(n)) / bs)
-		inBlock := (off + int64(n)) % bs
-		want := len(data) - n
-		if rem := int(bs - inBlock); want > rem {
-			want = rem
-		}
-		blk, err := inst.blockFor(task, h, ei, fb, true)
-		if err != kbase.EOK {
-			return n, err
-		}
-		var bh *bufcache.BufferHead
-		if inBlock == 0 && want == int(bs) {
-			// Full-block overwrite: no read needed.
-			bh, err = inst.cache.GetBlk(blk)
-			if err == kbase.EOK {
-				bh.SetFlag(bufcache.BHMapped | bufcache.BHUptodate)
-			}
-		} else {
-			bh, err = inst.cache.BreadCtx(task, blk)
-		}
-		if err != kbase.EOK {
-			return n, err
-		}
-		copy(bh.Data[inBlock:], data[n:n+want])
-		bh.MarkDirty()
-		ei.noteDirtyData(blk)
-		_ = bh.Put() // brelse-style release; over-release is already oopsed
-		n += want
+	var scratch [spanBlocks]uint64
+	blocks, first := inst.span(scratch[:], off, len(data))
+	mapped, mapErr := inst.mapRange(task, h, ei, first, blocks, true)
+	bs := int(inst.geo.SB.BlockSize)
+	head := int(off % int64(bs))
+	if mapped < len(blocks) {
+		data = data[:max(0, mapped*bs-head)]
 	}
-	return n, kbase.EOK
+	n, err := inst.cache.CopyIn(task, blocks[:mapped], head, data)
+	if n > 0 {
+		for _, blk := range blocks[:(head+n+bs-1)/bs] {
+			ei.noteDirtyData(blk)
+		}
+	}
+	if err == kbase.EOK {
+		err = mapErr
+	}
+	return n, err
 }
 
 // truncateBlocks frees all blocks of ei beyond newSize and shrinks
@@ -317,21 +320,15 @@ func (inst *fsInstance) truncateBlocks(task *kbase.Task, h *journal.Handle, ei *
 	// (fuzzer-found: pwrite/truncate/pwrite diverged from safefs);
 	// ext4 does the same partial-block zeroing on shrink.
 	if tail := uint64(newSize) % bs; tail != 0 {
-		blk, err := inst.blockFor(task, h, ei, keep-1, false)
-		if err != kbase.EOK {
+		var blk [1]uint64
+		if _, err := inst.mapRange(task, h, ei, keep-1, blk[:], false); err != kbase.EOK {
 			return err
 		}
-		if blk != 0 {
-			bh, err := inst.cache.BreadCtx(task, blk)
-			if err != kbase.EOK {
+		if blk[0] != 0 {
+			if _, err := inst.cache.CopyIn(task, blk[:], int(tail), make([]byte, bs-tail)); err != kbase.EOK {
 				return err
 			}
-			for i := tail; i < bs; i++ {
-				bh.Data[i] = 0
-			}
-			bh.MarkDirty()
-			ei.noteDirtyData(blk)
-			_ = bh.Put() // brelse-style release; over-release is already oopsed
+			ei.noteDirtyData(blk[0])
 		}
 	}
 

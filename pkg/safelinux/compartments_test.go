@@ -1,6 +1,7 @@
 package safelinux
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -491,13 +492,86 @@ func TestBufRestartKeepsCommittedMetadata(t *testing.T) {
 	}
 }
 
+// TestBufFaultInRangeReadContained faults the buf gate on the one
+// crossing that copies a nine-block Pread out of the cache. The read
+// comes back EFAULT, the compartment restarts on its own, the same
+// Pread then returns the file's bytes, and no cached buffer is left
+// holding a reference.
+func TestBufFaultInRangeReadContained(t *testing.T) {
+	k := bootCompartmented(t, Config{Seed: 24})
+	fd, err := k.VFS.Open(k.Task, "/range", vfs.ORdWr|vfs.OCreate)
+	if err != kbase.EOK {
+		t.Fatalf("Open: %v", err)
+	}
+	defer k.VFS.Close(fd)
+	data := make([]byte, 8192)
+	for i := range data {
+		data[i] = byte(i*31 + i>>9)
+	}
+	if _, err := k.VFS.Pwrite(k.Task, fd, data, 0); err != kbase.EOK {
+		t.Fatalf("Pwrite: %v", err)
+	}
+	if err := k.VFS.Fsync(k.Task, fd); err != kbase.EOK {
+		t.Fatalf("Fsync: %v", err)
+	}
+	// Bytes 2348..6443: blocks 4..12, across the direct/indirect edge.
+	const off = 2348
+	buf := make([]byte, 4096)
+	if _, err := k.VFS.Pread(k.Task, fd, buf, off); err != kbase.EOK {
+		t.Fatalf("Pread: %v", err)
+	}
+
+	comp := k.Plane.Get("buf")
+	comp.InjectPanic(2) // entry 1 reads the indirect block, entry 2 copies the range
+	if _, err := k.VFS.Pread(k.Task, fd, buf, off); err != kbase.EFAULT {
+		t.Fatalf("faulted Pread = %v, want EFAULT", err)
+	}
+	if f := lastFault(t, k); f.Compartment != "buf" || !strings.Contains(f.Panic, "copy_out") {
+		t.Fatalf("fault = %s %q, want buf in copy_out", f.Compartment, f.Panic)
+	}
+	if !k.Plane.WaitHealthy("buf", 5*time.Second) {
+		t.Fatalf("buf did not restart; state=%v", comp.State())
+	}
+	k.Plane.Settle()
+
+	clear(buf)
+	n, err := k.VFS.Pread(k.Task, fd, buf, off)
+	if err != kbase.EOK || n != len(buf) || !bytes.Equal(buf, data[off:off+len(buf)]) {
+		t.Fatalf("Pread after the restart = %d, %v; bytes match: %v", n, err, bytes.Equal(buf, data[off:off+len(buf)]))
+	}
+	root, err := k.VFS.Resolve(k.Task, "/")
+	if err != kbase.EOK {
+		t.Fatalf("Resolve: %v", err)
+	}
+	inst, ok := extlike.InstanceOf(root.Sb)
+	if !ok {
+		t.Fatal("root is not extlike")
+	}
+	// A buffer nobody holds has refcount 1 while this scan holds it.
+	cache := inst.Cache()
+	for b := uint64(0); b < cache.Device().Blocks(); b++ {
+		bh, err := cache.GetBlk(b)
+		if err != kbase.EOK {
+			t.Fatalf("GetBlk(%d): %v", b, err)
+		}
+		if rc := bh.Refcount(); rc != 1 {
+			t.Errorf("block %d is held %d times with no op in flight", b, rc-1)
+		}
+		bh.Put()
+	}
+}
+
 // netNoLoss is a deterministic loss-free link so round-trip counts in
 // swap tests do not depend on retransmission luck.
 func netNoLoss() net.LinkParams { return net.LinkParams{Delay: 1} }
 
-// TestCachedCrossingsAllocFree pins the compartmented hot path: a
-// cached Pread and a Stat on extlike cross the fs gate once and the
-// buf gate once per cached block, and allocate nothing.
+// TestCachedCrossingsAllocFree pins the compartmented hot path: on
+// extlike a cached Pread or in-place Pwrite crosses the fs gate once
+// and the buf gate once for its data, plus once for the indirect block
+// when the range reaches past the direct blocks, and a Stat crosses
+// only the fs gate. Reads and Stat allocate nothing. A Pwrite's four
+// allocations are its journal transaction (with its buffer set), its
+// handle and its write token; the buffer cache adds none.
 func TestCachedCrossingsAllocFree(t *testing.T) {
 	k := bootCompartmented(t, Config{Seed: 21})
 	fd, err := k.VFS.Open(k.Task, "/hot", vfs.ORdWr|vfs.OCreate)
@@ -505,29 +579,46 @@ func TestCachedCrossingsAllocFree(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer k.VFS.Close(fd)
-	if _, err := k.VFS.Pwrite(k.Task, fd, make([]byte, 2048), 0); err != kbase.EOK {
+	// 16 blocks of 512 bytes: 10 direct, 6 behind the indirect block.
+	if _, err := k.VFS.Pwrite(k.Task, fd, make([]byte, 8192), 0); err != kbase.EOK {
 		t.Fatalf("Pwrite: %v", err)
 	}
-	buf := make([]byte, 1024)
-	pread := func() {
-		if _, err := k.VFS.Pread(k.Task, fd, buf, 512); err != kbase.EOK {
-			t.Fatalf("Pread: %v", err)
+	small, page := make([]byte, 1024), make([]byte, 4096)
+	ops := []struct {
+		name   string
+		op     func() kbase.Errno
+		maxBuf uint64 // buf-gate crossings
+		allocs float64
+	}{
+		// Blocks 1 and 2, both direct.
+		{"direct Pread", func() kbase.Errno { _, err := k.VFS.Pread(k.Task, fd, small, 512); return err }, 1, 0},
+		// Blocks 4..12: nine blocks straddling the direct/indirect edge.
+		{"4 KiB Pread across blocks 9/10", func() kbase.Errno { _, err := k.VFS.Pread(k.Task, fd, page, 2348); return err }, 2, 0},
+		// Blocks 9..11, again across the edge.
+		{"in-place Pwrite", func() kbase.Errno { _, err := k.VFS.Pwrite(k.Task, fd, small, 4900); return err }, 2, 4},
+		{"Stat", func() kbase.Errno { _, err := k.VFS.Stat(k.Task, "/hot"); return err }, 0, 0},
+	}
+	fs, buf := k.Plane.Get("fs"), k.Plane.Get("buf")
+	for _, o := range ops {
+		if err := o.op(); err != kbase.EOK { // warm
+			t.Fatalf("%s: %v", o.name, err)
 		}
-	}
-	stat := func() {
-		if _, err := k.VFS.Stat(k.Task, "/hot"); err != kbase.EOK {
-			t.Fatalf("Stat: %v", err)
+		fsBefore, bufBefore := ktrace.Read(fs.CollectMetrics, "entered"), ktrace.Read(buf.CollectMetrics, "entered")
+		if err := o.op(); err != kbase.EOK {
+			t.Fatalf("%s: %v", o.name, err)
 		}
-	}
-	pread()
-	stat()
-	if allocs := testing.AllocsPerRun(200, pread); allocs != 0 {
-		t.Errorf("cached Pread through the fs and buf gates: %.1f allocs/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, stat); allocs != 0 {
-		t.Errorf("Stat through the fs gate: %.1f allocs/op, want 0", allocs)
-	}
-	if ktrace.Read(k.Plane.Get("buf").CollectMetrics, "entered") == 0 {
-		t.Fatalf("the buf gate was never crossed")
+		if n := ktrace.Read(fs.CollectMetrics, "entered") - fsBefore; n != 1 {
+			t.Errorf("%s crossed the fs gate %d times, want 1", o.name, n)
+		}
+		if n := ktrace.Read(buf.CollectMetrics, "entered") - bufBefore; n > o.maxBuf || (o.maxBuf > 0 && n == 0) {
+			t.Errorf("%s crossed the buf gate %d times, want 1..%d", o.name, n, o.maxBuf)
+		}
+		if allocs := testing.AllocsPerRun(200, func() {
+			if err := o.op(); err != kbase.EOK {
+				t.Fatalf("%s: %v", o.name, err)
+			}
+		}); allocs != o.allocs {
+			t.Errorf("%s through the fs and buf gates: %.1f allocs/op, want %.0f", o.name, allocs, o.allocs)
+		}
 	}
 }

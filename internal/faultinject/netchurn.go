@@ -267,9 +267,12 @@ type ChurnDivergence struct {
 
 // ChurnReport aggregates a churn sweep.
 type ChurnReport struct {
-	Schedules   int
-	Conns       int // total connections exercised
-	Divergences []ChurnDivergence
+	Schedules int
+	Conns     int // total connections exercised
+	// Legacy and Safe hold each leg's census, one per schedule, in
+	// sweep order.
+	Legacy, Safe []ChurnOutcome
+	Divergences  []ChurnDivergence
 }
 
 // Render formats the churn sweep for humans (and the CI log).
@@ -290,6 +293,8 @@ func RunNetChurnDiff(schedules []NetChurnSchedule) ChurnReport {
 		rep.Conns += s.Conns
 		lo := RunLegacyChurn(s)
 		so := RunSafeChurn(s)
+		rep.Legacy = append(rep.Legacy, lo)
+		rep.Safe = append(rep.Safe, so)
 		if !churnEquivalent(lo, so) {
 			rep.Divergences = append(rep.Divergences, ChurnDivergence{
 				Schedule: s, Legacy: lo, Safe: so,

@@ -86,7 +86,10 @@ type NetReport struct {
 	Schedules   int
 	LegacyClass map[string]int
 	SafeClass   map[string]int
-	Divergences []NetDivergence
+	// Legacy and Safe hold each leg's outcome, one per schedule, in
+	// sweep order.
+	Legacy, Safe []NetOutcome
+	Divergences  []NetDivergence
 }
 
 // netPayload derives the transfer bytes from the schedule seed, so
@@ -314,6 +317,8 @@ func RunNetDiff(schedules []NetSchedule) NetReport {
 		str := ktrace.FormatEvents(ktrace.Buffer().Last(32))
 		rep.LegacyClass[lo.Class]++
 		rep.SafeClass[so.Class]++
+		rep.Legacy = append(rep.Legacy, lo)
+		rep.Safe = append(rep.Safe, so)
 		if !netEquivalent(lo, so) {
 			rep.Divergences = append(rep.Divergences, NetDivergence{
 				Schedule: s, Legacy: lo, Safe: so,

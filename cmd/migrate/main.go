@@ -12,6 +12,7 @@ import (
 
 	"safelinux/internal/faultinject"
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/linuxlike/net"
 	"safelinux/internal/workload"
 	"safelinux/pkg/safelinux"
 )
@@ -101,7 +102,7 @@ func validateNet(k *safelinux.Kernel) {
 		return
 	}
 	c, _ := epA.Connect(2, 8080)
-	var srv workload.Stream
+	var srv net.Stream
 	k.Sim.RunUntil(func() bool {
 		if srv == nil {
 			if s, err := l.Accept(); err == kbase.EOK {

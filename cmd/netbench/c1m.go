@@ -14,8 +14,6 @@ import (
 
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/net"
-	"safelinux/internal/safemod/safetcp"
-	"safelinux/internal/safety/own"
 )
 
 // Frozen pre-rebuild baselines: ns per Sim.Step at 100k idle
@@ -39,99 +37,31 @@ const (
 	establishStepsMax = 20_000
 )
 
-// conn / listener / stack adapters: the benchmark drives both stacks
-// through one shape so the workloads are identical by construction.
-
-type benchConn interface {
-	Established() bool
-	Closed() bool
-	Close() kbase.Errno
-}
-
-type benchHost interface {
-	Listen(port uint16) (func() (benchConn, bool), kbase.Errno)
-	Connect(raddr net.Addr, rport uint16) (benchConn, kbase.Errno)
-	TimerCount() int
-}
-
-type legacyHost struct{ h *net.Host }
-
-func (l legacyHost) Listen(port uint16) (func() (benchConn, bool), kbase.Errno) {
-	lst, err := l.h.ListenTCP(port)
-	if err != kbase.EOK {
-		return nil, err
-	}
-	return func() (benchConn, bool) {
-		c, e := lst.Accept()
-		if e != kbase.EOK {
-			return nil, false
-		}
-		return c, true
-	}, kbase.EOK
-}
-func (l legacyHost) Connect(raddr net.Addr, rport uint16) (benchConn, kbase.Errno) {
-	return l.h.ConnectTCP(raddr, rport)
-}
-func (l legacyHost) TimerCount() int { return l.h.TimerCount() }
-
-type safeHost struct{ ep *safetcp.Endpoint }
-
-func (s safeHost) Listen(port uint16) (func() (benchConn, bool), kbase.Errno) {
-	lst, err := s.ep.Listen(port)
-	if err != kbase.EOK {
-		return nil, err
-	}
-	return func() (benchConn, bool) {
-		c, e := lst.Accept()
-		if e != kbase.EOK {
-			return nil, false
-		}
-		return c, true
-	}, kbase.EOK
-}
-func (s safeHost) Connect(raddr net.Addr, rport uint16) (benchConn, kbase.Errno) {
-	return s.ep.Connect(raddr, rport)
-}
-func (s safeHost) TimerCount() int { return s.ep.TimerCount() }
-
 // buildStack wires a star topology — nClients client hosts linked to
-// one server host — and returns the adapted hosts.
-func buildStack(stack string, seed uint64, nClients int) (*net.Sim, []benchHost, benchHost) {
+// one server host — and puts the named stack on every host.
+func buildStack(stack string, seed uint64, nClients int) (*net.Sim, []net.StreamStack, net.StreamStack) {
 	sim := net.NewSim(seed)
 	server := sim.AddHost(net.Addr(nClients + 1))
-	clients := make([]benchHost, nClients)
-	hosts := make([]*net.Host, nClients)
-	for i := 0; i < nClients; i++ {
-		hosts[i] = sim.AddHost(net.Addr(i + 1))
+	stackOf := stackBuilder(stack, false)
+	clients := make([]net.StreamStack, nClients)
+	for i := range clients {
+		clients[i] = stackOf(sim.AddHost(net.Addr(i + 1)))
 		sim.Link(net.Addr(i+1), net.Addr(nClients+1), net.LinkParams{Delay: 1})
 	}
-	var srv benchHost
-	if stack == "legacy" {
-		for i, h := range hosts {
-			clients[i] = legacyHost{h}
-		}
-		srv = legacyHost{server}
-	} else {
-		ck := own.NewChecker(own.PolicyRecord)
-		for i, h := range hosts {
-			clients[i] = safeHost{safetcp.Attach(h, ck)}
-		}
-		srv = safeHost{safetcp.Attach(server, ck)}
-	}
-	return sim, clients, srv
+	return sim, clients, stackOf(server)
 }
 
 // establishAll opens perHost connections from every client host to the
 // server and steps until every one is established and accepted.
-func establishAll(sim *net.Sim, clients []benchHost, srv benchHost, perHost int) ([]benchConn, []benchConn, error) {
-	accept, err := srv.Listen(80)
+func establishAll(sim *net.Sim, clients []net.StreamStack, srv net.StreamStack, perHost int) ([]net.Stream, []net.Stream, error) {
+	lst, err := srv.ListenStream(80)
 	if err != kbase.EOK {
 		return nil, nil, fmt.Errorf("listen: %v", err)
 	}
 	serverAddr := net.Addr(len(clients) + 1)
 	total := len(clients) * perHost
-	conns := make([]benchConn, 0, total)
-	children := make([]benchConn, 0, total)
+	conns := make([]net.Stream, 0, total)
+	children := make([]net.Stream, 0, total)
 	// Connect in per-step batches: opening every connection in one
 	// jiffy would land every handshake ACK in the same tick and
 	// overflow the (deliberately bounded) accept backlog — a SYN flood,
@@ -143,7 +73,7 @@ func establishAll(sim *net.Sim, clients []benchHost, srv benchHost, perHost int)
 			n := min(batchPerHost, perHost-opened)
 			for _, ch := range clients {
 				for i := 0; i < n; i++ {
-					c, err := ch.Connect(serverAddr, 80)
+					c, err := ch.DialStream(serverAddr, 80)
 					if err != kbase.EOK {
 						return nil, nil, fmt.Errorf("connect: %v", err)
 					}
@@ -154,8 +84,8 @@ func establishAll(sim *net.Sim, clients []benchHost, srv benchHost, perHost int)
 		}
 		sim.Step()
 		for {
-			c, ok := accept()
-			if !ok {
+			c, err := lst.AcceptStream()
+			if err != kbase.EOK {
 				break
 			}
 			children = append(children, c)
@@ -232,27 +162,27 @@ func churnBench(stack string) (ChurnResult, error) {
 	// One client host: 40000 total conns through a 16384-port space
 	// forces the bitmap allocator to recycle.
 	sim, clients, srv := buildStack(stack, 2025, 1)
-	accept, err := srv.Listen(80)
+	lst, err := srv.ListenStream(80)
 	if err != kbase.EOK {
 		return ChurnResult{}, fmt.Errorf("%s churn listen: %v", stack, err)
 	}
 	cl := clients[0]
 	start := time.Now()
 	for w := 0; w < churnWaves; w++ {
-		conns := make([]benchConn, 0, churnPerWave)
+		conns := make([]net.Stream, 0, churnPerWave)
 		for i := 0; i < churnPerWave; i++ {
-			c, err := cl.Connect(2, 80)
+			c, err := cl.DialStream(2, 80)
 			if err != kbase.EOK {
 				return ChurnResult{}, fmt.Errorf("%s churn wave %d conn %d: %v", stack, w, i, err)
 			}
 			conns = append(conns, c)
 		}
-		children := make([]benchConn, 0, churnPerWave)
+		children := make([]net.Stream, 0, churnPerWave)
 		for step := 0; step < establishStepsMax; step++ {
 			sim.Step()
 			for {
-				c, ok := accept()
-				if !ok {
+				c, err := lst.AcceptStream()
+				if err != kbase.EOK {
 					break
 				}
 				c.Close() // server closes immediately: pure open/close churn
@@ -289,12 +219,12 @@ func churnBench(stack string) (ChurnResult, error) {
 	// Typed exhaustion probe on a fresh sim: filling the whole
 	// ephemeral space must surface EADDRINUSE, not a livelock.
 	_, exClients, exSrv := buildStack(stack, 2026, 1)
-	if _, err := exSrv.Listen(80); err != kbase.EOK {
+	if _, err := exSrv.ListenStream(80); err != kbase.EOK {
 		return ChurnResult{}, fmt.Errorf("%s exhaustion listen: %v", stack, err)
 	}
 	typed := false
 	for i := 0; i < 16385; i++ {
-		if _, err := exClients[0].Connect(2, 80); err != kbase.EOK {
+		if _, err := exClients[0].DialStream(2, 80); err != kbase.EOK {
 			typed = err == kbase.EADDRINUSE && i == 16384
 			break
 		}

@@ -16,6 +16,10 @@
 // removes. netbench exits non-zero if the adaptive RTO fails to beat
 // the fixed RTO on retransmits at 5% loss in either stack, so CI
 // enforces the acceptance line.
+//
+// Each workload is written once over net.StreamStack, so both stacks
+// run identical code by construction; stackBuilder, which puts a stack
+// on a host with its RTO tuning, is the only per-stack code.
 package main
 
 import (
@@ -76,31 +80,28 @@ func payload() []byte {
 	return p
 }
 
-// legacyTransfer moves the payload through the legacy socket stack and
-// reports elapsed simulated time and sender retransmits.
-func legacyTransfer(loss float64, fixed bool) (NetRun, error) {
+// transfer moves the payload through the named stack ("legacy" or
+// "safetcp") and reports elapsed simulated time and sender retransmits.
+func transfer(stack string, loss float64, fixed bool) (NetRun, error) {
 	sim := net.NewSim(benchSeed)
 	hA := sim.AddHost(1)
 	hB := sim.AddHost(2)
 	sim.Link(1, 2, net.LinkParams{Delay: benchDelay, LossProb: loss})
-	tn := net.TCPTuning{FixedRTO: fixed}
-	hA.SetTCPTuning(tn)
-	hB.SetTCPTuning(tn)
-	lst, _ := hB.ListenTCP(80)
-	cli, _ := hA.ConnectTCP(2, 80)
+	stackOf := stackBuilder(stack, fixed)
+	a, b := stackOf(hA), stackOf(hB)
+	lst, _ := b.ListenStream(80)
+	cli, _ := a.DialStream(2, 80)
 	want := payload()
 	if err := cli.Send(want); err != kbase.EOK {
-		return NetRun{}, fmt.Errorf("legacy send: %v", err)
+		return NetRun{}, fmt.Errorf("%s send: %v", stack, err)
 	}
 
-	var srv *net.Socket
+	var srv net.Stream
 	var got []byte
 	buf := make([]byte, 4096)
 	ok := sim.RunUntil(func() bool {
 		if srv == nil {
-			if s, e := lst.Accept(); e == kbase.EOK {
-				srv = s
-			}
+			srv, _ = lst.AcceptStream()
 		}
 		if srv != nil {
 			for {
@@ -114,62 +115,29 @@ func legacyTransfer(loss float64, fixed bool) (NetRun, error) {
 		return len(got) >= len(want)
 	}, stepLimit)
 	if !ok || !bytes.Equal(got, want) {
-		return NetRun{}, fmt.Errorf("legacy loss=%v fixed=%v: %d/%d bytes", loss, fixed, len(got), len(want))
+		return NetRun{}, fmt.Errorf("%s loss=%v fixed=%v: %d/%d bytes", stack, loss, fixed, len(got), len(want))
 	}
-	run := NetRun{Loss: loss, Bytes: len(want), Jiffies: sim.Clock().Now()}
+	run := NetRun{Loss: loss, Bytes: len(want), Jiffies: sim.Clock().Now(), Retransmits: cli.RetransmitCount()}
 	run.GoodputBPJ = float64(run.Bytes) / float64(run.Jiffies)
-	if tcb, okT := cli.TCPInfo(); okT {
-		run.Retransmits = tcb.Retransmits
-	}
 	return run, nil
 }
 
-// safeTransfer is the identical workload on safetcp.
-func safeTransfer(loss float64, fixed bool) (NetRun, error) {
-	sim := net.NewSim(benchSeed)
-	hA := sim.AddHost(1)
-	hB := sim.AddHost(2)
-	sim.Link(1, 2, net.LinkParams{Delay: benchDelay, LossProb: loss})
+// stackBuilder returns what puts the named stack on a host, with the
+// fixed or the adaptive RTO: the host itself for "legacy", safetcp
+// attached to it otherwise. The tuning call is all that differs.
+func stackBuilder(stack string, fixed bool) func(*net.Host) net.StreamStack {
+	if stack == "legacy" {
+		return func(h *net.Host) net.StreamStack {
+			h.SetTCPTuning(net.TCPTuning{FixedRTO: fixed})
+			return h
+		}
+	}
 	ck := own.NewChecker(own.PolicyRecord)
-	epA := safetcp.Attach(hA, ck)
-	epB := safetcp.Attach(hB, ck)
-	tn := safetcp.Tuning{FixedRTO: fixed}
-	epA.SetTuning(tn)
-	epB.SetTuning(tn)
-	lst, _ := epB.Listen(80)
-	cli, _ := epA.Connect(2, 80)
-	want := payload()
-	if err := cli.Send(want); err != kbase.EOK {
-		return NetRun{}, fmt.Errorf("safetcp send: %v", err)
+	return func(h *net.Host) net.StreamStack {
+		ep := safetcp.Attach(h, ck)
+		ep.SetTuning(safetcp.Tuning{FixedRTO: fixed})
+		return ep
 	}
-
-	var srv *safetcp.Conn
-	var got []byte
-	buf := make([]byte, 4096)
-	ok := sim.RunUntil(func() bool {
-		if srv == nil {
-			if s, e := lst.Accept(); e == kbase.EOK {
-				srv = s
-			}
-		}
-		if srv != nil {
-			for {
-				n, _ := srv.Recv(buf)
-				if n == 0 {
-					break
-				}
-				got = append(got, buf[:n]...)
-			}
-		}
-		return len(got) >= len(want)
-	}, stepLimit)
-	if !ok || !bytes.Equal(got, want) {
-		return NetRun{}, fmt.Errorf("safetcp loss=%v fixed=%v: %d/%d bytes", loss, fixed, len(got), len(want))
-	}
-	run := NetRun{Loss: loss, Bytes: len(want), Jiffies: sim.Clock().Now()}
-	run.GoodputBPJ = float64(run.Bytes) / float64(run.Jiffies)
-	run.Retransmits = cli.Retransmits
-	return run, nil
 }
 
 func hostInfo() map[string]any {
@@ -214,11 +182,10 @@ func run(date string, longHaulConns int) (*Result, bool, error) {
 	}
 
 	losses := []float64{0, 0.01, 0.05, 0.20}
-	type xfer func(float64, bool) (NetRun, error)
-	for stack, f := range map[string]xfer{"legacy": legacyTransfer, "safetcp": safeTransfer} {
+	for _, stack := range []string{"legacy", "safetcp"} {
 		for _, loss := range losses {
 			for _, fixed := range []bool{false, true} {
-				r, err := f(loss, fixed)
+				r, err := transfer(stack, loss, fixed)
 				if err != nil {
 					return nil, false, err
 				}

@@ -19,8 +19,6 @@ import (
 
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/net"
-	"safelinux/internal/safemod/safetcp"
-	"safelinux/internal/safety/own"
 )
 
 // NetChurnSchedule is one deterministic churn run: waves of
@@ -73,27 +71,9 @@ func churnEquivalent(l, s ChurnOutcome) bool {
 	return l.Classes["stalled"] == 0 && l.Classes["delivered"] > 0
 }
 
-// diffConn is the least common surface of *net.Socket and
-// *safetcp.Conn the churn driver needs.
-type diffConn interface {
-	Send([]byte) kbase.Errno
-	Recv([]byte) (int, kbase.Errno)
-	Close() kbase.Errno
-	Established() bool
-	Closed() bool
-}
-
-// churnLeg adapts one stack to the shared churn driver.
-type churnLeg struct {
-	sim     *net.Sim
-	connect func() (diffConn, kbase.Errno)
-	accept  func() (diffConn, bool)
-	resetOf func(diffConn) kbase.Errno
-}
-
 // srvLeg tracks one accepted server-side connection.
 type srvLeg struct {
-	conn   diffConn
+	conn   net.Stream
 	got    int
 	eof    bool
 	closed bool
@@ -107,7 +87,16 @@ func churnPayload(s NetChurnSchedule) []byte {
 	return p
 }
 
-func (leg *churnLeg) run(s NetChurnSchedule) ChurnOutcome {
+// runChurn runs one churn schedule on the stream stack stackOf builds
+// on each host.
+func runChurn(s NetChurnSchedule, stackOf func(*net.Host) net.StreamStack) ChurnOutcome {
+	sim := net.NewSim(s.Seed)
+	hA := sim.AddHost(1)
+	hB := sim.AddHost(2)
+	sim.Link(1, 2, s.Link)
+	a, b := stackOf(hA), stackOf(hB)
+	lst, _ := b.ListenStream(80)
+
 	out := ChurnOutcome{Classes: map[string]int{}}
 	payload := churnPayload(s)
 	perWave := s.Conns / s.Waves
@@ -115,10 +104,10 @@ func (leg *churnLeg) run(s NetChurnSchedule) ChurnOutcome {
 	var servers []*srvLeg
 
 	for w := 0; w < s.Waves; w++ {
-		clients := make([]diffConn, 0, perWave)
+		clients := make([]net.Stream, 0, perWave)
 		closedAt := make([]bool, perWave)
 		for i := 0; i < perWave; i++ {
-			c, err := leg.connect()
+			c, err := a.DialStream(2, 80)
 			if err != kbase.EOK {
 				out.Classes[fmt.Sprintf("refused:%v", err)]++
 				continue
@@ -141,10 +130,10 @@ func (leg *churnLeg) run(s NetChurnSchedule) ChurnOutcome {
 			return true
 		}
 		for step := 0; step < s.MaxSteps && !done(); step++ {
-			leg.sim.Step()
+			sim.Step()
 			for {
-				c, ok := leg.accept()
-				if !ok {
+				c, err := lst.AcceptStream()
+				if err != kbase.EOK {
 					break
 				}
 				out.Accepted++
@@ -176,7 +165,7 @@ func (leg *churnLeg) run(s NetChurnSchedule) ChurnOutcome {
 			}
 		}
 		for _, c := range clients {
-			switch errno := leg.resetOf(c); {
+			switch errno := c.ResetErrno(); {
 			case errno != kbase.EOK:
 				out.Classes[fmt.Sprintf("reset:%v", errno)]++
 			case c.Closed():
@@ -192,70 +181,6 @@ func (leg *churnLeg) run(s NetChurnSchedule) ChurnOutcome {
 		}
 	}
 	return out
-}
-
-// RunLegacyChurn runs one churn schedule through the legacy stack.
-func RunLegacyChurn(s NetChurnSchedule) ChurnOutcome {
-	sim := net.NewSim(s.Seed)
-	hA := sim.AddHost(1)
-	hB := sim.AddHost(2)
-	sim.Link(1, 2, s.Link)
-	lst, _ := hB.ListenTCP(80)
-	leg := &churnLeg{
-		sim: sim,
-		connect: func() (diffConn, kbase.Errno) {
-			c, err := hA.ConnectTCP(2, 80)
-			if err != kbase.EOK {
-				return nil, err
-			}
-			return c, kbase.EOK
-		},
-		accept: func() (diffConn, bool) {
-			c, err := lst.Accept()
-			if err != kbase.EOK {
-				return nil, false
-			}
-			return c, true
-		},
-		resetOf: func(c diffConn) kbase.Errno {
-			if tcb, ok := c.(*net.Socket).TCPInfo(); ok {
-				return tcb.ResetErr
-			}
-			return kbase.EOK
-		},
-	}
-	return leg.run(s)
-}
-
-// RunSafeChurn runs the same churn schedule through safetcp.
-func RunSafeChurn(s NetChurnSchedule) ChurnOutcome {
-	sim := net.NewSim(s.Seed)
-	hA := sim.AddHost(1)
-	hB := sim.AddHost(2)
-	sim.Link(1, 2, s.Link)
-	ck := own.NewChecker(own.PolicyRecord)
-	epA := safetcp.Attach(hA, ck)
-	epB := safetcp.Attach(hB, ck)
-	lst, _ := epB.Listen(80)
-	leg := &churnLeg{
-		sim: sim,
-		connect: func() (diffConn, kbase.Errno) {
-			c, err := epA.Connect(2, 80)
-			if err != kbase.EOK {
-				return nil, err
-			}
-			return c, kbase.EOK
-		},
-		accept: func() (diffConn, bool) {
-			c, err := lst.Accept()
-			if err != kbase.EOK {
-				return nil, false
-			}
-			return c, true
-		},
-		resetOf: func(c diffConn) kbase.Errno { return c.(*safetcp.Conn).ResetErr },
-	}
-	return leg.run(s)
 }
 
 // ChurnDivergence is a churn schedule the stacks disagreed on.
@@ -291,8 +216,8 @@ func RunNetChurnDiff(schedules []NetChurnSchedule) ChurnReport {
 	rep := ChurnReport{Schedules: len(schedules)}
 	for _, s := range schedules {
 		rep.Conns += s.Conns
-		lo := RunLegacyChurn(s)
-		so := RunSafeChurn(s)
+		lo := runChurn(s, legacyStack)
+		so := runChurn(s, safeStack())
 		rep.Legacy = append(rep.Legacy, lo)
 		rep.Safe = append(rep.Safe, so)
 		if !churnEquivalent(lo, so) {

@@ -30,8 +30,8 @@ func TestNetChurnCleanDeliversAll(t *testing.T) {
 		name string
 		out  ChurnOutcome
 	}{
-		{"legacy", RunLegacyChurn(s)},
-		{"safe", RunSafeChurn(s)},
+		{"legacy", runChurn(s, legacyStack)},
+		{"safe", runChurn(s, safeStack())},
 	} {
 		if leg.out.Classes["delivered"] != s.Conns {
 			t.Fatalf("%s: delivered=%d of %d: %s", leg.name,

@@ -102,53 +102,61 @@ func netPayload(s NetSchedule) []byte {
 	return p
 }
 
-// netDriver walks one leg: step the simulation, apply the partition
-// schedule, accept, close the client once established, and drain the
-// server until a terminal condition. The per-stack callbacks keep the
-// two legs structurally identical.
-type netDriver struct {
-	sim        *net.Sim
-	accept     func() bool                     // try to accept; true once the server conn exists
-	cliEstab   func() bool                     // client handshake finished
-	cliClose   func()                          // close the client (FIN rides behind queued data)
-	srvRecv    func([]byte) (int, kbase.Errno) // nil-safe: EAGAIN before accept
-	cliReset   func() kbase.Errno              // client's typed reset, if any
-	retransmit func() uint64
-}
+// runNet runs one schedule on the stream stack stackOf builds on each
+// host: step the simulation, apply the partition schedule, accept,
+// close the client once established, and drain the server until a
+// terminal condition.
+func runNet(s NetSchedule, stackOf func(*net.Host) net.StreamStack) NetOutcome {
+	rec := &kbase.OopsRecorder{}
+	prev := kbase.InstallRecorder(rec)
+	defer kbase.InstallRecorder(prev)
 
-func (d *netDriver) run(s NetSchedule, payload []byte) NetOutcome {
+	sim := net.NewSim(s.Seed)
+	hA := sim.AddHost(1)
+	hB := sim.AddHost(2)
+	sim.Link(1, 2, s.Link)
+	a, b := stackOf(hA), stackOf(hB)
+	lst, _ := b.ListenStream(80)
+	cli, _ := a.DialStream(2, 80)
+	payload := netPayload(s)
+	_ = cli.Send(payload) // queued behind the handshake; delivery is what the diff checks
+
+	var srv net.Stream
 	got := make([]byte, 0, len(payload))
 	buf := make([]byte, 2048)
-	out := NetOutcome{Class: NetStalled}
-	cut, healed, closed := false, false, false
 	finish := func(class string, errno kbase.Errno, step int) NetOutcome {
-		out.Class, out.Reset, out.Steps = class, errno, step
-		out.Got = len(got)
-		out.Retransmits = d.retransmit()
+		out := NetOutcome{Class: class, Reset: errno, Got: len(got), Steps: step}
+		out.Retransmits = cli.RetransmitCount()
+		if srv != nil {
+			out.Retransmits += srv.RetransmitCount()
+		}
 		return out
 	}
+	cut, healed, closed := false, false, false
 	for step := 1; step <= s.MaxSteps; step++ {
-		now := d.sim.Clock().Now()
+		now := sim.Clock().Now()
 		if !cut && s.PartitionAt != 0 && now >= s.PartitionAt {
 			cut = true
 			if s.OneWay {
-				d.sim.PartitionOneWay(1, 2)
+				sim.PartitionOneWay(1, 2)
 			} else {
-				d.sim.Partition(1, 2)
+				sim.Partition(1, 2)
 			}
 		}
 		if cut && !healed && s.HealAt != 0 && now >= s.HealAt {
 			healed = true
-			d.sim.Heal(1, 2)
+			sim.Heal(1, 2)
 		}
-		d.sim.Step()
-		d.accept()
-		if !closed && d.cliEstab() {
-			d.cliClose()
+		sim.Step()
+		if srv == nil {
+			srv, _ = lst.AcceptStream()
+		}
+		if !closed && cli.Established() {
+			_ = cli.Close() // FIN rides behind the queued data
 			closed = true
 		}
-		for {
-			n, e := d.srvRecv(buf)
+		for srv != nil {
+			n, e := srv.Recv(buf)
 			if n > 0 {
 				got = append(got, buf[:n]...)
 				continue
@@ -167,119 +175,22 @@ func (d *netDriver) run(s NetSchedule, payload []byte) NetOutcome {
 		// The client gave up (retry exhaustion behind a partition).
 		// Once nothing is left in flight the server's world cannot
 		// change, so classify rather than spinning to the limit.
-		if errno := d.cliReset(); errno != kbase.EOK && d.sim.InFlight() == 0 {
+		if errno := cli.ResetErrno(); errno != kbase.EOK && sim.InFlight() == 0 {
 			return finish(NetReset, errno, step)
 		}
 	}
-	out.Got = len(got)
-	out.Steps = s.MaxSteps
-	out.Retransmits = d.retransmit()
-	return out
+	return finish(NetStalled, kbase.EOK, s.MaxSteps)
 }
 
-// RunLegacyNet runs one schedule through the legacy socket/TCB stack.
-func RunLegacyNet(s NetSchedule) NetOutcome {
-	rec := &kbase.OopsRecorder{}
-	prev := kbase.InstallRecorder(rec)
-	defer kbase.InstallRecorder(prev)
+// legacyStack is the legacy leg's stack builder: the host's own
+// socket/TCB layer.
+func legacyStack(h *net.Host) net.StreamStack { return h }
 
-	sim := net.NewSim(s.Seed)
-	hA := sim.AddHost(1)
-	hB := sim.AddHost(2)
-	sim.Link(1, 2, s.Link)
-	lst, _ := hB.ListenTCP(80)
-	cli, _ := hA.ConnectTCP(2, 80)
-	payload := netPayload(s)
-	_ = cli.Send(payload) // queued behind the handshake; delivery is what the diff checks
-
-	var srv *net.Socket
-	d := &netDriver{
-		sim: sim,
-		accept: func() bool {
-			if srv == nil {
-				if c, e := lst.Accept(); e == kbase.EOK {
-					srv = c
-				}
-			}
-			return srv != nil
-		},
-		cliEstab: func() bool { return cli.Established() },
-		cliClose: func() { _ = cli.Close() },
-		srvRecv: func(buf []byte) (int, kbase.Errno) {
-			if srv == nil {
-				return 0, kbase.EAGAIN
-			}
-			return srv.Recv(buf)
-		},
-		cliReset: func() kbase.Errno {
-			if tcb, ok := cli.TCPInfo(); ok {
-				return tcb.ResetErr
-			}
-			return kbase.EOK
-		},
-		retransmit: func() uint64 {
-			var n uint64
-			if tcb, ok := cli.TCPInfo(); ok {
-				n += tcb.Retransmits
-			}
-			if srv != nil {
-				if tcb, ok := srv.TCPInfo(); ok {
-					n += tcb.Retransmits
-				}
-			}
-			return n
-		},
-	}
-	return d.run(s, payload)
-}
-
-// RunSafeNet runs the same schedule through safetcp.
-func RunSafeNet(s NetSchedule) NetOutcome {
-	rec := &kbase.OopsRecorder{}
-	prev := kbase.InstallRecorder(rec)
-	defer kbase.InstallRecorder(prev)
-
-	sim := net.NewSim(s.Seed)
-	hA := sim.AddHost(1)
-	hB := sim.AddHost(2)
-	sim.Link(1, 2, s.Link)
+// safeStack returns the safe leg's stack builder: safetcp attached to
+// each host, every endpoint sharing one ownership checker.
+func safeStack() func(*net.Host) net.StreamStack {
 	ck := own.NewChecker(own.PolicyRecord)
-	epA := safetcp.Attach(hA, ck)
-	epB := safetcp.Attach(hB, ck)
-	lst, _ := epB.Listen(80)
-	cli, _ := epA.Connect(2, 80)
-	payload := netPayload(s)
-	_ = cli.Send(payload) // queued behind the handshake; delivery is what the diff checks
-
-	var srv *safetcp.Conn
-	d := &netDriver{
-		sim: sim,
-		accept: func() bool {
-			if srv == nil {
-				if c, e := lst.Accept(); e == kbase.EOK {
-					srv = c
-				}
-			}
-			return srv != nil
-		},
-		cliEstab: func() bool { return cli.Established() },
-		cliClose: func() { _ = cli.Close() },
-		srvRecv: func(buf []byte) (int, kbase.Errno) {
-			if srv == nil {
-				return 0, kbase.EAGAIN
-			}
-			return srv.Recv(buf)
-		},
-		cliReset: func() kbase.Errno { return cli.ResetErr },
-		retransmit: func() uint64 {
-			n := cli.Retransmits
-			if srv != nil {
-				n += srv.Retransmits
-			}
-			return n
-		},
-	}
-	return d.run(s, payload)
+	return func(h *net.Host) net.StreamStack { return safetcp.Attach(h, ck) }
 }
 
 // netEquivalent decides whether two outcomes agree. Classes must
@@ -310,10 +221,10 @@ func RunNetDiff(schedules []NetSchedule) NetReport {
 	}
 	for _, s := range schedules {
 		ktrace.Buffer().Reset()
-		lo := RunLegacyNet(s)
+		lo := runNet(s, legacyStack)
 		ltr := ktrace.FormatEvents(ktrace.Buffer().Last(32))
 		ktrace.Buffer().Reset()
-		so := RunSafeNet(s)
+		so := runNet(s, safeStack())
 		str := ktrace.FormatEvents(ktrace.Buffer().Last(32))
 		rep.LegacyClass[lo.Class]++
 		rep.SafeClass[so.Class]++

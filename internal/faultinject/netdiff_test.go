@@ -44,8 +44,8 @@ func TestNetDiffNoHealResetsTyped(t *testing.T) {
 		Name: "noheal", Seed: 99, Link: net.LinkParams{Delay: 1},
 		Bytes: 16384, PartitionAt: 4, MaxSteps: 120000,
 	}
-	lo := RunLegacyNet(s)
-	so := RunSafeNet(s)
+	lo := runNet(s, legacyStack)
+	so := runNet(s, safeStack())
 	if lo.Class != NetReset || so.Class != NetReset {
 		t.Fatalf("expected resets, got legacy{%s} safe{%s}", lo, so)
 	}

@@ -447,20 +447,27 @@ func (s *Socket) Close() kbase.Errno {
 
 // Established reports whether a TCP socket finished its handshake.
 func (s *Socket) Established() bool {
-	tcb, ok := s.private.(*TCB)
-	return ok && tcb.State == StateEstablished
+	t := s.tcb()
+	return t != nil && t.State == StateEstablished
 }
 
 // Closed reports whether the connection is fully shut down.
 func (s *Socket) Closed() bool {
-	tcb, ok := s.private.(*TCB)
-	return ok && tcb.State == StateClosed
+	t := s.tcb()
+	return t != nil && t.State == StateClosed
 }
 
 // TCPInfo returns the socket's TCB when this is a TCP connection —
 // the typed accessor out-of-package code should use instead of
 // downcasting Private (keeps the kerncheck anyboundary ratchet flat).
 func (s *Socket) TCPInfo() (*TCB, bool) {
-	tcb, ok := s.private.(*TCB)
-	return tcb, ok
+	t := s.tcb()
+	return t, t != nil
+}
+
+// tcb is where the socket layer's accessors read TCP state: the
+// socket's TCB, or nil when this is not a TCP socket.
+func (s *Socket) tcb() *TCB {
+	t, _ := s.private.(*TCB)
+	return t
 }

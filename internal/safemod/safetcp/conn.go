@@ -214,6 +214,12 @@ func (c *Conn) Established() bool { return c.state == Established }
 // Closed reports a fully shut-down connection.
 func (c *Conn) Closed() bool { return c.state == Closed }
 
+// ResetErrno implements net.Stream: the ResetErr field.
+func (c *Conn) ResetErrno() kbase.Errno { return c.ResetErr }
+
+// RetransmitCount implements net.Stream: the Retransmits field.
+func (c *Conn) RetransmitCount() uint64 { return c.Retransmits }
+
 // rto returns the current retransmission timeout.
 func (c *Conn) rto() uint64 {
 	if c.fixedRTO {

@@ -282,6 +282,33 @@ func (l *Listener) Accept() (*Conn, kbase.Errno) {
 	return c, kbase.EOK
 }
 
+// ListenStream implements net.StreamStack with Listen.
+func (ep *Endpoint) ListenStream(port uint16) (net.StreamListener, kbase.Errno) {
+	l, err := ep.Listen(port)
+	if err != kbase.EOK {
+		return nil, err
+	}
+	return l, kbase.EOK
+}
+
+// DialStream implements net.StreamStack with Connect.
+func (ep *Endpoint) DialStream(raddr net.Addr, rport uint16) (net.Stream, kbase.Errno) {
+	c, err := ep.Connect(raddr, rport)
+	if err != kbase.EOK {
+		return nil, err
+	}
+	return c, kbase.EOK
+}
+
+// AcceptStream implements net.StreamListener with Accept.
+func (l *Listener) AcceptStream() (net.Stream, kbase.Errno) {
+	c, err := l.Accept()
+	if err != kbase.EOK {
+		return nil, err
+	}
+	return c, kbase.EOK
+}
+
 // Close removes the listener.
 func (l *Listener) Close() kbase.Errno {
 	delete(l.ep.listeners, l.port)

@@ -7,15 +7,6 @@ import (
 	"safelinux/internal/linuxlike/net"
 )
 
-// Stream is the minimal transport surface both the legacy socket
-// layer (net.Socket) and the modular safe transport (safetcp.Conn)
-// expose — letting one workload drive either implementation, which
-// is exactly the module-replacement experiment.
-type Stream interface {
-	Send(data []byte) kbase.Errno
-	Recv(buf []byte) (int, kbase.Errno)
-}
-
 // BulkResult reports one bulk-transfer run.
 type BulkResult struct {
 	Bytes     int
@@ -25,8 +16,10 @@ type BulkResult struct {
 }
 
 // Bulk pushes size deterministic bytes from src to dst, stepping the
-// simulation, and verifies content integrity on the receive side.
-func Bulk(sim *net.Sim, src, dst Stream, size int, seed uint64, maxSteps int) BulkResult {
+// simulation, and verifies content integrity on the receive side. The
+// streams are net.Stream, so one workload drives the legacy socket
+// layer or safetcp alike: the module-replacement experiment.
+func Bulk(sim *net.Sim, src, dst net.Stream, size int, seed uint64, maxSteps int) BulkResult {
 	rng := kbase.NewRng(seed)
 	payload := make([]byte, size)
 	rng.Bytes(payload)

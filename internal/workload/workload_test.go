@@ -73,7 +73,7 @@ func TestFSWorkloadDataHeavyMovesBytes(t *testing.T) {
 }
 
 // streamPair builds a connected legacy-TCP pair.
-func streamPair(t *testing.T, seed uint64, loss float64) (*net.Sim, Stream, Stream) {
+func streamPair(t *testing.T, seed uint64, loss float64) (*net.Sim, net.Stream, net.Stream) {
 	t.Helper()
 	sim := net.NewSim(seed)
 	a := sim.AddHost(1)

@@ -271,34 +271,25 @@ func (k *Kernel) StreamRoundTrip(port uint16, payload []byte) kbase.Errno {
 			defer release()
 		}
 	}
-	if k.tcpSafe {
-		return k.roundTripSafe(port, payload)
+	a, b := k.streamStacks()
+	if a == nil {
+		return kbase.ENOTCONN
 	}
-	return k.roundTripLegacy(port, payload)
-}
-
-// roundTripStepBudget bounds how many simulator steps one round trip
-// may consume before giving up with ETIMEDOUT (a quarantined net
-// compartment drops every packet, and the interaction must fail typed,
-// not spin).
-const roundTripStepBudget = 5000
-
-func (k *Kernel) roundTripLegacy(port uint16, payload []byte) kbase.Errno {
-	ls, err := k.hostB.ListenTCP(port)
+	ls, err := b.ListenStream(port)
 	if err != kbase.EOK {
 		return err
 	}
 	defer ls.Close()
-	cl, err := k.hostA.ConnectTCP(k.hostB.Addr(), port)
+	cl, err := a.DialStream(k.hostB.Addr(), port)
 	if err != kbase.EOK {
 		return err
 	}
 	defer cl.Close()
 
-	var srv *net.Socket
+	var srv net.Stream
 	if !k.Sim.RunUntil(func() bool {
 		if srv == nil {
-			srv, _ = ls.Accept()
+			srv, _ = ls.AcceptStream()
 		}
 		return srv != nil && cl.Established()
 	}, roundTripStepBudget) {
@@ -347,69 +338,21 @@ func (k *Kernel) roundTripLegacy(port uint16, payload []byte) kbase.Errno {
 	return ioErr
 }
 
-func (k *Kernel) roundTripSafe(port uint16, payload []byte) kbase.Errno {
-	epA, epB := k.safeEPA, k.safeEPB
-	if epA == nil || epB == nil {
-		return kbase.ENOTCONN
-	}
-	ls, err := epB.Listen(port)
-	if err != kbase.EOK {
-		return err
-	}
-	defer ls.Close()
-	cl, err := epA.Connect(k.hostB.Addr(), port)
-	if err != kbase.EOK {
-		return err
-	}
-	defer cl.Close()
+// roundTripStepBudget bounds how many simulator steps one round trip
+// may consume before giving up with ETIMEDOUT (a quarantined net
+// compartment drops every packet, and the interaction must fail typed,
+// not spin).
+const roundTripStepBudget = 5000
 
-	var srv *safetcp.Conn
-	if !k.Sim.RunUntil(func() bool {
-		if srv == nil {
-			srv, _ = ls.Accept()
-		}
-		return srv != nil && cl.Established()
-	}, roundTripStepBudget) {
-		return kbase.ETIMEDOUT
+// streamStacks returns the stream stacks of host A and host B: the
+// hosts themselves on the legacy transport, the safetcp endpoints once
+// it is upgraded, or nils if the upgrade left no endpoints.
+func (k *Kernel) streamStacks() (a, b net.StreamStack) {
+	if !k.tcpSafe {
+		return k.hostA, k.hostB
 	}
-	defer srv.Close()
-	if err := cl.Send(payload); err != kbase.EOK {
-		return err
+	if k.safeEPA == nil || k.safeEPB == nil {
+		return nil, nil
 	}
-
-	buf := make([]byte, len(payload))
-	echoed, got := 0, 0
-	var ioErr kbase.Errno = kbase.EOK
-	if !k.Sim.RunUntil(func() bool {
-		for echoed < len(payload) {
-			n, e := srv.Recv(buf)
-			if e == kbase.EAGAIN || n == 0 {
-				break
-			}
-			if e != kbase.EOK {
-				ioErr = e
-				return true
-			}
-			if e := srv.Send(buf[:n]); e != kbase.EOK {
-				ioErr = e
-				return true
-			}
-			echoed += n
-		}
-		for got < len(payload) {
-			n, e := cl.Recv(buf)
-			if e == kbase.EAGAIN || n == 0 {
-				break
-			}
-			if e != kbase.EOK {
-				ioErr = e
-				return true
-			}
-			got += n
-		}
-		return got >= len(payload)
-	}, roundTripStepBudget) {
-		return kbase.ETIMEDOUT
-	}
-	return ioErr
+	return k.safeEPA, k.safeEPB
 }

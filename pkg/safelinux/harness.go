@@ -61,77 +61,6 @@ type FuzzExecConfig struct {
 	StepBudget int
 }
 
-// fuzzConn is the transport surface the harness needs from either
-// stack's connection type.
-type fuzzConn interface {
-	Send(data []byte) kbase.Errno
-	Recv(buf []byte) (int, kbase.Errno)
-	Close() kbase.Errno
-	Established() bool
-	Closed() bool
-}
-
-type legacyConn struct{ s *net.Socket }
-
-func (c legacyConn) Send(d []byte) kbase.Errno        { return c.s.Send(d) }
-func (c legacyConn) Recv(b []byte) (int, kbase.Errno) { return c.s.Recv(b) }
-func (c legacyConn) Close() kbase.Errno               { return c.s.Close() }
-func (c legacyConn) Established() bool                { return c.s.Established() }
-func (c legacyConn) Closed() bool                     { return c.s.Closed() }
-func (c legacyConn) resetErr() kbase.Errno {
-	if tcb, ok := c.s.TCPInfo(); ok {
-		return tcb.ResetErr
-	}
-	return kbase.EOK
-}
-
-type safeConn struct{ c *safetcp.Conn }
-
-func (c safeConn) Send(d []byte) kbase.Errno        { return c.c.Send(d) }
-func (c safeConn) Recv(b []byte) (int, kbase.Errno) { return c.c.Recv(b) }
-func (c safeConn) Close() kbase.Errno               { return c.c.Close() }
-func (c safeConn) Established() bool                { return c.c.Established() }
-func (c safeConn) Closed() bool                     { return c.c.Closed() }
-func (c safeConn) resetErr() kbase.Errno            { return c.c.ResetErr }
-
-func connReset(c fuzzConn) kbase.Errno {
-	switch cc := c.(type) {
-	case legacyConn:
-		return cc.resetErr()
-	case safeConn:
-		return cc.resetErr()
-	}
-	return kbase.EOK
-}
-
-// fuzzListener is the accept surface from either stack.
-type fuzzListener interface {
-	acceptOne() (fuzzConn, kbase.Errno)
-	Close() kbase.Errno
-}
-
-type legacyListener struct{ s *net.Socket }
-
-func (l legacyListener) acceptOne() (fuzzConn, kbase.Errno) {
-	c, err := l.s.Accept()
-	if err != kbase.EOK {
-		return nil, err
-	}
-	return legacyConn{c}, kbase.EOK
-}
-func (l legacyListener) Close() kbase.Errno { return l.s.Close() }
-
-type safeListener struct{ l *safetcp.Listener }
-
-func (l safeListener) acceptOne() (fuzzConn, kbase.Errno) {
-	c, err := l.l.Accept()
-	if err != kbase.EOK {
-		return nil, err
-	}
-	return safeConn{c}, kbase.EOK
-}
-func (l safeListener) Close() kbase.Errno { return l.l.Close() }
-
 // FuzzExec drives one kernel through slot-addressed operations.
 type FuzzExec struct {
 	K    *Kernel
@@ -139,8 +68,8 @@ type FuzzExec struct {
 
 	budget int
 	fds    [FuzzFDSlots]int
-	conns  [FuzzConnSlots]fuzzConn
-	lsts   [FuzzLstSlots]fuzzListener
+	conns  [FuzzConnSlots]net.Stream
+	lsts   [FuzzLstSlots]net.StreamListener
 
 	scratch *kio.Engine
 }
@@ -411,19 +340,10 @@ func (x *FuzzExec) drive(done func() bool) bool {
 // Listen opens the slot's fixed port on host B through whichever
 // stack is installed.
 func (x *FuzzExec) Listen(lslot int) FuzzResult {
-	port := FuzzPort(lslot)
-	if x.K.TCPSafe() {
-		_, epB := x.K.SafeEndpoints()
-		l, err := epB.Listen(port)
-		if err == kbase.EOK {
-			x.lsts[lslot] = safeListener{l}
-		}
-		return FuzzResult{Errno: err}
-	}
-	_, hB := x.K.Hosts()
-	s, err := hB.ListenTCP(port)
+	_, b := x.K.streamStacks()
+	l, err := b.ListenStream(FuzzPort(lslot))
 	if err == kbase.EOK {
-		x.lsts[lslot] = legacyListener{s}
+		x.lsts[lslot] = l
 	}
 	return FuzzResult{Errno: err}
 }
@@ -442,46 +362,26 @@ func (x *FuzzExec) CloseLst(lslot int) FuzzResult {
 // drives to a terminal state: established (EOK), typed refusal/reset,
 // or stall.
 func (x *FuzzExec) Connect(cslot, lslot int) FuzzResult {
-	port := FuzzPort(lslot)
-	var c fuzzConn
-	var err kbase.Errno
-	if x.K.TCPSafe() {
-		epA, _ := x.K.SafeEndpoints()
-		var sc *safetcp.Conn
-		sc, err = epA.Connect(x.hostBAddr(), port)
-		if err == kbase.EOK {
-			c = safeConn{sc}
-		}
-	} else {
-		hA, _ := x.K.Hosts()
-		var s *net.Socket
-		s, err = hA.ConnectTCP(x.hostBAddr(), port)
-		if err == kbase.EOK {
-			c = legacyConn{s}
-		}
-	}
+	a, _ := x.K.streamStacks()
+	_, hB := x.K.Hosts()
+	c, err := a.DialStream(hB.Addr(), FuzzPort(lslot))
 	if err != kbase.EOK {
 		return FuzzResult{Errno: err, Class: FuzzClassReset}
 	}
 	ok := x.drive(func() bool {
-		return c.Established() || c.Closed() || connReset(c) != kbase.EOK
+		return c.Established() || c.Closed() || c.ResetErrno() != kbase.EOK
 	})
 	if c.Established() {
 		x.conns[cslot] = c
 		return FuzzResult{Errno: kbase.EOK, Class: FuzzClassOK}
 	}
-	if e := connReset(c); e != kbase.EOK {
+	if e := c.ResetErrno(); e != kbase.EOK {
 		return FuzzResult{Errno: e, Class: FuzzClassReset}
 	}
 	if !ok {
 		return FuzzResult{Errno: kbase.ETIMEDOUT, Class: FuzzClassStall}
 	}
 	return FuzzResult{Errno: kbase.ECONNRESET, Class: FuzzClassReset}
-}
-
-func (x *FuzzExec) hostBAddr() net.Addr {
-	_, hB := x.K.Hosts()
-	return hB.Addr()
 }
 
 // Accept drives until the listener yields a connection or the network
@@ -491,15 +391,11 @@ func (x *FuzzExec) Accept(cslot, lslot int) FuzzResult {
 	if l == nil {
 		return FuzzResult{Errno: kbase.EINVAL}
 	}
-	var c fuzzConn
+	var c net.Stream
 	var lastErr kbase.Errno
 	x.drive(func() bool {
 		if c == nil {
-			cc, e := l.acceptOne()
-			lastErr = e
-			if e == kbase.EOK {
-				c = cc
-			}
+			c, lastErr = l.AcceptStream()
 		}
 		return c != nil
 	})

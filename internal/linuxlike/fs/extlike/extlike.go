@@ -600,10 +600,11 @@ func (fo *fileOps) WriteCopy(task *kbase.Task, ino *vfs.Inode, off int64, data [
 		return 0, kbase.EUCLEAN
 	}
 	n, err := fo.inst.writeFileRange(task, tok.h, tok.ei, data, off)
-	if err != kbase.EOK {
-		// A short write may have mapped new blocks before it failed:
-		// their pointers join the transaction that holds their
-		// allocation, or the next commit leaks them on disk.
+	if err != kbase.EOK && n == 0 {
+		// Nothing was written, so the write ends here; a short write
+		// ends in WriteEnd. The copy may still have mapped new blocks
+		// before it failed: their pointers join the transaction that
+		// holds their allocation, or the next commit leaks them on disk.
 		if tok.ei.di != tok.di {
 			_ = fo.inst.writeDiskInode(task, tok.h, tok.ei.ino, &tok.ei.di)
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"safelinux/internal/linuxlike/blockdev"
 	"safelinux/internal/linuxlike/fs/extlike"
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/ktrace"
@@ -154,22 +155,54 @@ func TestRangeMapperMatchesModel(t *testing.T) {
 }
 
 // TestShortWriteAtENOSPC fills the volume, frees three blocks and
-// writes seven blocks' worth into a sparse file: the write stops at
-// ENOSPC after the blocks it could map, returns that short count, and
-// those bytes read back while the rest stays a hole. The blocks it did
-// map must stay reachable: fsck finds no leak.
+// writes six blocks' worth: the write stops at ENOSPC after the blocks
+// it could map, returns that short count, and those bytes read back.
+// Into a sparse file the rest stays a hole; past EOF of an empty file
+// the size covers exactly the bytes returned. The blocks it did map
+// must stay reachable: fsck finds no leak.
 func TestShortWriteAtENOSPC(t *testing.T) {
+	t.Run("hole", func(t *testing.T) {
+		dev, v, task := volumeWithThreeFreeBlocks(t)
+		fd, err := v.Open(task, "/sparse", vfs.ORdWr|vfs.OCreate)
+		if err != kbase.EOK {
+			t.Fatalf("Open: %v", err)
+		}
+		defer v.Close(fd)
+		if err := v.Truncate(task, "/sparse", 20*testBS); err != kbase.EOK {
+			t.Fatalf("Truncate: %v", err)
+		}
+		data := patterned(6*testBS, 9)
+		n, err := v.Pwrite(task, fd, data, 100) // file blocks 0..6
+		if want := 3*testBS - 100; err != kbase.ENOSPC || n != want {
+			t.Fatalf("Pwrite over 7 blocks with 3 free = %d, %v; want %d, ENOSPC", n, err, want)
+		}
+		want := make([]byte, 20*testBS)
+		copy(want[100:], data[:n])
+		checkShortWrite(t, dev, v, task, "/sparse", fd, want)
+	})
+	t.Run("past EOF", func(t *testing.T) {
+		dev, v, task := volumeWithThreeFreeBlocks(t)
+		fd, err := v.Open(task, "/empty", vfs.ORdWr|vfs.OCreate)
+		if err != kbase.EOK {
+			t.Fatalf("Open: %v", err)
+		}
+		defer v.Close(fd)
+		data := patterned(6*testBS, 5)
+		n, err := v.Write(task, fd, data)
+		if err != kbase.ENOSPC || n != 3*testBS {
+			t.Fatalf("Write of 6 blocks with 3 free = %d, %v; want %d, ENOSPC", n, err, 3*testBS)
+		}
+		checkShortWrite(t, dev, v, task, "/empty", fd, data[:n])
+	})
+}
+
+// volumeWithThreeFreeBlocks fills a fresh volume with 8-block files,
+// one block per write, until ENOSPC, then truncates the first to five
+// blocks: three blocks are free.
+func volumeWithThreeFreeBlocks(t *testing.T) (*blockdev.Device, *vfs.VFS, *kbase.Task) {
+	t.Helper()
 	dev := newDevice(t, 256)
 	v, task := mkfsAndMount(t, dev, &extlike.FS{})
-	fd, err := v.Open(task, "/sparse", vfs.ORdWr|vfs.OCreate)
-	if err != kbase.EOK {
-		t.Fatalf("Open: %v", err)
-	}
-	defer v.Close(fd)
-	if err := v.Truncate(task, "/sparse", 20*testBS); err != kbase.EOK {
-		t.Fatalf("Truncate: %v", err)
-	}
-	// Fill with 8-block files, one block per write, until ENOSPC.
 	full := false
 	for i := 0; !full; i++ {
 		path := "/fill" + string(rune('a'+i))
@@ -189,20 +222,24 @@ func TestShortWriteAtENOSPC(t *testing.T) {
 	if err := v.Truncate(task, "/filla", 5*testBS); err != kbase.EOK {
 		t.Fatalf("Truncate(/filla): %v", err)
 	}
+	return dev, v, task
+}
 
-	data := patterned(6*testBS, 9)
-	n, err := v.Pwrite(task, fd, data, 100) // file blocks 0..6
-	if want := 3*testBS - 100; err != kbase.ENOSPC || n != want {
-		t.Fatalf("Pwrite over 7 blocks with 3 free = %d, %v; want %d, ENOSPC", n, err, want)
+// checkShortWrite requires path's size to be len(want), its bytes
+// (read through fd) to be want, and the volume to fsck clean after a
+// sync.
+func checkShortWrite(t *testing.T, dev *blockdev.Device, v *vfs.VFS, task *kbase.Task, path string, fd int, want []byte) {
+	t.Helper()
+	st, err := v.Stat(task, path)
+	if err != kbase.EOK || st.Size != int64(len(want)) {
+		t.Fatalf("Stat = size %d, %v; want %d", st.Size, err, len(want))
 	}
-	got := make([]byte, 20*testBS)
+	got := make([]byte, len(want))
 	if m, err := v.Pread(task, fd, got, 0); err != kbase.EOK || m != len(got) {
 		t.Fatalf("Pread = %d, %v", m, err)
 	}
-	want := make([]byte, 20*testBS)
-	copy(want[100:], data[:n])
 	if !bytes.Equal(got, want) {
-		t.Fatal("after the short write the file is not its written prefix over a hole")
+		t.Fatal("after the short write the file is not the bytes it returned")
 	}
 	if err := v.SyncAll(task); err != kbase.EOK {
 		t.Fatalf("SyncAll: %v", err)

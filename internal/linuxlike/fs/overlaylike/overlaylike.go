@@ -285,10 +285,13 @@ func writeThrough(task *kbase.Task, ino *vfs.Inode, data []byte, off int64) kbas
 		return err
 	}
 	n, err := ino.FileOps.WriteCopy(task, ino, off, data, private)
-	if err != kbase.EOK {
+	if err != kbase.EOK && n == 0 {
 		return err
 	}
-	return ino.FileOps.WriteEnd(task, ino, off, n, private)
+	if endErr := ino.FileOps.WriteEnd(task, ino, off, n, private); err == kbase.EOK {
+		err = endErr
+	}
+	return err
 }
 
 func (o *inodeOps) CreateTyped(task *kbase.Task, dir *vfs.Inode, name string, mode vfs.FileMode) typedapi.Result[*vfs.Inode] {

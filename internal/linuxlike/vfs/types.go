@@ -145,9 +145,13 @@ type FileOps interface {
 	// WriteBegin prepares a write of n bytes at off, returning
 	// file-system-private state that the VFS passes to WriteEnd.
 	WriteBegin(task *kbase.Task, ino *Inode, off int64, n int) (WriteState, kbase.Errno)
-	// WriteCopy transfers the payload for a prepared write.
+	// WriteCopy transfers the payload for a prepared write and returns
+	// the bytes it moved. A copy that fails having moved nothing ends
+	// the write itself; one that moved n > 0 bytes before failing
+	// leaves the write open, and the caller ends it with WriteEnd(n).
 	WriteCopy(task *kbase.Task, ino *Inode, off int64, data []byte, private WriteState) (int, kbase.Errno)
-	// WriteEnd completes the write started by WriteBegin.
+	// WriteEnd completes the write started by WriteBegin; n is the
+	// byte count WriteCopy returned, short after a failed copy.
 	WriteEnd(task *kbase.Task, ino *Inode, off int64, n int, private WriteState) kbase.Errno
 	// Fsync makes the file's data and metadata durable.
 	Fsync(task *kbase.Task, ino *Inode) kbase.Errno

@@ -522,14 +522,17 @@ func (v *VFS) writeAt(task *kbase.Task, ino *Inode, data []byte, off int64) (int
 		det.Check("vfs.write_private."+ino.Sb.FSType, private.v)
 	}
 	n, err := ino.FileOps.WriteCopy(task, ino, off, data, private)
-	if err != kbase.EOK {
-		return n, err
+	if err != kbase.EOK && n == 0 {
+		return 0, err
 	}
-	if err := ino.FileOps.WriteEnd(task, ino, off, n, private); err != kbase.EOK {
-		return n, err
+	// A short copy still ends the write with the n bytes it moved, as
+	// generic_perform_write does, so i_size covers what the write
+	// returns.
+	if endErr := ino.FileOps.WriteEnd(task, ino, off, n, private); endErr != kbase.EOK {
+		return n, endErr
 	}
 	ino.Mtime = v.clock.Advance(1)
-	return n, kbase.EOK
+	return n, err
 }
 
 // Whence values for Lseek.

@@ -151,85 +151,8 @@ func pathOf(dir *vfs.Inode, name string) (string, kbase.Errno) {
 	return sn.path + "/" + name, kbase.EOK
 }
 
-// canApply pre-validates a record against the current state without
-// mutating it — the guard that keeps the on-disk log equal to the
-// sequence of successful operations. TestApplyAgreesWithCanApply
-// pins the equivalence.
-func canApply(st *fstate, r Record) kbase.Errno {
-	switch r.Kind {
-	case OpCreate, OpMkdir:
-		if !st.dirs[parentOf(r.Path)] {
-			return kbase.ENOENT
-		}
-		if st.exists(r.Path) {
-			return kbase.EEXIST
-		}
-		return kbase.EOK
-	case OpUnlink:
-		if _, ok := st.files[r.Path]; ok {
-			return kbase.EOK
-		}
-		if st.dirs[r.Path] {
-			return kbase.EISDIR
-		}
-		return kbase.ENOENT
-	case OpRmdir:
-		if !st.dirs[r.Path] {
-			if _, isFile := st.files[r.Path]; isFile {
-				return kbase.ENOTDIR
-			}
-			return kbase.ENOENT
-		}
-		if r.Path == "" {
-			return kbase.EBUSY
-		}
-		if !st.dirEmpty(r.Path) {
-			return kbase.ENOTEMPTY
-		}
-		return kbase.EOK
-	case OpRename:
-		if r.Path == "" || r.Path2 == "" {
-			return kbase.EBUSY
-		}
-		if !st.dirs[parentOf(r.Path2)] {
-			return kbase.ENOENT
-		}
-		if _, ok := st.files[r.Path]; ok {
-			if st.dirs[r.Path2] {
-				return kbase.EISDIR
-			}
-			return kbase.EOK
-		}
-		if !st.dirs[r.Path] {
-			return kbase.ENOENT
-		}
-		if r.Path2 == r.Path {
-			// POSIX: renaming a path onto itself is a successful
-			// no-op, for directories as for files.
-			return kbase.EOK
-		}
-		if strings.HasPrefix(r.Path2, r.Path+"/") {
-			return kbase.EINVAL
-		}
-		if _, ok := st.files[r.Path2]; ok {
-			// POSIX: a directory may not replace a non-directory.
-			return kbase.ENOTDIR
-		}
-		if st.dirs[r.Path2] && !st.dirEmpty(r.Path2) {
-			return kbase.ENOTEMPTY
-		}
-		// Target absent or an empty directory: both are renameable-over.
-		return kbase.EOK
-	case OpWrite, OpTruncate:
-		if _, ok := st.files[r.Path]; !ok {
-			return kbase.ENOENT
-		}
-		return kbase.EOK
-	}
-	return kbase.ENOSYS
-}
-
-// do validates, logs, then applies one mutation. Caller holds
+// do checks, logs, then mutates: apply's two steps around the log
+// commit, so the log holds only operations that succeed. Caller holds
 // inst.mu.
 func (inst *fsInstance) do(r Record) kbase.Errno {
 	if err := canApply(inst.st, r); err != kbase.EOK {
@@ -238,10 +161,10 @@ func (inst *fsInstance) do(r Record) kbase.Errno {
 	if err := inst.store.commit(inst.st, &r); err != kbase.EOK {
 		return err
 	}
-	if err := inst.st.apply(r); err != kbase.EOK {
-		// canApply said yes, apply said no: the two diverged, which
-		// is a bug in this module, not in the caller.
-		kbase.BUG("safefs", "apply diverged from canApply on %v: %v", r.Kind, err)
+	if err := inst.st.mutate(r); err != kbase.EOK {
+		// canApply said yes, mutate said no: the record is logged
+		// but not applied, a bug in this module, not in the caller.
+		kbase.BUG("safefs", "mutate failed after canApply on %v: %v", r.Kind, err)
 	}
 	return kbase.EOK
 }

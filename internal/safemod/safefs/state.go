@@ -42,41 +42,42 @@ func parentOf(path string) string {
 	return path[:i]
 }
 
-// apply executes one record against the state. It is the single
-// transition function shared by live operation and crash recovery —
-// replay cannot diverge from execution because they are the same
-// code. Returns the errno the operation produces.
+// apply executes one record against the state: canApply's check, then
+// mutate. It is the transition function crash recovery replays the log
+// through, and live operation runs the same two steps around its log
+// commit (fsInstance.do) — replay cannot diverge from execution
+// because they are the same code. Returns the errno the operation
+// produces.
 func (st *fstate) apply(r Record) kbase.Errno {
+	if err := canApply(st, r); err != kbase.EOK {
+		return err
+	}
+	return st.mutate(r)
+}
+
+// canApply checks a record against the current state without mutating
+// it: every precondition of every operation lives here and nowhere
+// else. It is the guard that keeps the on-disk log equal to the
+// sequence of successful operations; TestApplyAgreesWithCanApply pins
+// that apply fails exactly where it does.
+func canApply(st *fstate, r Record) kbase.Errno {
 	switch r.Kind {
-	case OpCreate:
+	case OpCreate, OpMkdir:
 		if !st.dirs[parentOf(r.Path)] {
 			return kbase.ENOENT
 		}
 		if st.exists(r.Path) {
 			return kbase.EEXIST
 		}
-		st.files[r.Path] = own.New(st.checker, "safefs:"+r.Path, []byte{})
-		return kbase.EOK
-	case OpMkdir:
-		if !st.dirs[parentOf(r.Path)] {
-			return kbase.ENOENT
-		}
-		if st.exists(r.Path) {
-			return kbase.EEXIST
-		}
-		st.dirs[r.Path] = true
 		return kbase.EOK
 	case OpUnlink:
-		f, ok := st.files[r.Path]
-		if !ok {
-			if st.dirs[r.Path] {
-				return kbase.EISDIR
-			}
-			return kbase.ENOENT
+		if _, ok := st.files[r.Path]; ok {
+			return kbase.EOK
 		}
-		f.Free()
-		delete(st.files, r.Path)
-		return kbase.EOK
+		if st.dirs[r.Path] {
+			return kbase.EISDIR
+		}
+		return kbase.ENOENT
 	case OpRmdir:
 		if !st.dirs[r.Path] {
 			if _, isFile := st.files[r.Path]; isFile {
@@ -90,16 +91,66 @@ func (st *fstate) apply(r Record) kbase.Errno {
 		if !st.dirEmpty(r.Path) {
 			return kbase.ENOTEMPTY
 		}
-		delete(st.dirs, r.Path)
 		return kbase.EOK
 	case OpRename:
-		return st.rename(r.Path, r.Path2)
-	case OpWrite:
-		f, ok := st.files[r.Path]
-		if !ok {
+		if r.Path == "" || r.Path2 == "" {
+			return kbase.EBUSY
+		}
+		if !st.dirs[parentOf(r.Path2)] {
 			return kbase.ENOENT
 		}
-		ok2 := f.Use(func(data *[]byte) {
+		if _, ok := st.files[r.Path]; ok {
+			if st.dirs[r.Path2] {
+				return kbase.EISDIR
+			}
+			return kbase.EOK
+		}
+		if !st.dirs[r.Path] {
+			return kbase.ENOENT
+		}
+		if r.Path2 == r.Path {
+			// POSIX: renaming a path onto itself is a successful
+			// no-op, for directories as for files.
+			return kbase.EOK
+		}
+		if strings.HasPrefix(r.Path2, r.Path+"/") {
+			return kbase.EINVAL
+		}
+		if _, ok := st.files[r.Path2]; ok {
+			// POSIX: a directory may not replace a non-directory.
+			return kbase.ENOTDIR
+		}
+		if st.dirs[r.Path2] && !st.dirEmpty(r.Path2) {
+			return kbase.ENOTEMPTY
+		}
+		// Target absent or an empty directory: both are renameable-over.
+		return kbase.EOK
+	case OpWrite, OpTruncate:
+		if _, ok := st.files[r.Path]; !ok {
+			return kbase.ENOENT
+		}
+		return kbase.EOK
+	}
+	return kbase.ENOSYS
+}
+
+// mutate executes a record canApply accepted. Its only failure is
+// EBUSY, when the file's ownership cell is already borrowed.
+func (st *fstate) mutate(r Record) kbase.Errno {
+	switch r.Kind {
+	case OpCreate:
+		st.files[r.Path] = own.New(st.checker, "safefs:"+r.Path, []byte{})
+	case OpMkdir:
+		st.dirs[r.Path] = true
+	case OpUnlink:
+		st.files[r.Path].Free()
+		delete(st.files, r.Path)
+	case OpRmdir:
+		delete(st.dirs, r.Path)
+	case OpRename:
+		st.rename(r.Path, r.Path2)
+	case OpWrite:
+		ok := st.files[r.Path].Use(func(data *[]byte) {
 			end := r.Off + int64(len(r.Data))
 			if end > int64(len(*data)) {
 				grown := make([]byte, end)
@@ -108,16 +159,11 @@ func (st *fstate) apply(r Record) kbase.Errno {
 			}
 			copy((*data)[r.Off:], r.Data)
 		})
-		if !ok2 {
+		if !ok {
 			return kbase.EBUSY
 		}
-		return kbase.EOK
 	case OpTruncate:
-		f, ok := st.files[r.Path]
-		if !ok {
-			return kbase.ENOENT
-		}
-		ok2 := f.Use(func(data *[]byte) {
+		ok := st.files[r.Path].Use(func(data *[]byte) {
 			size := r.Off
 			switch {
 			case size < int64(len(*data)):
@@ -128,12 +174,11 @@ func (st *fstate) apply(r Record) kbase.Errno {
 				*data = grown
 			}
 		})
-		if !ok2 {
+		if !ok {
 			return kbase.EBUSY
 		}
-		return kbase.EOK
 	}
-	return kbase.ENOSYS
+	return kbase.EOK
 }
 
 func (st *fstate) exists(path string) bool {
@@ -159,54 +204,25 @@ func (st *fstate) dirEmpty(path string) bool {
 	return true
 }
 
-// rename implements the §4.4 model example: "the directory-rename
-// operation may be modeled as a relation between old and new maps in
-// which every path key with a given prefix is substituted with a new
-// prefix" — and that is literally the implementation.
-func (st *fstate) rename(old, new string) kbase.Errno {
-	if old == "" || new == "" {
-		return kbase.EBUSY
+// rename moves old to new, a move canApply accepted. It implements the
+// §4.4 model example: "the directory-rename operation may be modeled
+// as a relation between old and new maps in which every path key with
+// a given prefix is substituted with a new prefix" — and that is
+// literally the implementation.
+func (st *fstate) rename(old, new string) {
+	if new == old {
+		return // rename to self is a no-op (POSIX)
 	}
-	if !st.dirs[parentOf(new)] {
-		return kbase.ENOENT
-	}
-	if _, ok := st.files[old]; ok {
+	if f, ok := st.files[old]; ok {
 		// File rename; replaces an existing file, never a directory.
-		if st.dirs[new] {
-			return kbase.EISDIR
-		}
-		if new == old {
-			return kbase.EOK // rename to self is a no-op (POSIX)
-		}
 		if existing, ok := st.files[new]; ok {
 			existing.Free()
-			delete(st.files, new)
 		}
-		st.files[new] = st.files[old]
+		st.files[new] = f
 		delete(st.files, old)
-		return kbase.EOK
+		return
 	}
-	if !st.dirs[old] {
-		return kbase.ENOENT
-	}
-	if new == old {
-		return kbase.EOK // rename to self is a no-op (POSIX)
-	}
-	// Directory rename: moving a directory under itself is invalid;
-	// the target may not be a file (ENOTDIR) and may be replaced only
-	// if it is an empty directory (else ENOTEMPTY) — POSIX rename(2).
-	if strings.HasPrefix(new, old+"/") {
-		return kbase.EINVAL
-	}
-	if _, ok := st.files[new]; ok {
-		return kbase.ENOTDIR
-	}
-	if st.dirs[new] {
-		if !st.dirEmpty(new) {
-			return kbase.ENOTEMPTY
-		}
-		delete(st.dirs, new) // empty target replaced by the move
-	}
+	delete(st.dirs, new) // an empty target directory is replaced by the move
 	oldPrefix := old + "/"
 	// Substitute the prefix on every key.
 	for d := range st.dirs {
@@ -228,7 +244,6 @@ func (st *fstate) rename(old, new string) kbase.Errno {
 	for f, v := range moved {
 		st.files[f] = v
 	}
-	return kbase.EOK
 }
 
 // readFile copies file bytes at off into buf, returning bytes copied.

@@ -95,7 +95,8 @@ bench-swap:
 # on both module stacks, failing on any divergence/oops/ownership
 # violation or if coverage drops below the frozen floor. The library-
 # level equivalents (campaign determinism, corpus replay) also run
-# under -race in `make test`. See DESIGN.md "Fuzzing".
+# under -race in `make test`. See DESIGN.md "Fuzzing". It takes under a
+# second, so `make check` runs it too.
 fuzz-smoke:
 	$(GO) run ./cmd/kfuzz -smoke
 
@@ -153,4 +154,4 @@ bench-fuzz:
 panic-storm:
 	$(GO) test -race -run 'TestPanicStormConvergence|TestGateStress|TestFaultInOneCompartmentLeavesOthersServing|TestBufRestartKeepsCommittedMetadata|TestSwapUnderConcurrentLoadZeroDrops|TestFaultInSwapDrainWaitsForOwner' -count 20 ./pkg/safelinux/ ./internal/safety/compartment/
 
-check: fmt-check build vet kbench-vet lint test
+check: fmt-check build vet kbench-vet lint fuzz-smoke test

@@ -6,11 +6,10 @@ import (
 	"testing"
 )
 
-// Outcome hashes of both sweeps, recorded before the two TCP stacks'
-// drivers were folded into one. The sweep tests check only that
-// the legs agree, so a refactor that moved both legs the same way
-// would pass them; these pin every leg's outcome. A change that alters
-// protocol behaviour on purpose re-records them and says so.
+// Outcome hashes of both sweeps. The sweep tests check only that the
+// legs agree, so a change that moved both legs the same way would pass
+// them; these pin every leg's outcome. A change that alters protocol
+// behaviour on purpose re-records them and says so.
 const (
 	netSweepOutcomeHash   = 0x77cc2b035a5a58fb
 	churnSweepOutcomeHash = 0x2a615f3dca35cab5

@@ -272,9 +272,6 @@ func (k *Kernel) StreamRoundTrip(port uint16, payload []byte) kbase.Errno {
 		}
 	}
 	a, b := k.streamStacks()
-	if a == nil {
-		return kbase.ENOTCONN
-	}
 	ls, err := b.ListenStream(port)
 	if err != kbase.EOK {
 		return err
@@ -345,14 +342,11 @@ func (k *Kernel) StreamRoundTrip(port uint16, payload []byte) kbase.Errno {
 const roundTripStepBudget = 5000
 
 // streamStacks returns the stream stacks of host A and host B: the
-// hosts themselves on the legacy transport, the safetcp endpoints once
-// it is upgraded, or nils if the upgrade left no endpoints.
+// safetcp endpoints once the transport is upgraded (they are attached
+// before tcpSafe is set), the hosts themselves before.
 func (k *Kernel) streamStacks() (a, b net.StreamStack) {
-	if !k.tcpSafe {
-		return k.hostA, k.hostB
+	if k.tcpSafe {
+		return k.safeEPA, k.safeEPB
 	}
-	if k.safeEPA == nil || k.safeEPB == nil {
-		return nil, nil
-	}
-	return k.safeEPA, k.safeEPB
+	return k.hostA, k.hostB
 }

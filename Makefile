@@ -44,7 +44,8 @@ race:
 	$(GO) test -race ./...
 
 # One iteration of every benchmark: catches bit-rot in bench code
-# without paying for real measurement runs.
+# without paying for real measurement runs. About 20 s with
+# compilation on a 2-vCPU host, so `make check` runs it too.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
@@ -154,4 +155,4 @@ bench-fuzz:
 panic-storm:
 	$(GO) test -race -run 'TestPanicStormConvergence|TestGateStress|TestFaultInOneCompartmentLeavesOthersServing|TestBufRestartKeepsCommittedMetadata|TestSwapUnderConcurrentLoadZeroDrops|TestFaultInSwapDrainWaitsForOwner' -count 20 ./pkg/safelinux/ ./internal/safety/compartment/
 
-check: fmt-check build vet kbench-vet lint fuzz-smoke test
+check: fmt-check build vet kbench-vet lint fuzz-smoke test bench-smoke

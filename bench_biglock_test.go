@@ -61,7 +61,7 @@ func BenchmarkBufcacheParallelGetBigLock(b *testing.B) {
 func BenchmarkFSLegacyParallelBigLock(b *testing.B) {
 	prevLV := kbase.SetLockValidation(false)
 	b.Cleanup(func() { kbase.SetLockValidation(prevLV) })
-	v, setupTask := fsBenchSetup(b, "extlike")
+	v, setupTask, _ := fsBenchSetup(b, "extlike")
 
 	payload := make([]byte, 2048)
 	for i := range payload {

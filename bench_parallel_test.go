@@ -32,7 +32,7 @@ const parallelWorkerSlots = 64
 func benchFSParallel(b *testing.B, fsName string) {
 	prevLV := kbase.SetLockValidation(false)
 	b.Cleanup(func() { kbase.SetLockValidation(prevLV) })
-	v, setupTask := fsBenchSetup(b, fsName)
+	v, setupTask, _ := fsBenchSetup(b, fsName)
 
 	payload := make([]byte, 2048)
 	for i := range payload {

@@ -21,6 +21,7 @@ import (
 	"safelinux/internal/linuxlike/ebpflike"
 	"safelinux/internal/linuxlike/fs/extlike"
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/linuxlike/ktrace"
 	"safelinux/internal/linuxlike/net"
 	"safelinux/internal/linuxlike/vfs"
 	"safelinux/internal/safemod/safefs"
@@ -252,7 +253,7 @@ func BenchmarkModuleInterfaceCallCachedLookup(b *testing.B) {
 
 // --- §4.3/§2: legacy vs safe file system under real workloads ---
 
-func fsBenchSetup(b *testing.B, fsName string) (*vfs.VFS, *kbase.Task) {
+func fsBenchSetup(b *testing.B, fsName string) (*vfs.VFS, *kbase.Task, *blockdev.Device) {
 	b.Helper()
 	rec := &kbase.OopsRecorder{}
 	prev := kbase.InstallRecorder(rec)
@@ -265,7 +266,9 @@ func fsBenchSetup(b *testing.B, fsName string) (*vfs.VFS, *kbase.Task) {
 		if _, err := extlike.Mkfs(dev, extlike.MkfsOptions{}); err.IsError() {
 			b.Fatalf("mkfs: %v", err)
 		}
-		v.RegisterFS(&extlike.FS{})
+		if err := v.RegisterFS(&extlike.FS{}); err.IsError() {
+			b.Fatalf("register: %v", err)
+		}
 		if err := v.Mount(task, "/", "extlike", vfs.NewMountData(&extlike.MountData{Dev: dev})); err.IsError() {
 			b.Fatalf("mount: %v", err)
 		}
@@ -273,16 +276,25 @@ func fsBenchSetup(b *testing.B, fsName string) (*vfs.VFS, *kbase.Task) {
 		if err := safefs.Format(dev); err.IsError() {
 			b.Fatalf("format: %v", err)
 		}
-		v.RegisterFS(&safefs.FS{SyncOnCommit: true})
+		if err := v.RegisterFS(&safefs.FS{SyncOnCommit: true}); err.IsError() {
+			b.Fatalf("register: %v", err)
+		}
 		if err := v.Mount(task, "/", "safefs", vfs.NewMountData(&safefs.MountData{Disk: dev})); err.IsError() {
 			b.Fatalf("mount: %v", err)
 		}
 	}
-	return v, task
+	return v, task, dev
 }
 
+// benchFS runs the op mix on a fresh volume and reports, beside the
+// wall time, the device reads and writes each op costs: the
+// architecture-level price of the file system's design.
 func benchFS(b *testing.B, fsName string, mix workload.FSMix) {
-	v, task := fsBenchSetup(b, fsName)
+	v, task, dev := fsBenchSetup(b, fsName)
+	devOps := func() (reads, writes uint64) {
+		return ktrace.Read(dev.CollectMetrics, "reads"), ktrace.Read(dev.CollectMetrics, "writes")
+	}
+	reads0, writes0 := devOps()
 	b.ResetTimer()
 	done := 0
 	for done < b.N {
@@ -294,6 +306,10 @@ func benchFS(b *testing.B, fsName string, mix workload.FSMix) {
 		w.Run(v, task)
 		done += chunk
 	}
+	b.StopTimer()
+	reads, writes := devOps()
+	b.ReportMetric(float64(reads-reads0)/float64(b.N), "dev-reads/op")
+	b.ReportMetric(float64(writes-writes0)/float64(b.N), "dev-writes/op")
 }
 
 func BenchmarkFSLegacyDataHeavy(b *testing.B)     { benchFS(b, "extlike", workload.DataHeavyMix()) }
@@ -303,58 +319,41 @@ func BenchmarkFSSafeMetadataHeavy(b *testing.B)   { benchFS(b, "safefs", workloa
 
 // --- legacy vs safe transport: bulk throughput in simulation steps ---
 
-func BenchmarkTCPLegacyBulk(b *testing.B) {
-	rec := &kbase.OopsRecorder{}
-	prev := kbase.InstallRecorder(rec)
-	defer kbase.InstallRecorder(prev)
-	for i := 0; i < b.N; i++ {
-		sim := net.NewSim(uint64(i + 1))
-		ha := sim.AddHost(1)
-		hb := sim.AddHost(2)
-		sim.Link(1, 2, net.LinkParams{Delay: 1, LossProb: 0.02})
-		l, _ := hb.ListenTCP(80)
-		c, _ := ha.ConnectTCP(2, 80)
-		var srv *net.Socket
-		sim.RunUntil(func() bool {
-			if srv == nil {
-				if s, e := l.Accept(); e == kbase.EOK {
-					srv = s
+// BenchmarkTCPBulk moves 64 KiB over a 2%-loss link per op, once per
+// stack: the legacy socket layer, and safetcp attached through the
+// modular interface.
+func BenchmarkTCPBulk(b *testing.B) {
+	for _, st := range []struct {
+		name string
+		on   func(*net.Host) net.StreamStack
+	}{
+		{"legacy", func(h *net.Host) net.StreamStack { return h }},
+		{"safe", func(h *net.Host) net.StreamStack { return safetcp.Attach(h, nil) }},
+	} {
+		b.Run(st.name, func(b *testing.B) {
+			rec := &kbase.OopsRecorder{}
+			prev := kbase.InstallRecorder(rec)
+			defer kbase.InstallRecorder(prev)
+			b.SetBytes(65536)
+			for i := 0; i < b.N; i++ {
+				sim := net.NewSim(uint64(i + 1))
+				ha, hb := sim.AddHost(1), sim.AddHost(2)
+				sim.Link(1, 2, net.LinkParams{Delay: 1, LossProb: 0.02})
+				client, server := st.on(ha), st.on(hb)
+				lst, _ := server.ListenStream(80)
+				c, _ := client.DialStream(2, 80)
+				var srv net.Stream
+				sim.RunUntil(func() bool {
+					if srv == nil {
+						srv, _ = lst.AcceptStream()
+					}
+					return srv != nil && c.Established()
+				}, 5000)
+				if res := workload.Bulk(sim, c, srv, 65536, 1, 200_000); !res.Integrity {
+					b.Fatal("corrupted transfer")
 				}
 			}
-			return srv != nil && c.Established()
-		}, 5000)
-		res := workload.Bulk(sim, c, srv, 65536, 1, 200_000)
-		if !res.Integrity {
-			b.Fatal("corrupted transfer")
-		}
-		b.SetBytes(65536)
-	}
-}
-
-func BenchmarkTCPSafeBulk(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sim := net.NewSim(uint64(i + 1))
-		ha := sim.AddHost(1)
-		hb := sim.AddHost(2)
-		sim.Link(1, 2, net.LinkParams{Delay: 1, LossProb: 0.02})
-		epA := safetcp.Attach(ha, nil)
-		epB := safetcp.Attach(hb, nil)
-		l, _ := epB.Listen(80)
-		c, _ := epA.Connect(2, 80)
-		var srv *safetcp.Conn
-		sim.RunUntil(func() bool {
-			if srv == nil {
-				if s, e := l.Accept(); e == kbase.EOK {
-					srv = s
-				}
-			}
-			return srv != nil && c.Established()
-		}, 5000)
-		res := workload.Bulk(sim, c, srv, 65536, 1, 200_000)
-		if !res.Integrity {
-			b.Fatal("corrupted transfer")
-		}
-		b.SetBytes(65536)
+		})
 	}
 }
 

@@ -11,13 +11,6 @@ func (pa *PortAlloc) InUse(port uint16) bool {
 	return pa.refs[port-EphemeralBase] > 0
 }
 
-// ConnCount returns the number of live TCP connections in the demux
-// table.
-func (h *Host) ConnCount() int { return h.demux.Len() }
-
-// FreePorts returns how many ephemeral ports remain.
-func (h *Host) FreePorts() int { return h.ports.Free() }
-
 // BindUDP creates a datagram socket on port (0 = ephemeral).
 func (h *Host) BindUDP(port uint16) (*Socket, kbase.Errno) {
 	if port == 0 {

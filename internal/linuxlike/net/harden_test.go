@@ -48,18 +48,23 @@ func TestDuplicateSegmentReAcks(t *testing.T) {
 	}
 	stcb := srv.private.(*TCB)
 	// Replay an already-consumed (duplicate) data segment straight
-	// into the server TCB and check an ACK goes on the wire.
+	// into the server TCB: an ACK goes on the wire, and neither
+	// rcvNext nor the receive buffer moves.
 	before := sim.Stats().Sent
+	rcvNext := stcb.rcvNext
 	stcb.handle(tcpSegment{
 		SrcPort: c.LocalPort, DstPort: srv.LocalPort,
-		Seq: stcb.rcvNext - 5, Ack: stcb.sendNext, Flags: FlagACK,
+		Seq: rcvNext - 5, Ack: stcb.sendNext, Flags: FlagACK,
 		Wnd: 0xFFFF, Payload: []byte("hello"),
 	})
 	if sim.Stats().Sent != before+1 {
 		t.Fatalf("duplicate segment not re-ACKed: sent %d -> %d", before, sim.Stats().Sent)
 	}
-	if stcb.rcvNext != stcb.rcvNext { // no advance happened implicitly
-		t.Fatal("unreachable")
+	if stcb.rcvNext != rcvNext {
+		t.Fatalf("duplicate segment advanced rcvNext by %d", stcb.rcvNext-rcvNext)
+	}
+	if n := srv.BufferedRecv(); n != 0 {
+		t.Fatalf("duplicate segment buffered %d bytes", n)
 	}
 }
 
@@ -167,18 +172,6 @@ func TestOldAckIgnored(t *testing.T) {
 	}
 }
 
-func TestTransferWithReorderJitterBeyondRTO(t *testing.T) {
-	// Jitter larger than the adaptive RTO forces real reordering:
-	// old ACKs arrive after newer ones, and data segments swap.
-	sim, a, b := pair(t, 25, LinkParams{Delay: 1, ReorderJitter: 40})
-	c, srv := connectPair(t, sim, a, b, 80)
-	payload := patterned(16384, 7)
-	got := sendAll(t, sim, c, srv, payload, 60000)
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("reordered transfer corrupted: %d/%d bytes", len(got), len(payload))
-	}
-}
-
 // --- Satellite 4: transmit errors surface through stats instead of
 // vanishing. ---
 
@@ -226,29 +219,6 @@ func TestSimultaneousClose(t *testing.T) {
 	}
 }
 
-func TestFinRetransmissionAfterLoss(t *testing.T) {
-	sim, a, b := pair(t, 28, LinkParams{Delay: 1, LossProb: 0.4})
-	c, srv := connectPair(t, sim, a, b, 80)
-	c.Send([]byte("last words"))
-	c.Close()
-	buf := make([]byte, 64)
-	var got []byte
-	var eof bool
-	ok := sim.RunUntil(func() bool {
-		n, e := srv.Recv(buf)
-		if n > 0 {
-			got = append(got, buf[:n]...)
-		} else if e == kbase.EOK && len(got) == 10 {
-			eof = true
-			srv.Close()
-		}
-		return eof && srv.Closed()
-	}, 60000)
-	if !ok || string(got) != "last words" {
-		t.Fatalf("close under loss: got=%q ok=%v c=%s srv=%s", got, ok, c.State(), srv.State())
-	}
-}
-
 func TestRecvAfterFinDrainsBufferedData(t *testing.T) {
 	sim, a, b := pair(t, 29, LinkParams{Delay: 1})
 	c, srv := connectPair(t, sim, a, b, 80)
@@ -276,28 +246,6 @@ func TestRecvAfterFinDrainsBufferedData(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("buffered data truncated at FIN: %d/%d", len(got), len(payload))
 	}
-}
-
-func TestResetOnRetryExhaustion(t *testing.T) {
-	sim, a, b := pair(t, 30, LinkParams{Delay: 1})
-	c, srv := connectPair(t, sim, a, b, 80)
-	sim.Partition(a.Addr(), b.Addr())
-	c.Send([]byte("doomed"))
-	ok := sim.RunUntil(func() bool { return c.Closed() }, 100000)
-	if !ok {
-		t.Fatalf("partitioned sender never gave up: %s", c.State())
-	}
-	ctcb := c.private.(*TCB)
-	if ctcb.ResetErr != kbase.ETIMEDOUT {
-		t.Fatalf("ResetErr = %v, want ETIMEDOUT", ctcb.ResetErr)
-	}
-	if err := c.Send([]byte("x")); err != kbase.ETIMEDOUT {
-		t.Fatalf("send after timeout reset: %v", err)
-	}
-	if _, err := c.Recv(make([]byte, 8)); err != kbase.ETIMEDOUT {
-		t.Fatalf("recv after timeout reset: %v", err)
-	}
-	_ = srv
 }
 
 func TestPeerResetSurfacesAfterDrain(t *testing.T) {
@@ -365,38 +313,6 @@ func TestTimeWaitAbsorbsLostFinalAck(t *testing.T) {
 
 // --- Flow control. ---
 
-func TestReceiveWindowBackpressure(t *testing.T) {
-	sim := NewSim(34)
-	a := sim.AddHost(1)
-	b := sim.AddHost(2)
-	b.SetTCPTuning(TCPTuning{RecvWindow: 1024})
-	sim.Link(1, 2, LinkParams{Delay: 1})
-	c, srv := connectPair(t, sim, a, b, 80)
-	payload := patterned(10000, 11)
-	c.Send(payload)
-	// Receiver does not read: the sender must stall near the window.
-	sim.Run(2000)
-	if buffered := srv.BufferedRecv(); buffered > 1024+MSS {
-		t.Fatalf("sender overran the receive window: %d bytes buffered", buffered)
-	}
-	ctcb := c.private.(*TCB)
-	if len(ctcb.sendBuf) == 0 {
-		t.Fatalf("sender drained its buffer through a closed window")
-	}
-	// Now the reader wakes up; the transfer completes.
-	var got []byte
-	buf := make([]byte, 512)
-	ok := sim.RunUntil(func() bool {
-		if n, _ := srv.Recv(buf); n > 0 {
-			got = append(got, buf[:n]...)
-		}
-		return len(got) >= len(payload)
-	}, 60000)
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("windowed transfer: %d/%d ok=%v", len(got), len(payload), ok)
-	}
-}
-
 func TestZeroWindowProbe(t *testing.T) {
 	sim := NewSim(35)
 	a := sim.AddHost(1)
@@ -425,41 +341,6 @@ func TestZeroWindowProbe(t *testing.T) {
 }
 
 // --- Adversarial links. ---
-
-func TestTransferSurvivesCorruption(t *testing.T) {
-	sim, a, b := pair(t, 36, LinkParams{Delay: 1, CorruptProb: 0.15})
-	c, srv := connectPair(t, sim, a, b, 80)
-	payload := patterned(12000, 17)
-	got := sendAll(t, sim, c, srv, payload, 120000)
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("corruption leaked into the stream: %d/%d", len(got), len(payload))
-	}
-	if sim.Stats().Corrupted == 0 {
-		t.Fatalf("corruption model inert")
-	}
-}
-
-func TestPartitionHealRecovers(t *testing.T) {
-	sim, a, b := pair(t, 37, LinkParams{Delay: 1})
-	c, srv := connectPair(t, sim, a, b, 80)
-	payload := patterned(6000, 19)
-	c.Send(payload)
-	sim.Run(5)
-	sim.Partition(a.Addr(), b.Addr())
-	sim.Run(60) // outage shorter than retry exhaustion
-	sim.Heal(a.Addr(), b.Addr())
-	var got []byte
-	buf := make([]byte, 512)
-	ok := sim.RunUntil(func() bool {
-		if n, _ := srv.Recv(buf); n > 0 {
-			got = append(got, buf[:n]...)
-		}
-		return len(got) >= len(payload)
-	}, 60000)
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("healed transfer: %d/%d ok=%v", len(got), len(payload), ok)
-	}
-}
 
 func TestOneWayPartition(t *testing.T) {
 	sim, a, b := pair(t, 38, LinkParams{Delay: 1})

@@ -150,6 +150,8 @@ func (h *Host) CollectMetrics(emit func(name string, value uint64)) {
 	emit("no_socket", h.stats.NoSocket)
 	emit("tx_errors", h.stats.TxErrors)
 	emit("contained", h.stats.Contained)
+	emit("conns", uint64(h.demux.Len()))
+	emit("free_ports", uint64(h.ports.Free()))
 }
 
 // SetTCPTuning installs tuning applied to subsequently created TCBs.

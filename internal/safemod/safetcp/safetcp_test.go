@@ -122,102 +122,17 @@ func TestSegmentPropertyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHandshakeAndTransfer(t *testing.T) {
-	sim, a, b := pair(t, 1, net.LinkParams{Delay: 1})
-	c, srv := connect(t, sim, a, b, 80)
-	payload := make([]byte, 10000)
-	for i := range payload {
-		payload[i] = byte(i * 13)
-	}
-	if err := c.Send(payload); err != kbase.EOK {
-		t.Fatalf("Send: %v", err)
-	}
-	var got []byte
-	buf := make([]byte, 1024)
-	ok := sim.RunUntil(func() bool {
-		for {
-			n, _ := srv.Recv(buf)
-			if n == 0 {
-				break
-			}
-			got = append(got, buf[:n]...)
-		}
-		return len(got) >= len(payload)
-	}, 20000)
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("transfer: got %d/%d", len(got), len(payload))
-	}
-}
-
-func TestTransferUnderLoss(t *testing.T) {
-	sim, a, b := pair(t, 2, net.LinkParams{Delay: 1, LossProb: 0.15, DupProb: 0.05, ReorderJitter: 4})
-	c, srv := connect(t, sim, a, b, 80)
-	payload := make([]byte, 20000)
-	for i := range payload {
-		payload[i] = byte(i*7 + 1)
-	}
-	c.Send(payload)
-	var got []byte
-	buf := make([]byte, 2048)
-	ok := sim.RunUntil(func() bool {
-		for {
-			n, _ := srv.Recv(buf)
-			if n == 0 {
-				break
-			}
-			got = append(got, buf[:n]...)
-		}
-		return len(got) >= len(payload)
-	}, 60000)
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("lossy transfer: got %d/%d", len(got), len(payload))
-	}
-	if c.Retransmits == 0 {
-		t.Fatalf("loss never triggered retransmission")
-	}
-	// Ownership ledger must be clean despite loss/dup/reorder.
-	if n := a.Checker().Count(); n != 0 {
-		t.Fatalf("ownership violations: %v", a.Checker().Violations())
-	}
-}
-
-func TestOrderlyCloseAndEOF(t *testing.T) {
-	sim, a, b := pair(t, 3, net.LinkParams{Delay: 1})
-	c, srv := connect(t, sim, a, b, 80)
-	c.Send([]byte("bye"))
-	c.Close()
-	buf := make([]byte, 64)
-	var got []byte
-	eof := false
-	sim.RunUntil(func() bool {
-		n, e := srv.Recv(buf)
-		if n > 0 {
-			got = append(got, buf[:n]...)
-		} else if e == kbase.EOK && len(got) == 3 {
-			eof = true
-		}
-		return eof
-	}, 5000)
-	if string(got) != "bye" || !eof {
-		t.Fatalf("close: got %q eof=%v", got, eof)
-	}
-	srv.Close()
-	if !sim.RunUntil(func() bool { return c.Closed() && srv.Closed() }, 5000) {
-		t.Fatalf("shutdown stalled: c=%s srv=%s", c.State(), srv.State())
-	}
-	if err := c.Send([]byte("x")); err != kbase.ENOTCONN && err != kbase.EPIPE {
-		t.Fatalf("send after close: %v", err)
-	}
-}
-
+// TestConnectRefusedTimesOut checks the reason the connection records
+// when its SYN goes unanswered; faultinject's TestStreamConnectClosedPort
+// checks the typed errno on both stacks.
 func TestConnectRefusedTimesOut(t *testing.T) {
 	sim, a, _ := pair(t, 4, net.LinkParams{Delay: 1})
 	c, _ := a.Connect(2, 9999)
-	if !sim.RunUntil(func() bool { return c.Closed() }, 100000) {
+	if !sim.RunUntil(c.Closed, 100000) {
 		t.Fatalf("orphan SYN never gave up: %s", c.State())
 	}
-	if c.ResetReason == "" {
-		t.Fatalf("no reset reason")
+	if c.ResetReason != "retransmission limit" {
+		t.Fatalf("reset reason %q", c.ResetReason)
 	}
 }
 
@@ -275,69 +190,6 @@ func TestGarbageSegmentsCounted(t *testing.T) {
 	}
 }
 
-func TestListenConflictAndClose(t *testing.T) {
-	_, a, _ := pair(t, 8, net.LinkParams{Delay: 1})
-	l, err := a.Listen(80)
-	if err != kbase.EOK {
-		t.Fatalf("Listen: %v", err)
-	}
-	if _, err := a.Listen(80); err != kbase.EEXIST {
-		t.Fatalf("dup listen: %v", err)
-	}
-	l.Close()
-	if _, err := a.Listen(80); err != kbase.EOK {
-		t.Fatalf("relisten: %v", err)
-	}
-}
-
-func TestMultipleConnections(t *testing.T) {
-	sim, a, b := pair(t, 9, net.LinkParams{Delay: 1, LossProb: 0.05})
-	l, _ := b.Listen(80)
-	const N = 4
-	var clients [N]*Conn
-	for i := range clients {
-		clients[i], _ = a.Connect(2, 80)
-	}
-	var servers []*Conn
-	ok := sim.RunUntil(func() bool {
-		for {
-			s, e := l.Accept()
-			if e != kbase.EOK {
-				break
-			}
-			servers = append(servers, s)
-		}
-		if len(servers) < N {
-			return false
-		}
-		for _, c := range clients {
-			if !c.Established() {
-				return false
-			}
-		}
-		return true
-	}, 30000)
-	if !ok {
-		t.Fatalf("connections: %d/%d", len(servers), N)
-	}
-	for i, c := range clients {
-		c.Send([]byte{byte(i + 1)})
-	}
-	seen := map[byte]bool{}
-	sim.RunUntil(func() bool {
-		for _, s := range servers {
-			buf := make([]byte, 4)
-			if n, _ := s.Recv(buf); n > 0 {
-				seen[buf[0]] = true
-			}
-		}
-		return len(seen) == N
-	}, 30000)
-	if len(seen) != N {
-		t.Fatalf("delivery map: %v", seen)
-	}
-}
-
 func TestModuleMetadata(t *testing.T) {
 	m := Module{}
 	if m.ModuleName() != "safetcp" || m.Implements().Name != IfaceName {
@@ -349,54 +201,5 @@ func TestModuleMetadata(t *testing.T) {
 	lm := LegacyModule{}
 	if lm.Level().String() != "legacy" || lm.Implements().Name != IfaceName {
 		t.Fatalf("legacy metadata wrong")
-	}
-}
-
-// Property: stream integrity under loss for arbitrary payloads.
-func TestStreamIntegrityProperty(t *testing.T) {
-	f := func(seed uint64, data []byte) bool {
-		if len(data) == 0 {
-			return true
-		}
-		if len(data) > 4096 {
-			data = data[:4096]
-		}
-		sim := net.NewSim(seed)
-		ha := sim.AddHost(1)
-		hb := sim.AddHost(2)
-		sim.Link(1, 2, net.LinkParams{Delay: 1, LossProb: 0.1, ReorderJitter: 3})
-		a := Attach(ha, nil)
-		b := Attach(hb, nil)
-		l, _ := b.Listen(80)
-		c, _ := a.Connect(2, 80)
-		var srv *Conn
-		sim.RunUntil(func() bool {
-			if srv == nil {
-				if s, e := l.Accept(); e == kbase.EOK {
-					srv = s
-				}
-			}
-			return srv != nil && c.Established()
-		}, 5000)
-		if srv == nil {
-			return false
-		}
-		c.Send(data)
-		var got []byte
-		buf := make([]byte, 512)
-		sim.RunUntil(func() bool {
-			for {
-				n, _ := srv.Recv(buf)
-				if n == 0 {
-					break
-				}
-				got = append(got, buf[:n]...)
-			}
-			return len(got) >= len(data)
-		}, 40000)
-		return bytes.Equal(got, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
 	}
 }

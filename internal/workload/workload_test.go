@@ -72,61 +72,40 @@ func TestFSWorkloadDataHeavyMovesBytes(t *testing.T) {
 	}
 }
 
-// streamPair builds a connected legacy-TCP pair.
-func streamPair(t *testing.T, seed uint64, loss float64) (*net.Sim, net.Stream, net.Stream) {
-	t.Helper()
-	sim := net.NewSim(seed)
-	a := sim.AddHost(1)
-	b := sim.AddHost(2)
-	sim.Link(1, 2, net.LinkParams{Delay: 1, LossProb: loss})
-	l, _ := b.ListenTCP(80)
-	c, _ := a.ConnectTCP(2, 80)
-	var srv *net.Socket
-	if !sim.RunUntil(func() bool {
-		if srv == nil {
-			if s, e := l.Accept(); e == kbase.EOK {
-				srv = s
-			}
-		}
-		return srv != nil && c.Established()
-	}, 5000) {
-		t.Fatalf("handshake stalled")
-	}
-	return sim, c, srv
+// stacks builds each TCP stack on a host: the legacy socket layer, or
+// safetcp attached through the modular interface.
+var stacks = []struct {
+	name string
+	on   func(*net.Host) net.StreamStack
+}{
+	{"legacy", func(h *net.Host) net.StreamStack { return h }},
+	{"safe", func(h *net.Host) net.StreamStack { return safetcp.Attach(h, nil) }},
 }
 
-func TestBulkLegacy(t *testing.T) {
-	sim, c, srv := streamPair(t, 1, 0.05)
-	res := Bulk(sim, c, srv, 30000, 7, 100000)
-	if !res.OK || !res.Integrity || res.Bytes != 30000 {
-		t.Fatalf("bulk = %+v", res)
-	}
-}
-
-// TestBulkSafeTCP drives the same workload over the modular safe
-// transport — the module-swap experiment in miniature.
-func TestBulkSafeTCP(t *testing.T) {
-	sim := net.NewSim(3)
-	ha := sim.AddHost(1)
-	hb := sim.AddHost(2)
-	sim.Link(1, 2, net.LinkParams{Delay: 1, LossProb: 0.05})
-	a := safetcp.Attach(ha, nil)
-	b := safetcp.Attach(hb, nil)
-	l, _ := b.Listen(80)
-	c, _ := a.Connect(2, 80)
-	var srv *safetcp.Conn
-	if !sim.RunUntil(func() bool {
-		if srv == nil {
-			if s, e := l.Accept(); e == kbase.EOK {
-				srv = s
+// TestBulk drives the same workload over either transport: the
+// module-swap experiment in miniature.
+func TestBulk(t *testing.T) {
+	for _, st := range stacks {
+		t.Run(st.name, func(t *testing.T) {
+			sim := net.NewSim(1)
+			ha, hb := sim.AddHost(1), sim.AddHost(2)
+			sim.Link(1, 2, net.LinkParams{Delay: 1, LossProb: 0.05})
+			a, b := st.on(ha), st.on(hb)
+			l, _ := b.ListenStream(80)
+			c, _ := a.DialStream(2, 80)
+			var srv net.Stream
+			if !sim.RunUntil(func() bool {
+				if srv == nil {
+					srv, _ = l.AcceptStream()
+				}
+				return srv != nil && c.Established()
+			}, 5000) {
+				t.Fatalf("handshake stalled")
 			}
-		}
-		return srv != nil && c.Established()
-	}, 5000) {
-		t.Fatalf("handshake stalled")
-	}
-	res := Bulk(sim, c, srv, 30000, 7, 100000)
-	if !res.OK || !res.Integrity {
-		t.Fatalf("bulk over safetcp = %+v", res)
+			res := Bulk(sim, c, srv, 30000, 7, 100000)
+			if !res.OK || !res.Integrity || res.Bytes != 30000 {
+				t.Fatalf("bulk = %+v", res)
+			}
+		})
 	}
 }

@@ -201,14 +201,21 @@ func refused(h *net.Host, s net.StreamStack) uint64 {
 	return n
 }
 
-func TestStreamReliableTransfer(t *testing.T) {
+func TestStreamHandshake(t *testing.T) {
 	onBothStacks(t, func(t *testing.T, sc stackCase) {
-		l := sc.link(t, 1, net.LinkParams{Delay: 1})
+		l := sc.link(t, 1, net.LinkParams{Delay: 2})
 		c, srv := l.connect(t, 80)
 		if !c.Established() || !srv.Established() || c.Closed() || srv.Closed() {
 			t.Fatalf("after the handshake: client established=%v server established=%v",
 				c.Established(), srv.Established())
 		}
+	})
+}
+
+func TestStreamReliableTransfer(t *testing.T) {
+	onBothStacks(t, func(t *testing.T, sc stackCase) {
+		l := sc.link(t, 1, net.LinkParams{Delay: 1})
+		c, srv := l.connect(t, 80)
 		payload := patterned(10000, 13)
 		if got := l.transfer(t, c, srv, payload, 20000); !bytes.Equal(got, payload) {
 			t.Fatalf("transfer: got %d of %d bytes", len(got), len(payload))

@@ -1,14 +1,10 @@
 // Command netbench measures the hardened TCP stacks under adversarial
 // links and writes BENCH_net.json — the evidence behind the adaptive
-// retransmission claim:
-//
-//   - goodput (payload bytes per simulated jiffy) and retransmit
-//     counts for a 32KB transfer at 0/1/5/20% loss on a 10-jiffy
-//     one-way-delay link, for the legacy stack and safetcp, each with
-//     the adaptive Jacobson/Karn RTO and with the legacy fixed
-//     16-jiffy RTO;
-//   - the differential sweep summary (schedules, outcome classes,
-//     divergences) from the faultinject harness.
+// retransmission claim: goodput (payload bytes per simulated jiffy)
+// and retransmit counts for a 32KB transfer at 0/1/5/20% loss on a
+// 10-jiffy one-way-delay link, for the legacy stack and safetcp, each
+// with the adaptive Jacobson/Karn RTO and with the legacy fixed
+// 16-jiffy RTO.
 //
 // The 10-jiffy link puts the ~21-jiffy RTT above the fixed 16-jiffy
 // RTO, so the fixed timer spuriously retransmits segments whose ACKs
@@ -16,6 +12,11 @@
 // removes. netbench exits non-zero if the adaptive RTO fails to beat
 // the fixed RTO on retransmits at 5% loss in either stack, so CI
 // enforces the acceptance line.
+//
+// The transport's other properties are go test's to gate: port
+// recycling, typed EADDRINUSE and idle connections holding no timer in
+// the stream conformance suite (internal/faultinject/stream_test.go),
+// and the differential and churn sweeps in faultinject's sweep tests.
 //
 // Each workload is written once over net.StreamStack, so both stacks
 // run identical code by construction; stackBuilder, which puts a stack
@@ -31,7 +32,6 @@ import (
 	"runtime"
 	"strings"
 
-	"safelinux/internal/faultinject"
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/net"
 	"safelinux/internal/safemod/safetcp"
@@ -54,22 +54,22 @@ type NetRun struct {
 	Retransmits uint64  `json:"retransmits"`
 }
 
-// Result is the BENCH_net.json schema. Version 2 adds the C1M data
-// plane sections (tick_cost, churn, long_haul) alongside the v1
-// fields, which keep their names and meanings.
+// Runs is the transfer table: stack ("legacy", "safetcp") to run name
+// ("adaptive_loss5", "fixed_loss0", ...) to its measurement.
+type Runs map[string]map[string]NetRun
+
+// Result is the BENCH_net.json schema, version 3: runs and derived
+// keep their version-2 names and meanings; version 2's
+// differential_sweep, tick_cost, churn and long_haul sections are gone.
 type Result struct {
-	SchemaVersion int                          `json:"schema_version"`
-	Experiment    string                       `json:"experiment"`
-	Date          string                       `json:"date,omitempty"`
-	Command       string                       `json:"command"`
-	Host          map[string]any               `json:"host"`
-	Link          map[string]any               `json:"link"`
-	Runs          map[string]map[string]NetRun `json:"runs"`
-	Differential  map[string]any               `json:"differential_sweep"`
-	TickCost      map[string]TickCost          `json:"tick_cost"`
-	Churn         map[string]ChurnResult       `json:"churn"`
-	LongHaul      map[string]LongHaul          `json:"long_haul,omitempty"`
-	Derived       map[string]string            `json:"derived"`
+	SchemaVersion int               `json:"schema_version"`
+	Experiment    string            `json:"experiment"`
+	Date          string            `json:"date,omitempty"`
+	Command       string            `json:"command"`
+	Host          map[string]any    `json:"host"`
+	Link          map[string]any    `json:"link"`
+	Runs          Runs              `json:"runs"`
+	Derived       map[string]string `json:"derived"`
 }
 
 func payload() []byte {
@@ -89,8 +89,14 @@ func transfer(stack string, loss float64, fixed bool) (NetRun, error) {
 	sim.Link(1, 2, net.LinkParams{Delay: benchDelay, LossProb: loss})
 	stackOf := stackBuilder(stack, fixed)
 	a, b := stackOf(hA), stackOf(hB)
-	lst, _ := b.ListenStream(80)
-	cli, _ := a.DialStream(2, 80)
+	lst, err := b.ListenStream(80)
+	if err != kbase.EOK {
+		return NetRun{}, fmt.Errorf("%s listen: %v", stack, err)
+	}
+	cli, err := a.DialStream(2, 80)
+	if err != kbase.EOK {
+		return NetRun{}, fmt.Errorf("%s dial: %v", stack, err)
+	}
 	want := payload()
 	if err := cli.Send(want); err != kbase.EOK {
 		return NetRun{}, fmt.Errorf("%s send: %v", stack, err)
@@ -160,10 +166,57 @@ func hostInfo() map[string]any {
 	}
 }
 
-func run(date string, longHaulConns int) (*Result, bool, error) {
-	res := &Result{
-		SchemaVersion: 2,
-		Experiment:    "hardened TCP under loss: adaptive vs fixed RTO; differential + churn sweeps; C1M data plane (tick cost, churn, long haul)",
+var stacks = []string{"legacy", "safetcp"}
+
+// table runs the transfer at each loss rate, with the adaptive and the
+// fixed RTO, on both stacks.
+func table() (Runs, error) {
+	runs := Runs{}
+	for _, stack := range stacks {
+		runs[stack] = map[string]NetRun{}
+		for _, loss := range []float64{0, 0.01, 0.05, 0.20} {
+			for _, fixed := range []bool{false, true} {
+				r, err := transfer(stack, loss, fixed)
+				if err != nil {
+					return nil, err
+				}
+				mode := "adaptive"
+				if fixed {
+					mode = "fixed"
+				}
+				runs[stack][fmt.Sprintf("%s_loss%g", mode, 100*loss)] = r
+			}
+		}
+	}
+	return runs, nil
+}
+
+// gate is netbench's acceptance line: on each stack the adaptive RTO
+// retransmits less than the fixed RTO at 5% loss. It returns one
+// derived line per stack and whether every stack passed.
+func gate(runs Runs) (map[string]string, bool) {
+	derived := map[string]string{}
+	pass := true
+	for _, stack := range stacks {
+		a := runs[stack]["adaptive_loss5"]
+		f := runs[stack]["fixed_loss5"]
+		ok := a.Retransmits < f.Retransmits
+		pass = pass && ok
+		derived[stack+"_adaptive_vs_fixed_retrans_loss5"] = fmt.Sprintf(
+			"%d vs %d retransmits (adaptive must be lower: %v)", a.Retransmits, f.Retransmits, ok)
+	}
+	return derived, pass
+}
+
+func run(date string) (*Result, bool, error) {
+	runs, err := table()
+	if err != nil {
+		return nil, false, err
+	}
+	derived, pass := gate(runs)
+	return &Result{
+		SchemaVersion: 3,
+		Experiment:    "hardened TCP under loss: adaptive vs fixed RTO",
 		Date:          date,
 		Command:       "make bench-net",
 		Host:          hostInfo(),
@@ -174,114 +227,17 @@ func run(date string, longHaulConns int) (*Result, bool, error) {
 			"note": "RTT above the fixed RTO makes the fixed timer spuriously retransmit " +
 				"segments whose ACKs are in flight; the adaptive estimator converges above RTT",
 		},
-		Runs:     map[string]map[string]NetRun{"legacy": {}, "safetcp": {}},
-		TickCost: map[string]TickCost{},
-		Churn:    map[string]ChurnResult{},
-		LongHaul: map[string]LongHaul{},
-		Derived:  map[string]string{},
-	}
-
-	losses := []float64{0, 0.01, 0.05, 0.20}
-	for _, stack := range []string{"legacy", "safetcp"} {
-		for _, loss := range losses {
-			for _, fixed := range []bool{false, true} {
-				r, err := transfer(stack, loss, fixed)
-				if err != nil {
-					return nil, false, err
-				}
-				mode := "adaptive"
-				if fixed {
-					mode = "fixed"
-				}
-				res.Runs[stack][fmt.Sprintf("%s_loss%g", mode, 100*loss)] = r
-			}
-		}
-	}
-
-	pass := true
-	for _, stack := range []string{"legacy", "safetcp"} {
-		a := res.Runs[stack]["adaptive_loss5"]
-		f := res.Runs[stack]["fixed_loss5"]
-		ok := a.Retransmits < f.Retransmits
-		pass = pass && ok
-		res.Derived[stack+"_adaptive_vs_fixed_retrans_loss5"] = fmt.Sprintf(
-			"%d vs %d retransmits (adaptive must be lower: %v)", a.Retransmits, f.Retransmits, ok)
-	}
-
-	sweep := faultinject.NetSweep(0)
-	rep := faultinject.RunNetDiff(sweep)
-	churnRep := faultinject.RunNetChurnDiff(faultinject.NetChurnSweep(0))
-	res.Differential = map[string]any{
-		"schedules":         rep.Schedules,
-		"legacy_classes":    rep.LegacyClass,
-		"safe_classes":      rep.SafeClass,
-		"divergences":       len(rep.Divergences),
-		"churn_schedules":   churnRep.Schedules,
-		"churn_conns":       churnRep.Conns,
-		"churn_divergences": len(churnRep.Divergences),
-	}
-	if len(rep.Divergences) != 0 {
-		pass = false
-		for _, ln := range rep.Render() {
-			fmt.Fprintln(os.Stderr, ln)
-		}
-	}
-	if len(churnRep.Divergences) != 0 {
-		pass = false
-		for _, ln := range churnRep.Render() {
-			fmt.Fprintln(os.Stderr, ln)
-		}
-	}
-
-	// C1M data plane: per-tick cost at 100k idle conns must beat the
-	// frozen pre-rebuild baseline by >= 10x on both stacks; churn must
-	// recycle the port space with a typed EADDRINUSE at exhaustion;
-	// the long-haul run must hold its per-conn tick budget.
-	for _, stack := range []string{"legacy", "safetcp"} {
-		tc, err := tickCostBench(stack)
-		if err != nil {
-			return nil, false, err
-		}
-		res.TickCost[stack] = tc
-		ok := tc.Speedup >= 10
-		pass = pass && ok
-		res.Derived[stack+"_tick_cost_100k"] = fmt.Sprintf(
-			"%.0f ns/tick vs %d baseline: %.1fx (>=10x required: %v; %d timers armed idle)",
-			tc.NsPerTick, tc.BaselineNs, tc.Speedup, ok, tc.ArmedTimers)
-
-		ch, err := churnBench(stack)
-		if err != nil {
-			return nil, false, err
-		}
-		res.Churn[stack] = ch
-		pass = pass && ch.PortsRecycled && ch.EaddrinuseTyped
-		res.Derived[stack+"_churn"] = fmt.Sprintf(
-			"%d conns in %.0fms (%.0f conns/s), ports recycled=%v, typed EADDRINUSE=%v",
-			ch.TotalConns, ch.WallMs, ch.ConnsPerSec, ch.PortsRecycled, ch.EaddrinuseTyped)
-
-		if longHaulConns > 0 {
-			lh, err := longHaulBench(stack, longHaulConns)
-			if err != nil {
-				return nil, false, err
-			}
-			res.LongHaul[stack] = lh
-			pass = pass && lh.WithinBudget
-			res.Derived[stack+"_long_haul"] = fmt.Sprintf(
-				"%d concurrent conns, %.0f heap B/conn, %.2f ns/conn/tick (budget %.0f: %v)",
-				lh.Conns, lh.BytesPerConn, lh.NsPerConnTick, lh.BudgetNs, lh.WithinBudget)
-		}
-	}
-	return res, pass, nil
+		Runs:    runs,
+		Derived: derived,
+	}, pass, nil
 }
 
 func main() {
 	out := flag.String("out", "BENCH_net.json", "output file (- for stdout)")
 	date := flag.String("date", "", "date stamp to embed (omitted if empty)")
-	longHaul := flag.Int("longhaul-conns", longHaulHosts*longHaulPerHost,
-		"concurrent connections for the long-haul mode (0 disables it)")
 	flag.Parse()
 
-	res, pass, err := run(*date, *longHaul)
+	res, pass, err := run(*date)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "netbench: %v\n", err)
 		os.Exit(1)
@@ -301,7 +257,7 @@ func main() {
 		fmt.Printf("netbench: wrote %s\n", *out)
 	}
 	if !pass {
-		fmt.Fprintln(os.Stderr, "netbench: acceptance FAILED (see derived/differential fields)")
+		fmt.Fprintln(os.Stderr, "netbench: acceptance FAILED (see the derived field)")
 		os.Exit(1)
 	}
 }

@@ -200,8 +200,8 @@ type ChurnReport struct {
 	Divergences  []ChurnDivergence
 }
 
-// Render formats the churn sweep for humans (and the CI log).
-func (r *ChurnReport) Render() []string {
+// render formats the churn sweep for humans (and the CI log).
+func (r *ChurnReport) render() []string {
 	out := []string{fmt.Sprintf("churn TCP sweep: %d schedules, %d conns, %d divergences",
 		r.Schedules, r.Conns, len(r.Divergences))}
 	for _, d := range r.Divergences {
@@ -211,8 +211,8 @@ func (r *ChurnReport) Render() []string {
 	return out
 }
 
-// RunNetChurnDiff sweeps churn schedules through both stacks.
-func RunNetChurnDiff(schedules []NetChurnSchedule) ChurnReport {
+// runNetChurnDiff sweeps churn schedules through both stacks.
+func runNetChurnDiff(schedules []NetChurnSchedule) ChurnReport {
 	rep := ChurnReport{Schedules: len(schedules)}
 	for _, s := range schedules {
 		rep.Conns += s.Conns
@@ -241,10 +241,10 @@ var churnFaultClasses = []struct {
 	{name: "bandwidth", link: net.LinkParams{Delay: 2, BandwidthBPJ: 512}},
 }
 
-// NetChurnSweep builds the churn schedule set: every deterministic
+// netChurnSweep builds the churn schedule set: every deterministic
 // fault class crossed with seedsPerClass seeds. seedsPerClass <= 0
 // selects the default.
-func NetChurnSweep(seedsPerClass int) []NetChurnSchedule {
+func netChurnSweep(seedsPerClass int) []NetChurnSchedule {
 	if seedsPerClass <= 0 {
 		seedsPerClass = 3
 	}

@@ -6,9 +6,9 @@ import "testing"
 // turnover, timer-wheel arm/cancel, port recycling, backlog ordering —
 // to identical outcome censuses on both stacks.
 func TestNetChurnSweepZeroDivergences(t *testing.T) {
-	schedules := NetChurnSweep(0)
-	rep := RunNetChurnDiff(schedules)
-	for _, ln := range rep.Render() {
+	schedules := netChurnSweep(0)
+	rep := runNetChurnDiff(schedules)
+	for _, ln := range rep.render() {
 		t.Log(ln)
 	}
 	if n := len(rep.Divergences); n != 0 {

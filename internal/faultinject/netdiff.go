@@ -209,9 +209,9 @@ func netEquivalent(l, s NetOutcome) bool {
 	return true
 }
 
-// RunNetDiff sweeps the schedules through both stacks under the
+// runNetDiff sweeps the schedules through both stacks under the
 // flight recorder and reports every divergence with trace context.
-func RunNetDiff(schedules []NetSchedule) NetReport {
+func runNetDiff(schedules []NetSchedule) NetReport {
 	ktrace.EnableFlightRecorder(256)
 	defer ktrace.DisableFlightRecorder()
 	rep := NetReport{
@@ -240,8 +240,8 @@ func RunNetDiff(schedules []NetSchedule) NetReport {
 	return rep
 }
 
-// Render formats the sweep for humans (and the CI log).
-func (r *NetReport) Render() []string {
+// render formats the sweep for humans (and the CI log).
+func (r *NetReport) render() []string {
 	out := []string{
 		fmt.Sprintf("differential TCP sweep: %d schedules, %d divergences",
 			r.Schedules, len(r.Divergences)),
@@ -289,10 +289,10 @@ var netFaultClasses = []struct {
 	{name: "kitchen-sink", link: net.LinkParams{Delay: 1, LossProb: 0.05, DupProb: 0.05, ReorderJitter: 20, CorruptProb: 0.02}},
 }
 
-// NetSweep builds the CI schedule set: every fault class crossed with
+// netSweep builds the CI schedule set: every fault class crossed with
 // seedsPerClass seeds and seed-varied transfer sizes. seedsPerClass
 // <= 0 selects the default (which yields >= 200 schedules).
-func NetSweep(seedsPerClass int) []NetSchedule {
+func netSweep(seedsPerClass int) []NetSchedule {
 	if seedsPerClass <= 0 {
 		seedsPerClass = 17
 	}

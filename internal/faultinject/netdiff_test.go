@@ -11,12 +11,12 @@ import (
 // The acceptance bar from the roadmap: at least 200 seeded fault
 // schedules, zero legacy-vs-safetcp divergences.
 func TestNetDifferentialSweep(t *testing.T) {
-	schedules := NetSweep(0)
+	schedules := netSweep(0)
 	if len(schedules) < 200 {
 		t.Fatalf("sweep too small for CI: %d schedules, want >= 200", len(schedules))
 	}
-	rep := RunNetDiff(schedules)
-	for _, ln := range rep.Render() {
+	rep := runNetDiff(schedules)
+	for _, ln := range rep.render() {
 		t.Log(ln)
 	}
 	if n := len(rep.Divergences); n != 0 {
@@ -69,7 +69,7 @@ func TestNetDiffReportsDivergenceWithTrace(t *testing.T) {
 			SafeTrace:   []string{"#1 safetcp:send task=0 a0=512 a1=80 a2=0 a3=0"},
 		}},
 	}
-	joined := strings.Join(rep.Render(), "\n")
+	joined := strings.Join(rep.render(), "\n")
 	for _, want := range []string{"DIVERGE", "net:tcp_send", "safetcp:send"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("report missing %q:\n%s", want, joined)

@@ -19,7 +19,7 @@ const (
 // the netdiff class, errno, received bytes, retransmits and steps, and
 // the churn per-schedule class census.
 func TestSweepOutcomeHashes(t *testing.T) {
-	sweep := RunNetDiff(NetSweep(0))
+	sweep := runNetDiff(netSweep(0))
 	if len(sweep.Legacy) != 204 || len(sweep.Safe) != 204 {
 		t.Fatalf("netdiff sweep ran %d/%d schedules, want 204", len(sweep.Legacy), len(sweep.Safe))
 	}
@@ -33,7 +33,7 @@ func TestSweepOutcomeHashes(t *testing.T) {
 		t.Errorf("netdiff sweep outcome hash %#x, want %#x", got, uint64(netSweepOutcomeHash))
 	}
 
-	churn := RunNetChurnDiff(NetChurnSweep(0))
+	churn := runNetChurnDiff(netChurnSweep(0))
 	h.Reset()
 	for i := range churn.Legacy {
 		fmt.Fprintf(h, "%s | %s\n", churn.Legacy[i], churn.Safe[i])

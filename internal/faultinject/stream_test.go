@@ -17,28 +17,35 @@ import (
 // subtest, so both TCP stacks are held to one contract. It observes
 // the stacks only through that surface, the Sim, and the counters their
 // collectors emit; the few checks that need TCB internals (state
-// names, peerFIN, ResetReason, the ACK send path) stay in short
-// per-stack tests in net and safetcp. The transport constants used
+// names, peerFIN, ResetReason, the ACK send path, the legacy RTO
+// estimate) stay in short per-stack tests in net and safetcp. The transport constants used
 // here (MSS, InitialRTO, TimeWaitJiffies) are the same in both stacks.
 
+// tuning is what a test sets on the stack under test: the receive
+// window its connections advertise (0 keeps the default) and the fixed
+// 16-jiffy RTO in place of the adaptive one.
+type tuning struct {
+	recvWindow int
+	fixedRTO   bool
+}
+
 // stackCase is one TCP stack under test. build returns the builder
-// that puts the stack on a host; recvWindow, when not 0, is the
-// receive window its connections advertise.
+// that puts the stack on a host with the given tuning.
 type stackCase struct {
 	name  string
-	build func(t testing.TB, recvWindow int) func(*net.Host) net.StreamStack
+	build func(t testing.TB, tu tuning) func(*net.Host) net.StreamStack
 }
 
 var stackCases = []stackCase{
-	{"legacy", func(_ testing.TB, recvWindow int) func(*net.Host) net.StreamStack {
+	{"legacy", func(_ testing.TB, tu tuning) func(*net.Host) net.StreamStack {
 		return func(h *net.Host) net.StreamStack {
-			h.SetTCPTuning(net.TCPTuning{RecvWindow: recvWindow})
+			h.SetTCPTuning(net.TCPTuning{RecvWindow: tu.recvWindow, FixedRTO: tu.fixedRTO})
 			return legacyStack(h)
 		}
 	}},
 	// Every safe subtest ends with a check that the endpoints' shared
 	// ownership checker saw no violation.
-	{"safe", func(t testing.TB, recvWindow int) func(*net.Host) net.StreamStack {
+	{"safe", func(t testing.TB, tu tuning) func(*net.Host) net.StreamStack {
 		ck := own.NewChecker(own.PolicyRecord)
 		t.Cleanup(func() {
 			if v := ck.Violations(); len(v) != 0 {
@@ -47,7 +54,7 @@ var stackCases = []stackCase{
 		})
 		return func(h *net.Host) net.StreamStack {
 			ep := safetcp.Attach(h, ck)
-			ep.SetTuning(safetcp.Tuning{RecvWindow: recvWindow})
+			ep.SetTuning(safetcp.Tuning{RecvWindow: tu.recvWindow, FixedRTO: tu.fixedRTO})
 			return ep
 		}
 	}},
@@ -78,7 +85,7 @@ func newLink(stackOf func(*net.Host) net.StreamStack, seed uint64, lp net.LinkPa
 
 // link builds a link with the stack's default tuning.
 func (sc stackCase) link(t testing.TB, seed uint64, lp net.LinkParams) *link {
-	return newLink(sc.build(t, 0), seed, lp)
+	return newLink(sc.build(t, tuning{}), seed, lp)
 }
 
 // dial listens on host 2's port, dials it from host 1, and steps until
@@ -381,7 +388,7 @@ func TestStreamMultipleConnections(t *testing.T) {
 // payloads and seeds, over a lossy, reordering link.
 func TestStreamIntegrityProperty(t *testing.T) {
 	onBothStacks(t, func(t *testing.T, sc stackCase) {
-		stackOf := sc.build(t, 0)
+		stackOf := sc.build(t, tuning{})
 		f := func(seed uint64, data []byte) bool {
 			if len(data) == 0 {
 				return true
@@ -460,7 +467,7 @@ func TestStreamRetryExhaustion(t *testing.T) {
 func TestStreamReceiveWindow(t *testing.T) {
 	onBothStacks(t, func(t *testing.T, sc stackCase) {
 		const wnd = 1024
-		l := newLink(sc.build(t, wnd), 34, net.LinkParams{Delay: 1})
+		l := newLink(sc.build(t, tuning{recvWindow: wnd}), 34, net.LinkParams{Delay: 1})
 		c, srv := l.connect(t, 80)
 		payload := patterned(10000, 11)
 		c.Send(payload)
@@ -471,6 +478,27 @@ func TestStreamReceiveWindow(t *testing.T) {
 		}
 		if got = l.readN(srv, got, len(payload), 120000); !bytes.Equal(got, payload) {
 			t.Fatalf("windowed transfer: got %d of %d bytes", len(got), len(payload))
+		}
+	})
+}
+
+// On a 10-jiffy link the ~21-jiffy RTT is above the fixed 16-jiffy
+// RTO, so every fixed-RTO data timer fires before its ACK returns; the
+// adaptive estimator settles above the RTT and retransmits less.
+func TestStreamAdaptiveRTO(t *testing.T) {
+	onBothStacks(t, func(t *testing.T, sc stackCase) {
+		payload := patterned(8192, 31)
+		retransmits := func(fixed bool) uint64 {
+			l := newLink(sc.build(t, tuning{fixedRTO: fixed}), 40, net.LinkParams{Delay: 10})
+			c, srv := l.connect(t, 80)
+			if got := l.transfer(t, c, srv, payload, 60000); !bytes.Equal(got, payload) {
+				t.Fatalf("fixed=%v transfer: got %d of %d bytes", fixed, len(got), len(payload))
+			}
+			return c.RetransmitCount()
+		}
+		if adaptive, fixed := retransmits(false), retransmits(true); adaptive >= fixed {
+			t.Fatalf("adaptive RTO (%d retransmits) not better than fixed (%d) on a 21-jiffy-RTT path",
+				adaptive, fixed)
 		}
 	})
 }

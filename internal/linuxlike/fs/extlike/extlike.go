@@ -163,8 +163,7 @@ func (inst *fsInstance) commit(task *kbase.Task) kbase.Errno {
 
 // inodeOps implements vfs.TypedInodeOps: extlike is a converted file
 // system, so Lookup/Create/Mkdir return typedapi.Result and no errno
-// ever travels inside an inode pointer. It is wrapped with
-// vfs.AdaptTyped for legacy callers.
+// ever travels inside an inode pointer.
 type inodeOps struct {
 	inst *fsInstance
 }

@@ -410,6 +410,8 @@ func TestBandwidthShapingDelaysDelivery(t *testing.T) {
 
 // --- Adaptive RTO. ---
 
+// The stream suite's TestStreamAdaptiveRTO compares the adaptive and
+// the fixed RTO on both stacks; this reads the estimator itself.
 func TestAdaptiveRTOConverges(t *testing.T) {
 	sim, a, b := pair(t, 40, LinkParams{Delay: 10})
 	c, srv := connectPair(t, sim, a, b, 80)
@@ -418,30 +420,9 @@ func TestAdaptiveRTOConverges(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("transfer: %d/%d", len(got), len(payload))
 	}
-	ctcb := c.private.(*TCB)
 	// RTT on this path is ~20+ jiffies; the estimator must sit above
 	// it (no spurious retransmission storm) but well under MaxRTO.
-	if rto := ctcb.rto(); rto < 20 || rto > 128 {
+	if rto := c.private.(*TCB).rto(); rto < 20 || rto > 128 {
 		t.Fatalf("estimator did not converge: rto=%d", rto)
-	}
-	// On a clean high-RTT link the adaptive sender should retransmit
-	// (almost) nothing, while a fixed 16-jiffy RTO storms: every data
-	// segment's timer fires before its 20-jiffy ACK returns.
-	simF := NewSim(40)
-	aF := simF.AddHost(1)
-	bF := simF.AddHost(2)
-	aF.SetTCPTuning(TCPTuning{FixedRTO: true})
-	bF.SetTCPTuning(TCPTuning{FixedRTO: true})
-	simF.Link(1, 2, LinkParams{Delay: 10})
-	cF, srvF := connectPair(t, simF, aF, bF, 80)
-	gotF := sendAll(t, simF, cF, srvF, payload, 60000)
-	if !bytes.Equal(gotF, payload) {
-		t.Fatalf("fixed-RTO transfer: %d/%d", len(gotF), len(payload))
-	}
-	fixed := cF.private.(*TCB).Retransmits
-	adaptive := ctcb.Retransmits
-	if adaptive >= fixed {
-		t.Fatalf("adaptive RTO (%d retransmits) not better than fixed (%d) on a 20-jiffy-RTT path",
-			adaptive, fixed)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/net"
-	"safelinux/internal/safety/own"
 )
 
 func patterned(n int, k byte) []byte {
@@ -127,32 +126,5 @@ func TestSafeTxErrorsSurfaced(t *testing.T) {
 	sim.Run(100)
 	if c.TxErrors == 0 || a.stats.TxErrors == 0 {
 		t.Fatalf("partitioned transmits not surfaced: conn=%d ep=%d", c.TxErrors, a.stats.TxErrors)
-	}
-}
-
-func TestSafeAdaptiveRTOBeatsFixed(t *testing.T) {
-	run := func(fixed bool) uint64 {
-		sim := net.NewSim(58)
-		hA := sim.AddHost(1)
-		hB := sim.AddHost(2)
-		sim.Link(1, 2, net.LinkParams{Delay: 10})
-		ck := own.NewChecker(own.PolicyRecord)
-		a := Attach(hA, ck)
-		b := Attach(hB, ck)
-		a.SetTuning(Tuning{FixedRTO: fixed})
-		b.SetTuning(Tuning{FixedRTO: fixed})
-		c, srv := connect(t, sim, a, b, 80)
-		payload := patterned(8192, 31)
-		got := pump(t, sim, c, srv, payload, 60000)
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("fixed=%v transfer: %d/%d", fixed, len(got), len(payload))
-		}
-		return c.Retransmits
-	}
-	adaptive := run(false)
-	fixed := run(true)
-	if adaptive >= fixed {
-		t.Fatalf("adaptive RTO (%d retransmits) not better than fixed (%d) on a 20-jiffy-RTT path",
-			adaptive, fixed)
 	}
 }

@@ -141,11 +141,13 @@ bench-fuzz:
 # what the journal holds (committed metadata not yet checkpointed).
 # Two drain tests close the set: no op runs inside a swap's drained
 # window, and a fault inside a swap's drain waits for the swap to end
-# before the supervisor restarts the compartment. Run under the race
+# before the supervisor restarts the compartment. Two buffer-cache
+# tests race lockless hits against eviction in a bounded cache and
+# check the eviction scan's second chance. Run under the race
 # detector — the quarantine/restart window is where the
 # interesting interleavings live — 20 times, since a restart race that
 # fails once in 60 runs slips past a handful.
 panic-storm:
-	$(GO) test -race -run 'TestPanicStormConvergence|TestGateStress|TestFaultInOneCompartmentLeavesOthersServing|TestBufRestartKeepsCommittedMetadata|TestSwapUnderConcurrentLoadZeroDrops|TestFaultInSwapDrainWaitsForOwner' -count 20 ./pkg/safelinux/ ./internal/safety/compartment/
+	$(GO) test -race -run 'TestPanicStormConvergence|TestGateStress|TestFaultInOneCompartmentLeavesOthersServing|TestBufRestartKeepsCommittedMetadata|TestSwapUnderConcurrentLoadZeroDrops|TestFaultInSwapDrainWaitsForOwner|TestLocklessHitRacesEviction|TestEvictionSecondChance' -count 20 ./pkg/safelinux/ ./internal/safety/compartment/ ./internal/linuxlike/bufcache/
 
 check: fmt-check build vet kbench-vet lint fuzz-smoke test bench-smoke

@@ -1,4 +1,4 @@
-// Churn differential: where netdiff.go pins one connection's
+// Churn differential: where netdiff_harness_test.go pins one connection's
 // lifecycle under faults, the churn sweep pins the data plane's
 // bookkeeping under mass connection turnover — demux insert/delete,
 // timer-wheel arm/cancel, ephemeral port recycling, accept-backlog

@@ -166,7 +166,7 @@ func (c *Cache) CheckLive(rules []Rule) []string {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for _, bh := range s.buffers {
+		for bh := s.lru.front; bh != nil; bh = bh.lruNext {
 			bhs = append(bhs, bh)
 		}
 		s.mu.Unlock()

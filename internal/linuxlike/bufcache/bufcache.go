@@ -11,12 +11,32 @@
 // claim that "not all of the combinations are valid, but even
 // determining which are can be complicated".
 //
-// Concurrency model: the cache is lock-striped into NumShards shards
-// keyed by block % NumShards; each shard owns its buffers map, LRU
-// list, and dirty set, so lookups of different blocks never contend.
-// BufferHead reference counts are atomic (Put touches no
-// lock), and the capacity bound is a cache-wide atomic with per-shard
-// eviction, approximating a global LRU the way per-CPU pagevecs do.
+// Concurrency model: a cache hit takes no lock. The cache indexes its
+// buffers by block number in a two-level table of atomic pointers, the
+// role Linux's page-cache xarray plays: each 512-slot chunk is
+// allocated on the first insert into its range. A hit loads the slot
+// and takes a reference with an "increment unless negative" CAS on the
+// buffer's reference count, and marks the buffer referenced instead of
+// relinking it on an LRU list. The flag word (b_state) and the journal
+// breadcrumb are atomics, set and cleared with CAS loops, so testing
+// BHUptodate on a hit is one load.
+//
+// Everything else is lock-striped into NumShards shards keyed by
+// block % NumShards. A shard's mutex guards its LRU list and dirty
+// set, and it is held for misses, inserts, eviction, Invalidate and
+// CheckLive. Eviction claims a buffer by CAS-ing its reference count
+// from 0 to -1 before it clears the slot, so a racing hit either got
+// its reference first, and the claim fails, or sees -1 and misses; an
+// evicted buffer never comes back to life. The eviction scan gives a
+// referenced buffer a second chance: it clears the bit and moves the
+// buffer to the front. MarkDirty is a test-and-set, as
+// mark_buffer_dirty: only the clean-to-dirty transition takes the
+// shard lock to join the dirty set, and writeback and Forget clear
+// BHDirty and leave the set under that same lock, so the flag and the
+// set always agree. Reference counts are atomic (Put touches no lock),
+// and the capacity bound is a cache-wide atomic that a miss reserves
+// by CAS, with per-shard eviction approximating a global LRU the way
+// per-CPU pagevecs do.
 package bufcache
 
 import (
@@ -49,6 +69,12 @@ var (
 
 // NumShards is the lock-striping factor of the cache.
 const NumShards = 16
+
+// chunkBits sizes one chunk of the block table: 1<<chunkBits slots.
+const chunkBits = 9
+
+// tableChunk is one lazily allocated chunk of the block table.
+type tableChunk [1 << chunkBits]atomic.Pointer[BufferHead]
 
 // Flag is one buffer_head state bit. The set mirrors Linux's
 // enum bh_state_bits.
@@ -93,15 +119,22 @@ type BufferHead struct {
 	Block uint64
 	Data  []byte
 
-	mu    sync.Mutex // b_uptodate_lock analogue; guards flags only
-	flags Flag
+	// state is the b_state word: the Flag bits, set and cleared by CAS
+	// loops as Linux's set_bit and clear_bit are atomic bitops.
+	state atomic.Uint32
 
 	// ioMu serializes the read-in path (Bread) so two tasks missing on
 	// the same block do not both copy from the device into Data.
 	ioMu sync.Mutex
 
-	cache    *Cache
+	cache *Cache
+	// refcount is the number of holders; -1 marks a buffer eviction has
+	// claimed, which no lookup may take again.
 	refcount atomic.Int32
+	// referenced is set by a hit and cleared by the eviction scan, which
+	// gives a referenced buffer a second chance. It is not a Flag: the
+	// sixteen flags are the §4.4 state space the audit enumerates.
+	referenced atomic.Bool
 
 	// Intrusive LRU links, guarded by the owning shard's mutex. A
 	// typed intrusive list replaces the old container/list, whose
@@ -112,24 +145,16 @@ type BufferHead struct {
 	// field: the journal records the owning transaction's sequence
 	// through the typed accessors below, so the cache/journal crossing
 	// is no longer an untyped any that other components could stomp.
-	// Zero means "not joined to any transaction"; guarded by mu.
-	journalSeq uint64
+	// Zero means "not joined to any transaction".
+	journalSeq atomic.Uint64
 }
 
 // SetJournalSeq records the journal transaction bh has joined — the
 // typed successor of the b_private breadcrumb.
-func (bh *BufferHead) SetJournalSeq(seq uint64) {
-	bh.mu.Lock()
-	bh.journalSeq = seq
-	bh.mu.Unlock()
-}
+func (bh *BufferHead) SetJournalSeq(seq uint64) { bh.journalSeq.Store(seq) }
 
 // ClearJournalSeq removes the transaction breadcrumb (commit time).
-func (bh *BufferHead) ClearJournalSeq() {
-	bh.mu.Lock()
-	bh.journalSeq = 0
-	bh.mu.Unlock()
-}
+func (bh *BufferHead) ClearJournalSeq() { bh.journalSeq.Store(0) }
 
 // MetaRef is the capability a buffer holder presents to the journal
 // when registering the buffer as transaction metadata. Only bufcache
@@ -151,38 +176,44 @@ func (r MetaRef) Head() *BufferHead { return r.bh }
 func (r MetaRef) Valid() bool { return r.bh != nil }
 
 // TestFlag reports whether f is set.
-func (bh *BufferHead) TestFlag(f Flag) bool {
-	bh.mu.Lock()
-	defer bh.mu.Unlock()
-	return bh.flags&f != 0
-}
+func (bh *BufferHead) TestFlag(f Flag) bool { return bh.Flags()&f != 0 }
 
 // SetFlag sets f. No validity checking happens here, as in Linux.
-func (bh *BufferHead) SetFlag(f Flag) {
-	bh.mu.Lock()
-	bh.flags |= f
-	bh.mu.Unlock()
-}
+func (bh *BufferHead) SetFlag(f Flag) { bh.update(f, 0) }
 
 // ClearFlag clears f.
-func (bh *BufferHead) ClearFlag(f Flag) {
-	bh.mu.Lock()
-	bh.flags &^= f
-	bh.mu.Unlock()
-}
+func (bh *BufferHead) ClearFlag(f Flag) { bh.update(0, f) }
 
 // Flags returns the raw flag word.
-func (bh *BufferHead) Flags() Flag {
-	bh.mu.Lock()
-	defer bh.mu.Unlock()
-	return bh.flags
+func (bh *BufferHead) Flags() Flag { return Flag(bh.state.Load()) }
+
+// update atomically clears clr and sets set in the flag word and
+// returns the word it replaced. A word that already reads as the
+// result is left unwritten.
+func (bh *BufferHead) update(set, clr Flag) Flag {
+	for {
+		old := bh.state.Load()
+		next := old&^uint32(clr) | uint32(set)
+		if next == old || bh.state.CompareAndSwap(old, next) {
+			return Flag(old)
+		}
+	}
 }
 
-// MarkDirty marks the buffer dirty and moves it onto the cache's
-// dirty list, mirroring mark_buffer_dirty.
+// MarkDirty marks the buffer dirty and puts it on the cache's dirty
+// list, mirroring mark_buffer_dirty: a buffer already dirty is already
+// on the list, so only the clean-to-dirty transition takes the shard
+// lock.
 func (bh *BufferHead) MarkDirty() {
-	bh.SetFlag(BHDirty)
-	bh.cache.noteDirty(bh)
+	if bh.Dirty() {
+		return
+	}
+	s := bh.cache.shard(bh.Block)
+	s.mu.Lock()
+	if bh.update(BHDirty, 0)&BHDirty == 0 {
+		s.dirty[bh.Block] = bh
+	}
+	s.mu.Unlock()
 }
 
 // Uptodate reports BHUptodate.
@@ -225,6 +256,20 @@ func (bh *BufferHead) Put() error {
 	}
 }
 
+// tryGet takes a reference unless eviction has claimed bh (refcount
+// -1): the lockless hit's "increment unless negative".
+func (bh *BufferHead) tryGet() bool {
+	for {
+		old := bh.refcount.Load()
+		if old < 0 {
+			return false
+		}
+		if bh.refcount.CompareAndSwap(old, old+1) {
+			return true
+		}
+	}
+}
+
 // Refcount returns the current reference count.
 //
 //kerncheck:ignore deadexport refcount probe for the concurrent stress tests in pkg/safelinux
@@ -235,9 +280,11 @@ func (bh *BufferHead) Refcount() int { return int(bh.refcount.Load()) }
 // removal never cast through an any-typed container element.
 type lruList struct {
 	front, back *BufferHead
+	n           int
 }
 
 func (l *lruList) pushFront(bh *BufferHead) {
+	l.n++
 	bh.lruPrev = nil
 	bh.lruNext = l.front
 	if l.front != nil {
@@ -250,6 +297,7 @@ func (l *lruList) pushFront(bh *BufferHead) {
 }
 
 func (l *lruList) remove(bh *BufferHead) {
+	l.n--
 	if bh.lruPrev != nil {
 		bh.lruPrev.lruNext = bh.lruNext
 	} else {
@@ -271,17 +319,17 @@ func (l *lruList) moveToFront(bh *BufferHead) {
 	l.pushFront(bh)
 }
 
-func (l *lruList) init() { l.front, l.back = nil, nil }
+func (l *lruList) init() { *l = lruList{} }
 
-// cacheShard is one stripe of the cache: the buffers hashed to it,
-// their LRU order, and the dirty subset.
+// cacheShard is one stripe of the cache: the LRU order of the buffers
+// hashed to it, and the dirty subset. hits is counted on the lockless
+// path; the other counters under mu.
 type cacheShard struct {
-	mu      sync.Mutex
-	buffers map[uint64]*BufferHead
-	lru     lruList
-	dirty   map[uint64]*BufferHead
+	mu    sync.Mutex
+	lru   lruList
+	dirty map[uint64]*BufferHead
 
-	hits      uint64
+	hits      atomic.Uint64
 	misses    uint64
 	writeback uint64
 	evictions uint64
@@ -304,6 +352,11 @@ type Cache struct {
 	gate atomic.Pointer[gate.Gate]
 
 	shards [NumShards]cacheShard
+
+	// table maps a block number to its buffer: entry block>>chunkBits
+	// points to the chunk that holds the block's slot. A slot is written
+	// only under its block's shard lock and read by lockless hits.
+	table []atomic.Pointer[tableChunk]
 }
 
 // SetEngine replaces the cache's kio engine, through which SyncDirtyCtx
@@ -319,8 +372,8 @@ func (c *Cache) Engine() *kio.Engine { return c.engine.Load() }
 func NewCache(dev *blockdev.Device, maxBufs int) *Cache {
 	c := &Cache{dev: dev, maxBufs: maxBufs}
 	c.engine.Store(kio.New(dev))
+	c.table = make([]atomic.Pointer[tableChunk], (dev.Blocks()+1<<chunkBits-1)>>chunkBits)
 	for i := range c.shards {
-		c.shards[i].buffers = make(map[uint64]*BufferHead)
 		c.shards[i].dirty = make(map[uint64]*BufferHead)
 	}
 	return c
@@ -328,6 +381,48 @@ func NewCache(dev *blockdev.Device, maxBufs int) *Cache {
 
 func (c *Cache) shard(block uint64) *cacheShard {
 	return &c.shards[block%NumShards]
+}
+
+// slot returns block's table slot, allocating its chunk when alloc is
+// set and returning nil when it is not and the chunk does not exist.
+// Chunks span shards, so the allocation is published by CAS.
+func (c *Cache) slot(block uint64, alloc bool) *atomic.Pointer[BufferHead] {
+	top := &c.table[block>>chunkBits]
+	ch := top.Load()
+	if ch == nil {
+		if !alloc {
+			return nil
+		}
+		ch = new(tableChunk)
+		if !top.CompareAndSwap(nil, ch) {
+			ch = top.Load()
+		}
+	}
+	return &ch[block&(1<<chunkBits-1)]
+}
+
+// lookup returns the cached buffer for block with a new reference, or
+// nil. It takes no lock: a buffer that eviction claimed reads as a
+// miss.
+func (c *Cache) lookup(block uint64) *BufferHead {
+	sl := c.slot(block, false)
+	if sl == nil {
+		return nil
+	}
+	bh := sl.Load()
+	if bh == nil || !bh.tryGet() {
+		return nil
+	}
+	return bh
+}
+
+// hit records a cache hit on bh, which lookup returned.
+func (c *Cache) hit(s *cacheShard, bh *BufferHead) {
+	s.hits.Add(1)
+	if !bh.referenced.Load() {
+		bh.referenced.Store(true)
+	}
+	tpGet.Emit(0, bh.Block, 1)
 }
 
 // Device returns the underlying block device.
@@ -340,7 +435,7 @@ func (c *Cache) CollectMetrics(emit func(name string, value uint64)) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		hits += s.hits
+		hits += s.hits.Load()
 		misses += s.misses
 		writeback += s.writeback
 		evictions += s.evictions
@@ -362,33 +457,35 @@ func (c *Cache) doGetBlk(block uint64) (*BufferHead, kbase.Errno) {
 		return nil, kbase.EINVAL
 	}
 	s := c.shard(block)
+	if bh := c.lookup(block); bh != nil {
+		c.hit(s, bh)
+		return bh, kbase.EOK
+	}
 	s.mu.Lock()
-	if bh, ok := s.buffers[block]; ok {
-		s.hits++
-		bh.refcount.Add(1)
-		s.lru.moveToFront(bh)
+	// Under the shard lock no slot of this shard changes, so this lookup
+	// is exact: a racing miss may have inserted the block.
+	if bh := c.lookup(block); bh != nil {
 		s.mu.Unlock()
-		tpGet.Emit(0, block, 1)
+		c.hit(s, bh)
 		return bh, kbase.EOK
 	}
 	s.misses++
 	tpGet.Emit(0, block, 0)
-	if c.maxBufs > 0 && int(c.size.Load()) >= c.maxBufs {
-		if !c.evictOneLocked(s) {
-			// Nothing evictable in this block's shard; hunt the
-			// others without holding our shard lock.
+	for !c.reserve() {
+		if c.evictOneLocked(s) {
+			continue
+		}
+		// Nothing evictable in this block's shard; hunt the others
+		// without holding our shard lock.
+		s.mu.Unlock()
+		if !c.evictAnyShard() {
+			return nil, kbase.ENOBUFS
+		}
+		s.mu.Lock()
+		if bh := c.lookup(block); bh != nil {
+			// Someone else cached it while we hunted.
 			s.mu.Unlock()
-			if !c.evictAnyShard() {
-				return nil, kbase.ENOBUFS
-			}
-			s.mu.Lock()
-			if bh, ok := s.buffers[block]; ok {
-				// Someone else cached it while we hunted.
-				bh.refcount.Add(1)
-				s.lru.moveToFront(bh)
-				s.mu.Unlock()
-				return bh, kbase.EOK
-			}
+			return bh, kbase.EOK
 		}
 	}
 	bh := &BufferHead{
@@ -398,23 +495,48 @@ func (c *Cache) doGetBlk(block uint64) (*BufferHead, kbase.Errno) {
 	}
 	bh.refcount.Store(1)
 	s.lru.pushFront(bh)
-	s.buffers[block] = bh
-	c.size.Add(1)
+	c.slot(block, true).Store(bh)
 	s.mu.Unlock()
 	return bh, kbase.EOK
 }
 
-// evictOneLocked evicts one clean unreferenced buffer from s's LRU
-// tail. Caller holds s.mu.
+// reserve counts one more buffer toward the capacity bound, or reports
+// that the cache is full. The bound is exact: misses in different
+// shards cannot both take the last free place.
+func (c *Cache) reserve() bool {
+	for {
+		n := c.size.Load()
+		if c.maxBufs > 0 && n >= int64(c.maxBufs) {
+			return false
+		}
+		if c.size.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// evictOneLocked evicts one clean unreferenced buffer, scanning s's
+// LRU list from the tail. A buffer hit since the last scan gets a
+// second chance: the scan clears its referenced bit and moves it to
+// the front, where the same scan may reach it again. The claim CAS
+// (refcount 0 to -1) fails if a lockless hit took a reference first.
+// MarkDirty sets BHDirty under s.mu, so the dirty test cannot go stale
+// before the claim. Caller holds s.mu.
 func (c *Cache) evictOneLocked(s *cacheShard) bool {
-	for bh := s.lru.back; bh != nil; bh = bh.lruPrev {
-		if bh.refcount.Load() == 0 && !bh.Dirty() {
+	bh := s.lru.back
+	for steps := 2 * s.lru.n; bh != nil && steps > 0; steps-- {
+		prev := bh.lruPrev
+		if bh.referenced.Load() {
+			bh.referenced.Store(false)
+			s.lru.moveToFront(bh)
+		} else if !bh.Dirty() && bh.refcount.CompareAndSwap(0, -1) {
 			s.lru.remove(bh)
-			delete(s.buffers, bh.Block)
+			c.slot(bh.Block, false).Store(nil)
 			s.evictions++
 			c.size.Add(-1)
 			return true
 		}
+		bh = prev
 	}
 	return false
 }
@@ -545,34 +667,26 @@ func (c *Cache) copyInBlock(task *kbase.Task, block uint64, off int, p []byte) k
 	return kbase.EOK
 }
 
-// noteDirty puts bh on the dirty list.
-func (c *Cache) noteDirty(bh *BufferHead) {
-	s := c.shard(bh.Block)
-	s.mu.Lock()
-	s.dirty[bh.Block] = bh
-	s.mu.Unlock()
-}
-
 // checkMapped refuses to submit an unmapped buffer: writing one is the
 // classic flag-protocol violation, on which Linux would hit a BUG in
 // submit_bh.
 func checkMapped(bh *BufferHead) kbase.Errno {
-	if bh.TestFlag(BHMapped) || bh.TestFlag(BHNew) {
+	f := bh.Flags()
+	if f&(BHMapped|BHNew) != 0 {
 		return kbase.EOK
 	}
 	kbase.Oops(kbase.OopsSemantic, "bufcache",
-		"submit of unmapped buffer %d (flags %04x)", bh.Block, bh.Flags())
+		"submit of unmapped buffer %d (flags %04x)", bh.Block, f)
 	return kbase.EINVAL
 }
 
 // written records a completed write of bh: clean, submitted, off the
 // dirty list.
 func (c *Cache) written(bh *BufferHead) {
-	bh.ClearFlag(BHDirty | BHNew)
-	bh.SetFlag(BHReq)
 	s := c.shard(bh.Block)
 	s.mu.Lock()
-	delete(s.dirty, bh.Block)
+	bh.update(BHReq, BHDirty|BHNew)
+	s.undirtyLocked(bh)
 	s.writeback++
 	s.mu.Unlock()
 	tpWriteback.Emit(0, bh.Block, 0)
@@ -672,11 +786,20 @@ func (c *Cache) DirtyPressure() bool {
 // Forget drops a buffer from the cache without writing it
 // (bforget) — used by the journal for revoked blocks.
 func (c *Cache) Forget(bh *BufferHead) {
-	bh.ClearFlag(BHDirty)
 	s := c.shard(bh.Block)
 	s.mu.Lock()
-	delete(s.dirty, bh.Block)
+	bh.ClearFlag(BHDirty)
+	s.undirtyLocked(bh)
 	s.mu.Unlock()
+}
+
+// undirtyLocked takes bh off the dirty list, unless another head of its
+// block (one that replaced bh after an Invalidate) is listed there.
+// Caller holds s.mu.
+func (s *cacheShard) undirtyLocked(bh *BufferHead) {
+	if s.dirty[bh.Block] == bh {
+		delete(s.dirty, bh.Block)
+	}
 }
 
 // Invalidate drops every buffer the journal does not hold — the
@@ -687,29 +810,33 @@ func (c *Cache) Forget(bh *BufferHead) {
 // metadata a commit logged and the next checkpoint must write home.
 // Either image exists nowhere else the file system reads. A simulated
 // crash loses those too: crash tests build a fresh cache over the
-// crashed device instead.
+// crashed device instead. A dropped buffer nobody holds is claimed as
+// eviction claims one, so a racing lockless hit cannot take it; one
+// still held leaves the cache with its holder.
 func (c *Cache) Invalidate() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		dropped := len(s.buffers)
 		var held []*BufferHead
+		dropped := 0
 		for bh := s.lru.back; bh != nil; bh = bh.lruPrev {
 			if bh.journalHeld() {
 				held = append(held, bh)
+				continue
 			}
+			c.slot(bh.Block, false).Store(nil)
+			bh.refcount.CompareAndSwap(0, -1)
+			dropped++
 		}
-		s.buffers = make(map[uint64]*BufferHead)
-		s.dirty = make(map[uint64]*BufferHead)
+		clear(s.dirty)
 		s.lru.init()
 		for _, bh := range held { // back to front: LRU order survives
 			s.lru.pushFront(bh)
-			s.buffers[bh.Block] = bh
 			if bh.Dirty() {
 				s.dirty[bh.Block] = bh
 			}
 		}
-		c.size.Add(int64(len(held) - dropped))
+		c.size.Add(-int64(dropped))
 		s.mu.Unlock()
 	}
 }
@@ -717,9 +844,7 @@ func (c *Cache) Invalidate() {
 // journalHeld reports whether the journal holds bh: joined to the
 // running transaction, or dirty metadata awaiting its checkpoint.
 func (bh *BufferHead) journalHeld() bool {
-	bh.mu.Lock()
-	defer bh.mu.Unlock()
-	return bh.journalSeq != 0 || bh.flags&(BHDirty|BHMeta) == BHDirty|BHMeta
+	return bh.journalSeq.Load() != 0 || bh.Flags()&(BHDirty|BHMeta) == BHDirty|BHMeta
 }
 
 // Cached returns the number of buffers currently in the cache.

@@ -239,11 +239,7 @@ func TestDirtyBufferNotEvicted(t *testing.T) {
 	if _, err := c.GetBlk(2); err != kbase.EOK {
 		t.Fatalf("GetBlk: %v", err)
 	}
-	s := c.shard(0)
-	s.mu.Lock()
-	_, dirtyStill := s.buffers[0]
-	s.mu.Unlock()
-	if !dirtyStill {
+	if sl := c.slot(0, false); sl == nil || sl.Load() != a {
 		t.Fatalf("dirty buffer was evicted")
 	}
 }

@@ -74,6 +74,10 @@ type fsInstance struct {
 
 	imu    sync.Mutex // guards inodes (the icache table) only
 	inodes map[uint64]*vfs.Inode
+
+	// tokens recycles writeTokens, each with its journal handle, so a
+	// write allocates none: jbd2 takes its handles from a slab.
+	tokens sync.Pool
 }
 
 // Mount implements vfs.FileSystemType. data must wrap a *MountData —
@@ -105,6 +109,7 @@ func (f *FS) Mount(task *kbase.Task, data vfs.MountData) (*vfs.SuperBlock, kbase
 		allocMu:  kbase.NewKMutex(allocClass),
 		inodes:   make(map[uint64]*vfs.Inode),
 	}
+	inst.tokens.New = func() any { return new(writeToken) }
 	inst.jnl = journal.New(cache, geo.SB.JournalStart, geo.SB.JournalLen)
 	// Crash recovery on every mount; clean mounts replay nothing.
 	if _, err := inst.jnl.Recover(); err != kbase.EOK {
@@ -548,10 +553,19 @@ func (o *inodeOps) ReadDir(task *kbase.Task, dir *vfs.Inode) ([]vfs.DirEntry, kb
 // writeToken carries state from WriteBegin to WriteEnd through the
 // VFS's WriteState ferry. di is the on-disk inode as WriteBegin found
 // it: WriteEnd journals the inode only when the write changed it.
+// Tokens come from the instance's pool and go back when the write ends.
 type writeToken struct {
 	ei *einode
-	h  *journal.Handle
+	h  journal.Handle
 	di diskInode
+}
+
+// endWrite unlocks the written inode and returns tok to the pool.
+func (inst *fsInstance) endWrite(task *kbase.Task, tok *writeToken) {
+	ei := tok.ei
+	*tok = writeToken{}
+	inst.tokens.Put(tok)
+	ei.lock.Unlock(task)
 }
 
 // confusedToken is the wrong-type twin for the injected fault.
@@ -583,11 +597,13 @@ func (fo *fileOps) WriteBegin(task *kbase.Task, ino *vfs.Inode, off int64, n int
 		return vfs.WriteState{}, err
 	}
 	ei.lock.Lock(task) // released in WriteEnd — the legacy protocol spans calls
-	h := inst.begin()
 	if inst.fs.ConfuseWriteEnd {
-		return vfs.NewWriteState(&confusedToken{ei: ei, h: h}), kbase.EOK
+		return vfs.NewWriteState(&confusedToken{ei: ei, h: inst.begin()}), kbase.EOK
 	}
-	return vfs.NewWriteState(&writeToken{ei: ei, h: h, di: ei.di}), kbase.EOK
+	tok := inst.tokens.Get().(*writeToken)
+	tok.ei, tok.di = ei, ei.di
+	inst.jnl.Start(&tok.h)
+	return vfs.NewWriteState(tok), kbase.EOK
 }
 
 func (fo *fileOps) WriteCopy(task *kbase.Task, ino *vfs.Inode, off int64, data []byte, private vfs.WriteState) (int, kbase.Errno) {
@@ -598,17 +614,17 @@ func (fo *fileOps) WriteCopy(task *kbase.Task, ino *vfs.Inode, off int64, data [
 		fo.abortWrite(task, ino, private)
 		return 0, kbase.EUCLEAN
 	}
-	n, err := fo.inst.writeFileRange(task, tok.h, tok.ei, data, off)
+	n, err := fo.inst.writeFileRange(task, &tok.h, tok.ei, data, off)
 	if err != kbase.EOK && n == 0 {
 		// Nothing was written, so the write ends here; a short write
 		// ends in WriteEnd. The copy may still have mapped new blocks
 		// before it failed: their pointers join the transaction that
 		// holds their allocation, or the next commit leaks them on disk.
 		if tok.ei.di != tok.di {
-			_ = fo.inst.writeDiskInode(task, tok.h, tok.ei.ino, &tok.ei.di)
+			_ = fo.inst.writeDiskInode(task, &tok.h, tok.ei.ino, &tok.ei.di)
 		}
 		tok.h.Stop()
-		tok.ei.lock.Unlock(task)
+		fo.inst.endWrite(task, tok)
 	}
 	return n, err
 }
@@ -632,17 +648,19 @@ func (fo *fileOps) WriteEnd(task *kbase.Task, ino *vfs.Inode, off int64, n int, 
 		}
 	}
 	// Journal the inode only when its bytes changed: a larger size or a
-	// new block pointer. An in-place overwrite leaves the transaction
-	// empty, and its commit does no I/O.
+	// new block pointer. Commit only when the handle journaled something,
+	// as jbd2's journal_stop does not commit: an in-place overwrite
+	// leaves the running transaction as it found it, and the next handle
+	// joins that one.
 	var err kbase.Errno = kbase.EOK
 	if tok.ei.di != tok.di {
-		err = inst.writeDiskInode(task, tok.h, tok.ei.ino, &tok.ei.di)
+		err = inst.writeDiskInode(task, &tok.h, tok.ei.ino, &tok.ei.di)
 	}
 	tok.h.Stop()
-	if err == kbase.EOK {
-		err = inst.commit(task)
-	} else {
-		inst.commit(task)
+	if tok.h.Used() {
+		if cerr := inst.commit(task); err == kbase.EOK {
+			err = cerr
+		}
 	}
 	if err == kbase.EOK && inst.cache.DirtyPressure() {
 		// Writeback under memory pressure: file data stays dirty until
@@ -652,7 +670,7 @@ func (fo *fileOps) WriteEnd(task *kbase.Task, ino *vfs.Inode, off int64, n int, 
 		// taken effect, so a writeback error is not its error.
 		_ = inst.SyncFS(task)
 	}
-	tok.ei.lock.Unlock(task)
+	inst.endWrite(task, tok)
 	return err
 }
 

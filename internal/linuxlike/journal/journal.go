@@ -107,10 +107,13 @@ type Tx struct {
 }
 
 // Handle is a file-system-side reference to the running transaction
-// (journal_start/journal_stop).
+// (journal_start/journal_stop). The zero Handle is unstarted; Start
+// fills one the caller owns, so a caller that keeps its handles (jbd2
+// takes them from a slab) opens a transaction without allocating.
 type Handle struct {
 	tx   *Tx
 	done bool
+	used bool // joined a buffer or revoked a block
 }
 
 // New creates a journal over blocks [start, start+size) of cache's
@@ -207,12 +210,22 @@ func (tx *Tx) descriptor(bs int) []byte {
 	return recordBlock(bs, kindDesc, tx.seq, uint32(len(homes)), homes)
 }
 
-// Begin opens a handle on the running transaction, creating one if
-// needed (journal_start). While a commit or checkpoint is in flight
-// Begin blocks, so a new handle can never mutate buffer data that the
-// journal is concurrently writing out — the jbd2 analogue of starting
-// the next transaction only once the previous one is locked down.
+// Begin opens a new handle on the running transaction (see Start).
 func (j *Journal) Begin() *Handle {
+	h := new(Handle)
+	j.Start(h)
+	return h
+}
+
+// Start opens h on the running transaction, creating one if needed
+// (journal_start); whatever h held before is overwritten. While a
+// commit or checkpoint is in flight Start blocks, so a new handle can
+// never mutate buffer data that the journal is concurrently writing
+// out — the jbd2 analogue of starting the next transaction only once
+// the previous one is locked down. A transaction stays running until a
+// commit closes it, so handles that journal nothing keep joining the
+// same one.
+func (j *Journal) Start(h *Handle) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for j.gate {
@@ -224,8 +237,14 @@ func (j *Journal) Begin() *Handle {
 	}
 	j.running.handles++
 	tpBegin.Emit(0, j.running.seq, 0)
-	return &Handle{tx: j.running}
+	*h = Handle{tx: j.running}
 }
+
+// Used reports whether the handle joined a buffer to its transaction
+// or revoked a block. A handle that did neither left the transaction
+// as it found it, so its caller has nothing to commit: journal_stop
+// does not commit either.
+func (h *Handle) Used() bool { return h.used }
 
 // GetWriteAccess declares intent to modify the referenced buffer
 // under this handle (jbd2_journal_get_write_access). The buffer joins
@@ -262,6 +281,7 @@ func (h *Handle) GetWriteAccess(ref bufcache.MetaRef) kbase.Errno {
 		tx.buffers = append(tx.buffers, bh)
 		bh.SetJournalSeq(tx.seq) // typed b_private-style breadcrumb
 	}
+	h.used = true
 	return kbase.EOK
 }
 
@@ -305,6 +325,7 @@ func (h *Handle) Revoke(home uint64) kbase.Errno {
 	}
 	tx.revokes = append(tx.revokes, home)
 	tx.j.stats.Revokes++
+	h.used = true
 	return kbase.EOK
 }
 

@@ -552,3 +552,78 @@ func TestCommitsWriteLogOnlyCheckpointWritesHomeOnce(t *testing.T) {
 		t.Fatalf("%d dirty buffers after the checkpoint, want 0", cache.DirtyCount())
 	}
 }
+
+// TestUnusedHandleLeavesTransactionRunning: a handle that joins no
+// buffer and revokes nothing reports !Used, so its caller skips the
+// commit. The commit count stays put, and the next handle, started
+// into a caller-owned Handle, joins the same running transaction; once
+// it journals a buffer, its commit logs that transaction.
+func TestUnusedHandleLeavesTransactionRunning(t *testing.T) {
+	_, cache, j := testSetup(t)
+	var h Handle
+	j.Start(&h)
+	first := h.tx
+	h.Stop()
+	if h.Used() {
+		t.Fatal("a handle that journaled nothing reports Used")
+	}
+	if got := ktrace.Read(j.CollectMetrics, "commits"); got != 0 {
+		t.Fatalf("commits = %d after an unused handle, want 0", got)
+	}
+	j.Start(&h)
+	if h.tx != first || h.done {
+		t.Fatalf("restarted handle: tx %p done %v, want the running tx %p and open", h.tx, h.done, first)
+	}
+	bh, _ := cache.Bread(40)
+	if err := h.GetWriteAccess(bh.Meta()); err != kbase.EOK {
+		t.Fatalf("GetWriteAccess: %v", err)
+	}
+	h.DirtyMetadata(bh.Meta())
+	bh.Put()
+	h.Stop()
+	if !h.Used() {
+		t.Fatal("a handle that joined a buffer reports !Used")
+	}
+	if err := j.CommitCtx(nil); err != kbase.EOK {
+		t.Fatalf("Commit: %v", err)
+	}
+	if got := ktrace.Read(j.CollectMetrics, "commits"); got != 1 {
+		t.Fatalf("commits = %d, want 1", got)
+	}
+	if j.lastDoneSeq != first.seq {
+		t.Fatalf("committed seq %d, want the reused transaction's %d", j.lastDoneSeq, first.seq)
+	}
+
+	// A revoke alone also uses the handle.
+	j.Start(&h)
+	if err := h.Revoke(41); err != kbase.EOK {
+		t.Fatalf("Revoke: %v", err)
+	}
+	h.Stop()
+	if !h.Used() {
+		t.Fatal("a handle that revoked a block reports !Used")
+	}
+}
+
+// TestStoppedHandleWriteAccessOopses: a Stop'd handle, whether Begin
+// allocated it or Start filled a caller-owned one, is a use-after-free
+// on GetWriteAccess.
+func TestStoppedHandleWriteAccessOopses(t *testing.T) {
+	rec := &kbase.OopsRecorder{}
+	prev := kbase.InstallRecorder(rec)
+	defer kbase.InstallRecorder(prev)
+	_, cache, j := testSetup(t)
+	bh, _ := cache.Bread(42)
+	defer bh.Put()
+	var owned Handle
+	j.Start(&owned)
+	for _, h := range []*Handle{j.Begin(), &owned} {
+		h.Stop()
+		if err := h.GetWriteAccess(bh.Meta()); err != kbase.EINVAL {
+			t.Fatalf("GetWriteAccess on a stopped handle: %v, want EINVAL", err)
+		}
+	}
+	if got := rec.Count(kbase.OopsUseAfterFree); got != 2 {
+		t.Fatalf("use-after-free oopses = %d, want 2", got)
+	}
+}

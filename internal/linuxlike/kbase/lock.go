@@ -16,25 +16,19 @@ import (
 // double-unlock and unlock-of-unlocked misuse. Validation can be
 // switched off globally for benchmarks via SetLockValidation.
 
-var lockValidationEnabled = true
-var lockValidationMu sync.Mutex
+// lockValidationOff is the global switch, stored inverted so that the
+// zero value means "on". Every lock operation reads it, so it is an
+// atomic rather than a variable behind one process-wide mutex.
+var lockValidationOff atomic.Bool
 
 // SetLockValidation toggles global lockdep-style validation and
 // returns the previous setting. It is not safe to toggle while locks
 // are held.
 func SetLockValidation(on bool) bool {
-	lockValidationMu.Lock()
-	defer lockValidationMu.Unlock()
-	prev := lockValidationEnabled
-	lockValidationEnabled = on
-	return prev
+	return !lockValidationOff.Swap(!on)
 }
 
-func lockValidationOn() bool {
-	lockValidationMu.Lock()
-	defer lockValidationMu.Unlock()
-	return lockValidationEnabled
-}
+func lockValidationOn() bool { return !lockValidationOff.Load() }
 
 // LockClass identifies a family of locks for ordering purposes, e.g.
 // all inode i_lock instances share one class, as in Linux lockdep.

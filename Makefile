@@ -64,7 +64,9 @@ bench-trace:
 # I/O engine: kio at QD 1/8/32 against a raw-device write+flush
 # baseline (wall clock and simulated device time), the QD-1 kio/raw
 # ratio, copy accounting, and the tracepoint gate share (see DESIGN.md
-# "Async I/O (kio)" and BENCH_kio.json).
+# "Async I/O (kio)" and BENCH_kio.json). Exits non-zero if the copy
+# accounting breaks: one copy per write on the memcpy path, none and
+# one avoided per write on the ownership-move path.
 bench-kio:
 	$(GO) run ./cmd/kiobench -out BENCH_kio.json
 

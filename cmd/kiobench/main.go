@@ -10,7 +10,8 @@
 //   - copies per write on the memcpy path (Batch.Write) vs the
 //     ownership move path (Batch.WriteOwned), verified from the
 //     engine's BytesCopied/CopiesPerformed/CopiesAvoided counters,
-//     not inferred from timing;
+//     not inferred from timing; kiobench exits non-zero when the
+//     accounting breaks (see copyGate);
 //   - the disabled-tracepoint gate share of the kio path, read
 //     against the same ≤5% line as BENCH_trace.json.
 //
@@ -224,6 +225,27 @@ func measureCopies(writes int, owned bool) (CopyStats, error) {
 	return cs, nil
 }
 
+// copyGate is kiobench's acceptance line on the copy accounting: the
+// memcpy path performs one copy of one block per write and avoids
+// none, and the ownership-move path performs none and avoids one per
+// write. It returns one derived line per path and whether both held.
+func copyGate(copies map[string]CopyStats) (map[string]string, bool) {
+	derived := map[string]string{}
+	pass := true
+	check := func(path string, performed, avoided uint64) {
+		cs := copies[path]
+		ok := cs.Writes > 0 && cs.CopiesPerformed == performed*cs.Writes &&
+			cs.CopiesAvoided == avoided*cs.Writes && cs.BytesCopied == performed*cs.Writes*benchBlockSize
+		pass = pass && ok
+		derived[path+"_copy_accounting"] = fmt.Sprintf(
+			"%d writes: %d copies (%d bytes), %d avoided; want %d copies and %d avoided per write: %v",
+			cs.Writes, cs.CopiesPerformed, cs.BytesCopied, cs.CopiesAvoided, performed, avoided, ok)
+	}
+	check("copy_path", 1, 0)
+	check("ownership_path", 0, 1)
+	return derived, pass
+}
+
 // measureGate estimates the disabled-tracepoint share of the kio
 // path: gate cost per emit times emits per durable write.
 func measureGate(kioNs float64) map[string]float64 {
@@ -298,7 +320,7 @@ func pctFaster(base, v float64) string {
 	return fmt.Sprintf("%+.0f%% (%.1f -> %.1f per write)", 100*(v-base)/base, base, v)
 }
 
-func run(date string) (*Result, error) {
+func run(date string) (*Result, bool, error) {
 	prevLV := kbase.SetLockValidation(false)
 	defer kbase.SetLockValidation(prevLV)
 
@@ -346,17 +368,21 @@ func run(date string) (*Result, error) {
 	const copyWrites = 8192
 	cs, err := measureCopies(copyWrites, false)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	res.Copies["copy_path"] = cs
 	cs, err = measureCopies(copyWrites, true)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	res.Copies["ownership_path"] = cs
+	derived, pass := copyGate(res.Copies)
+	for k, v := range derived {
+		res.Derived[k] = v
+	}
 
 	res.Gate = measureGate(res.NsPerWrite["kio_qd8"])
-	return res, nil
+	return res, pass, nil
 }
 
 func main() {
@@ -364,7 +390,7 @@ func main() {
 	date := flag.String("date", "", "date stamp to embed (omitted if empty)")
 	flag.Parse()
 
-	res, err := run(*date)
+	res, pass, err := run(*date)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "kiobench: %v\n", err)
 		os.Exit(1)
@@ -377,11 +403,14 @@ func main() {
 	data = append(data, '\n')
 	if *out == "-" {
 		os.Stdout.Write(data)
-		return
+	} else if werr := os.WriteFile(*out, data, 0o644); werr != nil {
+		fmt.Fprintf(os.Stderr, "kiobench: %v\n", werr)
+		os.Exit(1)
+	} else {
+		fmt.Printf("kiobench: wrote %s\n", *out)
 	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "kiobench: %v\n", err)
+	if !pass {
+		fmt.Fprintln(os.Stderr, "kiobench: acceptance FAILED (see the derived field)")
 		os.Exit(1)
 	}
-	fmt.Printf("kiobench: wrote %s\n", *out)
 }

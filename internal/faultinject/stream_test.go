@@ -482,6 +482,27 @@ func TestStreamReceiveWindow(t *testing.T) {
 	})
 }
 
+// A receiver that does not read closes its 512-byte window; the sender
+// keeps probing it, counted by its stack's zero_wnd_probes, and once
+// the receiver reads, every byte arrives.
+func TestStreamZeroWindowProbe(t *testing.T) {
+	onBothStacks(t, func(t *testing.T, sc stackCase) {
+		l := newLink(sc.build(t, tuning{recvWindow: 512}), 35, net.LinkParams{Delay: 1})
+		c, srv := l.connect(t, 80)
+		payload := patterned(4096, 13)
+		if err := c.Send(payload); err != kbase.EOK {
+			t.Fatalf("Send: %v", err)
+		}
+		l.sim.Run(3000) // the window fills; probes keep the connection alive
+		if metric(l.a, "zero_wnd_probes") == 0 {
+			t.Fatalf("closed window never probed")
+		}
+		if got := l.readN(srv, nil, len(payload), 120000); !bytes.Equal(got, payload) {
+			t.Fatalf("zero-window transfer: got %d of %d bytes", len(got), len(payload))
+		}
+	})
+}
+
 // On a 10-jiffy link the ~21-jiffy RTT is above the fixed 16-jiffy
 // RTO, so every fixed-RTO data timer fires before its ACK returns; the
 // adaptive estimator settles above the RTT and retransmits less.

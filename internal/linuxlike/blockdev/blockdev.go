@@ -15,14 +15,19 @@
 // NumShards shards keyed by block % NumShards. Each shard owns the
 // pending-write submission queue and the durable slots for its blocks,
 // so reads and writes to different shards never contend. A global
-// atomic sequence number stamps every cached write, which lets the
-// crash model (Crash, CrashApplySubset) and Snapshot reconstruct the
-// exact global issue order. Flush needs only per-block order, which
-// each shard's queue already holds.
+// atomic sequence number, taken under the shard lock, stamps every
+// cached write: each shard's queue is in issue order, and the crash
+// model (Crash, CrashApplySubset) and Snapshot merge the queues back
+// into the exact global order. Flush needs only per-block order, which
+// each queue already holds, so it drains the queued shards one at a
+// time. The durable images a flush replaces go to a small free list
+// that Page hands out again, so a steady write stream allocates no
+// block buffers.
 package blockdev
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,6 +50,11 @@ var (
 // counts the benchmarks use while keeping whole-device operations
 // (flush, crash, snapshot) cheap.
 const NumShards = 16
+
+// freePages bounds the free list of replaced durable images: enough to
+// serve a commit's writes between two flushes, small enough that the
+// list adds little to the live heap.
+const freePages = 64
 
 // Config describes a simulated device.
 type Config struct {
@@ -98,8 +108,19 @@ type Device struct {
 	cfg Config
 
 	shards  [NumShards]shard
-	durable [][]byte // nil entry = all-zero block; slot b guarded by shards[b%NumShards]
-	seq     atomic.Uint64
+	durable [][]byte      // nil entry = all-zero block; slot b guarded by shards[b%NumShards]
+	seq     atomic.Uint64 // taken under the written block's shard lock
+	// queued has bit i set while shard i may hold pending writes: a
+	// write sets it under the shard lock, and Flush claims the set bits
+	// and visits only those shards.
+	queued atomic.Uint32
+
+	// flushMu serializes flushes: a flush that finds the mask already
+	// claimed must still wait until the claiming flush has drained it.
+	flushMu sync.Mutex
+
+	// free holds durable images a flush replaced, for Page.
+	free *kbase.FreeList[[]byte]
 
 	reads   atomic.Uint64
 	writes  atomic.Uint64
@@ -127,6 +148,7 @@ func New(cfg Config) *Device {
 	return &Device{
 		cfg:       cfg,
 		durable:   make([][]byte, cfg.Blocks),
+		free:      kbase.NewFreeList[[]byte](freePages),
 		badBlocks: make(map[uint64]bool),
 	}
 }
@@ -160,10 +182,42 @@ func (d *Device) pendingInOrderLocked() []pendingWrite {
 	return all
 }
 
+// clearPendingLocked drops every cached write. Caller holds all shard
+// locks.
 func (d *Device) clearPendingLocked() {
 	for i := range d.shards {
-		d.shards[i].pending = nil
+		d.shards[i].dropLocked()
 	}
+	d.queued.Store(0)
+}
+
+// dropLocked empties the shard's queue, keeping its array but not the
+// data it referenced. Caller holds s.mu.
+func (s *shard) dropLocked() {
+	clear(s.pending)
+	s.pending = s.pending[:0]
+}
+
+// markQueued sets shard i's bit in the queued mask. Go 1.22 has no
+// atomic Or, so it loops on CompareAndSwap.
+func (d *Device) markQueued(i uint64) {
+	bit := uint32(1) << i
+	for {
+		old := d.queued.Load()
+		if old&bit != 0 || d.queued.CompareAndSwap(old, old|bit) {
+			return
+		}
+	}
+}
+
+// Page returns a block-sized buffer to fill and hand to WriteOwned: a
+// durable image a flush replaced, or a new one. Its contents are
+// stale; the caller overwrites all of it.
+func (d *Device) Page() []byte {
+	if p, ok := d.free.Get(); ok {
+		return p
+	}
+	return make([]byte, d.cfg.BlockSize)
 }
 
 // BlockSize returns bytes per block.
@@ -260,18 +314,12 @@ func (d *Device) Read(block uint64, buf []byte) kbase.Errno {
 	s := d.shard(block)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Most recent cached write wins — by global sequence, since
-	// concurrent submitters may append to the shard queue slightly out
-	// of seq order.
-	var newest *pendingWrite
-	for i := range s.pending {
-		if s.pending[i].block == block && (newest == nil || s.pending[i].seq > newest.seq) {
-			newest = &s.pending[i]
+	// Most recent cached write wins: the queue is in issue order.
+	for i := len(s.pending) - 1; i >= 0; i-- {
+		if s.pending[i].block == block {
+			copy(buf, s.pending[i].data)
+			return kbase.EOK
 		}
-	}
-	if newest != nil {
-		copy(buf, newest.data)
-		return kbase.EOK
 	}
 	if d.durable[block] == nil {
 		for i := range buf {
@@ -289,7 +337,7 @@ func (d *Device) Write(block uint64, data []byte) kbase.Errno {
 	if len(data) != d.cfg.BlockSize {
 		return kbase.EINVAL
 	}
-	cp := make([]byte, len(data))
+	cp := d.Page()
 	copy(cp, data)
 	return d.WriteOwned(block, cp)
 }
@@ -316,39 +364,39 @@ func (d *Device) WriteOwned(block uint64, data []byte) kbase.Errno {
 	d.writes.Add(1)
 	d.cfg.Clock.Advance(d.cfg.WriteCost)
 	tpWrite.Emit(0, block, 0)
-	w := pendingWrite{seq: d.seq.Add(1), block: block, data: data}
 	s := d.shard(block)
 	s.mu.Lock()
-	s.pending = append(s.pending, w)
+	s.pending = append(s.pending, pendingWrite{seq: d.seq.Add(1), block: block, data: data})
+	d.markQueued(block % NumShards)
 	s.mu.Unlock()
 	return kbase.EOK
 }
 
 // Flush commits every cached write to durable storage, in order. It
-// is the device-level barrier (FUA/flush).
+// is the device-level barrier (FUA/flush): every write that returned
+// before Flush was called is durable when it returns.
 func (d *Device) Flush() kbase.Errno {
 	d.flushes.Add(1)
 	d.cfg.Clock.Advance(d.cfg.FlushCost)
-	d.lockAll()
-	defer d.unlockAll()
-	// Every write to a block queues on that block's shard, so applying
-	// each shard's queue in issue order makes the last write to every
-	// block win; no cross-shard merge is needed. A queue is sorted only
-	// when concurrent submitters appended it slightly out of order.
+	d.flushMu.Lock()
+	defer d.flushMu.Unlock()
+	// Every write to a block queues on that block's shard in issue
+	// order, so applying each queue in turn makes the last write to
+	// every block win; no cross-shard merge is needed. A shard whose
+	// bit is clear has queued nothing since the last flush claimed it.
 	n := 0
-	for i := range d.shards {
-		q := d.shards[i].pending
-		bySeq := func(a, b int) bool { return q[a].seq < q[b].seq }
-		if !sort.SliceIsSorted(q, bySeq) {
-			sort.Slice(q, bySeq)
-		}
-		for _, w := range q {
+	for mask := d.queued.Swap(0); mask != 0; mask &= mask - 1 {
+		s := &d.shards[bits.TrailingZeros32(mask)]
+		s.mu.Lock()
+		for _, w := range s.pending {
+			if old := d.durable[w.block]; old != nil {
+				d.free.Put(old) // nothing references a replaced image
+			}
 			d.durable[w.block] = w.data
 		}
-		n += len(q)
-		// nil, not q[:0]: a reused backing array would keep the
-		// applied blocks' data reachable until overwritten.
-		d.shards[i].pending = nil
+		n += len(s.pending)
+		s.dropLocked()
+		s.mu.Unlock()
 	}
 	tpFlush.Emit(0, uint64(n), 0)
 	return kbase.EOK
@@ -481,6 +529,7 @@ func (d *Device) Restore(s *Snapshot) {
 		copy(cp, w.data)
 		sh := d.shard(w.block)
 		sh.pending = append(sh.pending, pendingWrite{seq: w.seq, block: w.block, data: cp})
+		d.markQueued(w.block % NumShards)
 		if w.seq > maxSeq {
 			maxSeq = w.seq
 		}

@@ -2,6 +2,7 @@ package blockdev
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -401,17 +402,122 @@ func TestConcurrentFlushKeepsNewestWriteProperty(t *testing.T) {
 	}
 }
 
-// TestFlushSortsOutOfOrderQueue: a shard queue appended out of issue
-// order (two submitters racing between taking a sequence number and
-// taking the shard lock) still flushes with the newest write winning.
-func TestFlushSortsOutOfOrderQueue(t *testing.T) {
-	d := testDev(8)
-	older, newer := blockOf(d, 0x01), blockOf(d, 0x02)
-	d.shard(3).pending = []pendingWrite{{seq: 2, block: 3, data: newer}, {seq: 1, block: 3, data: older}}
+// TestShardQueueInIssueOrder: writers racing on blocks of one shard
+// leave its queue in sequence order, because each takes its sequence
+// number under the shard lock, so Flush applies the queue as it stands
+// and the newest write of every block wins. Meaningful under -race.
+func TestShardQueueInIssueOrder(t *testing.T) {
+	d := testDev(4 * NumShards)
+	blocks := []uint64{3, NumShards + 3, 2*NumShards + 3}
+	const writers, writes = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < writes; i++ {
+				d.Write(blocks[(g+i)%len(blocks)], blockOf(d, byte(g*writes+i)))
+			}
+		}(g)
+	}
+	wg.Wait()
+	q := d.shard(3).pending
+	if len(q) != writers*writes {
+		t.Fatalf("shard queue holds %d writes, want %d", len(q), writers*writes)
+	}
+	newest := map[uint64][]byte{}
+	for i, w := range q {
+		if i > 0 && w.seq <= q[i-1].seq {
+			t.Fatalf("queue out of issue order at %d: seq %d after %d", i, w.seq, q[i-1].seq)
+		}
+		newest[w.block] = w.data
+	}
 	if e := d.Flush(); e != kbase.EOK {
 		t.Fatalf("Flush: %v", e)
 	}
-	if !bytes.Equal(d.durable[3], newer) {
-		t.Fatal("Flush applied an older write over a newer one")
+	for _, b := range blocks {
+		if !bytes.Equal(d.durable[b], newest[b]) {
+			t.Fatalf("block %d: Flush kept an older write over the newest", b)
+		}
+	}
+}
+
+// TestFlushRecyclesReplacedImages: a flush that replaces a durable
+// image hands it to Page, the free list stays bounded, and Flush
+// visits only shards with queued writes.
+func TestFlushRecyclesReplacedImages(t *testing.T) {
+	d := testDev(4 * freePages)
+	for b := uint64(0); b < 2*freePages; b++ {
+		d.Write(b, blockOf(d, 1))
+	}
+	d.Flush()
+	if d.queued.Load() != 0 {
+		t.Fatalf("queued mask %#x after a flush", d.queued.Load())
+	}
+	old := d.durable[5]
+	for b := uint64(0); b < 2*freePages; b++ {
+		d.Write(b, blockOf(d, 2))
+	}
+	if d.queued.Load() != 1<<NumShards-1 {
+		t.Fatalf("queued mask %#x, want every shard", d.queued.Load())
+	}
+	d.Flush()
+	held, found := 0, false
+	for {
+		p, ok := d.free.Get()
+		if !ok {
+			break
+		}
+		held++
+		found = found || &p[0] == &old[0]
+	}
+	if held != freePages {
+		t.Fatalf("free list held %d images, want the bound %d", held, freePages)
+	}
+	if !found {
+		t.Fatal("a replaced durable image never reached the free list")
+	}
+	if p := d.Page(); len(p) != d.BlockSize() {
+		t.Fatalf("Page past the free list: %d bytes, want %d", len(p), d.BlockSize())
+	}
+	buf := make([]byte, d.BlockSize())
+	d.Read(5, buf)
+	if !bytes.Equal(buf, blockOf(d, 2)) {
+		t.Fatal("recycling changed a durable block")
+	}
+}
+
+// TestConcurrentFlushIsABarrier: each writer writes its own block and
+// flushes, and when its Flush returns the write is durable, although
+// another writer's flush may have claimed the queued mask first. Each
+// writer's block is on its own shard.
+func TestConcurrentFlushIsABarrier(t *testing.T) {
+	d := testDev(NumShards)
+	const writers, rounds = 4, 300
+	var wg sync.WaitGroup
+	errs := make(chan string, writers)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(b uint64) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				want := blockOf(d, byte(i))
+				d.Write(b, want)
+				d.Flush()
+				s := d.shard(b)
+				s.mu.Lock()
+				ok := bytes.Equal(d.durable[b], want)
+				s.mu.Unlock()
+				if !ok {
+					errs <- fmt.Sprintf("block %d round %d: not durable after Flush returned", b, i)
+					return
+				}
+			}
+		}(uint64(g))
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }

@@ -731,6 +731,7 @@ func (c *Cache) writeBack(task *kbase.Task, toWrite []*BufferHead) kbase.Errno {
 	defer bt.End()
 	var firstErr kbase.Errno = kbase.EOK
 	b := c.Engine().NewBatch()
+	defer b.Release()
 	queued := make([]*BufferHead, 0, len(toWrite))
 	for _, bh := range toWrite {
 		err := checkMapped(bh)

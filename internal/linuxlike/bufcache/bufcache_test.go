@@ -488,3 +488,36 @@ func TestRangeCopyCrossesOnce(t *testing.T) {
 		t.Errorf("cached CopyIn through the gate: %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestSyncBlocksAllocsFlatInBlocks pins the fsync writeback: writing
+// back eight dirty blocks allocates no more than writing back one. The
+// kio batch is reused, and each block's copy lands in a device page a
+// flush recycled.
+func TestSyncBlocksAllocsFlatInBlocks(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, n := range []int{1, 8} {
+		dev := blockdev.New(blockdev.Config{Blocks: 64, BlockSize: 512, Rng: kbase.NewRng(3)})
+		c := NewCache(dev, 0)
+		task := kbase.NewTask()
+		blocks := make([]uint64, n)
+		for i := range blocks {
+			blocks[i] = 10 + uint64(i)
+		}
+		data := make([]byte, n*dev.BlockSize())
+		fsync := func() {
+			data[0]++
+			if _, err := c.CopyIn(task, blocks, 0, data); err != kbase.EOK {
+				t.Fatalf("CopyIn: %v", err)
+			}
+			if err := c.SyncBlocksCtx(task, blocks); err != kbase.EOK {
+				t.Fatalf("SyncBlocksCtx: %v", err)
+			}
+		}
+		fsync() // every block gets a durable image for the next flush to replace
+		allocs[n] = testing.AllocsPerRun(50, fsync)
+	}
+	t.Logf("allocs per fsync writeback: %v for 1 block, %v for 8", allocs[1], allocs[8])
+	if allocs[8] > allocs[1] {
+		t.Fatalf("an 8-block writeback allocates %v, a 1-block one %v: writeback allocates per block", allocs[8], allocs[1])
+	}
+}

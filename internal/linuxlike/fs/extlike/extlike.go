@@ -72,6 +72,11 @@ type fsInstance struct {
 	// free-bit counting).
 	allocMu *kbase.KMutex
 
+	// opsFit records, once at mount, whether one transaction can log
+	// a namespace operation's footprint (Geometry.opFootprint); a
+	// volume whose journal cannot refuses them all with ENOSPC.
+	opsFit bool
+
 	imu    sync.Mutex // guards inodes (the icache table) only
 	inodes map[uint64]*vfs.Inode
 
@@ -111,6 +116,7 @@ func (f *FS) Mount(task *kbase.Task, data vfs.MountData) (*vfs.SuperBlock, kbase
 	}
 	inst.tokens.New = func() any { return new(writeToken) }
 	inst.jnl = journal.New(cache, geo.SB.JournalStart, geo.SB.JournalLen)
+	inst.opsFit = geo.opFootprint() <= inst.jnl.TxCapacity()
 	// Crash recovery on every mount; clean mounts replay nothing.
 	if _, err := inst.jnl.Recover(); err != kbase.EOK {
 		return nil, err
@@ -214,7 +220,11 @@ func (o *inodeOps) CreateTyped(task *kbase.Task, dir *vfs.Inode, name string, mo
 	if dirFind(ents, name) >= 0 {
 		return typedapi.Err[*vfs.Inode](kbase.EEXIST)
 	}
-	if err := inst.dirsFit(direntsSize(ents) + direntHeader + len(name)); err != kbase.EOK {
+	slot, err := inst.dirSlot(ei, ents, name)
+	if err == kbase.EOK {
+		err = inst.opsRoom()
+	}
+	if err != kbase.EOK {
 		return typedapi.Err[*vfs.Inode](err)
 	}
 	h := inst.begin()
@@ -231,7 +241,7 @@ func (o *inodeOps) CreateTyped(task *kbase.Task, dir *vfs.Inode, name string, mo
 	if err := inst.writeDiskInode(task, h, ino, &di); err != kbase.EOK {
 		return typedapi.Err[*vfs.Inode](err)
 	}
-	if err := inst.writeDir(task, h, dir, ei, append(ents, dirent{Ino: ino, Mode: diskMode, Name: name})); err != kbase.EOK {
+	if err := inst.dirInsert(task, h, dir, ei, slot, ino, diskMode, name); err != kbase.EOK {
 		return typedapi.Err[*vfs.Inode](err)
 	}
 	h.Stop()
@@ -303,18 +313,17 @@ func (inst *fsInstance) removeEntry(task *kbase.Task, dir *vfs.Inode, name strin
 	}
 	defer cei.lock.Unlock(task)
 	if wantDir {
-		sub, err := inst.readDir(task, cei)
-		if err != kbase.EOK {
+		if err := inst.checkEmptyDir(task, childVi, cei); err != kbase.EOK {
 			return err
 		}
-		if len(sub) > 0 {
-			return kbase.ENOTEMPTY
-		}
+	}
+	if err := inst.opsRoom(); err != kbase.EOK {
+		return err
 	}
 
 	h := inst.begin()
 	defer h.Stop()
-	if err := inst.writeDir(task, h, dir, ei, slices.Delete(ents, i, i+1)); err != kbase.EOK {
+	if err := inst.dirRemove(task, h, dir, ei, i); err != kbase.EOK {
 		return err
 	}
 	if isDir {
@@ -341,7 +350,13 @@ func (inst *fsInstance) removeEntry(task *kbase.Task, dir *vfs.Inode, name strin
 		return err
 	}
 	h.Stop()
-	return inst.commit(task)
+	if err := inst.commit(task); err != kbase.EOK {
+		return err
+	}
+	// The removal has committed: empty blocks a failed trim leaves
+	// are the next trim's, and rmdir trims before it frees.
+	_ = inst.dirTrim(task, dir, ei)
+	return kbase.EOK
 }
 
 // releaseInode writes ei's disk inode and, once its last link is gone,
@@ -408,13 +423,17 @@ func (o *inodeOps) Rename(task *kbase.Task, oldDir *vfs.Inode, oldName string, n
 			return err
 		}
 	}
-	grown := direntsSize(newEnts) + direntHeader + len(newName)
-	if sameDir {
-		err = inst.dirsFit(grown)
-	} else {
-		err = inst.dirsFit(direntsSize(oldEnts), grown)
+	ni := dirFind(newEnts, newName)
+	// Without a target the new name needs a record: the moving one,
+	// when the name fits its rec_len, or a slot in the new directory.
+	inPlace := sameDir && recSize(len(newName)) <= int(moving.recLen)
+	slot := 0
+	if ni < 0 && !inPlace {
+		if slot, err = inst.dirSlot(nei, newEnts, newName); err != kbase.EOK {
+			return err
+		}
 	}
-	if err != kbase.EOK {
+	if err := inst.opsRoom(); err != kbase.EOK {
 		return err
 	}
 
@@ -422,7 +441,6 @@ func (o *inodeOps) Rename(task *kbase.Task, oldDir *vfs.Inode, oldName string, n
 	// handle: handle holders must never block on an inode lock.
 	var xei *einode
 	var exVi *vfs.Inode
-	ni := dirFind(newEnts, newName)
 	if ni >= 0 {
 		existing := newEnts[ni]
 		if existing.Ino == moving.Ino {
@@ -461,12 +479,8 @@ func (o *inodeOps) Rename(task *kbase.Task, oldDir *vfs.Inode, oldName string, n
 		}
 		defer xei.lock.Unlock(task)
 		if existingDir {
-			sub, err := inst.readDir(task, xei)
-			if err != kbase.EOK {
+			if err := inst.checkEmptyDir(task, exVi, xei); err != kbase.EOK {
 				return err
-			}
-			if len(sub) > 0 {
-				return kbase.ENOTEMPTY
 			}
 		}
 	}
@@ -498,33 +512,51 @@ func (o *inodeOps) Rename(task *kbase.Task, oldDir *vfs.Inode, oldName string, n
 		}
 	}
 
-	// The entry slices are the directories' caches, edited in place:
-	// each edit comes right before the writeDir that drops the cache
-	// first, so a failure cannot leave a half-edited cache installed.
-	if sameDir {
-		if ni >= 0 {
-			newEnts = slices.Delete(newEnts, ni, ni+1)
-			// Removing an entry shifts indices; refind the source.
-			oi = dirFind(newEnts, oldName)
-		}
-		newEnts[oi].Name = newName
-		if err := inst.writeDir(task, h, oldDir, oei, newEnts); err != kbase.EOK {
+	// Each edit changes one block of one directory and keeps that
+	// directory's cached records in step.
+	switch {
+	case ni >= 0:
+		// Onto an existing name: its record now names the moving inode.
+		if err := inst.dirSet(task, h, nei, ni, newName, moving.Ino, moving.Mode); err != kbase.EOK {
 			return err
 		}
-	} else {
-		if err := inst.writeDir(task, h, oldDir, oei, slices.Delete(oldEnts, oi, oi+1)); err != kbase.EOK {
+		if err := inst.dirRemove(task, h, oldDir, oei, oi); err != kbase.EOK {
 			return err
 		}
-		if ni >= 0 {
-			newEnts = slices.Delete(newEnts, ni, ni+1)
+	case inPlace:
+		if err := inst.dirSet(task, h, oei, oi, newName, moving.Ino, moving.Mode); err != kbase.EOK {
+			return err
 		}
-		newEnts = append(newEnts, dirent{Ino: moving.Ino, Mode: moving.Mode, Name: newName})
-		if err := inst.writeDir(task, h, newDir, nei, newEnts); err != kbase.EOK {
+	default:
+		if err := inst.dirInsert(task, h, newDir, nei, slot, moving.Ino, moving.Mode, newName); err != kbase.EOK {
+			return err
+		}
+		// An insert into the same directory may shift the source.
+		if err := inst.dirRemove(task, h, oldDir, oei, dirFind(oei.dirents, oldName)); err != kbase.EOK {
 			return err
 		}
 	}
 	h.Stop()
-	return inst.commit(task)
+	if err := inst.commit(task); err != kbase.EOK {
+		return err
+	}
+	_ = inst.dirTrim(task, oldDir, oei) // as in removeEntry
+	return kbase.EOK
+}
+
+// checkEmptyDir returns ENOTEMPTY unless directory ei holds no live
+// entry, and then frees any blocks it still holds, in transactions of
+// their own (dirTrim), so that removing it revokes none. The caller
+// holds ei.lock and no handle.
+func (inst *fsInstance) checkEmptyDir(task *kbase.Task, vi *vfs.Inode, ei *einode) kbase.Errno {
+	sub, err := inst.readDir(task, ei)
+	if err != kbase.EOK {
+		return err
+	}
+	if slices.ContainsFunc(sub, live) {
+		return kbase.ENOTEMPTY
+	}
+	return inst.dirTrim(task, vi, ei)
 }
 
 func (o *inodeOps) ReadDir(task *kbase.Task, dir *vfs.Inode) ([]vfs.DirEntry, kbase.Errno) {
@@ -541,6 +573,9 @@ func (o *inodeOps) ReadDir(task *kbase.Task, dir *vfs.Inode) ([]vfs.DirEntry, kb
 	}
 	out := make([]vfs.DirEntry, 0, len(ents))
 	for _, e := range ents {
+		if e.Ino == 0 {
+			continue
+		}
 		mode := vfs.ModeRegular
 		if e.Mode == modeDirDisk {
 			mode = vfs.ModeDir

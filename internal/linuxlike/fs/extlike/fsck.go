@@ -13,7 +13,10 @@ import (
 
 // Offline consistency checking (e2fsck for the simulated kernel).
 // Fsck replays the journal, walks the directory tree from the root
-// inode marking every reachable inode and block, and cross-checks the
+// inode marking every reachable inode and block (checking each
+// directory's record chain on the way: rec_len bounds and alignment, no
+// record crossing a block, every block covered exactly; an unused
+// record, ino 0, is not an entry), and cross-checks the
 // reachability sets against the allocation bitmaps. The two
 // interesting divergences mirror real fsck findings:
 //
@@ -124,14 +127,21 @@ func Fsck(dev *blockdev.Device) (FsckReport, kbase.Errno) {
 		if di.Mode != modeDirDisk {
 			continue
 		}
-		ents, err := inst.decodeDir(nil, ei)
+		ents, problem, err := inst.decodeDir(nil, ei)
+		if problem != "" {
+			rep.Problems = append(rep.Problems, fmt.Sprintf("directory %d: %s", ino, problem))
+			continue
+		}
 		if err != kbase.EOK {
 			rep.Problems = append(rep.Problems,
 				fmt.Sprintf("directory %d unreadable: %v", ino, err))
 			continue
 		}
 		for _, e := range ents {
-			if e.Ino == 0 || e.Ino > uint64(geo.SB.InodeCount) {
+			if e.Ino == 0 {
+				continue // an unused record
+			}
+			if e.Ino > uint64(geo.SB.InodeCount) {
 				rep.Problems = append(rep.Problems,
 					fmt.Sprintf("directory %d entry %q points at bad inode %d", ino, e.Name, e.Ino))
 				continue

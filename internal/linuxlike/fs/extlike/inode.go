@@ -25,12 +25,12 @@ type einode struct {
 	// On crash the storage leaks, as in ext without orphan-list
 	// recovery.
 	orphan bool
-	// dirents caches a directory's decoded entries once dirCached is
-	// set (an empty directory caches a nil slice). Guarded by lock;
-	// readDir fills it, and a namespace op edits it in place as the
-	// argument of the writeDir that installs the result (writeDir drops
-	// the cache first, so a failed edit never stays cached). dirCached
-	// sits beside orphan so the two bools share one word.
+	// dirents caches a directory's decoded records, unused ones
+	// included, in on-disk order once dirCached is set (an empty
+	// directory caches a nil slice). Guarded by lock; readDir fills it,
+	// and the dir* helpers keep it in step with each record they edit
+	// (a failed edit drops it). dirCached sits beside orphan so the two
+	// bools share one word.
 	dirCached bool
 	dirents   []dirent
 	// dirtyData lists, once each, the data blocks of a regular file
@@ -143,8 +143,7 @@ func (inst *fsInstance) iget(task *kbase.Task, ino uint64) (*vfs.Inode, kbase.Er
 
 // spanBlocks is the stack room for a byte range's block list. A 4 KiB
 // range spans at most 9 blocks of 512 bytes, so the hot reads and
-// writes map on the stack; a longer range (a whole directory) gets a
-// heap list.
+// writes map on the stack; a longer range gets a heap list.
 const spanBlocks = 16
 
 // span sizes the block list for bytes [off, off+n) of a file, using

@@ -14,6 +14,7 @@ package extlike
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"safelinux/internal/linuxlike/kbase"
 )
@@ -119,61 +120,92 @@ func (di *diskInode) decode(buf []byte) {
 	di.Indirect = le.Uint64(buf[16+8*NumDirect:])
 }
 
-// dirent is one serialized directory entry:
-// ino u64, mode u16, nameLen u16, name bytes.
+// Directory records, ext2-style. A directory's data blocks hold a
+// chain of records, each
+//
+//	ino u64, rec_len u16, name_len u8, mode u8, name bytes
+//
+// rec_len is a multiple of dirAlign and spans the record's entry plus
+// any slack after it. Records never cross a block and the last record
+// of a block runs to its end, so the rec_len chain of every block
+// covers it exactly. A record with ino 0 is unused: the whole rec_len
+// is slack. Only the first record of a block is ever unused, since an
+// unlink merges any other record into its predecessor.
+const (
+	direntHeader = 12
+	dirAlign     = 4
+	// maxRecLen bounds a block size directory records can span: rec_len
+	// is 16 bits.
+	maxRecLen = 1<<16 - dirAlign
+)
+
+// dirent is one directory record as cached in memory. off is the
+// record's byte offset in the directory, so an edit reaches its block
+// without a scan.
 type dirent struct {
-	Ino  uint64
-	Mode uint16
-	Name string
+	Name   string
+	Ino    uint64 // 0: unused record
+	off    uint32
+	recLen uint16
+	Mode   uint16
 }
 
-const direntHeader = 12
+// recSize returns the aligned length of a record naming nameLen bytes.
+func recSize(nameLen int) int {
+	return (direntHeader + nameLen + dirAlign - 1) &^ (dirAlign - 1)
+}
 
-// direntsSize returns the encoded length of ents.
-func direntsSize(ents []dirent) int {
-	n := 0
-	for _, e := range ents {
-		n += direntHeader + len(e.Name)
+// used returns the bytes of e's record its entry needs: none for an
+// unused record. The rest of rec_len is slack.
+func (e *dirent) used() int {
+	if e.Ino == 0 {
+		return 0
 	}
-	return n
+	return recSize(len(e.Name))
 }
 
-func encodeDirents(ents []dirent) []byte {
-	buf := make([]byte, direntsSize(ents))
-	off := 0
+// putDirent encodes e's record at the start of b.
+func putDirent(b []byte, e *dirent) {
 	le := binary.LittleEndian
-	for _, e := range ents {
-		le.PutUint64(buf[off:], e.Ino)
-		le.PutUint16(buf[off+8:], e.Mode)
-		le.PutUint16(buf[off+10:], uint16(len(e.Name)))
-		copy(buf[off+direntHeader:], e.Name)
-		off += direntHeader + len(e.Name)
-	}
-	return buf
+	le.PutUint64(b[0:], e.Ino)
+	le.PutUint16(b[8:], e.recLen)
+	b[10] = byte(len(e.Name))
+	b[11] = byte(e.Mode)
+	copy(b[direntHeader:], e.Name)
 }
 
-func decodeDirents(buf []byte) ([]dirent, kbase.Errno) {
+// decodeDirBlock appends the records of one directory block, which
+// starts at byte base of the directory, to ents. A broken record chain
+// returns a description of the fault instead.
+func decodeDirBlock(blk []byte, base uint32, ents []dirent) ([]dirent, string) {
 	le := binary.LittleEndian
-	var ents []dirent
-	off := 0
-	for off < len(buf) {
-		if off+direntHeader > len(buf) {
-			return nil, kbase.EUCLEAN
+	for off := 0; off < len(blk); {
+		if off+direntHeader > len(blk) {
+			return ents, fmt.Sprintf("record at %d crosses the block end", base+uint32(off))
 		}
-		ino := le.Uint64(buf[off:])
-		mode := le.Uint16(buf[off+8:])
-		nameLen := int(le.Uint16(buf[off+10:]))
-		if off+direntHeader+nameLen > len(buf) {
-			return nil, kbase.EUCLEAN
+		rec := blk[off:]
+		recLen := int(le.Uint16(rec[8:]))
+		switch {
+		case recLen < direntHeader || recLen%dirAlign != 0:
+			return ents, fmt.Sprintf("record at %d has bad rec_len %d", base+uint32(off), recLen)
+		case off+recLen > len(blk):
+			return ents, fmt.Sprintf("record at %d (rec_len %d) crosses the block end", base+uint32(off), recLen)
 		}
-		ents = append(ents, dirent{
-			Ino:  ino,
-			Mode: mode,
-			Name: string(buf[off+direntHeader : off+direntHeader+nameLen]),
-		})
-		off += direntHeader + nameLen
+		e := dirent{Ino: le.Uint64(rec), off: base + uint32(off), recLen: uint16(recLen)}
+		if e.Ino != 0 {
+			nameLen, mode := int(rec[10]), uint16(rec[11])
+			switch {
+			case nameLen == 0 || direntHeader+nameLen > recLen:
+				return ents, fmt.Sprintf("record at %d has name_len %d for rec_len %d", e.off, nameLen, recLen)
+			case mode != modeRegDisk && mode != modeDirDisk:
+				return ents, fmt.Sprintf("record at %d has bad mode %d", e.off, mode)
+			}
+			e.Name, e.Mode = string(rec[direntHeader:direntHeader+nameLen]), mode
+		}
+		ents = append(ents, e)
+		off += recLen
 	}
-	return ents, kbase.EOK
+	return ents, ""
 }
 
 // Geometry computes the layout for a device.
@@ -185,7 +217,8 @@ type Geometry struct {
 // blocks of blockSize bytes, with inodeCount inodes and a journal of
 // journalLen blocks. It returns EINVAL geometry errors via ok=false.
 func ComputeGeometry(totalBlocks uint64, blockSize uint32, inodeCount uint32, journalLen uint64) (Geometry, bool) {
-	if blockSize < DiskInodeSize || totalBlocks < 8 || inodeCount == 0 || journalLen < 4 {
+	if blockSize < DiskInodeSize || blockSize%dirAlign != 0 || blockSize > maxRecLen ||
+		totalBlocks < 8 || inodeCount == 0 || journalLen < 4 {
 		return Geometry{}, false
 	}
 	bitsPerBlock := uint64(blockSize) * 8

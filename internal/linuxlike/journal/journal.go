@@ -76,6 +76,10 @@ type Journal struct {
 	tailSeq  uint64     // oldest not-yet-checkpointed sequence
 	writePos uint64     // next free journal block (offset within region)
 	running  *Tx
+	// spare is the last finished transaction, kept with its buffer
+	// list and block set emptied but not shrunk, so the next Start
+	// reuses them and a commit's size costs no allocation.
+	spare *Tx
 
 	// gate is the commit/checkpoint barrier: while set, Begin blocks,
 	// so no new handle can mutate a buffer whose data is being written
@@ -175,8 +179,9 @@ func (j *Journal) Format() kbase.Errno {
 // kio engine, closed by a barrier SQE: the new tail is durable when it
 // returns.
 func (j *Journal) writeSuperLocked() kbase.Errno {
-	buf := recordBlock(j.cache.Device().BlockSize(), kindSuper, j.tailSeq, 0, nil)
+	buf := j.recordBlock(kindSuper, j.tailSeq, 0, nil)
 	b := j.cache.Engine().NewBatch()
+	defer b.Release()
 	if err := b.WriteOwned(j.start, own.New(nil, "journal:super", buf), 0); err != kbase.EOK {
 		return err
 	}
@@ -184,13 +189,15 @@ func (j *Journal) writeSuperLocked() kbase.Errno {
 	return b.Submit().Err()
 }
 
-// recordBlock encodes one journal control block: the header, then
-// word (the entry count of a descriptor or revoke block, the body
-// checksum of a commit block), then one tag per home block.
-// GetWriteAccess and Revoke keep a transaction within tagsPerBlock, so
-// the tags always fit.
-func recordBlock(bs int, kind uint32, seq uint64, word uint32, homes []uint64) []byte {
-	buf := make([]byte, bs)
+// recordBlock encodes one journal control block into a page of the
+// cache's kio engine, which a write then moves back to the device: the header, then word
+// (the entry count of a descriptor or revoke block, the body checksum
+// of a commit block), then one tag per home block. GetWriteAccess and
+// Revoke keep a transaction within tagsPerBlock, so the tags always
+// fit.
+func (j *Journal) recordBlock(kind uint32, seq uint64, word uint32, homes []uint64) []byte {
+	buf := j.cache.Engine().Page()
+	clear(buf)
 	binary.LittleEndian.PutUint32(buf[0:], magic)
 	binary.LittleEndian.PutUint32(buf[4:], kind)
 	binary.LittleEndian.PutUint64(buf[8:], seq)
@@ -202,12 +209,12 @@ func recordBlock(bs int, kind uint32, seq uint64, word uint32, homes []uint64) [
 }
 
 // descriptor encodes tx's descriptor block.
-func (tx *Tx) descriptor(bs int) []byte {
-	homes := make([]uint64, len(tx.buffers))
+func (j *Journal) descriptor(tx *Tx) []byte {
+	buf := j.recordBlock(kindDesc, tx.seq, uint32(len(tx.buffers)), nil)
 	for i, bh := range tx.buffers {
-		homes[i] = bh.Block
+		binary.LittleEndian.PutUint64(buf[recordHeader+8*i:], bh.Block)
 	}
-	return recordBlock(bs, kindDesc, tx.seq, uint32(len(homes)), homes)
+	return buf
 }
 
 // Begin opens a new handle on the running transaction (see Start).
@@ -232,7 +239,13 @@ func (j *Journal) Start(h *Handle) {
 		j.cond.Wait()
 	}
 	if j.running == nil {
-		j.running = &Tx{j: j, seq: j.seq, inTx: make(map[uint64]bool)}
+		tx := j.spare
+		if tx == nil {
+			tx = &Tx{j: j, inTx: make(map[uint64]bool)}
+		}
+		j.spare = nil
+		tx.seq, tx.closed = j.seq, false
+		j.running = tx
 		j.seq++
 	}
 	j.running.handles++
@@ -314,6 +327,10 @@ func (h *Handle) DirtyMetadata(ref bufcache.MetaRef) kbase.Errno {
 // metadata block is freed and may be reused for data. A transaction
 // whose revoke block is full refuses with ENOSPC.
 func (h *Handle) Revoke(home uint64) kbase.Errno {
+	if h.done {
+		kbase.Oops(kbase.OopsUseAfterFree, "journal", "revoke on closed handle")
+		return kbase.EINVAL
+	}
 	tx := h.tx
 	tx.j.mu.Lock()
 	defer tx.j.mu.Unlock()
@@ -445,6 +462,13 @@ func (j *Journal) commitGatedLocked(task *kbase.Task, tx *Tx, log bool) kbase.Er
 	}
 	j.lastDoneSeq = tx.seq
 	j.lastErr = err
+	// Every handle on tx has stopped, and a stopped handle touches its
+	// transaction no more, so tx can serve the next Start.
+	clear(tx.buffers)
+	tx.buffers = tx.buffers[:0]
+	clear(tx.inTx)
+	tx.revokes = tx.revokes[:0]
+	j.spare = tx
 	j.gate = false
 	j.cond.Broadcast()
 	return err
@@ -462,17 +486,17 @@ func (j *Journal) commitGatedLocked(task *kbase.Task, tx *Tx, log bool) kbase.Er
 func (j *Journal) writeLogLocked(task *kbase.Task, tx *Tx, pos uint64) (uint64, kbase.Errno) {
 	bt := kio.OpBatch.Begin(task)
 	defer bt.End()
-	bs := j.cache.Device().BlockSize()
-	crc := crc32.NewIEEE()
+	var crc uint32
 
 	b := j.cache.Engine().NewBatch()
+	defer b.Release()
 	next := pos + 1
 	var err kbase.Errno = kbase.EOK
 	for _, bh := range tx.buffers {
 		if err = b.Write(next, bh.Data, 0); err != kbase.EOK {
 			break
 		}
-		crc.Write(bh.Data)
+		crc = crc32.Update(crc, crc32.IEEETable, bh.Data)
 		j.stats.BlocksLogged++
 		next++
 	}
@@ -480,10 +504,10 @@ func (j *Journal) writeLogLocked(task *kbase.Task, tx *Tx, pos uint64) (uint64, 
 	// touched again after submit: move them into the engine (§4.3
 	// zero-copy submission) instead of copying.
 	if err == kbase.EOK {
-		err = b.WriteOwned(pos, own.New(nil, "journal:desc", tx.descriptor(bs)), 0)
+		err = b.WriteOwned(pos, own.New(nil, "journal:desc", j.descriptor(tx)), 0)
 	}
 	if err == kbase.EOK && len(tx.revokes) > 0 {
-		rev := recordBlock(bs, kindRevoke, tx.seq, uint32(len(tx.revokes)), tx.revokes)
+		rev := j.recordBlock(kindRevoke, tx.seq, uint32(len(tx.revokes)), tx.revokes)
 		err = b.WriteOwned(next, own.New(nil, "journal:revoke", rev), 0)
 		next++
 	}
@@ -499,7 +523,7 @@ func (j *Journal) writeLogLocked(task *kbase.Task, tx *Tx, pos uint64) (uint64, 
 	}
 
 	// Commit record, with its own completion dependency.
-	com := recordBlock(bs, kindCommit, tx.seq, crc.Sum32(), nil)
+	com := j.recordBlock(kindCommit, tx.seq, crc, nil)
 	if err := b.WriteOwned(next, own.New(nil, "journal:commit", com), 0); err != kbase.EOK {
 		return 0, err
 	}

@@ -627,3 +627,78 @@ func TestStoppedHandleWriteAccessOopses(t *testing.T) {
 		t.Fatalf("use-after-free oopses = %d, want 2", got)
 	}
 }
+
+// commitRig is a journal whose log blocks all hold a durable image,
+// as in steady state, so a flush that replaces one recycles it for the
+// next commit's writes. commit journals n buffers in one handle and
+// commits them.
+func commitRig(tb testing.TB, n int) (j *Journal, commit func()) {
+	tb.Helper()
+	dev := blockdev.New(blockdev.Config{Blocks: 512, BlockSize: 512, Rng: kbase.NewRng(6)})
+	cache := bufcache.NewCache(dev, 0)
+	j = New(cache, 0, 256)
+	if err := j.Format(); err != kbase.EOK {
+		tb.Fatalf("Format: %v", err)
+	}
+	commit = func() {
+		h := j.Begin()
+		for i := 0; i < n; i++ {
+			bh, err := cache.Bread(300 + uint64(i))
+			if err != kbase.EOK {
+				tb.Fatalf("Bread: %v", err)
+			}
+			if err := h.GetWriteAccess(bh.Meta()); err != kbase.EOK {
+				tb.Fatalf("GetWriteAccess: %v", err)
+			}
+			bh.Data[0]++
+			if err := h.DirtyMetadata(bh.Meta()); err != kbase.EOK {
+				tb.Fatalf("DirtyMetadata: %v", err)
+			}
+			bh.Put()
+		}
+		h.Stop()
+		if err := j.CommitCtx(nil); err != kbase.EOK {
+			tb.Fatalf("CommitCtx: %v", err)
+		}
+	}
+	for j.writePos+uint64(n)+2 <= j.size {
+		commit()
+	}
+	if err := j.Checkpoint(); err != kbase.EOK {
+		tb.Fatalf("Checkpoint: %v", err)
+	}
+	return j, commit
+}
+
+// TestCommitAllocsFlatInBuffers pins the log write: a commit of 16
+// buffers allocates no more than a commit of one. The transaction, its
+// block set, the kio batch and every logged block's copy are reused,
+// so only the per-commit control blocks allocate.
+func TestCommitAllocsFlatInBuffers(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, n := range []int{1, 16} {
+		_, commit := commitRig(t, n)
+		allocs[n] = testing.AllocsPerRun(10, commit) // 11 commits of n+2 log blocks fit the log
+	}
+	t.Logf("allocs per commit: %v for 1 buffer, %v for 16", allocs[1], allocs[16])
+	if allocs[16] > allocs[1] {
+		t.Fatalf("a 16-buffer commit allocates %v, a 1-buffer commit %v: the log write allocates per block", allocs[16], allocs[1])
+	}
+}
+
+// BenchmarkCommit1 measures a steady-state commit of one buffer: the
+// log write, its two barriers, and the checkpoint each time the log
+// fills.
+func BenchmarkCommit1(b *testing.B) {
+	j, commit := commitRig(b, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if j.writePos+3 > j.size {
+			if err := j.Checkpoint(); err != kbase.EOK {
+				b.Fatalf("Checkpoint: %v", err)
+			}
+		}
+		commit()
+	}
+}

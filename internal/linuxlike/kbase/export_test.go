@@ -15,17 +15,13 @@ func WarnOn(cond bool, module, format string, args ...any) bool {
 }
 
 // MaxDepth returns the deepest observed lock nesting.
-func (v *LockValidator) MaxDepth() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.maxDepth
-}
+func (v *LockValidator) MaxDepth() int { return int(v.maxDepth.Load()) }
 
 // OrderingEdges returns the observed class-ordering edges as
 // "a->b" strings, sorted, for audit output.
 func (v *LockValidator) OrderingEdges() []string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	classMu.Lock()
 	defer classMu.Unlock()
 	var out []string
@@ -86,12 +82,15 @@ func (w *TimerWheel[T]) Stats() WheelStats {
 // Name returns the class name.
 func (c *LockClass) Name() string { return c.name }
 
-// Reset clears ordering state and reports (for tests).
+// Reset clears ordering state, task 0's held stack and reports (for
+// tests). Other tasks' stacks live on the tasks.
 func (v *LockValidator) Reset() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.after = make(map[int]map[int]bool)
-	v.holders = make(map[int64][]*LockClass)
+	v.shared.mu.Lock()
+	v.shared.classes = nil
+	v.shared.mu.Unlock()
 	v.reports = nil
-	v.maxDepth = 0
+	v.maxDepth.Store(0)
 }

@@ -87,37 +87,84 @@ func (c *LockClass) Nested(sub int) *LockClass {
 
 // LockValidator records the observed ordering between lock classes and
 // reports violations. One global instance serves the whole kernel,
-// mirroring lockdep.
+// mirroring lockdep. Each task keeps the stack of classes it holds on
+// itself, behind its own uncontended lock (lockdep's held_locks lives
+// in task_struct too); the task-less task 0 shares one stack. The
+// ordering graph is read-mostly: an acquisition whose edges are all
+// known checks them under the read lock and takes the write lock only
+// to learn a new edge or record a report.
 type LockValidator struct {
-	mu       sync.Mutex
-	after    map[int]map[int]bool // class a held while acquiring b => after[a][b]
-	holders  map[int64][]*LockClass
-	reports  []string
-	maxDepth int
+	mu       sync.RWMutex
+	after    map[int]map[int]bool // class a held while acquiring b => after[a][b]; guarded by mu
+	reports  []string             // guarded by mu
+	shared   heldLocks            // task 0's stack
+	maxDepth atomic.Int64
 }
 
-var globalValidator = &LockValidator{
-	after:   make(map[int]map[int]bool),
-	holders: make(map[int64][]*LockClass),
+// heldLocks is one task's stack of held lock classes.
+type heldLocks struct {
+	mu      sync.Mutex
+	classes []*LockClass
 }
+
+var globalValidator = &LockValidator{after: make(map[int]map[int]bool)}
 
 // Validator returns the kernel-wide lock validator.
 func Validator() *LockValidator { return globalValidator }
 
 // Reports returns the accumulated violation reports.
 func (v *LockValidator) Reports() []string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	out := make([]string, len(v.reports))
 	copy(out, v.reports)
 	return out
 }
 
-func (v *LockValidator) acquire(task int64, c *LockClass) {
+// heldOf returns the held-lock stack of task (task 0's for nil).
+func (v *LockValidator) heldOf(task *Task) *heldLocks {
+	if task == nil {
+		return &v.shared
+	}
+	return &task.held
+}
+
+func (v *LockValidator) acquire(task *Task, c *LockClass) {
+	hl := v.heldOf(task)
+	hl.mu.Lock()
+	defer hl.mu.Unlock()
+	if v.knownEdges(hl.classes, c) {
+		hl.classes = append(hl.classes, c)
+	} else {
+		v.learn(hl, c)
+	}
+	for d := int64(len(hl.classes)); ; {
+		old := v.maxDepth.Load()
+		if d <= old || v.maxDepth.CompareAndSwap(old, d) {
+			break
+		}
+	}
+}
+
+// knownEdges reports whether every held->c edge is already in the
+// graph, so acquiring c can neither add an edge nor close a cycle.
+func (v *LockValidator) knownEdges(held []*LockClass, c *LockClass) bool {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	for _, h := range held {
+		if !v.after[h.id][c.id] {
+			return false
+		}
+	}
+	return true
+}
+
+// learn adds the held->c edges under the write lock, reporting any
+// that inverts an existing order, and pushes c. Caller holds hl.mu.
+func (v *LockValidator) learn(hl *heldLocks, c *LockClass) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	held := v.holders[task]
-	for _, h := range held {
+	for _, h := range hl.classes {
 		edge := v.after[h.id]
 		if edge == nil {
 			edge = make(map[int]bool)
@@ -130,14 +177,12 @@ func (v *LockValidator) acquire(task int64, c *LockClass) {
 		}
 		edge[c.id] = true
 	}
-	v.holders[task] = append(held, c)
-	if d := len(v.holders[task]); d > v.maxDepth {
-		v.maxDepth = d
-	}
+	hl.classes = append(hl.classes, c)
 }
 
 // pathExists reports whether the ordering graph already has a path
-// from to dst, meaning "from is taken before dst" somewhere.
+// from to dst, meaning "from is taken before dst" somewhere. Caller
+// holds v.mu.
 func (v *LockValidator) pathExists(from, to int) bool {
 	if from == to {
 		return true
@@ -160,21 +205,25 @@ func (v *LockValidator) pathExists(from, to int) bool {
 	return false
 }
 
-func (v *LockValidator) release(task int64, c *LockClass) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	held := v.holders[task]
+func (v *LockValidator) release(task *Task, c *LockClass) {
+	hl := v.heldOf(task)
+	hl.mu.Lock()
+	held := hl.classes
 	for i := len(held) - 1; i >= 0; i-- {
 		if held[i] == c {
 			// Remove in place: the next acquire appends into the same
 			// array instead of allocating a new one.
 			copy(held[i:], held[i+1:])
 			held[len(held)-1] = nil
-			v.holders[task] = held[:len(held)-1]
+			hl.classes = held[:len(held)-1]
+			hl.mu.Unlock()
 			return
 		}
 	}
-	v.reports = append(v.reports, fmt.Sprintf("unlock of %q not held by task %d", c.name, task))
+	hl.mu.Unlock()
+	v.mu.Lock()
+	v.reports = append(v.reports, fmt.Sprintf("unlock of %q not held by task %d", c.name, task.ID()))
+	v.mu.Unlock()
 }
 
 // taskID identifies the current "kernel task". Goroutines have no
@@ -205,6 +254,8 @@ type Task struct {
 	// roots counts the span plane's root-sampling rolls for this task,
 	// so parallel tasks do not contend on one shared counter.
 	roots atomic.Uint64
+	// held is the lock validator's stack of classes this task holds.
+	held heldLocks
 }
 
 // NewTask registers a new kernel task.
@@ -275,7 +326,7 @@ func NewSpinLock(class *LockClass) *SpinLock { return &SpinLock{class: class} }
 // Lock acquires the spinlock on behalf of task (nil allowed).
 func (l *SpinLock) Lock(task *Task) {
 	if lockValidationOn() && l.class != nil {
-		globalValidator.acquire(task.ID(), l.class)
+		globalValidator.acquire(task, l.class)
 	}
 	if l.class != nil && lockStatEnabled.Load() {
 		s := &l.class.stats
@@ -302,7 +353,7 @@ func (l *SpinLock) Unlock(task *Task) {
 	l.task = nil
 	l.mu.Unlock()
 	if lockValidationOn() && l.class != nil {
-		globalValidator.release(task.ID(), l.class)
+		globalValidator.release(task, l.class)
 	}
 }
 
@@ -329,7 +380,7 @@ func (m *KMutex) LockNested(task *Task, sub int) {
 	var acq *LockClass
 	if lockValidationOn() && m.class != nil {
 		acq = m.class.Nested(sub)
-		globalValidator.acquire(task.ID(), acq)
+		globalValidator.acquire(task, acq)
 	}
 	if m.class != nil && lockStatEnabled.Load() {
 		sc := m.class
@@ -364,7 +415,7 @@ func (m *KMutex) Unlock(task *Task) {
 	m.held = nil
 	m.mu.Unlock()
 	if acq != nil {
-		globalValidator.release(task.ID(), acq)
+		globalValidator.release(task, acq)
 	}
 }
 
@@ -383,7 +434,7 @@ func NewRWSem(class *LockClass) *RWSem { return &RWSem{class: class} }
 // per-sem hold sample, and read holds do not exclude anyone anyway.
 func (s *RWSem) DownRead(task *Task) {
 	if lockValidationOn() && s.class != nil {
-		globalValidator.acquire(task.ID(), s.class)
+		globalValidator.acquire(task, s.class)
 	}
 	if s.class != nil && lockStatEnabled.Load() {
 		st := &s.class.stats
@@ -402,14 +453,14 @@ func (s *RWSem) DownRead(task *Task) {
 func (s *RWSem) UpRead(task *Task) {
 	s.mu.RUnlock()
 	if lockValidationOn() && s.class != nil {
-		globalValidator.release(task.ID(), s.class)
+		globalValidator.release(task, s.class)
 	}
 }
 
 // DownWrite acquires exclusive.
 func (s *RWSem) DownWrite(task *Task) {
 	if lockValidationOn() && s.class != nil {
-		globalValidator.acquire(task.ID(), s.class)
+		globalValidator.acquire(task, s.class)
 	}
 	if s.class != nil && lockStatEnabled.Load() {
 		st := &s.class.stats
@@ -434,6 +485,6 @@ func (s *RWSem) UpWrite(task *Task) {
 	}
 	s.mu.Unlock()
 	if lockValidationOn() && s.class != nil {
-		globalValidator.release(task.ID(), s.class)
+		globalValidator.release(task, s.class)
 	}
 }

@@ -60,7 +60,7 @@ func TestUnlockNotHeldReported(t *testing.T) {
 	c := NewLockClass("test-unheld")
 	task := NewTask()
 	// Release without acquire at the validator level.
-	globalValidator.release(task.ID(), c)
+	globalValidator.release(task, c)
 	reports := Validator().Reports()
 	if len(reports) != 1 || !strings.Contains(reports[0], "not held") {
 		t.Fatalf("unlock-not-held not reported: %v", reports)
@@ -148,5 +148,43 @@ func TestNewLockClassDedup(t *testing.T) {
 	}
 	if a.Name() != "dedup-class" {
 		t.Fatalf("Name = %q", a.Name())
+	}
+}
+
+// TestValidatorConcurrentTasks: tasks on several goroutines take two
+// classes in one order, each through its own held stack, and report
+// nothing; a planted inversion on yet another task is still reported.
+// Meaningful under -race.
+func TestValidatorConcurrentTasks(t *testing.T) {
+	Validator().Reset()
+	ca := NewLockClass("test-conc-a")
+	cb := NewLockClass("test-conc-b")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			task := NewTask()
+			la, lb := NewKMutex(ca), NewKMutex(cb)
+			for i := 0; i < 200; i++ {
+				la.Lock(task)
+				lb.Lock(task)
+				lb.Unlock(task)
+				la.Unlock(task)
+			}
+		}()
+	}
+	wg.Wait()
+	if reports := Validator().Reports(); len(reports) != 0 {
+		t.Fatalf("consistent ordering reported: %v", reports)
+	}
+	la, lb, task := NewKMutex(ca), NewKMutex(cb), NewTask()
+	lb.Lock(task)
+	la.Lock(task)
+	la.Unlock(task)
+	lb.Unlock(task)
+	reports := Validator().Reports()
+	if len(reports) != 1 || !strings.Contains(reports[0], "possible deadlock") {
+		t.Fatalf("planted inversion: reports = %v", reports)
 	}
 }

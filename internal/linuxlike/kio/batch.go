@@ -11,10 +11,15 @@ import (
 // descriptor, barrier, commit record, barrier — fits.
 const inlineSQEs = 8
 
+// freeBatches bounds an engine's list of released batches: one per
+// concurrent submitter (a committing journal, fsyncs in flight).
+const freeBatches = 8
+
 // Batch is a submission queue under construction: enqueue SQEs, then
 // Submit to execute them. A Batch is single-goroutine state; Submit
 // may be called repeatedly (each call executes the SQEs enqueued since
-// the last one) and every call returns the same Ticket.
+// the last one) and every call returns the same Ticket. Release hands
+// the batch back to its engine for reuse.
 type Batch struct {
 	e *Engine
 	// pending holds the SQEs enqueued since the last Submit, by value;
@@ -26,12 +31,45 @@ type Batch struct {
 	cqes [inlineSQEs]CQE
 }
 
-// NewBatch starts an empty batch.
+// NewBatch starts an empty batch, reusing one a caller released: a
+// batch keeps the queues it grew, so a steady submitter allocates none.
 func (e *Engine) NewBatch() *Batch {
+	if b, ok := e.free.Get(); ok {
+		return b
+	}
 	b := &Batch{e: e}
 	b.pending = b.sqes[:0]
 	b.t.results = b.cqes[:0]
 	return b
+}
+
+// Release returns the batch to its engine. Neither the batch nor its
+// Ticket may be used afterwards. SQEs enqueued but never submitted are
+// dropped, and an owned page among them is freed: the engine received
+// it at enqueue.
+func (b *Batch) Release() {
+	for i := range b.pending {
+		if b.pending[i].owned {
+			b.pending[i].page.Free()
+		}
+	}
+	// Drop the payload references, so a pooled batch keeps no page
+	// alive, then empty the queues.
+	clear(b.pending[:cap(b.pending)])
+	b.pending = b.pending[:0]
+	b.t.results = b.t.results[:0]
+	b.t.submitted = 0
+	b.e.free.Put(b)
+}
+
+// Page returns a block-sized buffer to fill and hand to WriteOwned: a
+// page from the backend when it supplies them, else a new one. Its
+// contents are stale; the caller overwrites all of it.
+func (e *Engine) Page() []byte {
+	if e.pages != nil {
+		return e.pages.Page()
+	}
+	return make([]byte, e.backend.BlockSize())
 }
 
 // Read enqueues a read of block into buf, which must be exactly one
@@ -51,7 +89,8 @@ func (b *Batch) Read(block uint64, buf []byte, user uint64) kbase.Errno {
 // Write enqueues a write of data to block on the legacy copying path:
 // the batch copies data now (the caller may reuse the buffer
 // immediately), exactly the one defensive copy every synchronous
-// blockdev.Write performs. The bytes_copied counter accounts it.
+// blockdev.Write performs. The bytes_copied counter accounts it. The
+// copy lands in a page from Engine.Page.
 func (b *Batch) Write(block uint64, data []byte, user uint64) kbase.Errno {
 	if len(data) != b.e.backend.BlockSize() {
 		return kbase.EINVAL
@@ -59,7 +98,7 @@ func (b *Batch) Write(block uint64, data []byte, user uint64) kbase.Errno {
 	if block >= b.e.backend.Blocks() {
 		return kbase.EINVAL
 	}
-	cp := make([]byte, len(data))
+	cp := b.e.Page()
 	copy(cp, data)
 	b.e.copied.Add(uint64(len(cp)))
 	b.e.copies.Add(1)

@@ -88,6 +88,14 @@ type ownedWriter interface {
 	WriteOwned(block uint64, data []byte) kbase.Errno
 }
 
+// pageSource is the optional page supply of an ownedWriter: Batch.Write
+// copies into one of its pages, which WriteOwned then takes back, so
+// the copy allocates nothing (blockdev.Device recycles the images a
+// flush replaces).
+type pageSource interface {
+	Page() []byte
+}
+
 // CQE is one completion-queue entry.
 type CQE struct {
 	Op    Op
@@ -113,6 +121,12 @@ type sqe struct {
 type Engine struct {
 	backend Backend
 	ow      ownedWriter // nil when backend lacks the zero-copy path
+	pages   pageSource  // nil unless ow is set and backend supplies pages
+
+	// free holds released batches for NewBatch. A free list rather
+	// than a sync.Pool: a batch survives garbage collection, so a
+	// steady submitter never pays for one.
+	free *kbase.FreeList[*Batch]
 
 	// drain orders execution across submitters (IO_DRAIN): a run of
 	// reads and writes holds it shared, a flush holds it exclusive, so
@@ -146,8 +160,11 @@ type Engine struct {
 // New returns an engine over backend. It starts no goroutine: every
 // batch executes on the goroutine that submits it.
 func New(backend Backend) *Engine {
-	e := &Engine{backend: backend, sqeHist: ktrace.NewHistogram()}
+	e := &Engine{backend: backend, free: kbase.NewFreeList[*Batch](freeBatches), sqeHist: ktrace.NewHistogram()}
 	e.ow, _ = backend.(ownedWriter)
+	if e.ow != nil {
+		e.pages, _ = backend.(pageSource)
+	}
 	return e
 }
 

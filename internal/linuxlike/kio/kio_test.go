@@ -186,6 +186,40 @@ func TestWriteOwnedWrongSizeFreesPage(t *testing.T) {
 	moved.Free()
 }
 
+// TestReleaseReusesBatch: a released batch comes back from NewBatch
+// empty, with the queues it grew, and an owned page it held but never
+// submitted is freed rather than leaked.
+func TestReleaseReusesBatch(t *testing.T) {
+	ck := own.NewChecker(own.PolicyRecord)
+	e, dev := testEngine(t, 32)
+	b := e.NewBatch()
+	for i := 0; i < 2*inlineSQEs; i++ {
+		if err := b.Write(uint64(i), fill(e.BlockSize(), byte(i)), 0); err != kbase.EOK {
+			t.Fatalf("Write: %v", err)
+		}
+	}
+	b.Barrier(0)
+	if err := b.Submit().Err(); err != kbase.EOK {
+		t.Fatalf("Submit: %v", err)
+	}
+	if err := b.WriteOwned(1, own.New(ck, "unsubmitted:page", fill(e.BlockSize(), 7)), 0); err != kbase.EOK {
+		t.Fatalf("WriteOwned: %v", err)
+	}
+	grown := cap(b.pending)
+	b.Release()
+	if leaks := ck.CheckLeaks(); len(leaks) != 0 {
+		t.Fatalf("released batch leaked its unsubmitted page: %v", leaks)
+	}
+	b2 := e.NewBatch()
+	if b2 != b || len(b2.pending) != 0 || cap(b2.pending) != grown || len(b2.Submit().Wait()) != 0 {
+		t.Fatal("NewBatch did not hand back the released batch, empty and with its queues")
+	}
+	got := make([]byte, e.BlockSize())
+	if dev.Read(1, got); !bytes.Equal(got, fill(e.BlockSize(), 1)) {
+		t.Fatal("the unsubmitted write reached the device")
+	}
+}
+
 // TestDuplicateWritesReachDevice pins that the engine does not merge:
 // every write SQE, including a rewrite of a block earlier in the same
 // batch, reaches the device in submit order and the last one wins.

@@ -311,35 +311,6 @@ func TestTimeWaitAbsorbsLostFinalAck(t *testing.T) {
 	}
 }
 
-// --- Flow control. ---
-
-func TestZeroWindowProbe(t *testing.T) {
-	sim := NewSim(35)
-	a := sim.AddHost(1)
-	b := sim.AddHost(2)
-	b.SetTCPTuning(TCPTuning{RecvWindow: 512})
-	sim.Link(1, 2, LinkParams{Delay: 1})
-	c, srv := connectPair(t, sim, a, b, 80)
-	payload := patterned(4096, 13)
-	c.Send(payload)
-	sim.Run(3000) // window fills; probes keep the connection alive
-	ctcb := c.private.(*TCB)
-	if ctcb.ZeroWndProbes == 0 {
-		t.Fatalf("closed window never probed")
-	}
-	var got []byte
-	buf := make([]byte, 256)
-	ok := sim.RunUntil(func() bool {
-		if n, _ := srv.Recv(buf); n > 0 {
-			got = append(got, buf[:n]...)
-		}
-		return len(got) >= len(payload)
-	}, 120000)
-	if !ok || !bytes.Equal(got, payload) {
-		t.Fatalf("zero-window transfer: %d/%d ok=%v", len(got), len(payload), ok)
-	}
-}
-
 // --- Adversarial links. ---
 
 func TestOneWayPartition(t *testing.T) {

@@ -118,6 +118,9 @@ type Host struct {
 		NoSocket  uint64
 		TxErrors  uint64 // transmits the link refused (no route, partition)
 		Contained uint64 // dispatches dropped by the containment gate
+		// ZeroWndProbes counts one-byte probes sent into a closed peer
+		// window.
+		ZeroWndProbes uint64
 	}
 }
 
@@ -149,6 +152,7 @@ func (h *Host) CollectMetrics(emit func(name string, value uint64)) {
 	emit("bad_packets", h.stats.BadPacket)
 	emit("no_socket", h.stats.NoSocket)
 	emit("tx_errors", h.stats.TxErrors)
+	emit("zero_wnd_probes", h.stats.ZeroWndProbes)
 	emit("contained", h.stats.Contained)
 	emit("conns", uint64(h.demux.Len()))
 	emit("free_ports", uint64(h.ports.Free()))

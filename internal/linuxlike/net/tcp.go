@@ -164,11 +164,10 @@ type TCB struct {
 	reaped bool // already on the host's dead list
 
 	// Diagnostics.
-	Retransmits   uint64
-	TxErrors      uint64
-	ZeroWndProbes uint64
-	ResetErr      kbase.Errno // typed reason the connection died, if it did
-	ResetReason   string
+	Retransmits uint64
+	TxErrors    uint64
+	ResetErr    kbase.Errno // typed reason the connection died, if it did
+	ResetReason string
 }
 
 // newTCB creates a TCB in the given state, honoring host tuning.
@@ -676,7 +675,7 @@ func (t *TCB) onTimer(now uint64) {
 		t.peerWnd == 0 && now >= t.probeAt {
 		chunk := []byte{t.sendBuf[0]}
 		t.sendBuf = t.sendBuf[1:]
-		t.ZeroWndProbes++
+		t.sock.host.stats.ZeroWndProbes++
 		t.transmit(FlagACK, t.sendNext, chunk, true)
 		t.sendNext++
 		t.probeAt = now + t.rto()

@@ -198,9 +198,8 @@ type Conn struct {
 	bornAt     uint64 // creation jiffy, for the lifetime histogram
 
 	// Diagnostics.
-	Retransmits   uint64
-	TxErrors      uint64
-	ZeroWndProbes uint64
+	Retransmits uint64
+	TxErrors    uint64
 	// ResetErr is the typed reason the connection died abnormally
 	// (ECONNRESET on a peer reset, ETIMEDOUT on retry exhaustion).
 	ResetErr kbase.Errno
@@ -663,7 +662,7 @@ func (c *Conn) onTimer(now uint64) {
 		c.peerWnd == 0 && now >= c.probeAt {
 		chunk := []byte{c.sendBuf[0]}
 		c.sendBuf = c.sendBuf[1:]
-		c.ZeroWndProbes++
+		c.ep.stats.ZeroWndProbes++
 		c.send(Flags{ACK: true}, c.sendNext, chunk, true)
 		c.sendNext++
 		c.probeAt = now + c.rto()

@@ -60,6 +60,9 @@ type endpointStats struct {
 	BadSegment uint64
 	NoConn     uint64
 	TxErrors   uint64 // transmits the link refused (no route, partition)
+	// ZeroWndProbes counts one-byte probes sent into a closed peer
+	// window.
+	ZeroWndProbes uint64
 }
 
 // Listener accepts inbound connections on one port.
@@ -103,6 +106,7 @@ func (ep *Endpoint) CollectMetrics(emit func(name string, value uint64)) {
 	emit("bad_segments", ep.stats.BadSegment)
 	emit("no_conn", ep.stats.NoConn)
 	emit("tx_errors", ep.stats.TxErrors)
+	emit("zero_wnd_probes", ep.stats.ZeroWndProbes)
 	emit("conns", uint64(ep.demux.Len()))
 	emit("listeners", uint64(len(ep.listeners)))
 	emit("armed_timers", uint64(ep.wheel.Len()))

@@ -11,12 +11,11 @@ import (
 
 // TestExtlikeDirectoryGrowthBounded fills one extlike directory until
 // the file system refuses the next create. A create journals only the
-// directory blocks it changes, but an edit near the front shifts every
-// later entry, so extlike bounds each create by the whole directory:
-// growth stops where one journal transaction could no longer log all
-// of its blocks. The refusal must be a typed ENOSPC before anything is
-// modified — no oops, every earlier entry still resolvable, and a
-// clean fsck. It runs under both values of the
+// one directory block it edits, so the journal no longer bounds a
+// directory: growth stops at the largest file the geometry maps, once
+// no record has slack for another entry. The refusal must be a typed
+// ENOSPC before anything is modified — no oops, every earlier entry
+// still resolvable, and a clean fsck. It runs under both values of the
 // deprecated Config.AsyncIO, which the kernel ignores: both take the
 // one kio path and must stop at the same entry.
 func TestExtlikeDirectoryGrowthBounded(t *testing.T) {

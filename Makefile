@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-json vet-strict kerncheck kbench-vet test race bench-smoke bench-parallel bench-trace bench-kio bench-net bench-swap bench-fuzz fuzz-smoke kbench-smoke kbench-ab panic-storm check
+.PHONY: all build vet fmt-check lint lint-json vet-strict kerncheck kbench-vet test race bench-smoke bench-parallel bench-trace bench-kio bench-net bench-swap bench-fuzz fuzz-smoke kbench-smoke kbench-ab panic-storm demo-smoke check
 
 all: check
 
@@ -152,4 +152,17 @@ bench-fuzz:
 panic-storm:
 	$(GO) test -race -run 'TestPanicStormConvergence|TestGateStress|TestFaultInOneCompartmentLeavesOthersServing|TestBufRestartKeepsCommittedMetadata|TestSwapUnderConcurrentLoadZeroDrops|TestFaultInSwapDrainWaitsForOwner|TestLocklessHitRacesEviction|TestEvictionSecondChance' -count 20 ./pkg/safelinux/ ./internal/safety/compartment/ ./internal/linuxlike/bufcache/
 
-check: fmt-check build vet kbench-vet lint fuzz-smoke test bench-smoke
+# Every demo once, failing on the first non-zero exit: cmd/kfsck
+# (which checks its own three fsck verdicts), the campaign table, a
+# short migration and each example. examples/filesystem and
+# examples/ratechange print failing traces by design and exit 0. A
+# demo's output is shown only when it fails. Under a second in total on
+# a warm build cache.
+DEMOS = ./cmd/kfsck "./cmd/figures -campaign" "./cmd/migrate -ops 200" $(addprefix ./,$(wildcard examples/*))
+demo-smoke:
+	@for d in $(DEMOS); do \
+		echo "demo-smoke: go run $$d"; \
+		out="$$($(GO) run $$d 2>&1)" || { echo "$$out"; echo "demo-smoke: $$d exited non-zero"; exit 1; }; \
+	done
+
+check: fmt-check build vet kbench-vet lint fuzz-smoke demo-smoke test bench-smoke

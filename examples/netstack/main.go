@@ -1,11 +1,12 @@
 // Netstack example: swap the TCP implementation behind the modular
 // interface and watch the §4.1 pathology disappear.
 //
-// Phase 1 runs a bulk transfer over the legacy stack and then stomps
-// a socket's untyped Private field — the type-confusion hazard the
-// paper describes — showing the kernel oops it causes. Phase 2 runs
-// the identical workload over safetcp, where the same attack is
-// unrepresentable, and shows the ownership ledger balancing.
+// Phase 1 runs a bulk transfer over the legacy stack, whose TCB hangs
+// off the socket's untyped private field — the type-confusion hazard
+// the paper describes (net's TestPrivateStompDetected plants the stomp
+// and shows the oops it causes). Phase 2 runs the identical workload
+// over safetcp, where the same attack is unrepresentable, and shows the
+// ownership ledger balancing.
 //
 //	go run ./examples/netstack
 package main
@@ -53,20 +54,9 @@ func legacyPhase(rec *kbase.OopsRecorder) {
 	res := workload.Bulk(sim, c, srv, transferBytes, 1, 200_000)
 	fmt.Printf("bulk transfer: %d bytes, integrity=%v, sim stats=%+v\n",
 		res.Bytes, res.Integrity, sim.Stats())
-
-	// The pathology, via the explicit fault-injection hook: the
-	// private field itself is unexported now, so a stomp must be
-	// deliberate rather than an accident any kernel code can commit.
-	fmt.Println("injecting a foreign value into srv's private state...")
-	srv.InjectConfusedState()
-	// The send itself succeeds — the confusion detonates on delivery.
-	_ = c.Send([]byte("this segment will hit the confused socket"))
-	sim.Run(100)
-	fmt.Printf("kernel oopses after stomp: %d", rec.Count(kbase.OopsTypeConfusion))
-	for _, e := range rec.Events() {
-		fmt.Printf("\n  %s", e)
-	}
-	fmt.Println()
+	fmt.Println("the TCB sits in the socket's untyped private field: any code in")
+	fmt.Println("package net can overwrite it, and the next delivery then oopses.")
+	fmt.Printf("kernel oopses this phase: %d\n", rec.Count(""))
 	rec.Reset()
 }
 

@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"safelinux/internal/linuxlike/blockdev"
 	"safelinux/internal/linuxlike/kbase"
+	"safelinux/internal/linuxlike/vfs"
+	"safelinux/internal/safemod/safefs"
 	"safelinux/internal/safety/module"
 )
 
@@ -39,6 +42,54 @@ func TestLegacyNeverPrevents(t *testing.T) {
 	for _, res := range rep.Results {
 		if res.Legacy == OutcomePrevented {
 			t.Errorf("%s: legacy outcome = prevented — scenario is not injecting anything", res.Scenario.Name)
+		}
+	}
+}
+
+// TestCampaignTable pins each scenario's (legacy, safe) outcome pair,
+// the table EXPERIMENTS.md §3 reports: a plant that moves a legacy
+// row from detected-late to manifested, or back, fails here.
+func TestCampaignTable(t *testing.T) {
+	want := map[string][2]Outcome{
+		"errptr-null-deref":       {OutcomeManifested, OutcomePrevented},
+		"inode-use-after-free":    {OutcomeDetectedLate, OutcomePrevented},
+		"buffer-double-free":      {OutcomeDetectedLate, OutcomePrevented},
+		"isize-unlocked-store":    {OutcomeManifested, OutcomePrevented},
+		"unlink-block-leak":       {OutcomeManifested, OutcomePrevented},
+		"writeend-type-confusion": {OutcomeDetectedLate, OutcomePrevented},
+		"runt-packet-parse":       {OutcomeDetectedLate, OutcomePrevented},
+		"ack-then-lose-crash":     {OutcomeManifested, OutcomePrevented},
+	}
+	rep := Run(Scenarios())
+	if len(rep.Results) != len(want) {
+		t.Fatalf("scenarios = %d, want %d", len(rep.Results), len(want))
+	}
+	for _, res := range rep.Results {
+		w, ok := want[res.Scenario.Name]
+		if !ok {
+			t.Errorf("unexpected scenario %s", res.Scenario.Name)
+			continue
+		}
+		if got := [2]Outcome{res.Legacy, res.Safe}; got != w {
+			t.Errorf("%s: (legacy, safe) = %v, want %v", res.Scenario.Name, got, w)
+		}
+	}
+}
+
+// TestAckedCrashSafefsEitherMode: the crash-semantics check holds on
+// safefs whether it syncs on every commit or only on fsync, so the
+// row does not rest on one durability mode.
+func TestAckedCrashSafefsEitherMode(t *testing.T) {
+	for _, sync := range []bool{true, false} {
+		dev := blockdev.New(blockdev.Config{Blocks: 512, BlockSize: 256, Rng: kbase.NewRng(1)})
+		if err := safefs.Format(dev); err != kbase.EOK {
+			t.Fatalf("Format: %v", err)
+		}
+		data := vfs.NewMountData(&safefs.MountData{Disk: dev})
+		writeAcked(mount(&safefs.FS{SyncOnCommit: sync}, data))
+		dev.CrashApplyNone()
+		if got := crashOutcome(mount(&safefs.FS{SyncOnCommit: sync}, data)); got != OutcomePrevented {
+			t.Errorf("SyncOnCommit=%v: outcome %s, want prevented", sync, got)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package faultinject
 
 import (
+	"bytes"
+
 	"safelinux/internal/linuxlike/blockdev"
 	"safelinux/internal/linuxlike/fs/extlike"
 	"safelinux/internal/linuxlike/fs/ramfs"
@@ -29,16 +31,28 @@ func Scenarios() []Scenario {
 	}
 }
 
-// mountRam mounts a fresh ramfs for scenario use. Setup errors are
-// discarded throughout this file on purpose: a scenario whose rig
-// failed to assemble reports a wrong Outcome, which the campaign
-// test asserts on — the discard cannot hide a regression.
-func mountRam(fs *ramfs.FS) (*vfs.VFS, *kbase.Task) {
+// mount mounts fs at / of a fresh VFS for scenario use. Setup errors
+// are discarded throughout this file on purpose: a scenario whose rig
+// failed to assemble reports a wrong Outcome, which the campaign test
+// asserts on — the discard cannot hide a regression.
+func mount(fs vfs.FileSystemType, data vfs.MountData) (*vfs.VFS, *kbase.Task) {
 	v := vfs.New(nil)
 	task := kbase.NewTask()
 	_ = v.RegisterFS(fs)
-	_ = v.Mount(task, "/", "ramfs", vfs.MountData{})
+	_ = v.Mount(task, "/", fs.Name(), data)
 	return v, task
+}
+
+func mountRam() (*vfs.VFS, *kbase.Task) { return mount(&ramfs.FS{}, vfs.MountData{}) }
+
+// mountExt mounts the extlike volume on dev, replaying its journal.
+func mountExt(dev *blockdev.Device) (*vfs.VFS, *kbase.Task) {
+	return mount(&extlike.FS{}, vfs.NewMountData(&extlike.MountData{Dev: dev}))
+}
+
+// mountSafe mounts the safefs volume on dev, replaying its log.
+func mountSafe(dev *blockdev.Device, ck *own.Checker) (*vfs.VFS, *kbase.Task) {
+	return mount(&safefs.FS{SyncOnCommit: true}, vfs.NewMountData(&safefs.MountData{Disk: dev, Checker: ck}))
 }
 
 // nullDerefScenario: the ERR_PTR idiom invites using an error
@@ -131,19 +145,23 @@ func doubleFreeScenario() Scenario {
 
 // dataRaceScenario: the "maybe protected by i_lock" i_size store
 // races a locked reader; nothing in the legacy kernel notices. The
-// capability API refuses the second writer.
+// field is exported, so any component can store it without the lock.
+// The capability API refuses the second writer.
 func dataRaceScenario() Scenario {
 	return Scenario{
 		Name:        "isize-unlocked-store",
 		Class:       kbase.OopsDataRace,
 		PreventedBy: module.LevelOwnershipSafe,
 		Legacy: func(e *Env) Outcome {
-			v, task := mountRam(&ramfs.FS{SkipSizeLock: true})
+			v, task := mountRam()
 			fd, _ := v.Open(task, "/f", vfs.OWrOnly|vfs.OCreate)
-			// The write path stores i_size without i_lock while the
-			// stat path reads it under the lock; the discipline is
-			// broken and nobody reports it.
 			_, _ = v.Write(task, fd, []byte("racy"))
+			// A component stores i_size without i_lock while the stat
+			// path reads it under the lock; the discipline is broken
+			// and nobody reports it.
+			if ino, err := v.Resolve(task, "/f"); err == kbase.EOK {
+				ino.ISize = 2
+			}
 			_, _ = v.Stat(task, "/f")
 			return OutcomeManifested
 		},
@@ -164,7 +182,10 @@ func dataRaceScenario() Scenario {
 	}
 }
 
-// leakScenario mirrors CWE-401: unlink forgets to free data blocks.
+// leakScenario mirrors CWE-401: a file unlinked while still open keeps
+// its blocks until the last close, and a crash before that close leaks
+// them on disk, since extlike keeps no orphan list to reclaim them at
+// the next mount.
 func leakScenario() Scenario {
 	return Scenario{
 		Name:        "unlink-block-leak",
@@ -173,16 +194,14 @@ func leakScenario() Scenario {
 		Legacy: func(e *Env) Outcome {
 			dev := blockdev.New(blockdev.Config{Blocks: 256, BlockSize: 512, Rng: kbase.NewRng(1)})
 			_, _ = extlike.Mkfs(dev, extlike.MkfsOptions{})
-			v := vfs.New(nil)
-			task := kbase.NewTask()
-			_ = v.RegisterFS(&extlike.FS{LeakOnUnlink: true})
-			_ = v.Mount(task, "/", "extlike", vfs.NewMountData(&extlike.MountData{Dev: dev}))
+			v, task := mountExt(dev)
 			before, _ := v.Statfs(task, "/")
 			fd, _ := v.Open(task, "/f", vfs.OWrOnly|vfs.OCreate)
 			_, _ = v.Write(task, fd, make([]byte, 4096))
-			_ = v.Close(fd)
 			_ = v.Unlink(task, "/f")
-			after, _ := v.Statfs(task, "/")
+			dev.CrashApplyNone() // power lost before the last close
+			v2, task2 := mountExt(dev)
+			after, _ := v2.Statfs(task2, "/")
 			if after.FreeBlocks < before.FreeBlocks {
 				return OutcomeManifested // blocks silently gone
 			}
@@ -192,10 +211,7 @@ func leakScenario() Scenario {
 			dev := blockdev.New(blockdev.Config{Blocks: 512, BlockSize: 256, Rng: kbase.NewRng(1)})
 			_ = safefs.Format(dev)
 			ck := own.NewChecker(own.PolicyRecord)
-			v := vfs.New(nil)
-			task := kbase.NewTask()
-			_ = v.RegisterFS(&safefs.FS{SyncOnCommit: true})
-			_ = v.Mount(task, "/", "safefs", vfs.NewMountData(&safefs.MountData{Disk: dev, Checker: ck}))
+			v, task := mountSafe(dev, ck)
 			fd, _ := v.Open(task, "/f", vfs.OWrOnly|vfs.OCreate)
 			_, _ = v.Write(task, fd, make([]byte, 4096))
 			_ = v.Close(fd)
@@ -210,15 +226,19 @@ func leakScenario() Scenario {
 }
 
 // typeConfusionScenario mirrors §4.2's write_begin/write_end void*
-// confusion (and CVE-2020-12351's flavor of the bug).
+// confusion (and CVE-2020-12351's flavor of the bug): a layer stacked
+// on ramfs's file operations hands ramfs a write state of its own.
 func typeConfusionScenario() Scenario {
 	return Scenario{
 		Name:        "writeend-type-confusion",
 		Class:       kbase.OopsTypeConfusion,
 		PreventedBy: module.LevelTypeSafe,
 		Legacy: func(e *Env) Outcome {
-			v, task := mountRam(&ramfs.FS{ConfuseWriteEnd: true})
+			v, task := mountRam()
 			fd, _ := v.Open(task, "/victim", vfs.OWrOnly|vfs.OCreate)
+			if ino, err := v.Resolve(task, "/victim"); err == kbase.EOK {
+				ino.FileOps = foreignWriteOps{ino.FileOps}
+			}
 			_, _ = v.Write(task, fd, []byte("boom"))
 			if e.Recorder.Count(kbase.OopsTypeConfusion) > 0 {
 				return OutcomeDetectedLate // cast misfired at use site
@@ -266,8 +286,11 @@ func outOfBoundsScenario() Scenario {
 }
 
 // crashSemanticScenario: the functional-correctness class — an FS
-// that acknowledges operations it can lose across a crash. The
-// verified module's logging discipline makes the loss impossible.
+// that acknowledges a write and, after a crash, shows a state no
+// prefix of that write could have left. extlike runs data=writeback:
+// the journal replays the file's size and block map, but the data
+// block was never written, so the file reads back as zeros. The
+// verified module's logging discipline makes such a state impossible.
 func crashSemanticScenario() Scenario {
 	return Scenario{
 		Name:        "ack-then-lose-crash",
@@ -276,42 +299,57 @@ func crashSemanticScenario() Scenario {
 		Legacy: func(e *Env) Outcome {
 			dev := blockdev.New(blockdev.Config{Blocks: 256, BlockSize: 512, Rng: kbase.NewRng(1)})
 			_, _ = extlike.Mkfs(dev, extlike.MkfsOptions{})
-			v := vfs.New(nil)
-			task := kbase.NewTask()
-			_ = v.RegisterFS(&extlike.FS{SkipJournal: true})
-			_ = v.Mount(task, "/", "extlike", vfs.NewMountData(&extlike.MountData{Dev: dev}))
-			fd, _ := v.Open(task, "/acked", vfs.OWrOnly|vfs.OCreate)
-			_ = v.Close(fd)
+			writeAcked(mountExt(dev))
 			dev.CrashApplyNone()
-			v2 := vfs.New(nil)
-			_ = v2.RegisterFS(&extlike.FS{})
-			if err := v2.Mount(task, "/", "extlike", vfs.NewMountData(&extlike.MountData{Dev: dev})); err != kbase.EOK {
-				return OutcomeManifested
-			}
-			if _, err := v2.Stat(task, "/acked"); err != kbase.EOK {
-				return OutcomeManifested // acknowledged op vanished
-			}
-			return OutcomePrevented
+			return crashOutcome(mountExt(dev))
 		},
 		Safe: func(e *Env) Outcome {
 			dev := blockdev.New(blockdev.Config{Blocks: 512, BlockSize: 256, Rng: kbase.NewRng(1)})
 			_ = safefs.Format(dev)
-			v := vfs.New(nil)
-			task := kbase.NewTask()
-			_ = v.RegisterFS(&safefs.FS{SyncOnCommit: true})
-			_ = v.Mount(task, "/", "safefs", vfs.NewMountData(&safefs.MountData{Disk: dev}))
-			fd, _ := v.Open(task, "/acked", vfs.OWrOnly|vfs.OCreate)
-			_ = v.Close(fd)
+			writeAcked(mountSafe(dev, nil))
 			dev.CrashApplyNone()
-			v2 := vfs.New(nil)
-			_ = v2.RegisterFS(&safefs.FS{SyncOnCommit: true})
-			if err := v2.Mount(task, "/", "safefs", vfs.NewMountData(&safefs.MountData{Disk: dev})); err != kbase.EOK {
-				return OutcomeManifested
-			}
-			if _, err := v2.Stat(task, "/acked"); err != kbase.EOK {
-				return OutcomeManifested
-			}
-			return OutcomePrevented
+			return crashOutcome(mountSafe(dev, nil))
 		},
 	}
+}
+
+// acked is what the crash-semantics scenario writes, closes and has
+// acknowledged, with no fsync.
+var acked = []byte("acknowledged bytes")
+
+func writeAcked(v *vfs.VFS, task *kbase.Task) {
+	fd, _ := v.Open(task, "/acked", vfs.OWrOnly|vfs.OCreate)
+	_, _ = v.Write(task, fd, acked)
+	_ = v.Close(fd)
+}
+
+// crashOutcome judges /acked after the crash. Without an fsync a crash
+// may lose the write, whole or a tail of it: the file may be absent or
+// shorter, but what it holds must be the written bytes. A volume that
+// did not mount, or a file holding other bytes, is a torn state.
+func crashOutcome(v *vfs.VFS, task *kbase.Task) Outcome {
+	if _, err := v.Stat(task, "/"); err != kbase.EOK {
+		return OutcomeManifested
+	}
+	fd, err := v.Open(task, "/acked", vfs.ORdOnly)
+	if err == kbase.ENOENT {
+		return OutcomePrevented
+	}
+	st, _ := v.Stat(task, "/acked")
+	got := make([]byte, len(acked)+1)
+	n, _ := v.Pread(task, fd, got, 0)
+	if err != kbase.EOK || int64(n) != st.Size || !bytes.HasPrefix(acked, got[:n]) {
+		return OutcomeManifested // acknowledged bytes replaced by others
+	}
+	return OutcomePrevented
+}
+
+// foreignWriteOps stacks on a file system's file operations, as a
+// layered file system does, and hands the lower WriteCopy and WriteEnd
+// a write state of its own in place of the one the lower WriteBegin
+// would have made.
+type foreignWriteOps struct{ vfs.FileOps }
+
+func (foreignWriteOps) WriteBegin(task *kbase.Task, ino *vfs.Inode, off int64, n int) (vfs.WriteState, kbase.Errno) {
+	return vfs.NewWriteState(&off), kbase.EOK
 }

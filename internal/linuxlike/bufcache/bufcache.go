@@ -518,10 +518,11 @@ func (c *Cache) reserve() bool {
 // evictOneLocked evicts one clean unreferenced buffer, scanning s's
 // LRU list from the tail. A buffer hit since the last scan gets a
 // second chance: the scan clears its referenced bit and moves it to
-// the front, where the same scan may reach it again. The claim CAS
-// (refcount 0 to -1) fails if a lockless hit took a reference first.
-// MarkDirty sets BHDirty under s.mu, so the dirty test cannot go stale
-// before the claim. Caller holds s.mu.
+// the front, and a scan that reaches the front goes round again from
+// the tail, so within its 2n steps it reaches every buffer a second
+// time. The claim CAS (refcount 0 to -1) fails if a lockless hit took
+// a reference first. MarkDirty sets BHDirty under s.mu, so the dirty
+// test cannot go stale before the claim. Caller holds s.mu.
 func (c *Cache) evictOneLocked(s *cacheShard) bool {
 	bh := s.lru.back
 	for steps := 2 * s.lru.n; bh != nil && steps > 0; steps-- {
@@ -536,13 +537,20 @@ func (c *Cache) evictOneLocked(s *cacheShard) bool {
 			c.size.Add(-1)
 			return true
 		}
-		bh = prev
+		if bh = prev; bh == nil {
+			bh = s.lru.back
+		}
 	}
 	return false
 }
 
-// evictAnyShard tries each shard in turn until one eviction succeeds.
-// Caller holds no shard lock.
+// evictAnyShard evicts one buffer from any shard, and fails only if
+// every cached buffer is held or dirty. A first pass locks one shard at
+// a time. Buffers can move behind it (another miss evicts ahead of the
+// pass and caches its block in a shard already passed), so when it
+// finds nothing a second pass holds every shard lock, under which no
+// buffer is cached, evicted or dirtied. Shard locks are taken in index
+// order; caller holds none.
 func (c *Cache) evictAnyShard() bool {
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -550,6 +558,19 @@ func (c *Cache) evictAnyShard() bool {
 		ok := c.evictOneLocked(s)
 		s.mu.Unlock()
 		if ok {
+			return true
+		}
+	}
+	for i := range c.shards {
+		c.shards[i].mu.Lock()
+	}
+	defer func() {
+		for i := range c.shards {
+			c.shards[i].mu.Unlock()
+		}
+	}()
+	for i := range c.shards {
+		if c.evictOneLocked(&c.shards[i]) {
 			return true
 		}
 	}

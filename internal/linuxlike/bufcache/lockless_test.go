@@ -180,3 +180,32 @@ func TestEvictionSecondChance(t *testing.T) {
 		t.Fatalf("evictions = %d, want 2", got)
 	}
 }
+
+// TestEvictionReclaimsReferencedBuffers: a miss in a full cache whose
+// buffers are all clean, unheld and referenced must still evict one.
+// The scan clears a bit and goes round again, so one referenced buffer
+// alone in its shard, or two in one shard, cannot make it fail with
+// ENOBUFS. Blocks 1 and 2 sit alone in their shards; 0 and 16 share
+// shard 0.
+func TestEvictionReclaimsReferencedBuffers(t *testing.T) {
+	for _, blocks := range [][]uint64{{1, 2}, {0, 16}} {
+		c := testCache(t, len(blocks))
+		for range 2 { // the second read of each block is a hit
+			for _, block := range blocks {
+				bh, err := c.Bread(block)
+				if err != kbase.EOK {
+					t.Fatalf("Bread(%d): %v", block, err)
+				}
+				bh.Put()
+			}
+		}
+		bh, err := c.Bread(32)
+		if err != kbase.EOK {
+			t.Fatalf("blocks %v cached and referenced: Bread(32): %v", blocks, err)
+		}
+		bh.Put()
+		if got := ktrace.Read(c.CollectMetrics, "evictions"); got != 1 {
+			t.Fatalf("blocks %v: evictions = %d, want 1", blocks, got)
+		}
+	}
+}

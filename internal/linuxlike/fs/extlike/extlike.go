@@ -12,22 +12,8 @@ import (
 	"safelinux/internal/safety/typedapi"
 )
 
-// FS is the extlike file system type. The exported knobs inject the
-// legacy bug classes the fault campaigns exercise; all default off.
-type FS struct {
-	// LeakOnUnlink skips freeing data blocks when the last link goes
-	// away — a resource-leak bug (kmemleak class).
-	LeakOnUnlink bool
-	// SkipJournal performs metadata updates without journaling them,
-	// a crash-consistency bug invisible to normal operation.
-	SkipJournal bool
-	// SkipSizeLock updates i_size without i_lock on the write path
-	// (§4.3's "maybe protected" pathology).
-	SkipSizeLock bool
-	// ConfuseWriteEnd makes WriteBegin return the wrong dynamic type
-	// (§4.2's void* type-confusion pathology).
-	ConfuseWriteEnd bool
-}
+// FS is the extlike file system type.
+type FS struct{}
 
 // Name implements vfs.FileSystemType.
 func (f *FS) Name() string { return "extlike" }
@@ -57,7 +43,6 @@ var (
 
 // fsInstance is one mounted extlike file system.
 type fsInstance struct {
-	fs    *FS
 	cache *bufcache.Cache
 	jnl   *journal.Journal
 	geo   Geometry
@@ -93,21 +78,12 @@ func (f *FS) Mount(task *kbase.Task, data vfs.MountData) (*vfs.SuperBlock, kbase
 		kbase.Oops(kbase.OopsTypeConfusion, "extlike", "mount data is not *extlike.MountData")
 		return nil, kbase.EINVAL
 	}
+	geo, err := readGeometry(md.Dev)
+	if err != kbase.EOK {
+		return nil, err
+	}
 	cache := bufcache.NewCache(md.Dev, md.CacheSize)
-	// Superblock.
-	sbBuf := make([]byte, md.Dev.BlockSize())
-	if err := md.Dev.Read(0, sbBuf); err != kbase.EOK {
-		return nil, err
-	}
-	var geo Geometry
-	if err := geo.SB.decode(sbBuf); err != kbase.EOK {
-		return nil, err
-	}
-	if geo.SB.TotalBlocks != md.Dev.Blocks() || geo.SB.BlockSize != uint32(md.Dev.BlockSize()) {
-		return nil, kbase.EUCLEAN
-	}
 	inst := &fsInstance{
-		fs:       f,
 		cache:    cache,
 		geo:      geo,
 		renameMu: kbase.NewKMutex(renameClass),
@@ -157,11 +133,6 @@ func (inst *fsInstance) begin() *journal.Handle {
 // retrying once if the journal is full. The task carries the caller's
 // trace into the journal's latency plane.
 func (inst *fsInstance) commit(task *kbase.Task) kbase.Errno {
-	if inst.fs.SkipJournal {
-		// Injected bug: close the transaction without logging it, so
-		// its metadata is durable only once a checkpoint writes it home.
-		return inst.jnl.CloseCtx(task)
-	}
 	err := inst.jnl.CommitCtx(task)
 	if err == kbase.ENOSPC {
 		if err := inst.jnl.CheckpointCtx(task); err != kbase.EOK {
@@ -337,10 +308,9 @@ func (inst *fsInstance) removeEntry(task *kbase.Task, dir *vfs.Inode, name strin
 	if cei.di.Nlink == 0 {
 		// POSIX orphan file: live descriptors must keep reading and
 		// writing until the last close, so storage reclaim is deferred
-		// to Release. The dirent is gone either way. LeakOnUnlink is the
-		// injected leak: the blocks stay allocated forever.
+		// to Release. The dirent is gone either way.
 		cei.orphan = childVi.OpenCount() > 0
-		if !cei.orphan && !inst.fs.LeakOnUnlink {
+		if !cei.orphan {
 			if err := inst.freeAllBlocks(task, h, cei); err != kbase.EOK {
 				return err
 			}
@@ -501,7 +471,7 @@ func (o *inodeOps) Rename(task *kbase.Task, oldDir *vfs.Inode, oldName string, n
 			// Replaced-while-open target: orphan it like unlink does;
 			// Release reclaims at the last close.
 			xei.orphan = exVi.OpenCount() > 0
-			if !xei.orphan && !inst.fs.LeakOnUnlink {
+			if !xei.orphan {
 				if err := inst.freeAllBlocks(task, h, xei); err != kbase.EOK {
 					return err
 				}
@@ -603,12 +573,6 @@ func (inst *fsInstance) endWrite(task *kbase.Task, tok *writeToken) {
 	ei.lock.Unlock(task)
 }
 
-// confusedToken is the wrong-type twin for the injected fault.
-type confusedToken struct {
-	ei *einode
-	h  *journal.Handle
-}
-
 // fileOps implements vfs.FileOps.
 type fileOps struct {
 	inst *fsInstance
@@ -632,9 +596,6 @@ func (fo *fileOps) WriteBegin(task *kbase.Task, ino *vfs.Inode, off int64, n int
 		return vfs.WriteState{}, err
 	}
 	ei.lock.Lock(task) // released in WriteEnd — the legacy protocol spans calls
-	if inst.fs.ConfuseWriteEnd {
-		return vfs.NewWriteState(&confusedToken{ei: ei, h: inst.begin()}), kbase.EOK
-	}
 	tok := inst.tokens.Get().(*writeToken)
 	tok.ei, tok.di = ei, ei.di
 	inst.jnl.Start(&tok.h)
@@ -646,7 +607,7 @@ func (fo *fileOps) WriteCopy(task *kbase.Task, ino *vfs.Inode, off int64, data [
 	if !ok {
 		kbase.Oops(kbase.OopsTypeConfusion, "extlike",
 			"write_copy private is not *writeToken")
-		fo.abortWrite(task, ino, private)
+		fo.abortWrite(task, ino)
 		return 0, kbase.EUCLEAN
 	}
 	n, err := fo.inst.writeFileRange(task, &tok.h, tok.ei, data, off)
@@ -669,18 +630,14 @@ func (fo *fileOps) WriteEnd(task *kbase.Task, ino *vfs.Inode, off int64, n int, 
 	if !ok {
 		kbase.Oops(kbase.OopsTypeConfusion, "extlike",
 			"write_end private is not *writeToken")
-		fo.abortWrite(task, ino, private)
+		fo.abortWrite(task, ino)
 		return kbase.EUCLEAN
 	}
 	inst := fo.inst
 	end := off + int64(n)
 	if end > int64(tok.ei.di.Size) {
 		tok.ei.di.Size = uint64(end)
-		if inst.fs.SkipSizeLock {
-			ino.ISize = end // unlocked store — the §4.3 pathology
-		} else {
-			ino.SizeWrite(task, end)
-		}
+		ino.SizeWrite(task, end)
 	}
 	// Journal the inode only when its bytes changed: a larger size or a
 	// new block pointer. Commit only when the handle journaled something,
@@ -709,14 +666,10 @@ func (fo *fileOps) WriteEnd(task *kbase.Task, ino *vfs.Inode, off int64, n int, 
 	return err
 }
 
-// abortWrite cleans up when the token was type-confused: we can still
-// salvage the handle if the confused value carries one, and the inode
-// lock is recovered from the inode itself since the token is useless.
-func (fo *fileOps) abortWrite(task *kbase.Task, ino *vfs.Inode, private vfs.WriteState) {
-	if ct, ok := vfs.WriteStateAs[*confusedToken](private); ok {
-		ct.h.Stop()
-	}
-	fo.inst.commit(task)
+// abortWrite cleans up when the token was type-confused: the foreign
+// value carries no handle of ours, so only the inode lock WriteBegin
+// took is left to release, recovered from the inode itself.
+func (fo *fileOps) abortWrite(task *kbase.Task, ino *vfs.Inode) {
 	if ei, err := einodeOf(ino); err == kbase.EOK {
 		ei.lock.Unlock(task)
 	}
@@ -757,11 +710,6 @@ func (fo *fileOps) Fsync(task *kbase.Task, ino *vfs.Inode) kbase.Errno {
 	// other writer off this file's data blocks while they are copied out.
 	ei.lock.Lock(task)
 	defer ei.lock.Unlock(task)
-	if inst.fs.SkipJournal {
-		// Injected bug: no log carries the metadata, so only a
-		// checkpoint persists it.
-		return inst.SyncFS(task)
-	}
 	// jbd2-style: commit the running transaction, which holds this
 	// file's metadata and any revoke of a block it now owns (group
 	// commit), then write the file's own dirty data and flush. The
@@ -795,10 +743,8 @@ func (fo *fileOps) Release(task *kbase.Task, ino *vfs.Inode) {
 	ei.orphan = false
 	h := inst.begin()
 	defer h.Stop()
-	if !inst.fs.LeakOnUnlink {
-		if err := inst.freeAllBlocks(task, h, ei); err != kbase.EOK {
-			return
-		}
+	if err := inst.freeAllBlocks(task, h, ei); err != kbase.EOK {
+		return
 	}
 	// The inode left the cache at unlink; write it before the number
 	// goes back to the bitmap (see releaseInode).

@@ -202,15 +202,37 @@ func TestUnlinkFreesSpace(t *testing.T) {
 	}
 }
 
+// unlinkOpenAndCrash writes data to a new file at path, unlinks it
+// while its descriptor is still open and cuts the power before the
+// last close: extlike keeps no orphan list, so the file's blocks and
+// inode stay allocated on disk with nothing naming them.
+func unlinkOpenAndCrash(t *testing.T, v *vfs.VFS, task *kbase.Task, dev *blockdev.Device, path string, data []byte) {
+	t.Helper()
+	fd, err := v.Open(task, path, vfs.OWrOnly|vfs.OCreate)
+	if err != kbase.EOK {
+		t.Fatalf("Open(%s): %v", path, err)
+	}
+	if n, err := v.Write(task, fd, data); err != kbase.EOK || n != len(data) {
+		t.Fatalf("Write(%s) = (%d, %v)", path, n, err)
+	}
+	if err := v.Unlink(task, path); err != kbase.EOK {
+		t.Fatalf("Unlink(%s): %v", path, err)
+	}
+	dev.CrashApplyNone()
+}
+
+// TestLeakOnUnlinkInjected: a file unlinked while open and lost to a
+// crash before its last close leaks its blocks and its inode.
 func TestLeakOnUnlinkInjected(t *testing.T) {
 	dev := newDevice(t, 256)
-	v, task := mkfsAndMount(t, dev, &extlike.FS{LeakOnUnlink: true})
+	v, task := mkfsAndMount(t, dev, &extlike.FS{})
 	before, _ := v.Statfs(task, "/")
-	writeFile(t, v, task, "/tmp", patterned(testBS*8, 1))
-	v.Unlink(task, "/tmp")
-	after, _ := v.Statfs(task, "/")
-	if after.FreeBlocks >= before.FreeBlocks {
-		t.Fatalf("injected leak did not leak: before=%d after=%d", before.FreeBlocks, after.FreeBlocks)
+	unlinkOpenAndCrash(t, v, task, dev, "/tmp", patterned(testBS*8, 1))
+	v2, task2 := mount(t, dev, &extlike.FS{})
+	after, _ := v2.Statfs(task2, "/")
+	if before.FreeBlocks-after.FreeBlocks != 8 || before.FreeInodes-after.FreeInodes != 1 {
+		t.Fatalf("free blocks %d -> %d, free inodes %d -> %d; want 8 blocks and 1 inode leaked",
+			before.FreeBlocks, after.FreeBlocks, before.FreeInodes, after.FreeInodes)
 	}
 }
 
@@ -313,30 +335,6 @@ func TestPersistenceAcrossCleanRemount(t *testing.T) {
 	if got := readFile(t, v2, task2, "/keep/data"); !bytes.Equal(got, patterned(testBS*3, 9)) {
 		t.Fatalf("data lost across remount")
 	}
-}
-
-func TestConfuseWriteEndDetected(t *testing.T) {
-	rec := &kbase.OopsRecorder{}
-	prev := kbase.InstallRecorder(rec)
-	defer kbase.InstallRecorder(prev)
-	dev := newDevice(t, 256)
-	v, task := mkfsAndMount(t, dev, &extlike.FS{ConfuseWriteEnd: true})
-	fd, _ := v.Open(task, "/x", vfs.OWrOnly|vfs.OCreate)
-	if _, err := v.Write(task, fd, []byte("boom")); err != kbase.EUCLEAN {
-		t.Fatalf("confused write: %v", err)
-	}
-	if rec.Count(kbase.OopsTypeConfusion) == 0 {
-		t.Fatalf("confusion not recorded")
-	}
-	// The file system must remain usable afterwards.
-	v.Close(fd)
-	v2fs := &extlike.FS{}
-	_ = v2fs
-	fd2, err := v.Open(task, "/y", vfs.OWrOnly|vfs.OCreate)
-	if err != kbase.EOK {
-		t.Fatalf("fs wedged after confusion: %v", err)
-	}
-	v.Close(fd2)
 }
 
 func TestStatfsCounts(t *testing.T) {

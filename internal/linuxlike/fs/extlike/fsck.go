@@ -20,8 +20,9 @@ import (
 // reachability sets against the allocation bitmaps. The two
 // interesting divergences mirror real fsck findings:
 //
-//   - leaked: marked allocated but unreachable (the LeakOnUnlink bug
-//     class, CWE-401 at the FS level);
+//   - leaked: marked allocated but unreachable (CWE-401 at the FS
+//     level: an unlinked file still open at a crash leaves one, since
+//     extlike keeps no orphan list);
 //   - lost: reachable but marked free (double-allocation corruption
 //     waiting to happen).
 
@@ -82,15 +83,11 @@ func clip(v []uint64) []uint64 {
 // post-recovery state, exactly as e2fsck does.
 func Fsck(dev *blockdev.Device) (FsckReport, kbase.Errno) {
 	var rep FsckReport
+	geo, err := readGeometry(dev)
+	if err != kbase.EOK {
+		return rep, err
+	}
 	cache := bufcache.NewCache(dev, 0)
-	sbBuf := make([]byte, dev.BlockSize())
-	if err := dev.Read(0, sbBuf); err != kbase.EOK {
-		return rep, err
-	}
-	var geo Geometry
-	if err := geo.SB.decode(sbBuf); err != kbase.EOK {
-		return rep, err
-	}
 	jnl := journal.New(cache, geo.SB.JournalStart, geo.SB.JournalLen)
 	replayed, err := jnl.Recover()
 	if err != kbase.EOK {
@@ -99,7 +96,7 @@ func Fsck(dev *blockdev.Device) (FsckReport, kbase.Errno) {
 	rep.JournalReplay = replayed
 
 	inst := &fsInstance{
-		fs: &FS{}, cache: cache, jnl: jnl, geo: geo,
+		cache: cache, jnl: jnl, geo: geo,
 		inodes: make(map[uint64]*vfs.Inode),
 	}
 

@@ -34,12 +34,8 @@ func TestFsckCleanVolume(t *testing.T) {
 
 func TestFsckDetectsLeakedBlocks(t *testing.T) {
 	dev := newDevice(t, 512)
-	v, task := mkfsAndMount(t, dev, &extlike.FS{LeakOnUnlink: true})
-	writeFile(t, v, task, "/doomed", patterned(testBS*4, 3))
-	if err := v.Unlink(task, "/doomed"); err != kbase.EOK {
-		t.Fatalf("Unlink: %v", err)
-	}
-	v.Unmount(task, "/")
+	v, task := mkfsAndMount(t, dev, &extlike.FS{})
+	unlinkOpenAndCrash(t, v, task, dev, "/doomed", patterned(testBS*4, 3))
 	rep, err := extlike.Fsck(dev)
 	if err != kbase.EOK {
 		t.Fatalf("Fsck: %v", err)
@@ -47,8 +43,8 @@ func TestFsckDetectsLeakedBlocks(t *testing.T) {
 	if rep.Clean() {
 		t.Fatalf("leak not detected")
 	}
-	if len(rep.LeakedBlocks) < 4 {
-		t.Fatalf("leaked blocks = %d, want >= 4", len(rep.LeakedBlocks))
+	if len(rep.LeakedBlocks) < 4 || len(rep.LeakedInodes) != 1 {
+		t.Fatalf("leaked blocks = %d, inodes = %d; want >= 4 and 1", len(rep.LeakedBlocks), len(rep.LeakedInodes))
 	}
 	if !strings.Contains(rep.Summary(), "leaked blocks") {
 		t.Fatalf("summary: %s", rep.Summary())

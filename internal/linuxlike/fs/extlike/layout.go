@@ -238,13 +238,16 @@ func ComputeGeometry(totalBlocks uint64, blockSize uint32, inodeCount uint32, jo
 	pos += ibmBlocks
 	sb.ITabStart, sb.ITabBlocks = pos, itabBlocks
 	pos += itabBlocks
-	sb.JournalStart, sb.JournalLen = pos, journalLen
-	pos += journalLen
-	sb.DataStart = pos
-	sb.RootIno = RootIno
-	if pos >= totalBlocks {
+	// The regions so far are bounded by the device and the 32-bit inode
+	// count; only the journal's length, read from disk by a mount, can
+	// wrap the sum, so one that would reach the end of the device is
+	// refused before it is added.
+	if pos >= totalBlocks || journalLen >= totalBlocks-pos {
 		return Geometry{}, false
 	}
+	sb.JournalStart, sb.JournalLen = pos, journalLen
+	sb.DataStart = pos + journalLen
+	sb.RootIno = RootIno
 	return Geometry{SB: sb}, true
 }
 

@@ -84,6 +84,30 @@ func Mkfs(dev *blockdev.Device, opts MkfsOptions) (Geometry, kbase.Errno) {
 	return geo, kbase.EOK
 }
 
+// readGeometry reads dev's superblock and checks it before anything is
+// derived from it: it must describe dev, and it must be the layout
+// ComputeGeometry gives its own four parameters. The layout is a pure
+// function of those, so the one comparison bounds every region. A
+// superblock that fails either check is EUCLEAN.
+func readGeometry(dev *blockdev.Device) (Geometry, kbase.Errno) {
+	buf := make([]byte, dev.BlockSize())
+	if err := dev.Read(0, buf); err != kbase.EOK {
+		return Geometry{}, err
+	}
+	var sb Superblock
+	if err := sb.decode(buf); err != kbase.EOK {
+		return Geometry{}, err
+	}
+	if sb.TotalBlocks != dev.Blocks() || sb.BlockSize != uint32(dev.BlockSize()) {
+		return Geometry{}, kbase.EUCLEAN
+	}
+	geo, ok := ComputeGeometry(sb.TotalBlocks, sb.BlockSize, sb.InodeCount, sb.JournalLen)
+	if !ok || geo.SB != sb {
+		return Geometry{}, kbase.EUCLEAN
+	}
+	return geo, kbase.EOK
+}
+
 // writeBitmap writes a bitmap with the first usedPrefix bits set.
 func writeBitmap(dev *blockdev.Device, start, blocks uint64, bs int, usedPrefix uint64) kbase.Errno {
 	bitsPerBlock := uint64(bs) * 8

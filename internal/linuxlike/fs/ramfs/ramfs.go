@@ -6,8 +6,9 @@
 // confined to audited accessors instead of sprinkled at every site.
 //
 // ramfs serves three roles: the baseline file system for VFS tests,
-// the lower layer for overlaylike, and the host for injected
-// type-confusion faults in the fault campaigns.
+// the lower layer for overlaylike, and the victim of the fault
+// campaigns' type-confusion plant (a stacked FileOps whose WriteBegin
+// hands ramfs a foreign WriteState).
 package ramfs
 
 import (
@@ -26,22 +27,13 @@ type node struct {
 }
 
 // FS is the ramfs file system type.
-type FS struct {
-	// ConfuseWriteEnd, when set, makes WriteBegin return a value of
-	// the wrong dynamic type — the injected §4.2 type-confusion bug.
-	ConfuseWriteEnd bool
-	// SkipSizeLock, when set, updates i_size without taking i_lock on
-	// the write path (the §4.3 "maybe protected" pathology made
-	// concrete). The default follows the disciplined path.
-	SkipSizeLock bool
-}
+type FS struct{}
 
 // Name implements vfs.FileSystemType.
 func (f *FS) Name() string { return "ramfs" }
 
 // fsInstance is one mounted ramfs.
 type fsInstance struct {
-	fs      *FS
 	sb      *vfs.SuperBlock
 	mu      sync.Mutex
 	nextIno uint64
@@ -50,7 +42,7 @@ type fsInstance struct {
 
 // Mount implements vfs.FileSystemType. data is unused.
 func (f *FS) Mount(task *kbase.Task, data vfs.MountData) (*vfs.SuperBlock, kbase.Errno) {
-	inst := &fsInstance{fs: f, nextIno: 2} // ino 1 is the root
+	inst := &fsInstance{nextIno: 2} // ino 1 is the root
 	sb := &vfs.SuperBlock{FSType: f.Name()}
 	inst.sb = sb
 	vfs.SetSBPrivate(sb, inst)
@@ -257,13 +249,6 @@ type writeToken struct {
 	reserve int
 }
 
-// confusedToken is a different type with a compatible-looking shape,
-// used by the injected type-confusion fault.
-type confusedToken struct {
-	node    *node
-	reserve int
-}
-
 // fileOps implements vfs.FileOps.
 type fileOps struct {
 	inst *fsInstance
@@ -287,11 +272,6 @@ func (fo *fileOps) WriteBegin(task *kbase.Task, ino *vfs.Inode, off int64, cnt i
 	n, err := nodeOf(ino)
 	if err != kbase.EOK {
 		return vfs.WriteState{}, err
-	}
-	if fo.inst.fs.ConfuseWriteEnd {
-		// Injected bug: wrap the wrong dynamic type. The VFS ferries
-		// the envelope blindly; WriteEnd's unwrap will misfire.
-		return vfs.NewWriteState(&confusedToken{node: n, reserve: cnt}), kbase.EOK
 	}
 	return vfs.NewWriteState(&writeToken{node: n, reserve: cnt}), kbase.EOK
 }
@@ -327,12 +307,7 @@ func (fo *fileOps) WriteEnd(task *kbase.Task, ino *vfs.Inode, off int64, cnt int
 	n.mu.Lock()
 	size := int64(len(n.data))
 	n.mu.Unlock()
-	if fo.inst.fs.SkipSizeLock {
-		// The "maybe protected" path: i_size store without i_lock.
-		ino.ISize = size
-	} else {
-		ino.SizeWrite(task, size)
-	}
+	ino.SizeWrite(task, size)
 	return kbase.EOK
 }
 

@@ -53,22 +53,35 @@ func TestReadBeyondEOF(t *testing.T) {
 	}
 }
 
-// TestConfuseWriteEndFaultDetected exercises the injected §4.2
-// type-confusion bug: WriteBegin returns a value of the wrong dynamic
-// type and the downstream cast misfires.
+// foreignWriteOps stacks on ramfs's file operations, as a layered file
+// system does, and hands ramfs a write state of its own: the §4.2
+// type-confusion bug, planted from outside the module.
+type foreignWriteOps struct{ vfs.FileOps }
+
+func (foreignWriteOps) WriteBegin(task *kbase.Task, ino *vfs.Inode, off int64, n int) (vfs.WriteState, kbase.Errno) {
+	return vfs.NewWriteState(&off), kbase.EOK
+}
+
+// TestConfuseWriteEndFaultDetected: the write state WriteCopy gets is
+// not the one ramfs's WriteBegin makes, and the downstream cast must
+// misfire loudly, once, instead of writing.
 func TestConfuseWriteEndFaultDetected(t *testing.T) {
 	rec := &kbase.OopsRecorder{}
 	prev := kbase.InstallRecorder(rec)
 	defer kbase.InstallRecorder(prev)
 
-	v, task := mountRamfs(t, &ramfs.FS{ConfuseWriteEnd: true})
+	v, task := mountRamfs(t, &ramfs.FS{})
 	fd, _ := v.Open(task, "/victim", vfs.OWrOnly|vfs.OCreate)
-	_, err := v.Write(task, fd, []byte("boom"))
-	if err != kbase.EUCLEAN {
+	ino, err := v.Resolve(task, "/victim")
+	if err != kbase.EOK {
+		t.Fatalf("Resolve: %v", err)
+	}
+	ino.FileOps = foreignWriteOps{ino.FileOps}
+	if _, err := v.Write(task, fd, []byte("boom")); err != kbase.EUCLEAN {
 		t.Fatalf("confused write err = %v, want EUCLEAN", err)
 	}
-	if rec.Count(kbase.OopsTypeConfusion) == 0 {
-		t.Fatalf("type confusion not reported")
+	if n := rec.Count(kbase.OopsTypeConfusion); n != 1 {
+		t.Fatalf("type-confusion oopses = %d, want 1", n)
 	}
 }
 
@@ -93,18 +106,6 @@ func TestPrivateStomp(t *testing.T) {
 	}
 	if rec.Count(kbase.OopsTypeConfusion) == 0 {
 		t.Fatalf("stomp not reported as type confusion")
-	}
-}
-
-// TestSkipSizeLockStillStoresSize documents the §4.3 pathology knob:
-// the size still lands (single-threaded), it is just unprotected.
-func TestSkipSizeLockStillStoresSize(t *testing.T) {
-	v, task := mountRamfs(t, &ramfs.FS{SkipSizeLock: true})
-	fd, _ := v.Open(task, "/f", vfs.OWrOnly|vfs.OCreate)
-	v.Write(task, fd, []byte("12345"))
-	st, _ := v.Stat(task, "/f")
-	if st.Size != 5 {
-		t.Fatalf("size = %d", st.Size)
 	}
 }
 

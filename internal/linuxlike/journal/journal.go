@@ -380,15 +380,7 @@ func (h *Handle) Stop() {
 // commit — including any wait for the in-flight round — is timed into
 // the journal:commit histogram and spanned as a child of the caller's
 // trace.
-func (j *Journal) CommitCtx(task *kbase.Task) kbase.Errno { return j.commit(task, true) }
-
-// CloseCtx closes the running transaction as CommitCtx does but writes
-// no log: its buffers stay dirty in the cache until the next
-// checkpoint, and a crash before then loses them. It is the commit of
-// an unjournaled file system (extlike's injected SkipJournal bug).
-func (j *Journal) CloseCtx(task *kbase.Task) kbase.Errno { return j.commit(task, false) }
-
-func (j *Journal) commit(task *kbase.Task, log bool) kbase.Errno {
+func (j *Journal) CommitCtx(task *kbase.Task) kbase.Errno {
 	t := opCommit.Begin(task)
 	defer t.End()
 	j.mu.Lock()
@@ -419,19 +411,19 @@ func (j *Journal) commit(task *kbase.Task, log bool) kbase.Errno {
 		for tx.handles > 0 {
 			j.cond.Wait()
 		}
-		return j.commitGatedLocked(task, tx, log)
+		return j.commitGatedLocked(task, tx)
 	}
 }
 
-// commitGatedLocked closes tx and, with log set, writes it out. Caller
-// holds j.mu and the gate; tx has no open handles. The gate is released
-// before returning.
-func (j *Journal) commitGatedLocked(task *kbase.Task, tx *Tx, log bool) kbase.Errno {
+// commitGatedLocked closes tx and writes it out. Caller holds j.mu and
+// the gate; tx has no open handles. The gate is released before
+// returning.
+func (j *Journal) commitGatedLocked(task *kbase.Task, tx *Tx) kbase.Errno {
 	tx.closed = true
 	j.running = nil
 
 	err := kbase.EOK
-	if log && (len(tx.buffers) > 0 || len(tx.revokes) > 0) {
+	if len(tx.buffers) > 0 || len(tx.revokes) > 0 {
 		// Needed journal blocks: descriptor + data + optional revoke + commit.
 		needed := uint64(1 + len(tx.buffers) + 1)
 		if len(tx.revokes) > 0 {
@@ -454,9 +446,8 @@ func (j *Journal) commitGatedLocked(task *kbase.Task, tx *Tx, log bool) kbase.Er
 		}
 		tpCommit.Emit4(0, tx.seq, uint64(len(tx.buffers)), uint64(err), 0)
 	}
-	// Logged or not, the buffers leave the transaction. Its sequence
-	// number stays used, so lastDoneSeq never names a later
-	// transaction.
+	// The buffers leave the transaction. Its sequence number stays
+	// used, so lastDoneSeq never names a later transaction.
 	for _, bh := range tx.buffers {
 		bh.ClearJournalSeq()
 	}

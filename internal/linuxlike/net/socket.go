@@ -48,17 +48,6 @@ type Socket struct {
 	pending map[connKey]*Socket
 }
 
-// InjectConfusedState deliberately replaces the socket's private
-// protocol state with a foreign value — the §4.2 stomp, preserved as
-// an explicit fault-injection hook for demos and tests now that the
-// field itself is unexported and cannot be stomped from outside.
-func (s *Socket) InjectConfusedState() {
-	s.private = confusedState{}
-}
-
-// confusedState is the wrong-type value InjectConfusedState plants.
-type confusedState struct{}
-
 type connKey struct {
 	raddr Addr
 	rport uint16

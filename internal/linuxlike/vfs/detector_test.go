@@ -39,12 +39,18 @@ func TestBoundaryDetectorLearnsAndEnforces(t *testing.T) {
 		t.Fatalf("after training: %+v", st)
 	}
 
-	// Phase 2: the same detector observes a confused module.
+	// Phase 2: the same detector observes a layer stacked on ramfs's
+	// file operations that hands ramfs a write state of its own.
 	v2 := vfs.New(nil)
-	v2.RegisterFS(&ramfs.FS{ConfuseWriteEnd: true})
+	v2.RegisterFS(&ramfs.FS{})
 	v2.Mount(task, "/", "ramfs", vfs.MountData{})
 	v2.InstrumentBoundaries(det)
 	fd2, _ := v2.Open(task, "/victim", vfs.OWrOnly|vfs.OCreate)
+	victim, err := v2.Resolve(task, "/victim")
+	if err != kbase.EOK {
+		t.Fatalf("Resolve: %v", err)
+	}
+	victim.FileOps = foreignWriteOps{victim.FileOps}
 	v2.Write(task, fd2, []byte("boom"))
 	v2.Close(fd2)
 
@@ -60,6 +66,15 @@ func TestBoundaryDetectorLearnsAndEnforces(t *testing.T) {
 	if rec.Count(kbase.OopsTypeConfusion) == 0 {
 		t.Fatalf("confusion not reported")
 	}
+}
+
+// foreignWriteOps stacks on a file system's file operations and makes
+// its own write state in WriteBegin, which the lower WriteCopy and
+// WriteEnd then receive.
+type foreignWriteOps struct{ vfs.FileOps }
+
+func (foreignWriteOps) WriteBegin(task *kbase.Task, ino *vfs.Inode, off int64, n int) (vfs.WriteState, kbase.Errno) {
+	return vfs.NewWriteState(&off), kbase.EOK
 }
 
 // TestBoundaryDetectorPerFSTypes: two file systems with different

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-json vet-strict kerncheck kbench-vet test race bench-smoke bench-parallel bench-trace bench-kio bench-net bench-swap bench-fuzz fuzz-smoke kbench-smoke kbench-ab panic-storm demo-smoke check
+.PHONY: all build vet fmt-check lint lint-json vet-strict kerncheck kbench-vet test race bench-smoke bench-parallel bench-trace bench-kio bench-net bench-fuzz fuzz-smoke kbench-smoke kbench-ab panic-storm demo-smoke check
 
 all: check
 
@@ -79,13 +79,6 @@ bench-kio:
 bench-net:
 	$(GO) run ./cmd/netbench -out BENCH_net.json
 
-# Live hot-swap under load: extlike->safefs and tcb->safetcp on a
-# running kernel with a sustained mixed workload (see DESIGN.md
-# "Compartments & hot-swap" and BENCH_swap.json). Exits non-zero if
-# any in-flight operation is dropped or fails across a swap.
-bench-swap:
-	$(GO) run ./cmd/swapbench -out BENCH_swap.json
-
 # Bounded deterministic differential-fuzzing gate (~seconds): replays
 # the committed regression corpus plus a fixed-seed generative budget
 # on both module stacks, failing on any divergence/oops/ownership
@@ -141,16 +134,18 @@ bench-fuzz:
 # admits nothing into a completed drain. Two buf-fault tests join
 # them: the fault stays in its compartment, and the buf restart keeps
 # what the journal holds (committed metadata not yet checkpointed).
-# Two drain tests close the set: no op runs inside a swap's drained
-# window, and a fault inside a swap's drain waits for the swap to end
-# before the supervisor restarts the compartment. Two buffer-cache
-# tests race lockless hits against eviction in a bounded cache and
-# check the eviction scan's second chance. Run under the race
-# detector — the quarantine/restart window is where the
+# Two drain tests: no op runs inside a swap's drained window, and a
+# fault inside a swap's drain waits for the swap to end before the
+# supervisor restarts the compartment. Three upgrade tests replace the
+# live fs and net modules under load through UpgradeFS/UpgradeTCP,
+# alone and together beside a mixed workload, with zero failed ops.
+# Two buffer-cache tests race lockless hits against eviction in a
+# bounded cache and check the eviction scan's second chance. Run under
+# the race detector — the quarantine/restart window is where the
 # interesting interleavings live — 20 times, since a restart race that
 # fails once in 60 runs slips past a handful.
 panic-storm:
-	$(GO) test -race -run 'TestPanicStormConvergence|TestGateStress|TestFaultInOneCompartmentLeavesOthersServing|TestBufRestartKeepsCommittedMetadata|TestSwapUnderConcurrentLoadZeroDrops|TestFaultInSwapDrainWaitsForOwner|TestLocklessHitRacesEviction|TestEvictionSecondChance' -count 20 ./pkg/safelinux/ ./internal/safety/compartment/ ./internal/linuxlike/bufcache/
+	$(GO) test -race -run 'TestPanicStormConvergence|TestGateStress|TestFaultInOneCompartmentLeavesOthersServing|TestBufRestartKeepsCommittedMetadata|TestSwapUnderConcurrentLoadZeroDrops|TestFaultInSwapDrainWaitsForOwner|TestUpgradeUnderMixedLoad|TestUpgradeFSUnderLoad|TestUpgradeNetUnderLoad|TestLocklessHitRacesEviction|TestEvictionSecondChance' -count 20 ./pkg/safelinux/ ./internal/safety/compartment/ ./internal/linuxlike/bufcache/
 
 # Every demo once, failing on the first non-zero exit: cmd/kfsck
 # (which checks its own three fsck verdicts), the campaign table, a

@@ -255,7 +255,7 @@ func (l *live) admissible(op Op) bool {
 		// A net hot-swap re-routes all TCP dispatch to the new stack;
 		// connections opened on the old stack would silently starve.
 		// The kernel drains in-flight operations, and the fuzzer's
-		// contract mirrors swapbench: swap between interactions.
+		// contract is StreamRoundTrip's: swap between interactions.
 		return false
 	}
 	if t.path && op.Path == "" {

@@ -568,6 +568,8 @@ type writeToken struct {
 // endWrite unlocks the written inode and returns tok to the pool.
 func (inst *fsInstance) endWrite(task *kbase.Task, tok *writeToken) {
 	ei := tok.ei
+	ei.wtok = nil
+	ei.writing.Store(nil)
 	*tok = writeToken{}
 	inst.tokens.Put(tok)
 	ei.lock.Unlock(task)
@@ -599,6 +601,8 @@ func (fo *fileOps) WriteBegin(task *kbase.Task, ino *vfs.Inode, off int64, n int
 	tok := inst.tokens.Get().(*writeToken)
 	tok.ei, tok.di = ei, ei.di
 	inst.jnl.Start(&tok.h)
+	ei.wtok = tok
+	ei.writing.Store(task)
 	return vfs.NewWriteState(tok), kbase.EOK
 }
 
@@ -613,16 +617,22 @@ func (fo *fileOps) WriteCopy(task *kbase.Task, ino *vfs.Inode, off int64, data [
 	n, err := fo.inst.writeFileRange(task, &tok.h, tok.ei, data, off)
 	if err != kbase.EOK && n == 0 {
 		// Nothing was written, so the write ends here; a short write
-		// ends in WriteEnd. The copy may still have mapped new blocks
-		// before it failed: their pointers join the transaction that
-		// holds their allocation, or the next commit leaks them on disk.
-		if tok.ei.di != tok.di {
-			_ = fo.inst.writeDiskInode(task, &tok.h, tok.ei.ino, &tok.ei.di)
-		}
-		tok.h.Stop()
-		fo.inst.endWrite(task, tok)
+		// ends in WriteEnd.
+		fo.inst.abandonWrite(task, tok)
 	}
 	return n, err
+}
+
+// abandonWrite ends tok's write without a commit. The copy may have
+// mapped new blocks before it stopped: their pointers join the
+// transaction that holds their allocation, or the next commit leaks
+// them on disk. The handle stops, so that transaction can commit.
+func (inst *fsInstance) abandonWrite(task *kbase.Task, tok *writeToken) {
+	if tok.ei.di != tok.di {
+		_ = inst.writeDiskInode(task, &tok.h, tok.ei.ino, &tok.ei.di)
+	}
+	tok.h.Stop()
+	inst.endWrite(task, tok)
 }
 
 func (fo *fileOps) WriteEnd(task *kbase.Task, ino *vfs.Inode, off int64, n int, private vfs.WriteState) kbase.Errno {
@@ -666,13 +676,17 @@ func (fo *fileOps) WriteEnd(task *kbase.Task, ino *vfs.Inode, off int64, n int, 
 	return err
 }
 
-// abortWrite cleans up when the token was type-confused: the foreign
-// value carries no handle of ours, so only the inode lock WriteBegin
-// took is left to release, recovered from the inode itself.
+// abortWrite cleans up when the token was type-confused. The foreign
+// value carries nothing of ours, so the inode says what is open: a
+// write this task began there is abandoned, handle and lock included.
+// A write another task holds, or none at all (a layer above skipped
+// WriteBegin), is left alone.
 func (fo *fileOps) abortWrite(task *kbase.Task, ino *vfs.Inode) {
-	if ei, err := einodeOf(ino); err == kbase.EOK {
-		ei.lock.Unlock(task)
+	ei, err := einodeOf(ino)
+	if err != kbase.EOK || task == nil || ei.writing.Load() != task {
+		return
 	}
+	fo.inst.abandonWrite(task, ei.wtok)
 }
 
 func (fo *fileOps) Truncate(task *kbase.Task, ino *vfs.Inode, size int64) kbase.Errno {

@@ -2,6 +2,7 @@ package extlike
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"safelinux/internal/linuxlike/bufcache"
 	"safelinux/internal/linuxlike/journal"
@@ -18,7 +19,14 @@ type einode struct {
 	// and the inode's directory/file content. Class is dir_inode or
 	// file_inode by mode; child directories lock with subclass 1.
 	lock *kbase.KMutex
-	di   diskInode
+	// writing is the task inside a write that WriteBegin started on
+	// this inode, and wtok is that write's token: both set under lock
+	// by WriteBegin and cleared by endWrite before it unlocks. writing
+	// is atomic so abortWrite can test it without taking a lock that
+	// another task may hold.
+	writing atomic.Pointer[kbase.Task]
+	wtok    *writeToken
+	di      diskInode
 	// orphan marks an inode whose last link was dropped while
 	// descriptors still referenced it: blocks and the ino number stay
 	// allocated until the last close runs Release. Guarded by lock.

@@ -38,7 +38,7 @@
 // Draining is the hot-swap path: new entries block on the gate (they
 // do not fail), in-flight entries are waited out, the registry binding
 // is swapped, and EndDrain releases the queued callers — zero dropped
-// operations, observed as a p99 latency blip (cmd/swapbench).
+// operations, observed only as latency (Kernel.UpgradeFS/UpgradeTCP).
 // Quarantined is the crash path: new entries fail fast, nothing
 // blocks. A fault during a drain waits for the drain's owner: new
 // entries fail fast at once, and EndDrain quarantines instead of

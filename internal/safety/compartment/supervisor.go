@@ -151,8 +151,8 @@ func (p *Plane) onFault(c *Compartment, f Fault) {
 // Restart drains the named compartment (waiting out the unwinding
 // faulted call, if any), runs its Restart hook on a supervisor task,
 // and returns it to Healthy. A hook failure or panic re-quarantines.
-// Restarting a healthy compartment is allowed (used by HotSwap to
-// rebind after a module swap).
+// Restarting a healthy compartment is allowed: it rebuilds the
+// subsystem from clean state as after a fault.
 func (p *Plane) Restart(name string) kbase.Errno {
 	p.mu.Lock()
 	c := p.comps[name]

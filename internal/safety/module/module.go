@@ -192,24 +192,17 @@ func (r *Registry) Bind(m Module) kbase.Errno {
 	return kbase.EOK
 }
 
-// SwapPolicy controls replacement rules.
-type SwapPolicy struct {
-	// AllowRegression permits installing a lower-safety module
-	// (normally refused: the ladder only goes up).
-	AllowRegression bool
-}
-
 // Swap atomically replaces the implementation of an interface. The
 // replacement must implement the same interface version and must not
-// regress the safety level unless the policy allows it. It returns
-// the displaced module.
+// regress the safety level (EPERM: the ladder only goes up). It
+// returns the displaced module.
 //
 // Swap holds mu only in read mode: the binding's module pointer is
 // replaced with a CAS loop, so concurrent Lookups proceed unblocked
 // and racing Swaps serialize against each other through the CAS (each
 // retry re-checks the regression rule against the then-current
 // module).
-func (r *Registry) Swap(m Module, policy SwapPolicy) (Module, kbase.Errno) {
+func (r *Registry) Swap(m Module) (Module, kbase.Errno) {
 	iface := m.Implements()
 	r.mu.RLock()
 	b, ok := r.bindings[iface.Name]
@@ -223,7 +216,7 @@ func (r *Registry) Swap(m Module, policy SwapPolicy) (Module, kbase.Errno) {
 	newBox := &modBox{m: m}
 	for {
 		oldBox := b.mod.Load()
-		if m.Level() < oldBox.m.Level() && !policy.AllowRegression {
+		if m.Level() < oldBox.m.Level() {
 			return nil, kbase.EPERM
 		}
 		if b.mod.CompareAndSwap(oldBox, newBox) {

@@ -81,7 +81,7 @@ func TestSwapUpgradesLevel(t *testing.T) {
 	legacy := &fakeFS{name: "extlike", level: LevelLegacy, ver: 1}
 	r.Bind(legacy)
 	safe := &fakeFS{name: "safefs", level: LevelOwnershipSafe, ver: 1}
-	old, err := r.Swap(safe, SwapPolicy{})
+	old, err := r.Swap(safe)
 	if err != kbase.EOK {
 		t.Fatalf("Swap: %v", err)
 	}
@@ -98,18 +98,18 @@ func TestSwapRefusesRegression(t *testing.T) {
 	r := declared(t)
 	r.Bind(&fakeFS{name: "safefs", level: LevelVerified, ver: 1})
 	worse := &fakeFS{name: "sketchy", level: LevelLegacy, ver: 1}
-	if _, err := r.Swap(worse, SwapPolicy{}); err != kbase.EPERM {
+	if _, err := r.Swap(worse); err != kbase.EPERM {
 		t.Fatalf("regressing swap: %v", err)
 	}
-	if _, err := r.Swap(worse, SwapPolicy{AllowRegression: true}); err != kbase.EOK {
-		t.Fatalf("forced swap: %v", err)
+	if got, _ := r.Lookup("storage.fs"); got.ModuleName() != "safefs" {
+		t.Fatalf("active module after a refused swap = %s", got.ModuleName())
 	}
 }
 
 func TestSwapVersionMismatch(t *testing.T) {
 	r := declared(t)
 	r.Bind(&fakeFS{name: "a", ver: 1})
-	if _, err := r.Swap(&fakeFS{name: "b", ver: 2}, SwapPolicy{}); err != kbase.EPROTO {
+	if _, err := r.Swap(&fakeFS{name: "b", ver: 2}); err != kbase.EPROTO {
 		t.Fatalf("swap wrong version: %v", err)
 	}
 }
@@ -170,7 +170,7 @@ func TestInventoryAndAccessCounting(t *testing.T) {
 func TestAuditTrail(t *testing.T) {
 	r := declared(t)
 	r.Bind(&fakeFS{name: "a", level: LevelModular, ver: 1})
-	r.Swap(&fakeFS{name: "b", level: LevelTypeSafe, ver: 1}, SwapPolicy{})
+	r.Swap(&fakeFS{name: "b", level: LevelTypeSafe, ver: 1})
 	trail := r.Trail()
 	if len(trail) != 3 {
 		t.Fatalf("trail length = %d", len(trail))

@@ -65,7 +65,7 @@ func TestLookupDuringSwapRace(t *testing.T) {
 		defer wg.Done()
 		mods := [2]Module{b, a}
 		for s := 0; s < swaps; s++ {
-			if _, err := r.Swap(mods[s%2], SwapPolicy{}); err != kbase.EOK {
+			if _, err := r.Swap(mods[s%2]); err != kbase.EOK {
 				t.Errorf("Swap %d: %v", s, err)
 				return
 			}
@@ -110,7 +110,7 @@ func TestConcurrentSwapsSerialize(t *testing.T) {
 			defer wg.Done()
 			m := &raceMod{name: "swapper", gen: i}
 			for j := 0; j < each; j++ {
-				if _, err := r.Swap(m, SwapPolicy{}); err != kbase.EOK {
+				if _, err := r.Swap(m); err != kbase.EOK {
 					t.Errorf("Swap: %v", err)
 					return
 				}

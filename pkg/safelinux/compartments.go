@@ -1,5 +1,5 @@
 // Compartment kernel: crash containment boundaries and live module
-// hot-swap for the assembled kernel.
+// replacement for the assembled kernel.
 //
 // With Config.Compartments set, New wraps every swappable subsystem in
 // a containment compartment and starts a supervisor plane over them:
@@ -22,16 +22,15 @@
 // the journal's buffers for buf, a fresh engine for kio — while the
 // rest of the kernel keeps serving.
 //
-// The same in-flight gate powers HotSwap: drain the compartment (new
-// entries queue, in-flight entries retire), migrate the module on a
-// supervisor task, swap the registry binding, and release the queued
-// callers — a live module replacement under load with zero dropped
-// operations, observed only as a latency blip (cmd/swapbench).
+// The same in-flight gate carries UpgradeFS and UpgradeTCP: drain the
+// compartment (new entries queue, in-flight entries retire), migrate
+// the module on a supervisor task, swap the registry binding, and
+// release the queued callers — a live module replacement under load
+// with zero dropped operations, observed only as latency
+// (TestUpgradeUnderMixedLoad).
 package safelinux
 
 import (
-	"time"
-
 	"safelinux/internal/linuxlike/fs/extlike"
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/kio"
@@ -41,8 +40,6 @@ import (
 	"safelinux/internal/safemod/safefs"
 	"safelinux/internal/safemod/safetcp"
 	"safelinux/internal/safety/compartment"
-	"safelinux/internal/safety/gate"
-	"safelinux/internal/safety/module"
 )
 
 // enableCompartments builds the containment plane and installs a
@@ -183,76 +180,6 @@ func (k *Kernel) restartKio(task *kbase.Task) kbase.Errno {
 	return kbase.EOK
 }
 
-// HotSwap replaces a live module on a running kernel: drain the
-// subsystem's compartment (new callers queue at the gate, in-flight
-// operations retire), migrate to the new module on a supervisor task,
-// record the swap in the registry, and release the queued callers onto
-// the new binding. No operation is dropped or failed by the swap —
-// callers observe it only as added latency (measured by cmd/swapbench
-// as a p99 blip).
-//
-// kind selects the compartment: "fs" accepts the safefs module
-// (extlike→safefs, the UpgradeFS migration under drain), "net" accepts
-// the safetcp module (legacy TCB→safetcp). Requires
-// Config.Compartments; returns ENOSYS without it, EALREADY if the
-// module is already live, and EBUSY if the drain cannot complete
-// within compartment.DrainTimeout.
-func (k *Kernel) HotSwap(kind string, m module.Module) kbase.Errno {
-	if k.Plane == nil {
-		return kbase.ENOSYS
-	}
-	var comp *compartment.Compartment
-	var migrate func(*kbase.Task) kbase.Errno
-	switch kind {
-	case "fs":
-		if m.ModuleName() != "safefs" {
-			return kbase.EINVAL
-		}
-		if k.fsSafe {
-			return kbase.EALREADY
-		}
-		comp = k.Plane.Get("fs")
-		migrate = k.migrateFS
-	case "net":
-		if m.ModuleName() != "safetcp" {
-			return kbase.EINVAL
-		}
-		if k.tcpSafe {
-			return kbase.EALREADY
-		}
-		comp = k.Plane.Get("net")
-		migrate = k.migrateTCP
-	default:
-		return kbase.EINVAL
-	}
-	start := time.Now()
-	if err := comp.BeginDrain(gate.Draining); err != kbase.EOK {
-		return err
-	}
-	task := kbase.NewSupervisorTask()
-	err := func() (err kbase.Errno) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = kbase.EFAULT
-			}
-		}()
-		return migrate(task)
-	}()
-	if err == kbase.EOK {
-		if _, e := k.Registry.Swap(m, module.SwapPolicy{}); e != kbase.EOK {
-			err = e
-		}
-	}
-	if err != kbase.EOK {
-		// Failed migration: release the queued callers onto whatever
-		// binding survived rather than leaving them blocked.
-		comp.EndDrain("", 0)
-		return err
-	}
-	comp.EndDrain("swap", time.Since(start))
-	return kbase.EOK
-}
-
 // StreamRoundTrip performs one complete client interaction on the
 // kernel's stream transport — listen on host B, connect from host A,
 // send payload, echo it back, verify, close — driving the network
@@ -261,6 +188,8 @@ func (k *Kernel) HotSwap(kind string, m module.Module) kbase.Errno {
 // hot-swap or restart drain lands between interactions, never inside
 // one: an in-flight interaction finishes on the stack it started on,
 // the next queued one starts on the new stack.
+//
+//kerncheck:ignore deadexport the drain-aligned client interaction that pkg/safelinux's upgrade and containment tests drive
 func (k *Kernel) StreamRoundTrip(port uint16, payload []byte) kbase.Errno {
 	if k.Plane != nil {
 		if c := k.Plane.Get("net"); c != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,7 +14,6 @@ import (
 	"safelinux/internal/linuxlike/ktrace"
 	"safelinux/internal/linuxlike/net"
 	"safelinux/internal/linuxlike/vfs"
-	"safelinux/internal/safemod/safefs"
 	"safelinux/internal/safemod/safetcp"
 	"safelinux/internal/safety/compartment"
 )
@@ -247,10 +247,11 @@ func TestNetPoisonedEnumeration(t *testing.T) {
 	}
 }
 
-// TestHotSwapFSUnderLoad swaps extlike→safefs while fs workers hammer
-// the VFS: zero operations fail, data written before and during the
-// swap survives, and the registry records the new binding.
-func TestHotSwapFSUnderLoad(t *testing.T) {
+// TestUpgradeFSUnderLoad upgrades extlike→safefs on a compartmented
+// kernel while fs workers hammer the VFS: zero operations fail, data
+// written before and during the swap survives, and the registry
+// records the new binding.
+func TestUpgradeFSUnderLoad(t *testing.T) {
 	k := bootCompartmented(t, Config{Seed: 17})
 	const workers = 4
 	const opsPer = 150
@@ -279,16 +280,16 @@ func TestHotSwapFSUnderLoad(t *testing.T) {
 	}
 	// Let the workers get going, then swap live.
 	time.Sleep(2 * time.Millisecond)
-	if err := k.HotSwap("fs", safefs.Module{}); err != kbase.EOK {
-		t.Fatalf("HotSwap(fs): %v", err)
+	if err := k.UpgradeFS(); err != kbase.EOK {
+		t.Fatalf("UpgradeFS: %v", err)
 	}
 	wg.Wait()
 	close(errs)
 	for e := range errs {
 		t.Errorf("worker op failed across swap: %s", e)
 	}
-	if !k.FSSafe() {
-		t.Fatalf("kernel does not report fsSafe after HotSwap")
+	if !k.fsSafe {
+		t.Fatalf("kernel does not report fsSafe after UpgradeFS")
 	}
 	mod, err := k.Registry.Lookup(IfaceFS)
 	if err != kbase.EOK || mod.ModuleName() != "safefs" {
@@ -306,15 +307,15 @@ func TestHotSwapFSUnderLoad(t *testing.T) {
 			}
 		}
 	}
-	if err := k.HotSwap("fs", safefs.Module{}); err != kbase.EALREADY {
-		t.Fatalf("second HotSwap = %v, want EALREADY", err)
+	if err := k.UpgradeFS(); err != kbase.EALREADY {
+		t.Fatalf("second UpgradeFS = %v, want EALREADY", err)
 	}
 }
 
-// TestHotSwapNetUnderLoad swaps legacy TCB→safetcp between client
+// TestUpgradeNetUnderLoad upgrades legacy TCB→safetcp between client
 // interactions driven through StreamRoundTrip: no interaction fails,
 // interactions after the swap run on the safe transport.
-func TestHotSwapNetUnderLoad(t *testing.T) {
+func TestUpgradeNetUnderLoad(t *testing.T) {
 	k := bootCompartmented(t, Config{Seed: 18, Link: netNoLoss()})
 	done := make(chan struct{})
 	var rtErrs []string
@@ -330,8 +331,8 @@ func TestHotSwapNetUnderLoad(t *testing.T) {
 		}
 	}()
 	time.Sleep(2 * time.Millisecond)
-	if err := k.HotSwap("net", safetcp.Module{}); err != kbase.EOK {
-		t.Fatalf("HotSwap(net): %v", err)
+	if err := k.UpgradeTCP(); err != kbase.EOK {
+		t.Fatalf("UpgradeTCP: %v", err)
 	}
 	<-done
 	for _, e := range rtErrs {
@@ -341,7 +342,7 @@ func TestHotSwapNetUnderLoad(t *testing.T) {
 		t.Fatalf("driver stopped early: %d/30", rtCount)
 	}
 	if !k.TCPSafe() {
-		t.Fatalf("kernel does not report tcpSafe after HotSwap")
+		t.Fatalf("kernel does not report tcpSafe after UpgradeTCP")
 	}
 	mod, err := k.Registry.Lookup(IfaceStream)
 	if err != kbase.EOK || mod.ModuleName() != "safetcp" {
@@ -349,19 +350,153 @@ func TestHotSwapNetUnderLoad(t *testing.T) {
 	}
 	epA, epB := k.SafeEndpoints()
 	if epA == nil || epB == nil {
-		t.Fatalf("safe endpoints not attached by HotSwap")
+		t.Fatalf("safe endpoints not attached by UpgradeTCP")
 	}
 }
 
-// TestHotSwapRequiresCompartments pins the ENOSYS contract.
-func TestHotSwapRequiresCompartments(t *testing.T) {
-	k := bootKernel(t)
-	if err := k.HotSwap("fs", safefs.Module{}); err != kbase.ENOSYS {
-		t.Fatalf("HotSwap without compartments = %v, want ENOSYS", err)
+// TestUpgradeUnderMixedLoad replaces both modules of a running,
+// compartmented kernel while a mixed workload keeps going: fs workers
+// overwrite a bounded file set and read each file back, and one driver
+// runs stream round trips beside them. UpgradeFS and then UpgradeTCP
+// each drain their compartment, so no operation may fail, every file
+// must hold its payload on the new file system, and each compartment
+// must record exactly one swap.
+func TestUpgradeUnderMixedLoad(t *testing.T) {
+	k := bootCompartmented(t, Config{Seed: 19, Link: netNoLoss()})
+	const workers, filesPer = 4, 8
+	path := func(w, f int) string { return fmt.Sprintf("/mix%d_f%d", w, f) }
+	payload := func(p string) []byte { return []byte("payload:" + p) }
+
+	var fsOps [workers]atomic.Int64
+	var rtOps atomic.Int64
+	var mu sync.Mutex
+	var fails []string
+	fail := func(format string, args ...any) {
+		mu.Lock()
+		fails = append(fails, fmt.Sprintf(format, args...))
+		mu.Unlock()
 	}
-	// StreamRoundTrip still works without a plane (no hold, no gate).
-	if err := k.StreamRoundTrip(4500, []byte("plain")); err != kbase.EOK {
-		t.Fatalf("round trip without compartments: %v", err)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			task := kbase.NewTask()
+			buf := make([]byte, 64)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				p := path(w, i%filesPer)
+				want := payload(p)
+				fd, err := k.VFS.Open(task, p, vfs.ORdWr|vfs.OCreate|vfs.OTrunc)
+				if err != kbase.EOK {
+					fail("open %s: %v", p, err)
+					return
+				}
+				if _, err := k.VFS.Write(task, fd, want); err != kbase.EOK {
+					fail("write %s: %v", p, err)
+				}
+				if n, err := k.VFS.Pread(task, fd, buf, 0); err != kbase.EOK || !bytes.Equal(buf[:n], want) {
+					fail("pread %s = %q, %v", p, buf[:n], err)
+				}
+				if err := k.VFS.Close(fd); err != kbase.EOK {
+					fail("close %s: %v", p, err)
+				}
+				fsOps[w].Add(1)
+			}
+		}()
+	}
+	// One network driver: the packet sim is single-threaded, so one
+	// goroutine owns every round trip. Ports cycle through a range
+	// wide enough that a reused one has long left TIME_WAIT.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			port := uint16(9000 + i%16384)
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := k.StreamRoundTrip(port, []byte("mixed")); err != kbase.EOK {
+				fail("round trip port %d: %v", port, err)
+				return
+			}
+			rtOps.Add(1)
+		}
+	}()
+	halt := func() {
+		close(stop)
+		wg.Wait()
+	}
+	// progress waits until every fs worker has rewritten each of its
+	// files and the driver has completed a few more round trips, so
+	// each upgrade lands in running traffic and each new module serves
+	// some of it.
+	progress := func(phase string) {
+		var fs0 [workers]int64
+		for w := range fsOps {
+			fs0[w] = fsOps[w].Load()
+		}
+		rt0 := rtOps.Load()
+		moved := func() bool {
+			for w := range fsOps {
+				if fsOps[w].Load() < fs0[w]+filesPer {
+					return false
+				}
+			}
+			return rtOps.Load() >= rt0+4
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for !moved() {
+			mu.Lock()
+			failed := len(fails) > 0
+			mu.Unlock()
+			if failed || time.Now().After(deadline) {
+				halt()
+				t.Fatalf("%s: load stopped (%d round trips): %v", phase, rtOps.Load(), fails)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	progress("before UpgradeFS")
+	if err := k.UpgradeFS(); err != kbase.EOK {
+		halt()
+		t.Fatalf("UpgradeFS: %v", err)
+	}
+	progress("after UpgradeFS")
+	if err := k.UpgradeTCP(); err != kbase.EOK {
+		halt()
+		t.Fatalf("UpgradeTCP: %v", err)
+	}
+	progress("after UpgradeTCP")
+	halt()
+
+	for _, f := range fails {
+		t.Errorf("op failed across an upgrade: %s", f)
+	}
+	if !k.fsSafe || !k.TCPSafe() {
+		t.Fatalf("not on the safe modules after the upgrades: fs %v, tcp %v", k.fsSafe, k.TCPSafe())
+	}
+	if !k.Plane.AllHealthy() {
+		t.Fatalf("plane unhealthy after the upgrades")
+	}
+	for w := 0; w < workers; w++ {
+		for f := 0; f < filesPer; f++ {
+			if got := readAll(t, k, path(w, f)); got != string(payload(path(w, f))) {
+				t.Errorf("%s = %q after the upgrades", path(w, f), got)
+			}
+		}
+	}
+	for _, name := range []string{"fs", "net"} {
+		if n := ktrace.Read(k.Plane.Get(name).CollectMetrics, "swaps"); n != 1 {
+			t.Errorf("%s compartment recorded %d swaps, want 1", name, n)
+		}
 	}
 }
 

@@ -18,8 +18,6 @@ import (
 	"safelinux/internal/linuxlike/kio"
 	"safelinux/internal/linuxlike/net"
 	"safelinux/internal/linuxlike/vfs"
-	"safelinux/internal/safemod/safefs"
-	"safelinux/internal/safemod/safetcp"
 )
 
 // Slot counts the harness exposes. internal/fuzz mirrors these in its
@@ -539,16 +537,18 @@ func (x *FuzzExec) KioBatch(nOps int, seed uint32) FuzzResult {
 
 // --- live module replacement ---
 
-// HotSwapFS swaps the root file system to safefs on the running
-// kernel (modal: EALREADY on a safe-boot leg; open fds migrate).
+// HotSwapFS upgrades the root file system to safefs on the running
+// kernel, under the fs drain (modal: EALREADY on a safe-boot leg;
+// open fds migrate).
 func (x *FuzzExec) HotSwapFS() FuzzResult {
-	return FuzzResult{Errno: x.K.HotSwap("fs", safefs.Module{})}
+	return FuzzResult{Errno: x.K.UpgradeFS()}
 }
 
-// HotSwapNet swaps the stream transport to safetcp (modal; the
-// program grammar guarantees no live streams at this point).
+// HotSwapNet upgrades the stream transport to safetcp under the net
+// drain (modal; the program grammar guarantees no live streams at this
+// point).
 func (x *FuzzExec) HotSwapNet() FuzzResult {
-	return FuzzResult{Errno: x.K.HotSwap("net", safetcp.Module{})}
+	return FuzzResult{Errno: x.K.UpgradeTCP()}
 }
 
 // --- end-of-program accounting ---

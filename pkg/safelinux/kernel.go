@@ -13,6 +13,7 @@ package safelinux
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"safelinux/internal/linuxlike/blockdev"
 	"safelinux/internal/linuxlike/fs/extlike"
@@ -27,6 +28,7 @@ import (
 	"safelinux/internal/safemod/safetcp"
 	"safelinux/internal/safety/audit"
 	"safelinux/internal/safety/compartment"
+	"safelinux/internal/safety/gate"
 	"safelinux/internal/safety/module"
 	"safelinux/internal/safety/own"
 )
@@ -49,7 +51,8 @@ type Config struct {
 	// Compartments boots the kernel with crash-containment boundaries
 	// around every swappable subsystem (fs, net, buffer cache, kio,
 	// ebpf probes) and a supervisor plane that quarantines and restarts
-	// faulted compartments. Required for HotSwap. See compartments.go.
+	// faulted compartments; UpgradeFS and UpgradeTCP then swap under
+	// a drain. See compartments.go.
 	Compartments bool
 }
 
@@ -80,7 +83,7 @@ type Kernel struct {
 	cfg     Config
 	rootDev *blockdev.Device
 	// fsDev is the device behind "/": rootDev, then the safefs device
-	// once UpgradeFS or HotSwap has moved the root onto it. Atomic so
+	// once UpgradeFS has moved the root onto it. Atomic so
 	// a metrics read races no swap.
 	fsDev    atomic.Pointer[blockdev.Device]
 	ioEngine *kio.Engine
@@ -200,9 +203,6 @@ func (k *Kernel) Close() {
 // nil).
 func (k *Kernel) IOEngine() *kio.Engine { return k.ioEngine }
 
-// FSSafe reports whether the root file system has been upgraded.
-func (k *Kernel) FSSafe() bool { return k.fsSafe }
-
 // TCPSafe reports whether the transport has been upgraded.
 func (k *Kernel) TCPSafe() bool { return k.tcpSafe }
 
@@ -248,26 +248,73 @@ func (f *fixedFS) Mount(task *kbase.Task, data vfs.MountData) (*vfs.SuperBlock, 
 // UpgradeFS performs the paper's module replacement on the root file
 // system: build a safefs volume on a new device, copy the live tree
 // into it, swap the mount, and record the swap in the registry. The
-// old device is left intact (rollback insurance). For the same swap
-// performed live under load, drained through the containment plane,
-// see HotSwap.
+// old device is left intact (rollback insurance). On a compartmented
+// kernel the swap runs live under the fs compartment's drain (see
+// upgrade).
 func (k *Kernel) UpgradeFS() kbase.Errno {
 	if k.fsSafe {
 		return kbase.EALREADY
 	}
-	if err := k.migrateFS(k.Task); err != kbase.EOK {
+	return k.upgrade("fs", safefs.Module{}, k.migrateFS)
+}
+
+// UpgradeTCP installs the ownership-safe transport on both hosts via
+// the modular StreamProto interface and records the swap. On a
+// compartmented kernel the swap runs live under the net compartment's
+// drain (see upgrade).
+func (k *Kernel) UpgradeTCP() kbase.Errno {
+	if k.tcpSafe {
+		return kbase.EALREADY
+	}
+	return k.upgrade("net", safetcp.Module{}, k.migrateTCP)
+}
+
+// upgrade replaces the module behind compartment comp with m: run
+// migrate, then record the swap in the registry. Without a plane the
+// migration runs on the kernel's task. With one, the compartment is
+// drained first (new callers queue at the gate, in-flight operations
+// retire), the migration runs on a supervisor task so its own calls
+// bypass the drained gate, a panic in it comes back as EFAULT, and the
+// queued callers are released onto the new binding: no operation is
+// dropped or failed by the swap, callers see it only as latency. EBUSY
+// means the drain did not complete within compartment.DrainTimeout.
+func (k *Kernel) upgrade(comp string, m module.Module, migrate func(*kbase.Task) kbase.Errno) kbase.Errno {
+	if k.Plane == nil {
+		if err := migrate(k.Task); err != kbase.EOK {
+			return err
+		}
+		_, err := k.Registry.Swap(m)
 		return err
 	}
-	if _, err := k.Registry.Swap(safefs.Module{}, module.SwapPolicy{}); err != kbase.EOK {
+	c := k.Plane.Get(comp)
+	start := time.Now()
+	if err := c.BeginDrain(gate.Draining); err != kbase.EOK {
 		return err
 	}
+	err := func() (err kbase.Errno) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = kbase.EFAULT
+			}
+		}()
+		return migrate(kbase.NewSupervisorTask())
+	}()
+	if err == kbase.EOK {
+		_, err = k.Registry.Swap(m)
+	}
+	if err != kbase.EOK {
+		// Failed migration: release the queued callers onto whatever
+		// binding survived rather than leaving them blocked.
+		c.EndDrain("", 0)
+		return err
+	}
+	c.EndDrain("swap", time.Since(start))
 	return kbase.EOK
 }
 
-// migrateFS is the extlike→safefs migration body, shared by UpgradeFS
-// (offline, caller's task) and HotSwap (under drain, supervisor task —
-// every VFS call below must carry task so it bypasses the drained fs
-// gate instead of deadlocking against it).
+// migrateFS is the extlike→safefs migration body. Under a drain it
+// runs on a supervisor task: every VFS call below must carry task so
+// it bypasses the drained fs gate instead of deadlocking against it.
 func (k *Kernel) migrateFS(task *kbase.Task) kbase.Errno {
 	newDev := blockdev.New(blockdev.Config{
 		Blocks: k.cfg.DiskBlocks, BlockSize: k.cfg.BlockSize,
@@ -373,24 +420,7 @@ func (k *Kernel) copyTree(task *kbase.Task, src, dst *vfs.VFS, path string) kbas
 	return kbase.EOK
 }
 
-// UpgradeTCP installs the ownership-safe transport on both hosts via
-// the modular StreamProto interface and records the swap. For the
-// same swap performed live under load, see HotSwap.
-func (k *Kernel) UpgradeTCP() kbase.Errno {
-	if k.tcpSafe {
-		return kbase.EALREADY
-	}
-	if err := k.migrateTCP(k.Task); err != kbase.EOK {
-		return err
-	}
-	if _, err := k.Registry.Swap(safetcp.Module{}, module.SwapPolicy{}); err != kbase.EOK {
-		return err
-	}
-	return kbase.EOK
-}
-
-// migrateTCP is the legacy→safetcp migration body, shared by
-// UpgradeTCP (offline) and HotSwap (under drain).
+// migrateTCP is the legacy→safetcp migration body.
 func (k *Kernel) migrateTCP(task *kbase.Task) kbase.Errno {
 	k.safeEPA = safetcp.Attach(k.hostA, k.Checker)
 	k.safeEPB = safetcp.Attach(k.hostB, k.Checker)
@@ -400,7 +430,7 @@ func (k *Kernel) migrateTCP(task *kbase.Task) kbase.Errno {
 
 // RegisterMetrics wires every live subsystem into a ktrace metrics
 // registry: the block device behind "/" (whichever it is at read
-// time, so a registration made before UpgradeFS or HotSwap follows
+// time, so a registration made before UpgradeFS follows
 // the root onto the safefs device), the VFS/dcache, the ownership
 // checker, the root file system's journal and buffer cache (legacy
 // configuration), both network hosts, the safe transport endpoints

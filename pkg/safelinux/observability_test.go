@@ -8,7 +8,6 @@ import (
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/ktrace"
 	"safelinux/internal/linuxlike/vfs"
-	"safelinux/internal/safemod/safefs"
 )
 
 // TestKernelRegisterMetrics boots a kernel, drives I/O, and checks the
@@ -92,7 +91,7 @@ func TestKernelRegisterMetrics(t *testing.T) {
 }
 
 // TestBlockdevMetricsFollowRoot: the blockdev collector reads the
-// device behind "/", so after UpgradeFS or HotSwap a pwrite+fsync
+// device behind "/", so after UpgradeFS, drained or not, a pwrite+fsync
 // moves blockdev.writes and blockdev.flushes — also through a
 // registration made before the swap.
 func TestBlockdevMetricsFollowRoot(t *testing.T) {
@@ -131,7 +130,7 @@ func TestBlockdevMetricsFollowRoot(t *testing.T) {
 		k.RegisterMetrics(m)
 		syncWrite(t, k, m)
 	})
-	t.Run("HotSwap", func(t *testing.T) {
+	t.Run("UpgradeFS on a compartmented kernel", func(t *testing.T) {
 		k := bootCompartmented(t, Config{Seed: 14})
 		m := ktrace.NewMetrics()
 		k.RegisterMetrics(m)
@@ -149,11 +148,11 @@ func TestBlockdevMetricsFollowRoot(t *testing.T) {
 				}
 			}
 		}()
-		err := k.HotSwap("fs", safefs.Module{})
+		err := k.UpgradeFS()
 		close(stop)
 		<-done
 		if err != kbase.EOK {
-			t.Fatalf("HotSwap(fs): %v", err)
+			t.Fatalf("UpgradeFS: %v", err)
 		}
 		syncWrite(t, k, m)
 	})

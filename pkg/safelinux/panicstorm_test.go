@@ -101,6 +101,9 @@ func TestPanicStormConvergence(t *testing.T) {
 	}
 }
 
+// stormFiles bounds the files one round's fs bystander cycles through.
+const stormFiles = 16
+
 // stormRound arms a one-shot panic in victim, drives the victim's own
 // surface until the fault fires, keeps out-of-cone bystander traffic
 // running through the quarantine and restart window, and fails the
@@ -146,10 +149,15 @@ func stormRound(t *testing.T, k *Kernel, round int, victim string, nextPort *uin
 					return
 				default:
 				}
-				path := fmt.Sprintf("/storm_r%d_i%d", round, i)
-				fd, err := k.VFS.Open(k.Task, path, vfs.OWrOnly|vfs.OCreate)
+				// A bounded path set, overwritten: a round lasts as long
+				// as the scheduler makes it, and one new file per
+				// iteration would run the volume out of inodes.
+				path := fmt.Sprintf("/storm_r%d_f%d", round, i%stormFiles)
+				fd, err := k.VFS.Open(k.Task, path, vfs.OWrOnly|vfs.OCreate|vfs.OTrunc)
 				if err != kbase.EOK {
-					report("round %d (%s): bystander open %s: %v", round, victim, path, err)
+					st, serr := k.VFS.Statfs(k.Task, "/")
+					report("round %d (%s): bystander open %s: %v (statfs: %d of %d inodes free, %d of %d blocks free, %v)",
+						round, victim, path, err, st.FreeInodes, st.TotalInodes, st.FreeBlocks, st.TotalBlocks, serr)
 					return
 				}
 				if _, err := k.VFS.Write(k.Task, fd, []byte("bystander")); err != kbase.EOK {

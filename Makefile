@@ -145,7 +145,7 @@ bench-fuzz:
 # interesting interleavings live — 20 times, since a restart race that
 # fails once in 60 runs slips past a handful.
 panic-storm:
-	$(GO) test -race -run 'TestPanicStormConvergence|TestGateStress|TestFaultInOneCompartmentLeavesOthersServing|TestBufRestartKeepsCommittedMetadata|TestSwapUnderConcurrentLoadZeroDrops|TestFaultInSwapDrainWaitsForOwner|TestUpgradeUnderMixedLoad|TestUpgradeFSUnderLoad|TestUpgradeNetUnderLoad|TestLocklessHitRacesEviction|TestEvictionSecondChance' -count 20 ./pkg/safelinux/ ./internal/safety/compartment/ ./internal/linuxlike/bufcache/
+	$(GO) test -race -run 'TestPanicStormConvergence|TestGateStress|TestFaultInOneCompartmentLeavesOthersServing|TestBufRestartKeepsCommittedMetadata|TestSwapUnderConcurrentLoadZeroDrops|TestFaultInSwapDrainWaitsForOwner|TestUpgradeUnderMixedLoad|TestConcurrentUpgradesSwapOnce|TestUpgradeFSUnderLoad|TestUpgradeNetUnderLoad|TestLocklessHitRacesEviction|TestEvictionSecondChance' -count 20 ./pkg/safelinux/ ./internal/safety/compartment/ ./internal/linuxlike/bufcache/
 
 # Every demo once, failing on the first non-zero exit: cmd/kfsck
 # (which checks its own three fsck verdicts), the campaign table, a

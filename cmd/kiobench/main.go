@@ -92,7 +92,8 @@ func benchRawDevice() float64 {
 // benchKio issues qd writes and one barrier per batch through the
 // engine; reported per durable write, so the barrier cost is
 // amortized across the queue depth exactly as group commit amortizes
-// the commit flush.
+// the commit flush. Each batch is released for reuse, as the journal's
+// commit and the cache's writeback release theirs.
 func benchKio(qd int) float64 {
 	dev := newDevice()
 	e := kio.New(dev)
@@ -111,6 +112,7 @@ func benchKio(qd int) float64 {
 				if err := t.Err(); err != kbase.EOK {
 					b.Fatalf("batch: %v", err)
 				}
+				batch.Release()
 				batch = e.NewBatch()
 			}
 		}

@@ -19,7 +19,9 @@ import (
 // merges its record into the predecessor, a create splits the first
 // record with room for it. The directory inode is journaled only when
 // its size or block map changes. Real ext4 adds hashed trees on top;
-// the linear chain keeps a lookup a scan of the cached records.
+// here a lookup stays a linear scan of the cached records, each of
+// which carries a hash of its name, so the scan compares one word per
+// record and a name only where the hashes match.
 //
 // Every helper below edits the block before the cache, and only once
 // the block has joined the transaction, so a refused edit leaves both
@@ -104,8 +106,9 @@ func (inst *fsInstance) decodeDir(task *kbase.Task, ei *einode) ([]dirent, strin
 
 // dirFind returns the index of the live record named name, or -1.
 func dirFind(ents []dirent, name string) int {
+	hash := nameHash(name)
 	for i := range ents {
-		if ents[i].Ino != 0 && ents[i].Name == name {
+		if ents[i].hash == hash && ents[i].Ino != 0 && ents[i].Name == name {
 			return i
 		}
 	}
@@ -175,7 +178,7 @@ func dirDirty(h *journal.Handle, ei *einode, bh *bufcache.BufferHead) kbase.Errn
 // live one is split after its entry. Either edits one block. Slot -1
 // appends a block holding the one record.
 func (inst *fsInstance) dirInsert(task *kbase.Task, h *journal.Handle, dirVi *vfs.Inode, ei *einode, slot int, ino uint64, mode uint16, name string) kbase.Errno {
-	e := dirent{Name: name, Ino: ino, Mode: mode}
+	e := dirent{Name: name, Ino: ino, Mode: mode, hash: nameHash(name)}
 	if slot < 0 {
 		return inst.dirAppend(task, h, dirVi, ei, e)
 	}
@@ -252,7 +255,7 @@ func (inst *fsInstance) dirSet(task *kbase.Task, h *journal.Handle, ei *einode, 
 	if err != kbase.EOK {
 		return err
 	}
-	r.Name, r.Ino, r.Mode = name, ino, mode
+	r.Name, r.hash, r.Ino, r.Mode = name, nameHash(name), ino, mode
 	putDirent(bh.Data[r.off%inst.geo.SB.BlockSize:], r)
 	return dirDirty(h, ei, bh)
 }

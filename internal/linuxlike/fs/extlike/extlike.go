@@ -54,8 +54,9 @@ type fsInstance struct {
 	// dir level — the same job s_vfs_rename_mutex does in Linux.
 	renameMu *kbase.KMutex
 	// allocMu guards both allocation bitmaps (scan-and-set and
-	// free-bit counting).
-	allocMu *kbase.KMutex
+	// free-bit counting) and their hints.
+	allocMu          *kbase.KMutex
+	blockBM, inodeBM bitmap
 
 	// opsFit records, once at mount, whether one transaction can log
 	// a namespace operation's footprint (Geometry.opFootprint); a
@@ -88,6 +89,8 @@ func (f *FS) Mount(task *kbase.Task, data vfs.MountData) (*vfs.SuperBlock, kbase
 		geo:      geo,
 		renameMu: kbase.NewKMutex(renameClass),
 		allocMu:  kbase.NewKMutex(allocClass),
+		blockBM:  bitmap{start: geo.SB.BBMStart, nBlocks: geo.SB.BBMBlocks, limit: geo.SB.TotalBlocks},
+		inodeBM:  bitmap{start: geo.SB.IBMStart, nBlocks: geo.SB.IBMBlocks, limit: uint64(geo.SB.InodeCount)},
 		inodes:   make(map[uint64]*vfs.Inode),
 	}
 	inst.tokens.New = func() any { return new(writeToken) }
@@ -777,11 +780,11 @@ func (fo *fileOps) Release(task *kbase.Task, ino *vfs.Inode) {
 func (inst *fsInstance) Statfs(task *kbase.Task) (vfs.StatFS, kbase.Errno) {
 	inst.allocMu.Lock(task)
 	defer inst.allocMu.Unlock(task)
-	freeB, err := inst.countFreeBits(inst.geo.SB.BBMStart, inst.geo.SB.BBMBlocks, inst.geo.SB.TotalBlocks)
+	freeB, err := inst.countFreeBits(&inst.blockBM)
 	if err != kbase.EOK {
 		return vfs.StatFS{}, err
 	}
-	freeI, err := inst.countFreeBits(inst.geo.SB.IBMStart, inst.geo.SB.IBMBlocks, uint64(inst.geo.SB.InodeCount))
+	freeI, err := inst.countFreeBits(&inst.inodeBM)
 	if err != kbase.EOK {
 		return vfs.StatFS{}, err
 	}

@@ -141,13 +141,24 @@ const (
 
 // dirent is one directory record as cached in memory. off is the
 // record's byte offset in the directory, so an edit reaches its block
-// without a scan.
+// without a scan. hash is nameHash(Name) for a live record and 0 for
+// an unused one: a lookup compares it before the name.
 type dirent struct {
 	Name   string
 	Ino    uint64 // 0: unused record
 	off    uint32
+	hash   uint32
 	recLen uint16
 	Mode   uint16
+}
+
+// nameHash is the 32-bit FNV-1a hash of a directory entry name.
+func nameHash(name string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * 16777619
+	}
+	return h
 }
 
 // recSize returns the aligned length of a record naming nameLen bytes.
@@ -201,6 +212,7 @@ func decodeDirBlock(blk []byte, base uint32, ents []dirent) ([]dirent, string) {
 				return ents, fmt.Sprintf("record at %d has bad mode %d", e.off, mode)
 			}
 			e.Name, e.Mode = string(rec[direntHeader:direntHeader+nameLen]), mode
+			e.hash = nameHash(e.Name)
 		}
 		ents = append(ents, e)
 		off += recLen

@@ -46,7 +46,9 @@ func (e *Engine) NewBatch() *Batch {
 // Release returns the batch to its engine. Neither the batch nor its
 // Ticket may be used afterwards. SQEs enqueued but never submitted are
 // dropped, and an owned page among them is freed: the engine received
-// it at enqueue.
+// it at enqueue. Submit has already cleared the slots it executed, so
+// the cost is that of the SQEs left pending, whatever capacity an
+// earlier user grew the queue to.
 func (b *Batch) Release() {
 	for i := range b.pending {
 		if b.pending[i].owned {
@@ -55,7 +57,7 @@ func (b *Batch) Release() {
 	}
 	// Drop the payload references, so a pooled batch keeps no page
 	// alive, then empty the queues.
-	clear(b.pending[:cap(b.pending)])
+	clear(b.pending)
 	b.pending = b.pending[:0]
 	b.t.results = b.t.results[:0]
 	b.t.submitted = 0
@@ -158,7 +160,9 @@ func (b *Batch) enqueue(s sqe, user uint64) {
 // a containment gate installed the execution runs inside it; when the
 // gate rejects it (contained fault, quarantined engine), every SQE the
 // execution did not complete completes with the gate's typed errno —
-// each SQE completes exactly once.
+// each SQE completes exactly once. The executed slots are zeroed
+// before Submit returns, so the queue holds no buffer or page of a
+// completed SQE.
 func (b *Batch) Submit() *Ticket {
 	batch, res := b.pending, b.t.results[b.t.submitted:]
 	b.pending = b.pending[:0] // executed before Submit returns; reuse the slots
@@ -166,6 +170,9 @@ func (b *Batch) Submit() *Ticket {
 	if len(batch) == 0 {
 		return &b.t
 	}
+	// Zero the executed slots on the way out, a panic included, so a
+	// pooled batch pins no page and Release clears only what is pending.
+	defer clear(batch)
 	e := b.e
 	g := e.gate.Load()
 	if g == nil {

@@ -220,6 +220,91 @@ func TestReleaseReusesBatch(t *testing.T) {
 	}
 }
 
+// TestSubmitClearsExecutedSlots: a Submit leaves no buffer or page in
+// any slot of the batch's queue, however far it grew, so Release needs
+// to clear only what is still pending; on a reused batch that frees
+// the unsubmitted owned pages and nothing the engine already freed.
+func TestSubmitClearsExecutedSlots(t *testing.T) {
+	ck := own.NewChecker(own.PolicyRecord)
+	e, _ := testEngine(t, 32)
+	pinned := func(b *Batch) int {
+		n := 0
+		for _, s := range b.pending[:cap(b.pending)] {
+			if s.buf != nil || s.page != (own.Owned[[]byte]{}) {
+				n++
+			}
+		}
+		return n
+	}
+	b := e.NewBatch()
+	buf := make([]byte, e.BlockSize())
+	for i := 0; i < 1024; i++ {
+		blk := uint64(i % 32)
+		var err kbase.Errno
+		switch i % 3 {
+		case 0:
+			err = b.Write(blk, fill(e.BlockSize(), byte(i)), 0)
+		case 1:
+			err = b.WriteOwned(blk, own.New(ck, "submitted:page", fill(e.BlockSize(), byte(i))), 0)
+		default:
+			err = b.Read(blk, buf, 0)
+		}
+		if err != kbase.EOK {
+			t.Fatalf("SQE %d: %v", i, err)
+		}
+	}
+	b.Barrier(0)
+	if err := b.Submit().Err(); err != kbase.EOK {
+		t.Fatalf("Submit: %v", err)
+	}
+	if n := pinned(b); n != 0 {
+		t.Fatalf("after Submit %d of %d queue slots still hold a buffer or page", n, cap(b.pending))
+	}
+	b.Release()
+
+	b = e.NewBatch()
+	if cap(b.pending) < 1024 {
+		t.Fatalf("reused batch has %d slots, want the grown queue", cap(b.pending))
+	}
+	for i := 0; i < 3; i++ {
+		if err := b.WriteOwned(uint64(i), own.New(ck, "unsubmitted:page", fill(e.BlockSize(), 7)), 0); err != kbase.EOK {
+			t.Fatalf("WriteOwned: %v", err)
+		}
+	}
+	b.Release()
+	if n := pinned(b); n != 0 {
+		t.Fatalf("after Release %d queue slots still hold a buffer or page", n)
+	}
+	if leaks := ck.CheckLeaks(); len(leaks) != 0 {
+		t.Fatalf("released batch leaked its unsubmitted pages: %v", leaks)
+	}
+	if v := ck.Violations(); len(v) != 0 {
+		t.Fatalf("Release touched pages the engine had already freed: %v", v)
+	}
+
+	// A panic out of the device, with no gate to contain it, leaves the
+	// executed slots clear too: the caller's deferred Release pools the
+	// batch.
+	dev := blockdev.New(blockdev.Config{Blocks: 32, BlockSize: 64, Rng: kbase.NewRng(7)})
+	pe := New(panickyFlush{plainBackend{dev}})
+	defer pe.Close()
+	b = pe.NewBatch()
+	b.Write(1, fill(pe.BlockSize(), 1), 0)
+	b.Barrier(0)
+	func() {
+		defer func() { _ = recover() }()
+		b.Submit()
+	}()
+	if n := pinned(b); n != 0 {
+		t.Fatalf("after a panicking Submit %d queue slots still hold a buffer or page", n)
+	}
+}
+
+// panickyFlush is a backend whose flush panics.
+type panickyFlush struct{ plainBackend }
+
+func (panickyFlush) Flush() kbase.Errno { panic("flush") }
+
 // TestDuplicateWritesReachDevice pins that the engine does not merge:
 // every write SQE, including a rewrite of a block earlier in the same
 // batch, reaches the device in submit order and the last one wins.

@@ -121,7 +121,7 @@ func (k *Kernel) restartFS(task *kbase.Task) kbase.Errno {
 	// Force-detach: crash semantics. ENOENT here just means the dead
 	// instance never finished mounting — either way the slate is clean.
 	_ = k.VFS.DropMount("/")
-	if k.fsSafe {
+	if k.fsSafe.Load() {
 		data := vfs.NewMountData(&safefs.MountData{Disk: k.fsDev.Load(), Checker: k.Checker})
 		if err := k.VFS.Mount(task, "/", "safefs", data); err != kbase.EOK {
 			return err
@@ -142,7 +142,7 @@ func (k *Kernel) restartFS(task *kbase.Task) kbase.Errno {
 func (k *Kernel) restartNet(task *kbase.Task) kbase.Errno {
 	k.hostA.ResetStreams()
 	k.hostB.ResetStreams()
-	if k.tcpSafe {
+	if k.tcpSafe.Load() {
 		k.safeEPA = safetcp.Attach(k.hostA, k.Checker)
 		k.safeEPB = safetcp.Attach(k.hostB, k.Checker)
 	}
@@ -274,7 +274,7 @@ const roundTripStepBudget = 5000
 // safetcp endpoints once the transport is upgraded (they are attached
 // before tcpSafe is set), the hosts themselves before.
 func (k *Kernel) streamStacks() (a, b net.StreamStack) {
-	if k.tcpSafe {
+	if k.tcpSafe.Load() {
 		return k.safeEPA, k.safeEPB
 	}
 	return k.hostA, k.hostB

@@ -3,6 +3,7 @@ package safelinux
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -288,7 +289,7 @@ func TestUpgradeFSUnderLoad(t *testing.T) {
 	for e := range errs {
 		t.Errorf("worker op failed across swap: %s", e)
 	}
-	if !k.fsSafe {
+	if !k.fsSafe.Load() {
 		t.Fatalf("kernel does not report fsSafe after UpgradeFS")
 	}
 	mod, err := k.Registry.Lookup(IfaceFS)
@@ -480,8 +481,8 @@ func TestUpgradeUnderMixedLoad(t *testing.T) {
 	for _, f := range fails {
 		t.Errorf("op failed across an upgrade: %s", f)
 	}
-	if !k.fsSafe || !k.TCPSafe() {
-		t.Fatalf("not on the safe modules after the upgrades: fs %v, tcp %v", k.fsSafe, k.TCPSafe())
+	if !k.fsSafe.Load() || !k.TCPSafe() {
+		t.Fatalf("not on the safe modules after the upgrades: fs %v, tcp %v", k.fsSafe.Load(), k.TCPSafe())
 	}
 	if !k.Plane.AllHealthy() {
 		t.Fatalf("plane unhealthy after the upgrades")
@@ -492,6 +493,41 @@ func TestUpgradeUnderMixedLoad(t *testing.T) {
 				t.Errorf("%s = %q after the upgrades", path(w, f), got)
 			}
 		}
+	}
+	for _, name := range []string{"fs", "net"} {
+		if n := ktrace.Read(k.Plane.Get(name).CollectMetrics, "swaps"); n != 1 {
+			t.Errorf("%s compartment recorded %d swaps, want 1", name, n)
+		}
+	}
+}
+
+// TestConcurrentUpgradesSwapOnce races two UpgradeFS calls, then two
+// UpgradeTCP calls, on a compartmented kernel: in each pair exactly one
+// replaces the module and the other finds it replaced (EALREADY), and
+// each compartment records one swap. Under -race it also checks that
+// the flag an upgrade tests is ordered after the migration that set it.
+func TestConcurrentUpgradesSwapOnce(t *testing.T) {
+	k := bootCompartmented(t, Config{Seed: 23, Link: netNoLoss()})
+	for _, up := range []struct {
+		comp string
+		call func() kbase.Errno
+	}{{"fs", k.UpgradeFS}, {"net", k.UpgradeTCP}} {
+		var errs [2]kbase.Errno
+		var wg sync.WaitGroup
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = up.call()
+			}()
+		}
+		wg.Wait()
+		if !slices.Contains(errs[:], kbase.EOK) || !slices.Contains(errs[:], kbase.EALREADY) {
+			t.Fatalf("concurrent %s upgrades returned %v, want one EOK and one EALREADY", up.comp, errs)
+		}
+	}
+	if !k.fsSafe.Load() || !k.TCPSafe() || !k.Plane.AllHealthy() {
+		t.Fatalf("after the upgrades: fs %v, tcp %v, healthy %v", k.fsSafe.Load(), k.TCPSafe(), k.Plane.AllHealthy())
 	}
 	for _, name := range []string{"fs", "net"} {
 		if n := ktrace.Read(k.Plane.Get(name).CollectMetrics, "swaps"); n != 1 {

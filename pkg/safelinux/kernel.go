@@ -12,6 +12,7 @@ package safelinux
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -91,8 +92,15 @@ type Kernel struct {
 	hostB    *net.Host
 	safeEPA  *safetcp.Endpoint
 	safeEPB  *safetcp.Endpoint
-	fsSafe   bool
-	tcpSafe  bool
+	// fsSafe and tcpSafe record a completed UpgradeFS and UpgradeTCP.
+	// Each is set by its migration inside the compartment's drain, and
+	// read anywhere.
+	fsSafe  atomic.Bool
+	tcpSafe atomic.Bool
+	// upgradeMu serializes the upgrades: a second caller waits for the
+	// first rather than meeting its drain with EBUSY, then finds the
+	// module replaced.
+	upgradeMu sync.Mutex
 }
 
 // Interface names the kernel declares in its registry.
@@ -204,7 +212,7 @@ func (k *Kernel) Close() {
 func (k *Kernel) IOEngine() *kio.Engine { return k.ioEngine }
 
 // TCPSafe reports whether the transport has been upgraded.
-func (k *Kernel) TCPSafe() bool { return k.tcpSafe }
+func (k *Kernel) TCPSafe() bool { return k.tcpSafe.Load() }
 
 // Hosts returns the kernel's two network hosts.
 func (k *Kernel) Hosts() (*net.Host, *net.Host) { return k.hostA, k.hostB }
@@ -252,10 +260,7 @@ func (f *fixedFS) Mount(task *kbase.Task, data vfs.MountData) (*vfs.SuperBlock, 
 // kernel the swap runs live under the fs compartment's drain (see
 // upgrade).
 func (k *Kernel) UpgradeFS() kbase.Errno {
-	if k.fsSafe {
-		return kbase.EALREADY
-	}
-	return k.upgrade("fs", safefs.Module{}, k.migrateFS)
+	return k.upgrade("fs", safefs.Module{}, &k.fsSafe, k.migrateFS)
 }
 
 // UpgradeTCP installs the ownership-safe transport on both hosts via
@@ -263,10 +268,7 @@ func (k *Kernel) UpgradeFS() kbase.Errno {
 // compartmented kernel the swap runs live under the net compartment's
 // drain (see upgrade).
 func (k *Kernel) UpgradeTCP() kbase.Errno {
-	if k.tcpSafe {
-		return kbase.EALREADY
-	}
-	return k.upgrade("net", safetcp.Module{}, k.migrateTCP)
+	return k.upgrade("net", safetcp.Module{}, &k.tcpSafe, k.migrateTCP)
 }
 
 // upgrade replaces the module behind compartment comp with m: run
@@ -278,8 +280,16 @@ func (k *Kernel) UpgradeTCP() kbase.Errno {
 // queued callers are released onto the new binding: no operation is
 // dropped or failed by the swap, callers see it only as latency. EBUSY
 // means the drain did not complete within compartment.DrainTimeout.
-func (k *Kernel) upgrade(comp string, m module.Module, migrate func(*kbase.Task) kbase.Errno) kbase.Errno {
+// done is the flag migrate sets; when it is already set, upgrade
+// returns EALREADY. The check runs inside the drain, which orders it
+// after any migration that set the flag.
+func (k *Kernel) upgrade(comp string, m module.Module, done *atomic.Bool, migrate func(*kbase.Task) kbase.Errno) kbase.Errno {
+	k.upgradeMu.Lock()
+	defer k.upgradeMu.Unlock()
 	if k.Plane == nil {
+		if done.Load() {
+			return kbase.EALREADY
+		}
 		if err := migrate(k.Task); err != kbase.EOK {
 			return err
 		}
@@ -290,6 +300,10 @@ func (k *Kernel) upgrade(comp string, m module.Module, migrate func(*kbase.Task)
 	start := time.Now()
 	if err := c.BeginDrain(gate.Draining); err != kbase.EOK {
 		return err
+	}
+	if done.Load() {
+		c.EndDrain("", 0)
+		return kbase.EALREADY
 	}
 	err := func() (err kbase.Errno) {
 		defer func() {
@@ -363,7 +377,7 @@ func (k *Kernel) migrateFS(task *kbase.Task) kbase.Errno {
 		return err
 	}
 	k.fsDev.Store(newDev)
-	k.fsSafe = true
+	k.fsSafe.Store(true)
 	return kbase.EOK
 }
 
@@ -424,7 +438,7 @@ func (k *Kernel) copyTree(task *kbase.Task, src, dst *vfs.VFS, path string) kbas
 func (k *Kernel) migrateTCP(task *kbase.Task) kbase.Errno {
 	k.safeEPA = safetcp.Attach(k.hostA, k.Checker)
 	k.safeEPB = safetcp.Attach(k.hostB, k.Checker)
-	k.tcpSafe = true
+	k.tcpSafe.Store(true)
 	return kbase.EOK
 }
 
@@ -488,10 +502,10 @@ func (k *Kernel) Figure1(kernelLoC []audit.ModuleLoC) string {
 // Describe summarizes the kernel state in one line.
 func (k *Kernel) Describe() string {
 	fs, tcp := "extlike(modular)", "legacy-tcp"
-	if k.fsSafe {
+	if k.fsSafe.Load() {
 		fs = "safefs(verified)"
 	}
-	if k.tcpSafe {
+	if k.tcpSafe.Load() {
 		tcp = "safetcp(ownership-safe)"
 	}
 	return fmt.Sprintf("kernel[fs=%s stream=%s min-level=%s]", fs, tcp, k.Registry.MinLevel())

@@ -25,7 +25,7 @@ func bootKernel(t *testing.T) *Kernel {
 
 func TestBootLegacyKernel(t *testing.T) {
 	k := bootKernel(t)
-	if k.fsSafe || k.TCPSafe() {
+	if k.fsSafe.Load() || k.TCPSafe() {
 		t.Fatalf("fresh kernel claims upgrades")
 	}
 	if k.Registry.MinLevel() != module.LevelLegacy {
@@ -81,7 +81,7 @@ func TestUpgradeFSCarriesState(t *testing.T) {
 	if err := k.UpgradeFS(); err != kbase.EOK {
 		t.Fatalf("UpgradeFS: %v", err)
 	}
-	if !k.fsSafe {
+	if !k.fsSafe.Load() {
 		t.Fatalf("FSSafe false after upgrade")
 	}
 	// The whole tree survived the module replacement.

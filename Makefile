@@ -84,10 +84,14 @@ bench-net:
 # on both module stacks, failing on any divergence/oops/ownership
 # violation or if coverage drops below the frozen floor. The library-
 # level equivalents (campaign determinism, corpus replay) also run
-# under -race in `make test`. See DESIGN.md "Fuzzing". It takes under a
-# second, so `make check` runs it too.
+# under -race in `make test`. See DESIGN.md "Fuzzing". It then runs
+# the native mount target FuzzSafefsMount (patched safefs images; it
+# fails on a panic, an oops or an ownership violation) for 5 s; `go
+# test` alone replays its testdata/fuzz corpus. Under 10 s on a warm
+# build cache, so `make check` runs it too.
 fuzz-smoke:
 	$(GO) run ./cmd/kfuzz -smoke
+	$(GO) test -run '^$$' -fuzz '^FuzzSafefsMount$$' -fuzztime 5s ./internal/safemod/safefs
 
 # kbench is its own module, so neither `go build ./...` nor `go vet
 # ./...` compiles it: this is the quick check that it still builds

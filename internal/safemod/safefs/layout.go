@@ -2,11 +2,13 @@
 // one module: a file system that is modular (drops into the same VFS
 // behind vfs.FileSystemType), type safe (no untyped handoffs — every
 // boundary is a concrete struct or generic), ownership safe (file
-// contents live in ownership cells; the write path moves owned
-// buffers into the log), and functionally specified (the package
-// ships its own abstract model — a map from path strings to content
-// bytes, §4.4's example — plus the abstraction function and crash
-// spec, checked by internal/safety/spec).
+// contents live in ownership cells; a write reads the caller's bytes
+// once, into the log image, and the file's cell is updated from that
+// logged copy, so the log and the live state cannot diverge), and
+// functionally specified (the package ships its own abstract model —
+// a map from path strings to content bytes, §4.4's example — plus the
+// abstraction function and crash spec, checked by
+// internal/safety/spec).
 //
 // The on-disk design makes crash consistency structural rather than
 // incidental: safefs is a redo-logging FS. Every operation appends
@@ -143,27 +145,30 @@ func (r *Record) encodedLen() int {
 	return recordHeader + len(r.Path) + len(r.Path2) + len(r.Data)
 }
 
-// encode serializes the record with its checksum.
-func (r *Record) encode() []byte {
-	buf := make([]byte, r.encodedLen())
+// encodeInto serializes the record with its checksum at the front of
+// dst, which must hold at least encodedLen bytes, and zeroes the rest
+// of dst, so a reused image carries no bytes of an earlier record.
+// The payload is read from r.Data exactly once, here.
+func (r *Record) encodeInto(dst []byte) {
+	n := r.encodedLen()
 	le := binary.LittleEndian
-	le.PutUint32(buf[0:], Magic)
-	le.PutUint64(buf[4:], r.Seq)
-	buf[12] = byte(r.Kind)
-	le.PutUint32(buf[16:], uint32(len(r.Path)))
-	le.PutUint32(buf[20:], uint32(len(r.Path2)))
-	le.PutUint64(buf[24:], uint64(r.Off))
-	le.PutUint32(buf[32:], uint32(len(r.Data)))
+	le.PutUint32(dst[0:], Magic)
+	le.PutUint64(dst[4:], r.Seq)
+	dst[12] = byte(r.Kind)
+	clear(dst[13:16])
+	le.PutUint32(dst[16:], uint32(len(r.Path)))
+	le.PutUint32(dst[20:], uint32(len(r.Path2)))
+	le.PutUint64(dst[24:], uint64(r.Off))
+	le.PutUint32(dst[32:], uint32(len(r.Data)))
 	off := recordHeader
-	off += copy(buf[off:], r.Path)
-	off += copy(buf[off:], r.Path2)
-	copy(buf[off:], r.Data)
+	off += copy(dst[off:], r.Path)
+	off += copy(dst[off:], r.Path2)
+	copy(dst[off:], r.Data)
+	clear(dst[n:])
 	// Checksum over everything except the crc field itself.
-	crc := crc32.NewIEEE()
-	crc.Write(buf[:36])
-	crc.Write(buf[recordHeader:])
-	le.PutUint32(buf[36:], crc.Sum32())
-	return buf
+	crc := crc32.Update(0, crc32.IEEETable, dst[:36])
+	crc = crc32.Update(crc, crc32.IEEETable, dst[recordHeader:n])
+	le.PutUint32(dst[36:], crc)
 }
 
 // decodeRecord parses one record from buf. It returns the record and

@@ -28,6 +28,14 @@ import (
 // Consequence: the recovered state is always the checkpoint state
 // advanced by a prefix of acknowledged operations, which is exactly
 // the crash spec CheckCrashConsistency validates.
+//
+// Buffers: a record is encoded straight into img, a block-padded log
+// image the store keeps and reuses, so a steady-state append
+// allocates nothing. A write's payload is read from the caller once,
+// into img; append then points the record's Data at those logged
+// bytes, and the live state is updated from them. A checkpoint
+// serializes into its own exact-size image, dropped once written:
+// img may still hold the record a checkpoint-and-retry is committing.
 type store struct {
 	disk spec.DiskLike
 	sb   superblock
@@ -39,6 +47,8 @@ type store struct {
 
 	// SyncOnCommit flushes after every record (verified mode).
 	syncOnCommit bool
+
+	img []byte // log image of the last record, reused by append
 }
 
 // ckptHeader: magic(4) pad(4) gen(8) seq(8) length(8) crc(4).
@@ -56,10 +66,12 @@ func Format(disk spec.DiskLike) kbase.Errno {
 		return err
 	}
 	// Write an empty generation-1 checkpoint to region A.
-	st := newFstate(nil)
-	payload, _ := st.serialize()
 	s := &store{disk: disk, sb: sb}
-	if err := s.writeCheckpoint(sb.CkptAStart, 1, 0, payload); err != kbase.EOK {
+	img, err := s.checkpointImage(newFstate(nil), 1, 0)
+	if err != kbase.EOK {
+		return err
+	}
+	if err := s.writeCheckpoint(sb.CkptAStart, img); err != kbase.EOK {
 		return err
 	}
 	return disk.Flush()
@@ -77,7 +89,10 @@ func openStore(disk spec.DiskLike, checker *own.Checker, syncOnCommit bool) (*st
 	if err := sb.decode(buf); err != kbase.EOK {
 		return nil, nil, err
 	}
-	if sb.Blocks != disk.Blocks() || sb.BlockSize != uint32(bs) {
+	// Every region below is derived from the superblock, so it must be
+	// the layout Format gives this device: the one comparison puts each
+	// region in range and keeps them apart.
+	if want, ok := computeLayout(disk.Blocks(), bs); !ok || sb != want {
 		return nil, nil, kbase.EUCLEAN
 	}
 	s := &store{disk: disk, sb: sb, syncOnCommit: syncOnCommit}
@@ -116,27 +131,39 @@ func openStore(disk spec.DiskLike, checker *own.Checker, syncOnCommit bool) (*st
 	return s, st, kbase.EOK
 }
 
-// writeCheckpoint serializes one checkpoint into a region.
-func (s *store) writeCheckpoint(start, gen, seq uint64, payload []byte) kbase.Errno {
-	bs := s.disk.BlockSize()
-	total := ckptHeader + len(payload)
-	nBlocks := uint64((total + bs - 1) / bs)
-	if nBlocks > s.sb.CkptLen {
-		return kbase.ENOSPC
+// checkpointImage serializes st into one exact-size image: the
+// checkpoint header, then the state, zero-padded to whole blocks.
+func (s *store) checkpointImage(st *fstate, gen, seq uint64) ([]byte, kbase.Errno) {
+	plan, err := st.planCheckpoint()
+	if err != kbase.EOK {
+		return nil, err
 	}
-	buf := make([]byte, nBlocks*uint64(bs))
+	bs := s.disk.BlockSize()
+	nBlocks := uint64((ckptHeader + plan.size + bs - 1) / bs)
+	if nBlocks > s.sb.CkptLen {
+		return nil, kbase.ENOSPC
+	}
+	img := make([]byte, nBlocks*uint64(bs))
+	payload := img[ckptHeader : ckptHeader+plan.size]
+	if err := st.serialize(plan, payload); err != kbase.EOK {
+		return nil, err
+	}
 	le := binary.LittleEndian
-	le.PutUint32(buf[0:], Magic)
-	le.PutUint64(buf[8:], gen)
-	le.PutUint64(buf[16:], seq)
-	le.PutUint64(buf[24:], uint64(len(payload)))
-	copy(buf[ckptHeader:], payload)
-	crc := crc32.NewIEEE()
-	crc.Write(buf[0:32])
-	crc.Write(payload)
-	le.PutUint32(buf[32:], crc.Sum32())
-	for i := uint64(0); i < nBlocks; i++ {
-		if err := s.disk.Write(start+i, buf[i*uint64(bs):(i+1)*uint64(bs)]); err != kbase.EOK {
+	le.PutUint32(img[0:], Magic)
+	le.PutUint64(img[8:], gen)
+	le.PutUint64(img[16:], seq)
+	le.PutUint64(img[24:], uint64(plan.size))
+	crc := crc32.Update(0, crc32.IEEETable, img[0:32])
+	crc = crc32.Update(crc, crc32.IEEETable, payload)
+	le.PutUint32(img[32:], crc)
+	return img, kbase.EOK
+}
+
+// writeCheckpoint writes a checkpoint image into the region at start.
+func (s *store) writeCheckpoint(start uint64, img []byte) kbase.Errno {
+	bs := s.disk.BlockSize()
+	for i := 0; i*bs < len(img); i++ {
+		if err := s.disk.Write(start+uint64(i), img[i*bs:(i+1)*bs]); err != kbase.EOK {
 			return err
 		}
 	}
@@ -158,11 +185,11 @@ func (s *store) readCheckpoint(start uint64) (gen, seq uint64, payload []byte, o
 	seq = le.Uint64(buf[16:])
 	length := le.Uint64(buf[24:])
 	wantCRC := le.Uint32(buf[32:])
-	total := ckptHeader + int(length)
-	nBlocks := uint64((total + bs - 1) / bs)
-	if nBlocks > s.sb.CkptLen {
+	if length > s.sb.CkptLen*uint64(bs)-ckptHeader {
 		return 0, 0, nil, false
 	}
+	total := ckptHeader + int(length)
+	nBlocks := uint64((total + bs - 1) / bs)
 	full := make([]byte, nBlocks*uint64(bs))
 	copy(full, buf)
 	for i := uint64(1); i < nBlocks; i++ {
@@ -181,22 +208,28 @@ func (s *store) readCheckpoint(start uint64) (gen, seq uint64, payload []byte, o
 }
 
 // append logs one record (assigning its sequence number), makes it
-// durable per policy, and returns the stamped record. When the log
-// region fills, the caller is expected to checkpoint and retry; the
-// ENOSPC here is internal flow control.
+// durable per policy, and leaves r.Data pointing at the payload's
+// logged bytes in the log image. When the log region fills, the
+// caller is expected to checkpoint and retry; the ENOSPC here is
+// internal flow control, returned before the record is encoded, so
+// the retry is still the payload's only read.
 func (s *store) append(r *Record) kbase.Errno {
 	r.Seq = s.seq
-	encoded := r.encode()
 	bs := s.disk.BlockSize()
-	nBlocks := uint64((len(encoded) + bs - 1) / bs)
+	n := r.encodedLen()
+	nBlocks := uint64((n + bs - 1) / bs)
 	if s.logPos+nBlocks > s.sb.LogLen {
 		return kbase.ENOSPC
 	}
-	padded := make([]byte, nBlocks*uint64(bs))
-	copy(padded, encoded)
-	for i := uint64(0); i < nBlocks; i++ {
-		if err := s.disk.Write(s.sb.LogStart+s.logPos+i,
-			padded[i*uint64(bs):(i+1)*uint64(bs)]); err != kbase.EOK {
+	size := int(nBlocks) * bs
+	if cap(s.img) < size {
+		s.img = make([]byte, size)
+	}
+	img := s.img[:size]
+	r.encodeInto(img)
+	r.Data = img[n-len(r.Data) : n]
+	for i := 0; i < int(nBlocks); i++ {
+		if err := s.disk.Write(s.sb.LogStart+s.logPos+uint64(i), img[i*bs:(i+1)*bs]); err != kbase.EOK {
 			return err
 		}
 	}
@@ -253,16 +286,16 @@ func (s *store) readRecordAt(pos uint64) (Record, uint64, kbase.Errno) {
 // checkpoint persists the full state and resets the log. Safe
 // ordering: the new checkpoint is durable before any log reuse.
 func (s *store) checkpoint(st *fstate) kbase.Errno {
-	payload, err := st.serialize()
+	newGen := s.ckptGen + 1
+	img, err := s.checkpointImage(st, newGen, s.seq-1)
 	if err != kbase.EOK {
 		return err
 	}
-	newGen := s.ckptGen + 1
 	start := s.sb.CkptAStart
 	if newGen%2 == 0 {
 		start = s.sb.CkptBStart
 	}
-	if err := s.writeCheckpoint(start, newGen, s.seq-1, payload); err != kbase.EOK {
+	if err := s.writeCheckpoint(start, img); err != kbase.EOK {
 		return err
 	}
 	if err := s.disk.Flush(); err != kbase.EOK {

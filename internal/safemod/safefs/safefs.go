@@ -152,8 +152,9 @@ func pathOf(dir *vfs.Inode, name string) (string, kbase.Errno) {
 }
 
 // do checks, logs, then mutates: apply's two steps around the log
-// commit, so the log holds only operations that succeed. Caller holds
-// inst.mu.
+// commit, so the log holds only operations that succeed. The commit
+// leaves r.Data pointing at the logged payload, so mutate applies the
+// bytes the log holds. Caller holds inst.nsLock for writing.
 func (inst *fsInstance) do(r Record) kbase.Errno {
 	if err := canApply(inst.st, r); err != kbase.EOK {
 		return err
@@ -453,9 +454,9 @@ func (fo *fileOps) WriteCopy(task *kbase.Task, ino *vfs.Inode, off int64, data [
 		copy(sn.orphan.data[off:], data)
 		return len(data), kbase.EOK
 	}
-	payload := make([]byte, len(data))
-	copy(payload, data)
-	if err := inst.do(Record{Kind: OpWrite, Path: plan.path, Off: off, Data: payload}); err != kbase.EOK {
+	// data is read once: the log append copies it into the log image,
+	// and the file is updated from that logged copy.
+	if err := inst.do(Record{Kind: OpWrite, Path: plan.path, Off: off, Data: data}); err != kbase.EOK {
 		return 0, err
 	}
 	return len(data), kbase.EOK

@@ -9,6 +9,7 @@ import (
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/vfs"
 	"safelinux/internal/safety/own"
+	"safelinux/internal/safety/spec"
 )
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -95,7 +96,7 @@ func TestApplyAgreesWithCanApply(t *testing.T) {
 
 // --- VFS integration ---
 
-func mountSafefs(t *testing.T, dev *blockdev.Device, ck *own.Checker, syncOnCommit bool) (*vfs.VFS, *kbase.Task) {
+func mountSafefs(t *testing.T, dev spec.DiskLike, ck *own.Checker, syncOnCommit bool) (*vfs.VFS, *kbase.Task) {
 	t.Helper()
 	v := vfs.New(nil)
 	task := kbase.NewTask()
@@ -400,16 +401,16 @@ func TestCrashDuringCheckpointSurvives(t *testing.T) {
 		root, _ := v.Resolve(task, "/")
 		inst := mustInst(root.Sb)
 		inst.nsLock.DownWrite(nil)
-		payload, serr := inst.st.serialize()
-		if serr != kbase.EOK {
-			t.Fatalf("serialize: %v", serr)
-		}
 		newGen := inst.store.ckptGen + 1
+		img, ierr := inst.store.checkpointImage(inst.st, newGen, inst.store.seq-1)
+		if ierr != kbase.EOK {
+			t.Fatalf("checkpointImage: %v", ierr)
+		}
 		start := inst.store.sb.CkptAStart
 		if newGen%2 == 0 {
 			start = inst.store.sb.CkptBStart
 		}
-		if err := inst.store.writeCheckpoint(start, newGen, inst.store.seq-1, payload); err != kbase.EOK {
+		if err := inst.store.writeCheckpoint(start, img); err != kbase.EOK {
 			t.Fatalf("writeCheckpoint: %v", err)
 		}
 		inst.nsLock.UpWrite(nil)

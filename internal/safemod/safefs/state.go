@@ -327,53 +327,68 @@ func (st *fstate) free() {
 	st.files = make(map[string]own.Owned[[]byte])
 }
 
-// serialize encodes the whole state for a checkpoint:
-// dirCount, dirs..., fileCount, {path, content}...
-// Strings are length-prefixed.
-func (st *fstate) serialize() ([]byte, kbase.Errno) {
-	var b []byte
-	putStr := func(s string) {
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(s)))
-		b = append(b, l[:]...)
-		b = append(b, s...)
-	}
-	putBytes := func(s []byte) {
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(s)))
-		b = append(b, l[:]...)
-		b = append(b, s...)
-	}
-	dirs := make([]string, 0, len(st.dirs))
+// ckptPlan is the walk a checkpoint makes over the state: the sorted
+// directory and file paths, and the byte length of their encoding.
+type ckptPlan struct {
+	dirs, files []string
+	size        int
+}
+
+// planCheckpoint sorts the paths a checkpoint walks and sums their
+// encoded length, so serialize can fill one exact-size image.
+func (st *fstate) planCheckpoint() (ckptPlan, kbase.Errno) {
+	p := ckptPlan{size: 8} // the two counts
+	p.dirs = make([]string, 0, len(st.dirs))
 	for d := range st.dirs {
-		dirs = append(dirs, d)
+		p.dirs = append(p.dirs, d)
+		p.size += 4 + len(d)
 	}
-	sort.Strings(dirs)
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(dirs)))
-	b = append(b, cnt[:]...)
-	for _, d := range dirs {
+	sort.Strings(p.dirs)
+	p.files = make([]string, 0, len(st.files))
+	for f, cell := range st.files {
+		p.files = append(p.files, f)
+		n := 0
+		if !cell.Read(func(data []byte) { n = len(data) }) {
+			return ckptPlan{}, kbase.EBUSY
+		}
+		p.size += 4 + len(f) + 4 + n
+	}
+	sort.Strings(p.files)
+	return p, kbase.EOK
+}
+
+// serialize encodes the whole state for a checkpoint into b, which
+// holds exactly p.size bytes:
+// dirCount, dirs..., fileCount, {path, content}...
+// Strings are length-prefixed. The caller holds the state still
+// between planCheckpoint and serialize.
+func (st *fstate) serialize(p ckptPlan, b []byte) kbase.Errno {
+	le := binary.LittleEndian
+	pos := 0
+	putU32 := func(v int) {
+		le.PutUint32(b[pos:], uint32(v))
+		pos += 4
+	}
+	putStr := func(s string) {
+		putU32(len(s))
+		pos += copy(b[pos:], s)
+	}
+	putU32(len(p.dirs))
+	for _, d := range p.dirs {
 		putStr(d)
 	}
-	files := make([]string, 0, len(st.files))
-	for f := range st.files {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(files)))
-	b = append(b, cnt[:]...)
-	var failed bool
-	for _, f := range files {
+	putU32(len(p.files))
+	for _, f := range p.files {
 		putStr(f)
-		ok := st.files[f].Read(func(data []byte) { putBytes(data) })
+		ok := st.files[f].Read(func(data []byte) {
+			putU32(len(data))
+			pos += copy(b[pos:], data)
+		})
 		if !ok {
-			failed = true
+			return kbase.EBUSY
 		}
 	}
-	if failed {
-		return nil, kbase.EBUSY
-	}
-	return b, kbase.EOK
+	return kbase.EOK
 }
 
 // deserializeState rebuilds a state from checkpoint bytes.
